@@ -14,7 +14,7 @@ Two ways to beat the tagged-packet code without touching the secrets:
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .field import Field, GuardError
@@ -23,7 +23,6 @@ from .netsim import CoalitionView
 from .scheme import SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
 
 BRUTE_FORCE_GUARD = 1 << 24
-_TABLE_LIMIT = 1 << 20  # build index tables only while order^2 stays below this
 
 
 @dataclass(frozen=True)
@@ -203,59 +202,75 @@ def gauss_count(system: RecoverySystem) -> tuple[bool, int]:
 def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> int:
     """Count solutions by enumerating every candidate secret vector.
 
-    Deliberately independent of the elimination path: candidates run in
-    element-enumeration order and each is checked against the raw equations.
+    Deliberately independent of the elimination path: nothing is pivoted and
+    every candidate is counted.  The count meets in the middle
+    (Horowitz-Sahni 1974): the F_{q^l} system is expanded into its F_q
+    coordinates, the base unknowns are split into halves A and B, every
+    assignment of A is tabulated by its per-equation sums, and every
+    assignment of B adds the number of A-assignments that complete it.
     """
     fld = system.coeff.field
-    unknowns = system.coeff.cols
-    total = fld.order**unknowns
+    total = fld.order**system.coeff.cols
     if total > guard:
         raise GuardError(f"{total} candidates exceed the guard of {guard}")
-    elems = fld.elements()
-    size = len(elems)
-    if size * size <= _TABLE_LIMIT:
-        return _brute_force_tabled(system, elems)
-    count = 0
-    rows = [
-        (
-            tuple((c, v) for c, v in enumerate(system.coeff.row(r)) if v),
-            system.rhs[r, 0],
-        )
-        for r in range(system.coeff.rows)
-    ]
-    zero = fld.zero
-    for cand in itertools.product(elems, repeat=unknowns):
-        if all(
-            sum((v * cand[c] for c, v in entries), zero) == want for entries, want in rows
-        ):
-            count += 1
-    return count
+    q = fld.q
+    # A vector over F_q with one slot of w bits per base equation, packed into
+    # one int.  Adding two reduced vectors leaves slots below 2q; adding
+    # 2^(w-1) - q to every slot sets a slot's top bit exactly where it
+    # reached q, and q is subtracted there.
+    w = q.bit_length() + 1
+    columns, rhs, slots = _packed_base_system(system, w)
+    unit = sum(1 << (w * e) for e in range(slots))
+    adj = ((1 << (w - 1)) - q) * unit
+    high = (1 << (w - 1)) * unit
+    shift = w - 1
+
+    def mod(s):
+        return s - ((s + adj & high) >> shift) * q
+
+    def extend(vecs, col):
+        """Each vector of `vecs` plus each F_q multiple of `col`, streamed."""
+        mult = [0]
+        for _ in range(q - 1):
+            mult.append(mod(mult[-1] + col))
+        return (mod(v + m) for v in vecs for m in mult)
+
+    def sums(start, cols):
+        vecs = [start]
+        for col in cols:
+            vecs = extend(vecs, col)
+        return vecs
+
+    half = len(columns) // 2
+    table = Counter(sums(0, columns[:half])).get
+    # As b runs over every assignment of B so does -b, so the sums
+    # rhs - f_B(b) that complete an A-assignment are the sums rhs + f_B(b).
+    return sum(table(s, 0) for s in sums(rhs, columns[half:]))
 
 
-def _brute_force_tabled(system: RecoverySystem, elems) -> int:
-    """Same enumeration, but over integer indices with precomputed op tables."""
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[a + b] for b in elems] for a in elems]
-    mul = [[index[a * b] for b in elems] for a in elems]
-    rows = []
-    for r in range(system.coeff.rows):
-        entries = tuple(
-            (c, mul[index[v]]) for c, v in enumerate(system.coeff.row(r)) if v
-        )
-        rows.append((entries, index[system.rhs[r, 0]]))
-    count = 0
-    for cand in itertools.product(range(len(elems)), repeat=system.coeff.cols):
-        ok = True
-        for entries, want in rows:
-            acc = 0
-            for c, mrow in entries:
-                acc = add[acc][mrow[cand[c]]]
-            if acc != want:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+def _packed_base_system(system: RecoverySystem, w: int):
+    """The system over F_q: packed columns, packed right-hand side, slot count.
+
+    Unknown j of F_{q^l} becomes base unknowns (j, 0..l-1), the coordinates
+    of x_j in the power basis; row r becomes base equations (r, 0..l-1), the
+    coordinates of its sum.  Base unknown (j, i) therefore has column entry
+    coordinate t of a_rj * x^i in equation (r, t).
+    """
+    fld = system.coeff.field
+    l = fld.l
+    basis = [fld.from_vector([int(i == t) for t in range(l)]) for i in range(l)]
+    columns = [0] * (system.coeff.cols * l)
+    for r, row in enumerate(system.coeff.data):
+        for j, a in enumerate(row):
+            if a:
+                for i, x in enumerate(basis):
+                    for t, c in enumerate((a * x).coeffs):
+                        columns[j * l + i] |= c << (w * (r * l + t))
+    rhs = 0
+    for r, (b,) in enumerate(system.rhs.data):
+        for t, c in enumerate(b.coeffs):
+            rhs |= c << (w * (r * l + t))
+    return columns, rhs, system.coeff.rows * l
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ncauth import Field, SystemParams, keygen, tag
@@ -59,3 +60,22 @@ def forgery_instances(count, seed):
         coeffs = sum_one_coeffs(q, params.n, rng)
         out.append((params, skey, vkeys, messages, packets, coeffs))
     return out
+
+
+def reference_brute_force_count(system):
+    """Key-count oracle: every candidate in element order, checked row by row.
+
+    The plain enumeration `brute_force_count` must agree with; it shares no
+    code with it beyond field arithmetic.
+    """
+    fld = system.coeff.field
+    rows = [
+        (tuple((c, v) for c, v in enumerate(row) if v), want)
+        for row, (want,) in zip(system.coeff.data, system.rhs.data)
+    ]
+    zero = fld.zero
+    count = 0
+    for cand in itertools.product(fld.elements(), repeat=system.coeff.cols):
+        if all(sum((v * cand[c] for c, v in entries), zero) == want for entries, want in rows):
+            count += 1
+    return count

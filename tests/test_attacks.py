@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncauth import (
     CoalitionView,
@@ -13,6 +15,7 @@ from ncauth import (
     Intervention,
     Matrix,
     RecoveryMeta,
+    RecoverySystem,
     SystemParams,
     brute_force_count,
     build_recovery_system,
@@ -27,11 +30,12 @@ from ncauth import (
     predicted_rank,
     simulate,
     solve,
+    solve_count,
     solve_target_coeffs,
     tag,
     verify,
 )
-from support import make_instance, sample_points
+from support import make_instance, reference_brute_force_count, sample_points
 
 
 def test_forgery_spec_validation():
@@ -315,6 +319,71 @@ def test_brute_force_guard():
     system = build_recovery_system(params, view, vkeys, messages)
     with pytest.raises(GuardError):
         brute_force_count(system, guard=8)  # 2^4 candidates > 8
+
+
+# (q, l) -> most unknowns the reference enumeration is given; F_257 carries
+# coordinates that need more than one byte each
+ORACLE_FIELDS = {
+    (2, 1): 11, (2, 2): 5, (2, 3): 3,
+    (3, 1): 7, (3, 2): 3, (3, 3): 2,
+    (5, 1): 5, (5, 2): 2, (5, 3): 1,
+    (257, 1): 1,
+}
+
+
+@st.composite
+def small_systems(draw):
+    """A random system over a small field, its rhs planted, free or contradictory."""
+    q, l = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
+    fld = Field(q, l)
+    unknowns = draw(st.integers(0, ORACLE_FIELDS[q, l]))
+    element = st.tuples(*[st.integers(0, q - 1)] * l).map(fld)
+    rows = draw(st.lists(st.lists(element, min_size=unknowns, max_size=unknowns), max_size=4))
+    mode = draw(st.sampled_from(["planted", "free", "contradictory"]))
+    if mode == "planted":
+        x = draw(st.lists(element, min_size=unknowns, max_size=unknowns))
+        rhs = [sum((a * v for a, v in zip(row, x)), fld.zero) for row in rows]
+    else:
+        rhs = draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+    if mode == "contradictory":
+        rows.append([fld.zero] * unknowns)
+        rhs.append(draw(element.filter(bool)))
+    system = RecoverySystem(
+        Matrix(fld, rows, cols=unknowns), Matrix(fld, [[b] for b in rhs], cols=1), meta=None
+    )
+    return system, mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems())
+def test_brute_force_matches_reference_enumeration(case):
+    system, mode = case
+    count = brute_force_count(system)
+    assert count == reference_brute_force_count(system)
+    consistent, gcount = solve_count(system.coeff, system.rhs)
+    assert count == (gcount if consistent else 0)
+    if mode == "planted":
+        assert count >= 1
+    elif mode == "contradictory":
+        assert count == 0
+
+
+def test_brute_force_wide_prime_coordinates():
+    # 2^16 candidates each: too many for the reference, small for elimination
+    fld = Field(257, 1)
+
+    def system(rows, rhs, f=fld):
+        return RecoverySystem(
+            Matrix(f, rows, cols=len(rows[0])), Matrix(f, [[b] for b in rhs], cols=1), meta=None
+        )
+
+    assert brute_force_count(system([[1, 1]], [256])) == 257
+    assert brute_force_count(system([[256, 1]], [0])) == 257
+    assert brute_force_count(system([[256]], [1])) == 1
+    assert brute_force_count(system([[1, 0], [0, 1]], [256, 255])) == 1
+    assert brute_force_count(system([[1, 0], [1, 0]], [256, 0])) == 0
+    ext = Field(257, 2)
+    assert brute_force_count(system([[ext((3, 200))]], [ext((256, 255))], ext)) == 1
 
 
 def test_h_condition_boundaries():
