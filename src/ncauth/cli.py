@@ -73,7 +73,7 @@ def _require(doc, key, kind, where):
     if key not in doc:
         raise ConfigError(f"{where}.{key}", "missing")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}")
     return value
 
@@ -129,7 +129,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     if doc.get("version") != SCHEMA_VERSION:
         raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {doc.get('version')!r}")
     eff_seed = seed if seed is not None else doc.get("seed", 0)
-    if not isinstance(eff_seed, int):
+    if not isinstance(eff_seed, int) or isinstance(eff_seed, bool):
         raise ConfigError("seed", "must be an integer")
 
     pdoc = _require(doc, "params", dict, "scenario")
@@ -613,11 +613,14 @@ def _dump(report: dict) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario", "document must be an object")
+    return doc
 
 
 def _int_list(text: str) -> tuple[int, ...]:

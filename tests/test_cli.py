@@ -193,6 +193,21 @@ def test_config_errors_name_the_offending_field(mutate, field):
     assert str(err.value).startswith(field + ":"), str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d["params"].update(k=True), "params.k"),
+    ],
+)
+def test_booleans_are_not_integers(mutate, field):
+    doc = butterfly_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(doc)
+    assert str(err.value).startswith(field + ":"), str(err.value)
+
+
 def test_recover_adversary_without_seat():
     doc = recover_doc()
     doc["verifiers"] = {"v1": 0}
@@ -306,6 +321,21 @@ def test_main_bad_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(garbled)]) == 2
     err = capsys.readouterr().err
     assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "keygen"])
+def test_main_rejects_non_object_document(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, [])
+    assert main([command, "--config", cfg]) == 2
+    assert "scenario: document must be an object" in capsys.readouterr().err
+
+
+def test_main_rejects_boolean_seed(tmp_path, capsys):
+    doc = butterfly_doc()
+    doc["seed"] = True
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "seed: must be an integer" in capsys.readouterr().err
 
 
 def test_main_config_validation_failure(tmp_path, capsys):
