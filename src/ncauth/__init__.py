@@ -6,7 +6,7 @@ attacks against it, and counts exactly how many secret keys a coalition of
 verifiers can still be facing after pooling what they know.
 """
 
-from .field import ENUMERATION_GUARD, Fel, Field, GuardError, is_prime
+from .field import Fel, Field, GuardError, is_prime
 from .linalg import Matrix, hstack, solve, solve_count, vandermonde, vstack
 from .scheme import (
     SourceKey,

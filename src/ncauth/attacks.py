@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .field import Field, GuardError
-from .linalg import Matrix, solve, solve_count
+from .field import Field, GuardError, Packing
+from .linalg import Matrix, hstack, solve
 from .netsim import CoalitionView
 from .scheme import SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
 
@@ -194,9 +194,14 @@ def predicted_rank(meta: RecoveryMeta) -> int:
     return meta.r0 * meta.k + (meta.M + 1 - meta.r0) * meta.K
 
 
-def gauss_count(system: RecoverySystem) -> tuple[bool, int]:
-    """Consistency and solution count via elimination."""
-    return solve_count(system.coeff, system.rhs)
+def gauss_count(system: RecoverySystem) -> tuple[bool, int, int]:
+    """Consistency, solution count and coefficient rank from one elimination."""
+    coeff = system.coeff
+    _, pivots = hstack([coeff, system.rhs]).rref()
+    rank = sum(p < coeff.cols for p in pivots)
+    if rank < len(pivots):
+        return False, 0, rank
+    return True, coeff.field.order ** (coeff.cols - rank), rank
 
 
 def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> int:
@@ -209,24 +214,18 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     assignment of A is tabulated by its per-equation sums, and every
     assignment of B adds the number of A-assignments that complete it.
     """
-    fld = system.coeff.field
-    total = fld.order**system.coeff.cols
+    coeff = system.coeff
+    fld = coeff.field
+    total = fld.order**coeff.cols
     if total > guard:
         raise GuardError(f"{total} candidates exceed the guard of {guard}")
     q = fld.q
-    # A vector over F_q with one slot of w bits per base equation, packed into
-    # one int.  Adding two reduced vectors leaves slots below 2q; adding
-    # 2^(w-1) - q to every slot sets a slot's top bit exactly where it
-    # reached q, and q is subtracted there.
-    w = q.bit_length() + 1
-    columns, rhs, slots = _packed_base_system(system, w)
-    unit = sum(1 << (w * e) for e in range(slots))
-    adj = ((1 << (w - 1)) - q) * unit
-    high = (1 << (w - 1)) * unit
-    shift = w - 1
-
-    def mod(s):
-        return s - ((s + adj & high) >> shift) * q
+    # Packed by equation, a column over F_{q^l} is l columns over F_q: base
+    # unknown i of unknown j (coordinate i of x_j) has column x^i * column j.
+    pk = Packing(fld, coeff.rows)
+    columns = [p for j in range(coeff.cols) for p in pk.x_powers(pk.pack(coeff.column(j)))]
+    rhs = pk.pack(system.rhs.column(0))
+    mod = pk.mod
 
     def extend(vecs, col):
         """Each vector of `vecs` plus each F_q multiple of `col`, streamed."""
@@ -246,31 +245,6 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     # As b runs over every assignment of B so does -b, so the sums
     # rhs - f_B(b) that complete an A-assignment are the sums rhs + f_B(b).
     return sum(table(s, 0) for s in sums(rhs, columns[half:]))
-
-
-def _packed_base_system(system: RecoverySystem, w: int):
-    """The system over F_q: packed columns, packed right-hand side, slot count.
-
-    Unknown j of F_{q^l} becomes base unknowns (j, 0..l-1), the coordinates
-    of x_j in the power basis; row r becomes base equations (r, 0..l-1), the
-    coordinates of its sum.  Base unknown (j, i) therefore has column entry
-    coordinate t of a_rj * x^i in equation (r, t).
-    """
-    fld = system.coeff.field
-    l = fld.l
-    basis = [fld.from_vector([int(i == t) for t in range(l)]) for i in range(l)]
-    columns = [0] * (system.coeff.cols * l)
-    for r, row in enumerate(system.coeff.data):
-        for j, a in enumerate(row):
-            if a:
-                for i, x in enumerate(basis):
-                    for t, c in enumerate((a * x).coeffs):
-                        columns[j * l + i] |= c << (w * (r * l + t))
-    rhs = 0
-    for r, (b,) in enumerate(system.rhs.data):
-        for t, c in enumerate(b.coeffs):
-            rhs |= c << (w * (r * l + t))
-    return columns, rhs, system.coeff.rows * l
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,13 @@ def _require(doc, key, kind, where):
     return value
 
 
+def _require_ints(doc, key, where) -> tuple[int, ...]:
+    values = _require(doc, key, list, where)
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise ConfigError(f"{where}.{key}", "expected a list of integers")
+    return tuple(values)
+
+
 def _coerce_element(field: Field, value, where: str) -> Fel:
     try:
         if isinstance(value, int):
@@ -151,7 +158,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     if "public_points" in pdoc:
         pts = tuple(
             _coerce_element(field, p, f"params.public_points[{i}]")
-            for i, p in enumerate(pdoc["public_points"])
+            for i, p in enumerate(_require(pdoc, "public_points", list, "params"))
         )
     else:
         pts = _sample_points(field, v_count, _substream(eff_seed, "points"), "params.V")
@@ -176,8 +183,11 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         raise ConfigError("topology", "must be a builtin name or an inline document")
     if "verifiers" in doc:
         vmap = _require(doc, "verifiers", dict, "scenario")
+        for node, idx in vmap.items():
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise ConfigError(f"verifiers.{node}", "seat must be an integer")
         try:
-            net = net.with_verifiers({str(k_): int(v) for k_, v in vmap.items()})
+            net = net.with_verifiers({str(k_): v for k_, v in vmap.items()})
         except ValueError as exc:
             raise ConfigError("verifiers", str(exc)) from exc
     for node, idx in net.verifiers.items():
@@ -197,7 +207,9 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         rng = _substream(eff_seed, "messages")
         messages = tuple(field.random_element(rng) for _ in range(params.n))
 
-    adversaries = tuple(str(a) for a in doc.get("adversaries", ()))
+    adversaries = ()
+    if "adversaries" in doc:
+        adversaries = tuple(str(a) for a in _require(doc, "adversaries", list, "scenario"))
     for a in adversaries:
         if a not in net.nodes:
             raise ConfigError("adversaries", f"unknown node {a!r}")
@@ -208,7 +220,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     if not isinstance(adoc, dict):
         raise ConfigError("attack", "must be an object")
     kind = adoc.get("type", "none")
-    if kind not in _ATTACK_KEYS:
+    if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
         raise ConfigError("attack.type", f"unknown attack {kind!r}")
     unknown = set(adoc) - _ATTACK_KEYS[kind]
     if unknown:
@@ -218,7 +230,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         if "coeffs" in adoc and "target" in adoc:
             raise ConfigError("attack", "give either coeffs or target, not both")
         if "coeffs" in adoc:
-            coeffs = tuple(int(a) for a in adoc["coeffs"])
+            coeffs = _require_ints(adoc, "coeffs", "attack")
             if len(coeffs) != params.n:
                 raise ConfigError("attack.coeffs", f"expected {params.n} coefficients")
             if sum(coeffs) % q != 1:
@@ -238,7 +250,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         edge = str(adoc.get("edge", ins[0]))
         if edge not in ins:
             raise ConfigError("attack.edge", f"edge {edge!r} does not enter {node!r}")
-        coeffs = tuple(int(a) for a in _require(adoc, "coeffs", list, "attack"))
+        coeffs = _require_ints(adoc, "coeffs", "attack")
         if len(coeffs) != len(ins):
             raise ConfigError("attack.coeffs", f"expected {len(ins)} coefficients")
         if sum(coeffs) % q != 1:
@@ -359,8 +371,7 @@ def run_scenario(
         keys = [vkeys[net.verifiers[a]] for a in sc.adversaries]
         system = build_recovery_system(params, view, keys, sc.messages)
         meta = system.meta
-        consistent, gcount = gauss_count(system)
-        rank = system.coeff.rank()
+        consistent, gcount, rank = gauss_count(system)
         try:
             brute = brute_force_count(system, guard=guard)
             skipped = False
@@ -532,8 +543,7 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     system = build_recovery_system(params, view, vkeys, messages)
     meta = system.meta
     candidates = field.order ** (k * (m_count + 1))
-    consistent, gcount = gauss_count(system)
-    rank = system.coeff.rank()
+    consistent, gcount, rank = gauss_count(system)
     prank = predicted_rank(meta)
     pred = predicted_count(meta)
     skipped = candidates > guard

@@ -1,13 +1,16 @@
 """Dense exact matrices over a Field.
 
-Everything is desk-scale: matrices are tuples of tuples of field elements,
-elimination is plain Gauss-Jordan with leftmost-nonzero pivoting (no
-tie-breaking beyond row order), so reduced forms are deterministic.
+Everything is desk-scale: matrices are tuples of tuples of field elements.
+Row reduction is Gauss-Jordan with leftmost-nonzero pivoting (no
+tie-breaking beyond row order), so reduced forms are deterministic.  It
+works on rows packed into ints (``field.Packing``): subtracting a multiple
+of the pivot row costs a few big-int operations per coordinate of the
+multiplier, whatever the width of the row.
 """
 
 from __future__ import annotations
 
-from .field import Fel, Field
+from .field import Fel, Field, Packing
 
 
 class Matrix:
@@ -28,6 +31,13 @@ class Matrix:
         self.rows = len(data)
         self.cols = cols
         self.data = data
+
+    @classmethod
+    def _trusted(cls, field: Field, data: list[tuple[Fel, ...]], cols: int) -> "Matrix":
+        """A matrix over rows of reduced elements of `field`, taken as they are."""
+        self = cls.__new__(cls)
+        self.field, self.rows, self.cols, self.data = field, len(data), cols, tuple(data)
+        return self
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -91,25 +101,29 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [list(r) for r in self.data]
+        fld = self.field
+        pk = Packing(fld, self.cols)
+        m = [pk.pack(row) for row in self.data]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            hit = next((i for i in range(r, self.rows) if m[i][c]), None)
+            hit = next((i for i in range(r, self.rows) if pk.entry(m[i], c)), None)
             if hit is None:
                 continue
             m[r], m[hit] = m[hit], m[r]
-            inv = m[r][c].inv()
-            m[r] = [e * inv for e in m[r]]
+            inv = pk.element(pk.entry(m[r], c)).inv()
+            powers = pk.x_powers(pk.add_mul(0, inv, pk.x_powers(m[r])))
+            m[r] = powers[0]
             for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                if i != r:
+                    f = pk.entry(m[i], c)
+                    if f:
+                        m[i] = pk.add_mul(m[i], -pk.element(f), powers)
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return Matrix(self.field, m, cols=self.cols), tuple(pivots)
+        return Matrix._trusted(fld, [pk.unpack(v) for v in m], self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -121,8 +135,7 @@ def vstack(mats: list[Matrix]) -> Matrix:
     field, cols = mats[0].field, mats[0].cols
     if any(m.field != field or m.cols != cols for m in mats):
         raise ValueError("vstack needs equal widths over one field")
-    rows = [row for m in mats for row in m.data]
-    return Matrix(field, rows, cols=cols)
+    return Matrix._trusted(field, [row for m in mats for row in m.data], cols)
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
@@ -132,7 +145,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
     if any(m.field != field or m.rows != height for m in mats):
         raise ValueError("hstack needs equal heights over one field")
     rows = [sum((m.data[i] for m in mats), ()) for i in range(height)]
-    return Matrix(field, rows, cols=sum(m.cols for m in mats))
+    return Matrix._trusted(field, rows, sum(m.cols for m in mats))
 
 
 def vandermonde(field: Field, points, height: int) -> Matrix:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .field import Field, is_prime
+from .field import MAX_PRIME, Field, is_prime
 from .linalg import Matrix, solve
 from .scheme import TaggedPacket, VerifierKey, combine, verify, zero_packet
 
@@ -59,8 +59,8 @@ class Network:
     """A validated coding topology: DAG, local kernels, verifier seats, sinks."""
 
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
-        if not is_prime(int(q)):
-            raise ValueError(f"kernel field size must be prime, got {q!r}")
+        if int(q) > MAX_PRIME or not is_prime(int(q)):
+            raise ValueError(f"kernel field size must be a prime up to 2^16, got {q!r}")
         self.q = int(q)
         self.nodes = tuple(str(n) for n in nodes)
         if len(set(self.nodes)) != len(self.nodes):
@@ -457,6 +457,18 @@ def network_from_dict(doc: dict) -> Network:
     for required in ("q", "source", "nodes", "edges"):
         if required not in doc:
             raise ValueError(f"topology.{required}: missing")
+    if not isinstance(doc["q"], int) or isinstance(doc["q"], bool):
+        raise ValueError("topology.q: expected int")
+    for key, kind in (("nodes", list), ("edges", list), ("kernels", dict), ("verifiers", dict),
+                      ("sinks", list)):
+        if key in doc and not isinstance(doc[key], kind):
+            raise ValueError(f"topology.{key}: expected {kind.__name__}")
+    for node, rows in doc.get("kernels", {}).items():
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
+            for r in rows
+        ):
+            raise ValueError(f"topology.kernels.{node}: expected a list of integer rows")
     edges = []
     for i, e in enumerate(doc["edges"]):
         if not isinstance(e, dict) or set(e) != _EDGE_KEYS:

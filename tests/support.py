@@ -1,11 +1,42 @@
-"""Shared deterministic generators for the test suite."""
+"""Shared deterministic generators and reference oracles for the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from ncauth import Field, SystemParams, keygen, tag
+from hypothesis import strategies as st
+
+from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
+
+ENUMERATION_GUARD = 1 << 20
+# (q, l) pairs the arithmetic oracles cover: small, one-byte-plus and the
+# largest supported primes at low degree, and the benchmark's binary fields
+ORACLE_FIELDS = [(q, l) for q in (2, 3, 5, 257, 65521) for l in (1, 2, 3)] + [(2, 8), (2, 16)]
+
+
+def element_strategy(field):
+    """Hypothesis strategy for elements of `field`, one draw each.
+
+    Zero, one, -1 and the all-(q-1) element come up often, since they are
+    where cancellations and slot overflows hide.
+    """
+    q, l = field.q, field.l
+
+    def from_code(code):
+        return field([code // q**t % q for t in range(l)])
+
+    special = [field.zero, field.one, -field.one, field([q - 1] * l)]
+    return st.one_of(st.sampled_from(special), st.integers(0, field.order - 1).map(from_code))
+
+
+def elements(field):
+    """All q^l elements of `field` in lexicographic coordinate order (zero first)."""
+    if field.order > ENUMERATION_GUARD:
+        raise GuardError(
+            f"field of size {field.order} exceeds enumeration guard {ENUMERATION_GUARD}"
+        )
+    return [Fel(field, c) for c in itertools.product(range(field.q), repeat=field.l)]
 
 
 def sample_points(field, count, rng):
@@ -75,7 +106,36 @@ def reference_brute_force_count(system):
     ]
     zero = fld.zero
     count = 0
-    for cand in itertools.product(fld.elements(), repeat=system.coeff.cols):
+    for cand in itertools.product(elements(fld), repeat=system.coeff.cols):
         if all(sum((v * cand[c] for c, v in entries), zero) == want for entries, want in rows):
             count += 1
     return count
+
+
+def reference_rref(matrix):
+    """Row-reduction oracle: Gauss-Jordan on field elements, one entry at a time.
+
+    Leftmost-nonzero pivoting in row order, pivots inverted as a^(order-2):
+    the reduced form and pivots `Matrix.rref` must reproduce exactly.  It
+    shares no code with it beyond element arithmetic.
+    """
+    fld = matrix.field
+    m = [list(r) for r in matrix.data]
+    pivots = []
+    r = 0
+    for c in range(matrix.cols):
+        hit = next((i for i in range(r, matrix.rows) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = m[r][c] ** (fld.order - 2)
+        m[r] = [e * inv for e in m[r]]
+        for i in range(matrix.rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == matrix.rows:
+            break
+    return Matrix(fld, m, cols=matrix.cols), tuple(pivots)

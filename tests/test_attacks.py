@@ -35,7 +35,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import make_instance, reference_brute_force_count, sample_points
+from support import elements, make_instance, reference_brute_force_count, sample_points
 
 
 def test_forgery_spec_validation():
@@ -101,7 +101,7 @@ def test_solve_target_single_message():
 def test_solve_target_spanning_messages_reach_everything():
     fld = Field(2, 2)
     messages = [fld.zero, fld((1, 0)), fld((0, 1))]
-    for target in fld.elements():
+    for target in elements(fld):
         spec = solve_target_coeffs(messages, target)
         assert spec is not None
         mixed = sum(
@@ -156,7 +156,7 @@ def test_recovery_hand_example_matrix():
     assert system.coeff.rank() == 3
     assert predicted_rank(meta) == 3
     assert predicted_count(meta) == 2
-    assert gauss_count(system) == (True, 2)
+    assert gauss_count(system) == (True, 2, 3)
     assert brute_force_count(system) == 2
 
 
@@ -167,7 +167,7 @@ def test_recovery_without_observations_counts_keyspace():
     assert system.meta.r0 == 0
     assert predicted_rank(system.meta) == 2
     assert predicted_count(system.meta) == 4
-    assert gauss_count(system) == (True, 4)
+    assert gauss_count(system) == (True, 4, 2)
     assert brute_force_count(system) == 4
 
 
@@ -204,7 +204,7 @@ def test_full_mixing_rank_pins_the_key():
     system = build_recovery_system(params, view, vkeys, messages)
     assert system.meta.r0 == 2
     assert predicted_count(system.meta) == 1
-    assert gauss_count(system) == (True, 1)
+    assert gauss_count(system) == (True, 1, 4)
     assert brute_force_count(system) == 1
 
 
@@ -266,10 +266,10 @@ def test_counts_agree_on_random_instances():
             tuple(f"v{i}" for i in range(K)), tuple(counts), tuple(rows), tuple(pkts)
         )
         system = build_recovery_system(params, view, vkeys[:K], messages)
-        ok, cnt = gauss_count(system)
+        ok, cnt, rank = gauss_count(system)
         assert ok, (q, l, k, M)
         assert cnt == predicted_count(system.meta)
-        assert system.coeff.rank() == predicted_rank(system.meta)
+        assert rank == system.coeff.rank() == predicted_rank(system.meta)
         assert brute_force_count(system) == cnt
 
 
@@ -282,7 +282,7 @@ def test_recovery_through_simulated_network():
     flow = simulate(net, packets)
     view = coalition_view(flow, ("r0", "r1"))
     system = build_recovery_system(params, view, vkeys[:2], messages)
-    ok, cnt = gauss_count(system)
+    ok, cnt, _ = gauss_count(system)
     assert ok
     assert cnt == predicted_count(system.meta) == brute_force_count(system)
 
@@ -297,7 +297,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
     flow = simulate(net, packets, [Intervention("hub", net.in_edges("hub")[0], (0, 1))])
     view = coalition_view(flow, ("r0",))
     system = build_recovery_system(params, view, vkeys[:1], messages)
-    ok, _ = gauss_count(system)
+    ok, _, _ = gauss_count(system)
     assert not ok
 
     base = Field(2, 1)
@@ -310,7 +310,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
         true_rows.append(tuple(h[i, 0].coeffs[0] for i in range(len(packets))))
     fixed = CoalitionView(view.nodes, view.row_counts, tuple(true_rows), view.packets)
     system2 = build_recovery_system(params, fixed, vkeys[:1], messages)
-    ok2, cnt2 = gauss_count(system2)
+    ok2, cnt2, _ = gauss_count(system2)
     assert ok2 and cnt2 == predicted_count(system2.meta)
 
 
@@ -362,6 +362,7 @@ def test_brute_force_matches_reference_enumeration(case):
     assert count == reference_brute_force_count(system)
     consistent, gcount = solve_count(system.coeff, system.rhs)
     assert count == (gcount if consistent else 0)
+    assert gauss_count(system) == (consistent, gcount, system.coeff.rank())
     if mode == "planted":
         assert count >= 1
     elif mode == "contradictory":

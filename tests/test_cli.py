@@ -1,8 +1,15 @@
 """Scenario loading, report generation, sweeps and the console entry point."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncauth import GuardError
 from ncauth.cli import (
@@ -29,6 +36,52 @@ def butterfly_doc(**attack):
 
 
 POLLUTE = {"type": "pollute", "node": "m", "edge": "e4", "coeffs": [0, 1]}
+
+
+def inline_topology(**fields):
+    """A valid inline two-hop topology over F_2, with `fields` overridden."""
+    top = {
+        "version": 1,
+        "q": 2,
+        "source": "s",
+        "nodes": ["s", "a", "t"],
+        "edges": [
+            {"id": "e1", "tail": "s", "head": "a"},
+            {"id": "e2", "tail": "s", "head": "a"},
+            {"id": "e3", "tail": "a", "head": "t"},
+        ],
+        "kernels": {"a": [[1], [1]]},
+        "verifiers": {"a": 0},
+        "sinks": ["t"],
+    }
+    top.update(fields)
+    return top
+
+
+# Malformed container types: each once escaped load_scenario as a TypeError.
+BAD_CONTAINERS = [
+    pytest.param(lambda d: d["params"].update(public_points=5), "params.public_points",
+                 id="public_points-int"),
+    pytest.param(lambda d: d.update(attack={"type": "forge", "coeffs": 5}), "attack.coeffs",
+                 id="forge-coeffs-int"),
+    pytest.param(lambda d: d.update(attack={"type": "forge", "coeffs": ["x", 1]}),
+                 "attack.coeffs", id="forge-coeffs-str"),
+    pytest.param(lambda d: d.update(attack={"type": []}), "attack.type", id="attack-type-list"),
+    pytest.param(lambda d: d.update(adversaries=5), "scenario.adversaries", id="adversaries-int"),
+    pytest.param(lambda d: d.update(verifiers={"m": None}), "verifiers.m", id="verifier-seat-null"),
+    *(
+        pytest.param(lambda d, f=f, v=v: d.update(topology=inline_topology(**{f: v})), "topology",
+                     id=f"topology-{label}")
+        for f, v, label in [
+            ("edges", 5, "edges-int"), ("nodes", 5, "nodes-int"), ("sinks", 5, "sinks-int"),
+            ("kernels", 5, "kernels-int"), ("verifiers", 5, "verifiers-int"),
+            ("nodes", None, "nodes-null"), ("sinks", None, "sinks-null"),
+            ("kernels", [1], "kernels-list"), ("verifiers", [1], "verifiers-list"),
+            ("kernels", {"a": 5}, "kernel-int"), ("kernels", {"a": [5]}, "kernel-row-int"),
+            ("q", None, "q-null"), ("q", 2**61 - 1, "q-huge-prime"),
+        ]
+    ),
+]
 
 
 def test_honest_run_accepts_and_decodes():
@@ -184,6 +237,7 @@ def test_recover_guard_marks_brute_skipped():
             "attack.coeffs",
         ),
         (lambda d: d.update(attack={"type": "recover"}), "adversaries"),
+        *BAD_CONTAINERS,
     ],
 )
 def test_config_errors_name_the_offending_field(mutate, field):
@@ -200,6 +254,12 @@ def test_recover_adversary_without_seat():
     doc["verifiers"] = {"v1": 0}
     with pytest.raises(ConfigError, match="adversaries"):
         load_scenario(doc)
+
+
+def test_inline_topology_helper_is_valid():
+    doc = butterfly_doc()
+    doc["topology"] = inline_topology()
+    assert load_scenario(doc).network.sinks == ("t",)
 
 
 def test_inline_topology_q_mismatch():
@@ -315,8 +375,17 @@ def test_main_bad_config_file(tmp_path, capsys):
     [
         ([], "scenario: document must be an object"),
         ({**butterfly_doc(), "seed": True}, "seed: must be an integer"),
+        ({**butterfly_doc(), "adversaries": 5}, "scenario.adversaries: expected list"),
+        (
+            {**butterfly_doc(), "topology": inline_topology(edges=5)},
+            "topology.edges: expected list",
+        ),
+        (
+            {**butterfly_doc(), "params": {**butterfly_doc()["params"], "public_points": 5}},
+            "params.public_points: expected list",
+        ),
     ],
-    ids=["array", "bool-seed"],
+    ids=["array", "bool-seed", "adversaries-int", "topology-edges-int", "public_points-int"],
 )
 def test_main_malformed_document_exits_2(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)
@@ -363,3 +432,73 @@ def test_main_lemma_sweep(capsys):
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("# rows=2")
     assert "mismatches=0" in out
+
+
+# Small integers keep every accepted scenario desk-sized; the documents are
+# otherwise any JSON shape.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def valid_documents():
+    docs = [butterfly_doc(), butterfly_doc(**POLLUTE), butterfly_doc(type="forge", coeffs=[0, 1]),
+            butterfly_doc(type="forge", target=[0, 1, 0]), recover_doc()]
+    inline = butterfly_doc()
+    inline["topology"] = inline_topology()
+    inline["verifiers"] = {"a": 1}
+    return docs + [inline]
+
+
+def _paths(value, prefix=()):
+    """Every path to a value inside nested dicts and lists, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _paths(v, prefix + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _paths(v, prefix + (i,))
+
+
+@st.composite
+def json_documents(draw):
+    """Arbitrary JSON, or a valid scenario with one value replaced or one key dropped."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(draw(st.sampled_from(valid_documents())))
+    path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents())
+def test_load_scenario_accepts_or_names_the_field(doc):
+    try:
+        load_scenario(doc)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents(), st.sampled_from(["keygen", "simulate", "forge", "pollute", "recover"]))
+def test_main_exit_codes_on_any_document(doc, command):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--config", path]) in (0, 2, 3)
+    finally:
+        os.unlink(path)

@@ -4,9 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import ncauth.field
+import support
 from ncauth import Fel, Field, GuardError
+from ncauth.field import _is_irreducible
+from support import ORACLE_FIELDS, element_strategy, elements
 
 
 def brute_smallest_irreducible(q, l):
@@ -54,6 +58,24 @@ def test_modulus_frozen_values():
     assert Field(2, 1).modulus == (0, 1)  # degree 1: plain F_q
 
 
+def test_large_prime_quadratic_modulus():
+    # x^2 + b x + c is irreducible over F_p (p odd) iff b^2 - 4c is a non-residue
+    p = 65521
+    F = Field(p, 2)
+    assert _is_irreducible(F.modulus, p)
+
+    def irreducible(c, b):
+        return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+
+    c, b, _ = F.modulus
+    assert irreducible(c, b)
+    # and it is the first: candidates with constant term 0 are divisible by
+    # x, and every other candidate before it (constant term slowest, then
+    # the x coefficient) has a root
+    assert not any(irreducible(c0, b0) for c0 in range(1, c) for b0 in range(p))
+    assert not any(irreducible(c, b0) for b0 in range(b))
+
+
 def test_context_determinism_and_equality():
     a, b = Field(3, 2), Field(3, 2)
     assert a == b and a.modulus == b.modulus and hash(a) == hash(b)
@@ -71,6 +93,8 @@ def test_bad_parameters_rejected():
         Field(2, 17)
     with pytest.raises(ValueError):
         Field(65537, 1)  # above the prime bound
+    with pytest.raises(ValueError, match="bound"):
+        Field(2**61 - 1, 1)  # refused before any trial division
 
 
 def test_f4_multiplication_table_entry():
@@ -84,8 +108,23 @@ def test_f4_multiplication_table_entry():
 def test_f3_inverse_exhaustive_oracle():
     F = Field(3, 1)
     two = F.embed(2)
-    matches = [b for b in F.elements() if (two * b) == F.one]
+    matches = [b for b in elements(F) if (two * b) == F.one]
     assert matches == [two.inv()] == [F.embed(2)]
+
+
+@st.composite
+def nonzero_elements(draw):
+    q, l = draw(st.sampled_from(ORACLE_FIELDS))
+    fld = Field(q, l)
+    return draw(element_strategy(fld).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_elements())
+def test_inverse_matches_fermat(x):
+    fld = x.field
+    assert x.inv() == x ** (fld.order - 2)
+    assert x * x.inv() == fld.one
 
 
 def test_inverse_of_zero_raises():
@@ -153,19 +192,19 @@ def test_vector_iso_roundtrip_and_linearity():
 
 def test_enumeration_order_and_count():
     F2 = Field(2, 1)
-    assert F2.elements() == [F2.zero, F2.one]
+    assert elements(F2) == [F2.zero, F2.one]
     F4 = Field(2, 2)
-    els = F4.elements()
+    els = elements(F4)
     assert len(els) == 4 and els[0] == F4.zero
     assert len(set(els)) == 4
     F9 = Field(3, 2)
-    assert len(set(F9.elements())) == 9
+    assert len(set(elements(F9))) == 9
 
 
 def test_enumeration_guard(monkeypatch):
-    monkeypatch.setattr(ncauth.field, "ENUMERATION_GUARD", 8)
+    monkeypatch.setattr(support, "ENUMERATION_GUARD", 8)
     with pytest.raises(GuardError):
-        Field(3, 2).elements()
+        elements(Field(3, 2))
 
 
 def test_mixed_field_arithmetic_rejected():

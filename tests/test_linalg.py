@@ -4,8 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, hstack, solve, solve_count, vandermonde, vstack
+from support import ORACLE_FIELDS, element_strategy, elements, reference_rref
 
 
 def random_matrix(field, rows, cols, rng):
@@ -15,7 +18,7 @@ def random_matrix(field, rows, cols, rng):
 def enumerate_solutions(coeff, rhs):
     """Oracle: count solutions of coeff @ x = rhs by trying every vector."""
     field = coeff.field
-    els = field.elements()
+    els = elements(field)
     count = 0
     for cand in itertools.product(els, repeat=coeff.cols):
         ok = True
@@ -59,6 +62,51 @@ def test_rref_idempotent_randomized():
             red, pivots = m.rref()
             again, pivots2 = red.rref()
             assert again == red and pivots2 == pivots
+
+
+@st.composite
+def oracle_matrices(draw):
+    """A matrix over an oracle field: empty, all-zero, duplicate-row, dependent, tall or wide."""
+    q, l = draw(st.sampled_from(ORACLE_FIELDS))
+    fld = Field(q, l)
+    element = element_strategy(fld)
+    shape = draw(st.sampled_from(["empty", "zero", "duplicate", "dependent", "tall", "wide"]))
+    if shape == "empty":
+        height, cols = 0, draw(st.integers(0, 4))
+    elif shape == "tall":
+        cols = draw(st.integers(1, 4))
+        height = draw(st.integers(cols + 1, 8))
+    elif shape == "wide":
+        height = draw(st.integers(1, 4))
+        cols = draw(st.integers(height + 1, 8))
+    else:
+        height, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(element, min_size=cols, max_size=cols)
+    if shape == "zero":
+        data = [[fld.zero] * cols for _ in range(height)]
+    elif shape == "duplicate":
+        base = draw(st.lists(row, min_size=1, max_size=height))
+        data = [draw(st.sampled_from(base)) for _ in range(height)]
+    elif shape == "dependent":
+        # every row a combination of a few base rows, so the rank stays low
+        base = draw(st.lists(row, min_size=1, max_size=2))
+        data = []
+        for _ in range(height):
+            weights = draw(st.lists(element, min_size=len(base), max_size=len(base)))
+            data.append(
+                [sum((w * b[j] for w, b in zip(weights, base)), fld.zero) for j in range(cols)]
+            )
+    else:
+        data = draw(st.lists(row, min_size=height, max_size=height))
+    return Matrix(fld, data, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices())
+def test_rref_matches_reference_elimination(m):
+    red, pivots = m.rref()
+    assert (red, pivots) == reference_rref(m)
+    assert m.rank() == len(pivots)
 
 
 def test_rank_properties_randomized():
