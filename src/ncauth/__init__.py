@@ -7,7 +7,7 @@ verifiers can still be facing after pooling what they know.
 """
 
 from .field import Fel, Field, GuardError, is_prime
-from .linalg import Matrix, hstack, solve, solve_count, vandermonde, vstack
+from .linalg import Matrix, hstack, solve, vstack
 from .scheme import (
     SourceKey,
     SystemParams,
@@ -19,7 +19,6 @@ from .scheme import (
     poly_eval,
     residual,
     tag,
-    tag_coefficient,
     verify,
     zero_packet,
 )
@@ -41,21 +40,20 @@ from .netsim import (
     diamond,
     fan,
     line,
-    load_network,
     network_from_dict,
     simulate,
 )
 from .attacks import (
     BRUTE_FORCE_GUARD,
     ForgerySpec,
-    HConditionReport,
     RecoveryMeta,
+    RecoveryResult,
     RecoverySystem,
+    analyze_recovery,
     brute_force_count,
     build_recovery_system,
     forge,
     gauss_count,
-    h_condition_report,
     predicted_count,
     predicted_rank,
     solve_target_coeffs,

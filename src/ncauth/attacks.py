@@ -90,6 +90,11 @@ class RecoveryMeta:
     r0: int  # rank of the stacked per-member H_i x (message power matrix)
     h_total: int  # total incoming edges across the coalition
 
+    @property
+    def condition_held(self) -> bool:
+        """Whether the coalition's total edge count stays within the tag dimension."""
+        return self.h_total <= self.M
+
 
 @dataclass(frozen=True)
 class RecoverySystem:
@@ -248,13 +253,46 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
 
 
 @dataclass(frozen=True)
-class HConditionReport:
-    """Whether the coalition's total edge count stays within the tag dimension."""
+class RecoveryResult:
+    """A recovery system's key count and rank, three ways, and how they compare.
 
-    h_total: int
-    M: int
-    condition_held: bool
+    `brute` is None when the enumeration's guard refused the system.
+    """
+
+    meta: RecoveryMeta
+    candidates: int  # (q^l)^unknowns secret vectors in all
+    consistent: bool
+    rank: int
+    predicted_rank: int
+    gauss: int
+    predicted: int
+    brute: int | None
+
+    @property
+    def skipped(self) -> bool:
+        return self.brute is None
+
+    @property
+    def rank_match(self) -> bool:
+        return self.rank == self.predicted_rank
+
+    @property
+    def count_match(self) -> bool | None:
+        return None if self.skipped else self.predicted == self.gauss == self.brute
 
 
-def h_condition_report(meta: RecoveryMeta) -> HConditionReport:
-    return HConditionReport(meta.h_total, meta.M, meta.h_total <= meta.M)
+def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> RecoveryResult:
+    """Closed-form, elimination and brute-force key counts of `system`, compared.
+
+    Whether the enumeration runs is decided by `brute_force_count` alone: over
+    `guard` candidates it refuses, and the result records no brute count.
+    """
+    meta = system.meta
+    prank, pred = predicted_rank(meta), predicted_count(meta)
+    consistent, gcount, rank = gauss_count(system)
+    try:
+        brute = brute_force_count(system, guard)
+    except GuardError:
+        brute = None
+    candidates = system.coeff.field.order ** system.coeff.cols
+    return RecoveryResult(meta, candidates, consistent, rank, prank, gcount, pred, brute)

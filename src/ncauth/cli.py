@@ -17,16 +17,12 @@ from dataclasses import dataclass
 from .attacks import (
     BRUTE_FORCE_GUARD,
     ForgerySpec,
-    brute_force_count,
+    analyze_recovery,
     build_recovery_system,
     forge,
-    gauss_count,
-    h_condition_report,
-    predicted_count,
-    predicted_rank,
     solve_target_coeffs,
 )
-from .field import Field, Fel, GuardError
+from .field import Field, Fel
 from .netsim import (
     Intervention,
     Network,
@@ -69,29 +65,34 @@ def _substream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}/{name}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise ConfigError(f"{where}.{key}", "missing")
     value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}")
     return value
 
 
 def _require_ints(doc, key, where) -> tuple[int, ...]:
     values = _require(doc, key, list, where)
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+    if not all(map(_is_int, values)):
         raise ConfigError(f"{where}.{key}", "expected a list of integers")
     return tuple(values)
 
 
 def _coerce_element(field: Field, value, where: str) -> Fel:
-    try:
-        if isinstance(value, int):
-            return field.embed(value)
-        return field.from_vector(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(where, str(exc)) from exc
+    """An element given as a base-field integer or a list of its l coordinates."""
+    if not _is_int(value) and not (
+        isinstance(value, list) and len(value) == field.l and all(map(_is_int, value))
+    ):
+        raise ConfigError(where, f"expected an integer or a list of {field.l} integers")
+    return field(value)
 
 
 def _sample_points(field: Field, count: int, rng: random.Random, where: str):
@@ -136,7 +137,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     if doc.get("version") != SCHEMA_VERSION:
         raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {doc.get('version')!r}")
     eff_seed = seed if seed is not None else doc.get("seed", 0)
-    if not isinstance(eff_seed, int) or isinstance(eff_seed, bool):
+    if not _is_int(eff_seed):
         raise ConfigError("seed", "must be an integer")
 
     pdoc = _require(doc, "params", dict, "scenario")
@@ -153,7 +154,9 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     m_count = _require(pdoc, "M", int, "params")
     v_count = _require(pdoc, "V", int, "params")
     n_count = _require(pdoc, "n", int, "params")
-    allow_excess = bool(pdoc.get("allow_excess_messages", False)) or unsafe
+    allow_excess = pdoc.get("allow_excess_messages", False)
+    if not isinstance(allow_excess, bool):
+        raise ConfigError("params.allow_excess_messages", "expected bool")
 
     if "public_points" in pdoc:
         pts = tuple(
@@ -163,7 +166,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     else:
         pts = _sample_points(field, v_count, _substream(eff_seed, "points"), "params.V")
     try:
-        params = SystemParams(field, k, m_count, v_count, n_count, pts, allow_excess)
+        params = SystemParams(field, k, m_count, v_count, n_count, pts, allow_excess or unsafe)
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from exc
 
@@ -184,7 +187,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     if "verifiers" in doc:
         vmap = _require(doc, "verifiers", dict, "scenario")
         for node, idx in vmap.items():
-            if not isinstance(idx, int) or isinstance(idx, bool):
+            if not _is_int(idx):
                 raise ConfigError(f"verifiers.{node}", "seat must be an integer")
         try:
             net = net.with_verifiers({str(k_): v for k_, v in vmap.items()})
@@ -369,33 +372,21 @@ def run_scenario(
     elif sc.attack["type"] == "recover":
         view = coalition_view(flow, sc.adversaries)
         keys = [vkeys[net.verifiers[a]] for a in sc.adversaries]
-        system = build_recovery_system(params, view, keys, sc.messages)
-        meta = system.meta
-        consistent, gcount, rank = gauss_count(system)
-        try:
-            brute = brute_force_count(system, guard=guard)
-            skipped = False
-        except GuardError:
-            brute, skipped = None, True
-        counts = {"predicted": predicted_count(meta), "gauss": gcount, "brute": brute}
-        cond = h_condition_report(meta)
+        res = analyze_recovery(build_recovery_system(params, view, keys, sc.messages), guard)
+        meta = res.meta
         out.update(
             coalition=list(sc.adversaries),
             K=meta.K,
             r0=meta.r0,
             h_total=meta.h_total,
-            rank=rank,
-            predicted_rank=predicted_rank(meta),
-            rank_match=rank == predicted_rank(meta),
-            consistent=consistent,
-            counts=counts,
-            brute_skipped=skipped,
-            count_match=(
-                None
-                if skipped
-                else counts["predicted"] == gcount == brute
-            ),
-            condition_held=cond.condition_held,
+            rank=res.rank,
+            predicted_rank=res.predicted_rank,
+            rank_match=res.rank_match,
+            consistent=res.consistent,
+            counts={"predicted": res.predicted, "gauss": res.gauss, "brute": res.brute},
+            brute_skipped=res.skipped,
+            count_match=res.count_match,
+            condition_held=meta.condition_held,
         )
     return report
 
@@ -540,14 +531,8 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
     view = coalition_view(flow, coalition)
-    system = build_recovery_system(params, view, vkeys, messages)
-    meta = system.meta
-    candidates = field.order ** (k * (m_count + 1))
-    consistent, gcount, rank = gauss_count(system)
-    prank = predicted_rank(meta)
-    pred = predicted_count(meta)
-    skipped = candidates > guard
-    brute = None if skipped else brute_force_count(system, guard=guard)
+    res = analyze_recovery(build_recovery_system(params, view, vkeys, messages), guard)
+    meta = res.meta
     return SweepRow(
         q=q,
         l=l,
@@ -557,19 +542,19 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
         n=n,
         edge_counts=edge_counts,
         seed=idx,
-        candidates=candidates,
-        skipped=skipped,
+        candidates=res.candidates,
+        skipped=res.skipped,
         h_total=meta.h_total,
         r0=meta.r0,
-        rank=rank,
-        predicted_rank=prank,
-        rank_match=rank == prank,
-        consistent=consistent,
-        predicted=pred,
-        gauss=gcount,
-        brute=brute,
-        count_match=None if skipped else (pred == gcount == brute),
-        condition_held=h_condition_report(meta).condition_held,
+        rank=res.rank,
+        predicted_rank=res.predicted_rank,
+        rank_match=res.rank_match,
+        consistent=res.consistent,
+        predicted=res.predicted,
+        gauss=res.gauss,
+        brute=res.brute,
+        count_match=res.count_match,
+        condition_held=meta.condition_held,
     )
 
 
@@ -652,8 +637,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON document")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD,
-                       help="brute-force candidate budget")
         p.add_argument("--unsafe-n-gt-m", action="store_true", dest="unsafe",
                        help="permit more payloads per generation than M")
         return p
@@ -662,7 +645,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_command("simulate", "run a scenario without any attack")
     scenario_command("forge", "run a scenario with a forgery attack")
     scenario_command("pollute", "run a scenario with an in-network substitution")
-    scenario_command("recover", "run a coalition key-recovery analysis")
+    recover = scenario_command("recover", "run a coalition key-recovery analysis")
+    recover.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD,
+                         help="brute-force candidate budget")
 
     sweep = sub.add_parser("lemma-sweep", help="sweep instances and check key-count formulas")
     sweep.add_argument("--q", type=_int_list, default=(2, 3))
@@ -710,16 +695,14 @@ def _dispatch(args) -> str:
     declared = declared.get("type", "none") if isinstance(declared, dict) else None
     if declared != expected:
         raise ConfigError("attack.type", f"subcommand {args.command!r} expects {expected!r}, got {declared!r}")
-    return _dump(run_scenario(doc, seed=args.seed, guard=args.guard, unsafe=args.unsafe))
+    guard = getattr(args, "guard", BRUTE_FORCE_GUARD)  # only recover takes --guard
+    return _dump(run_scenario(doc, seed=args.seed, guard=guard, unsafe=args.unsafe))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _dispatch(args)
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,17 +207,6 @@ class Field:
         """Lift a base-field scalar into the extension as a constant."""
         return Fel(self, (c % self.q,) + (0,) * (self.l - 1))
 
-    def from_vector(self, vec) -> Fel:
-        vec = tuple(int(c) % self.q for c in vec)
-        if len(vec) != self.l:
-            raise ValueError(f"vector of length {len(vec)} does not match degree {self.l}")
-        return Fel(self, vec)
-
-    def to_vector(self, a: Fel) -> tuple[int, ...]:
-        if a.field != self:
-            raise ValueError("element belongs to a different field")
-        return a.coeffs
-
     def random_element(self, rng: random.Random) -> Fel:
         return Fel(self, tuple(rng.randrange(self.q) for _ in range(self.l)))
 

@@ -39,16 +39,6 @@ class Matrix:
         self.field, self.rows, self.cols, self.data = field, len(data), cols, tuple(data)
         return self
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
     def row(self, i: int) -> tuple[Fel, ...]:
         return self.data[i]
 
@@ -69,13 +59,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -146,37 +129,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
         raise ValueError("hstack needs equal heights over one field")
     rows = [sum((m.data[i] for m in mats), ()) for i in range(height)]
     return Matrix._trusted(field, rows, sum(m.cols for m in mats))
-
-
-def vandermonde(field: Field, points, height: int) -> Matrix:
-    """height x len(points) matrix whose column j is (1, x_j, ..., x_j^(height-1))."""
-    pts = [field(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("evaluation points must be distinct")
-    if height < 1:
-        raise ValueError("height must be positive")
-    cols = []
-    for x in pts:
-        col = [field.one]
-        for _ in range(height - 1):
-            col.append(col[-1] * x)
-        cols.append(col)
-    return Matrix(field, [[c[i] for c in cols] for i in range(height)], cols=len(pts))
-
-
-def solve_count(coeff: Matrix, rhs: Matrix) -> tuple[bool, int]:
-    """Consistency flag and the exact number of solutions of coeff @ X = rhs.
-
-    rhs may hold several columns; they share the coefficient matrix, so the
-    count multiplies across columns: (q^l)^((unknowns - rank) * rhs.cols).
-    """
-    if rhs.rows != coeff.rows or rhs.field != coeff.field:
-        raise ValueError("rhs shape does not match the coefficient matrix")
-    _, pivots = hstack([coeff, rhs]).rref()
-    if any(p >= coeff.cols for p in pivots):
-        return False, 0
-    free = coeff.cols - len(pivots)
-    return True, coeff.field.order ** (free * rhs.cols)
 
 
 def solve(coeff: Matrix, rhs: Matrix) -> Matrix | None:

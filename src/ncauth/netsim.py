@@ -15,7 +15,6 @@ untouched.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
@@ -44,7 +43,6 @@ __all__ = [
     "diamond",
     "fan",
     "network_from_dict",
-    "load_network",
 ]
 
 
@@ -79,7 +77,6 @@ class Network:
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
-        self._by_id = {e.id: e for e in self.edges}
 
         self._in: dict[str, list[str]] = {n: [] for n in self.nodes}
         self._out: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -142,9 +139,6 @@ class Network:
 
     def out_edges(self, node: str) -> tuple[str, ...]:
         return tuple(self._out[node])
-
-    def edge(self, edge_id: str) -> Edge:
-        return self._by_id[edge_id]
 
     def kernel(self, node: str) -> tuple[tuple[int, ...], ...]:
         return self.kernels.get(node, ())
@@ -483,8 +477,3 @@ def network_from_dict(doc: dict) -> Network:
         doc.get("verifiers", {}),
         doc.get("sinks", ()),
     )
-
-
-def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return network_from_dict(json.load(fh))

@@ -130,10 +130,8 @@ class TaggedPacket:
         if len(flat) != expect:
             raise ValueError(f"flat packet must have {expect} symbols, got {len(flat)}")
         l = field.l
-        m = field.from_vector(flat[1 : 1 + l])
-        tag = tuple(
-            field.from_vector(flat[1 + l + j * l : 1 + l + (j + 1) * l]) for j in range(k)
-        )
+        m = field(flat[1 : 1 + l])
+        tag = tuple(field(flat[1 + l + j * l : 1 + l + (j + 1) * l]) for j in range(k))
         return cls(flat[0] % field.q, m, tag)
 
     def is_zero(self) -> bool:
@@ -180,17 +178,6 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
             acc = acc + w * key.matrix[t, j]
         coeffs.append(acc)
     return TaggedPacket(1, fld(s), tuple(coeffs))
-
-
-def tag_coefficient(key: SourceKey, j: int, s: Fel) -> Fel:
-    """The j-th tag coefficient as a function of the payload."""
-    if not 0 <= j < key.k:
-        raise ValueError(f"coefficient index out of range [0, {key.k}): {j}")
-    fld = key.field
-    acc = fld.zero
-    for t, w in enumerate(_tag_weights(key.M, fld(s))):
-        acc = acc + w * key.matrix[t, j]
-    return acc
 
 
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:

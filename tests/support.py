@@ -8,6 +8,7 @@ import random
 from hypothesis import strategies as st
 
 from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
+from ncauth.cli import _sample_points, _sum_one_coeffs as sum_one_coeffs
 
 ENUMERATION_GUARD = 1 << 20
 # (q, l) pairs the arithmetic oracles cover: small, one-byte-plus and the
@@ -39,23 +40,41 @@ def elements(field):
     return [Fel(field, c) for c in itertools.product(range(field.q), repeat=field.l)]
 
 
+def random_matrix(field, rows, cols, rng):
+    return Matrix(field, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
+
+
 def sample_points(field, count, rng):
-    """`count` distinct nonzero field elements."""
-    pts, seen = [], set()
-    if field.order - 1 < count:
-        raise ValueError("field too small for that many points")
-    while len(pts) < count:
-        x = field.random_element(rng)
-        if x.is_zero() or x in seen:
-            continue
-        seen.add(x)
-        pts.append(x)
-    return tuple(pts)
+    """`count` distinct nonzero field elements, drawn as scenarios draw them."""
+    return _sample_points(field, count, rng, "points")
 
 
-def sum_one_coeffs(q, count, rng):
-    head = [rng.randrange(q) for _ in range(count - 1)]
-    return tuple(head + [(1 - sum(head)) % q])
+def identity(field, n):
+    return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def transpose(m):
+    return Matrix(m.field, [m.column(j) for j in range(m.cols)], cols=m.rows)
+
+
+def vandermonde(field, points, height):
+    """height x len(points) matrix whose column j is (1, x_j, ..., x_j^(height-1)).
+
+    The independent route to verifier keys: evaluating the secret matrix at
+    the public points is multiplying it by this matrix.
+    """
+    pts = [field(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("evaluation points must be distinct")
+    if height < 1:
+        raise ValueError("height must be positive")
+    cols = []
+    for x in pts:
+        col = [field.one]
+        for _ in range(height - 1):
+            col.append(col[-1] * x)
+        cols.append(col)
+    return Matrix(field, [[c[i] for c in cols] for i in range(height)], cols=len(pts))
 
 
 def make_instance(rng, q, l, k, M, V=None, n=None):

@@ -15,8 +15,10 @@ from ncauth import (
     Intervention,
     Matrix,
     RecoveryMeta,
+    RecoveryResult,
     RecoverySystem,
     SystemParams,
+    analyze_recovery,
     brute_force_count,
     build_recovery_system,
     coalition_view,
@@ -24,18 +26,24 @@ from ncauth import (
     fan,
     forge,
     gauss_count,
-    h_condition_report,
     keygen,
     predicted_count,
     predicted_rank,
     simulate,
     solve,
-    solve_count,
     solve_target_coeffs,
     tag,
     verify,
 )
-from support import elements, make_instance, reference_brute_force_count, sample_points
+from support import (
+    elements,
+    identity,
+    make_instance,
+    random_matrix,
+    reference_brute_force_count,
+    sample_points,
+    transpose,
+)
 
 
 def test_forgery_spec_validation():
@@ -302,7 +310,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
 
     base = Field(2, 1)
     width = len(packets[0].flatten())
-    x_t = Matrix(base, [p.flatten() for p in packets], cols=width).transpose()
+    x_t = transpose(Matrix(base, [p.flatten() for p in packets], cols=width))
     true_rows = []
     for pkt in view.packets:
         h = solve(x_t, Matrix(base, [[v] for v in pkt.flatten()], cols=1))
@@ -319,6 +327,21 @@ def test_brute_force_guard():
     system = build_recovery_system(params, view, vkeys, messages)
     with pytest.raises(GuardError):
         brute_force_count(system, guard=8)  # 2^4 candidates > 8
+
+
+def test_analyze_recovery_compares_three_counts():
+    params, skey, vkeys, messages, packets, view = hand_instance()
+    system = build_recovery_system(params, view, vkeys, messages)
+    res = analyze_recovery(system)
+    assert res.meta == system.meta and res.candidates == 16
+    assert (res.consistent, res.rank, res.predicted_rank) == (True, 3, 3)
+    assert (res.predicted, res.gauss, res.brute) == (2, 2, 2)
+    assert res.rank_match and res.count_match is True and not res.skipped
+    refused = analyze_recovery(system, guard=8)  # the counter's guard decides the skip
+    assert refused.brute is None and refused.skipped and refused.count_match is None
+    assert (refused.consistent, refused.gauss, refused.rank) == (True, 2, 3)
+    off = RecoveryResult(system.meta, 16, True, 2, 3, 2, 2, 4)
+    assert not off.rank_match and off.count_match is False
 
 
 # (q, l) -> most unknowns the reference enumeration is given; F_257 carries
@@ -360,9 +383,9 @@ def test_brute_force_matches_reference_enumeration(case):
     system, mode = case
     count = brute_force_count(system)
     assert count == reference_brute_force_count(system)
-    consistent, gcount = solve_count(system.coeff, system.rhs)
-    assert count == (gcount if consistent else 0)
-    assert gauss_count(system) == (consistent, gcount, system.coeff.rank())
+    consistent, gcount, rank = gauss_count(system)
+    assert (consistent, gcount) == (count > 0, count)
+    assert rank == system.coeff.rank()
     if mode == "planted":
         assert count >= 1
     elif mode == "contradictory":
@@ -387,9 +410,37 @@ def test_brute_force_wide_prime_coordinates():
     assert brute_force_count(system([[ext((3, 200))]], [ext((256, 255))], ext)) == 1
 
 
+def test_gauss_count_identity_and_degenerate():
+    F = Field(2, 2)
+    b = Matrix(F, [[F.one], [F.zero], [F((1, 1))]], cols=1)
+
+    def count(coeff, rhs):
+        return gauss_count(RecoverySystem(coeff, rhs, meta=None))
+
+    assert count(identity(F, 3), b) == (True, 1, 3)
+    zero = Matrix(F, [[0] * 4] * 3)
+    assert count(zero, Matrix(F, [[0]] * 3)) == (True, 4**4, 0)
+    assert count(zero, b) == (False, 0, 0)
+    assert count(Matrix(F, [], cols=5), Matrix(F, [], cols=1)) == (True, 4**5, 0)
+
+
+def test_gauss_count_matches_enumeration_oracle():
+    rng = random.Random(77)
+    for q, l in [(2, 1), (3, 1), (2, 2)]:
+        F = Field(q, l)
+        for _ in range(25):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            a = random_matrix(F, rows, cols, rng)
+            system = RecoverySystem(a, random_matrix(F, rows, 1, rng), meta=None)
+            consistent, count, rank = gauss_count(system)
+            brute = reference_brute_force_count(system)
+            assert count == brute
+            assert consistent == (brute > 0)
+            assert rank == a.rank()
+
+
 def test_h_condition_boundaries():
     at = RecoveryMeta(q=2, l=1, k=2, M=3, K=1, n=1, r0=0, h_total=3)
     over = RecoveryMeta(q=2, l=1, k=2, M=3, K=1, n=1, r0=0, h_total=4)
-    assert h_condition_report(at).condition_held is True
-    assert h_condition_report(over).condition_held is False
-    assert h_condition_report(over).h_total == 4
+    assert at.condition_held is True
+    assert over.condition_held is False

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import GuardError
 from ncauth.cli import (
     ConfigError,
     keygen_report,
@@ -81,6 +80,34 @@ BAD_CONTAINERS = [
             ("q", None, "q-null"), ("q", 2**61 - 1, "q-huge-prime"),
         ]
     ),
+]
+
+POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]]  # five of butterfly's six seats
+
+# Malformed field elements and flags: each was once silently accepted.
+BAD_VALUES = [
+    pytest.param(lambda d: d.update(messages=["101", "011"]), "messages[0]", id="messages-str"),
+    pytest.param(lambda d: d.update(messages=[True, 1]), "messages[0]", id="messages-bool"),
+    pytest.param(lambda d: d.update(messages=[["1", "0", "1"], 1]), "messages[0]",
+                 id="messages-str-coords"),
+    pytest.param(lambda d: d.update(messages=[[1.0, 0, 0], 1]), "messages[0]",
+                 id="messages-float-coords"),
+    pytest.param(lambda d: d.update(messages=[1, [1.5, 0, 0]]), "messages[1]",
+                 id="messages-fractional-coord"),
+    pytest.param(lambda d: d.update(messages=[1, [True, 0, 0]]), "messages[1]",
+                 id="messages-bool-coord"),
+    pytest.param(lambda d: d["params"].update(public_points=POINTS + ["111"]),
+                 "params.public_points[5]", id="public_points-str"),
+    pytest.param(lambda d: d["params"].update(public_points=[True] + POINTS[1:] + [[1, 1, 1]]),
+                 "params.public_points[0]", id="public_points-bool"),
+    pytest.param(lambda d: d.update(attack={"type": "forge", "target": "010"}), "attack.target",
+                 id="target-str"),
+    pytest.param(lambda d: d.update(attack={"type": "forge", "target": True}), "attack.target",
+                 id="target-bool"),
+    pytest.param(lambda d: d["params"].update(M=1, allow_excess_messages="false"),
+                 "params.allow_excess_messages", id="allow_excess-str"),
+    pytest.param(lambda d: d["params"].update(allow_excess_messages=0),
+                 "params.allow_excess_messages", id="allow_excess-int"),
 ]
 
 
@@ -238,6 +265,7 @@ def test_recover_guard_marks_brute_skipped():
         ),
         (lambda d: d.update(attack={"type": "recover"}), "adversaries"),
         *BAD_CONTAINERS,
+        *BAD_VALUES,
     ],
 )
 def test_config_errors_name_the_offending_field(mutate, field):
@@ -285,6 +313,8 @@ def test_unsafe_flag_allows_excess_messages():
         load_scenario(doc)
     sc = load_scenario(doc, unsafe=True)
     assert sc.params.n == 2
+    doc["params"]["allow_excess_messages"] = True
+    assert load_scenario(doc).params.n == 2
 
 
 def test_keygen_report_is_deterministic():
@@ -409,6 +439,14 @@ def test_main_recover_and_seed_override(tmp_path, capsys):
     assert report["attack"]["count_match"] is True
 
 
+def test_main_guard_only_on_recover(tmp_path, capsys):
+    cfg = write_config(tmp_path, recover_doc())
+    assert main(["recover", "--config", cfg, "--guard", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["attack"]["brute_skipped"] is True
+    with pytest.raises(SystemExit):
+        main(["simulate", "--config", write_config(tmp_path, butterfly_doc()), "--guard", "2"])
+
+
 def test_main_keygen(tmp_path, capsys):
     cfg = write_config(tmp_path, butterfly_doc())
     assert main(["keygen", "--config", cfg]) == 0
@@ -499,6 +537,6 @@ def test_main_exit_codes_on_any_document(doc, command):
         with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main([command, "--config", path]) in (0, 2, 3)
+            assert main([command, "--config", path]) in (0, 2)
     finally:
         os.unlink(path)

@@ -1,37 +1,21 @@
-"""Exact elimination, rank, counting and Vandermonde construction."""
+"""Exact elimination, rank, solving and the Vandermonde oracle."""
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, Matrix, hstack, solve, solve_count, vandermonde, vstack
-from support import ORACLE_FIELDS, element_strategy, elements, reference_rref
-
-
-def random_matrix(field, rows, cols, rng):
-    return Matrix(field, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
-
-
-def enumerate_solutions(coeff, rhs):
-    """Oracle: count solutions of coeff @ x = rhs by trying every vector."""
-    field = coeff.field
-    els = elements(field)
-    count = 0
-    for cand in itertools.product(els, repeat=coeff.cols):
-        ok = True
-        for i in range(coeff.rows):
-            acc = field.zero
-            for j in range(coeff.cols):
-                acc = acc + coeff[i, j] * cand[j]
-            if acc != rhs[i, 0]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+from ncauth import Field, Matrix, hstack, solve, vstack
+from support import (
+    ORACLE_FIELDS,
+    element_strategy,
+    identity,
+    random_matrix,
+    reference_rref,
+    transpose,
+    vandermonde,
+)
 
 
 def test_rref_hand_example_f2():
@@ -45,10 +29,10 @@ def test_rref_hand_example_f2():
 
 def test_rref_identity_and_zero():
     F = Field(3, 1)
-    eye = Matrix.identity(F, 3)
+    eye = identity(F, 3)
     red, pivots = eye.rref()
     assert red == eye and pivots == (0, 1, 2)
-    z = Matrix.zeros(F, 2, 3)
+    z = Matrix(F, [[0] * 3] * 2)
     red, pivots = z.rref()
     assert red == z and pivots == ()
 
@@ -114,7 +98,7 @@ def test_rank_properties_randomized():
     F = Field(5, 1)
     for _ in range(100):
         a = random_matrix(F, rng.randint(1, 4), rng.randint(1, 4), rng)
-        assert a.rank() == a.transpose().rank()
+        assert a.rank() == transpose(a).rank()
         b = random_matrix(F, a.cols, rng.randint(1, 4), rng)
         assert (a @ b).rank() <= min(a.rank(), b.rank())
         c = random_matrix(F, rng.randint(1, 3), a.cols, rng)
@@ -125,8 +109,8 @@ def test_matmul_identity_and_shapes():
     F = Field(3, 2)
     rng = random.Random(4)
     a = random_matrix(F, 3, 4, rng)
-    assert Matrix.identity(F, 3) @ a == a
-    assert a @ Matrix.identity(F, 4) == a
+    assert identity(F, 3) @ a == a
+    assert a @ identity(F, 4) == a
     with pytest.raises(ValueError):
         a @ a
 
@@ -143,41 +127,6 @@ def test_stacking():
         vstack([a, Matrix(F, [[1]])])
 
 
-def test_solve_count_identity_and_degenerate():
-    F = Field(2, 2)
-    eye = Matrix.identity(F, 3)
-    b = Matrix(F, [[F.one], [F.zero], [F((1, 1))]], cols=1)
-    assert solve_count(eye, b) == (True, 1)
-    zero = Matrix.zeros(F, 3, 4)
-    assert solve_count(zero, Matrix.zeros(F, 3, 1)) == (True, 4**4)
-    assert solve_count(zero, b) == (False, 0)
-    empty = Matrix(F, [], cols=5)
-    assert solve_count(empty, Matrix(F, [], cols=1)) == (True, 4**5)
-
-
-def test_solve_count_matches_enumeration_oracle():
-    rng = random.Random(77)
-    for q, l in [(2, 1), (3, 1), (2, 2)]:
-        F = Field(q, l)
-        for _ in range(25):
-            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            a = random_matrix(F, rows, cols, rng)
-            rhs = random_matrix(F, rows, 1, rng)
-            consistent, count = solve_count(a, rhs)
-            brute = enumerate_solutions(a, rhs)
-            assert count == brute
-            assert consistent == (brute > 0)
-
-
-def test_solve_count_multicolumn():
-    F = Field(2, 1)
-    a = Matrix(F, [[1, 1]])
-    rhs = Matrix(F, [[1, 0]])  # two independent systems sharing a
-    consistent, count = solve_count(a, rhs)
-    # each column: 2 unknowns, rank 1 -> 2 solutions; columns multiply
-    assert consistent and count == 4
-
-
 def test_solve_returns_particular_solution():
     rng = random.Random(31)
     F = Field(3, 1)
@@ -188,7 +137,7 @@ def test_solve_returns_particular_solution():
         x = solve(a, rhs)
         assert x is not None
         assert a @ x == rhs
-    inconsistent = solve(Matrix.zeros(F, 1, 2), Matrix(F, [[1]]))
+    inconsistent = solve(Matrix(F, [[0, 0]]), Matrix(F, [[1]]))
     assert inconsistent is None
 
 
