@@ -7,7 +7,7 @@ verifiers can still be facing after pooling what they know.
 """
 
 from .field import Fel, Field, GuardError, is_prime
-from .linalg import Matrix, hstack, solve, vstack
+from .linalg import Matrix, hstack, solve
 from .scheme import (
     SourceKey,
     SystemParams,
@@ -20,7 +20,6 @@ from .scheme import (
     residual,
     tag,
     verify,
-    zero_packet,
 )
 from .netsim import (
     CoalitionView,
@@ -28,14 +27,12 @@ from .netsim import (
     DecodeResult,
     Edge,
     FlowState,
-    GlobalKernels,
     Intervention,
     InterventionRecord,
     Network,
     accept_map,
     butterfly,
     coalition_view,
-    compute_global_kernels,
     decode,
     diamond,
     fan,

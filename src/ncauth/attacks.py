@@ -48,7 +48,7 @@ def forge(packets, spec: ForgerySpec) -> TaggedPacket:
         raise ValueError(f"{len(packets)} packets but {len(spec.coeffs)} coefficients")
     if any(p.c != 1 for p in packets):
         raise ValueError("forgery expects freshly tagged packets (header 1)")
-    if packets[0].m.field.q != spec.q:
+    if packets[0].field.q != spec.q:
         raise ValueError("coefficient modulus does not match the packet field")
     return combine(packets, spec.coeffs)
 
@@ -128,7 +128,8 @@ def build_recovery_system(
         raise ValueError("observation width disagrees with the message count")
     if len(view.packets) != view.h_total:
         raise ValueError("one observed packet per coalition edge required")
-    if any(len(p.tag) != k for p in view.packets):
+    tags = [p.tag for p in view.packets]
+    if any(len(t) != k for t in tags):
         raise ValueError("observed tag length disagrees with k")
 
     powers_matrix = moore_matrix(fld, messages, M)  # n x (M+1)
@@ -153,7 +154,7 @@ def build_recovery_system(
                 row = [zero] * width
                 row[j * (M + 1) : (j + 1) * (M + 1)] = mixed_rows[r]
                 crows.append(row)
-                crhs.append([view.packets[r].tag[j]])
+                crhs.append([tags[r][j]])
         offset += cnt
     for key in keys:
         powers = [fld.one]

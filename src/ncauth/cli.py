@@ -88,11 +88,10 @@ def _require_ints(doc, key, where) -> tuple[int, ...]:
 
 def _coerce_element(field: Field, value, where: str) -> Fel:
     """An element given as a base-field integer or a list of its l coordinates."""
-    if not _is_int(value) and not (
-        isinstance(value, list) and len(value) == field.l and all(map(_is_int, value))
-    ):
-        raise ConfigError(where, f"expected an integer or a list of {field.l} integers")
-    return field(value)
+    try:
+        return field(value)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
 
 
 def _sample_points(field: Field, count: int, rng: random.Random, where: str):
@@ -340,7 +339,7 @@ def run_scenario(
             out.update(
                 coeffs=list(spec.coeffs),
                 payload=list(forged.m.coeffs),
-                packet=list(forged.flatten()),
+                packet=list(forged.flat),
                 verifier_accepts=accepts_vec,
                 accepted_by_all=all(accepts_vec),
                 matches_direct_tag=forged == tag(skey, forged.m),

@@ -191,17 +191,22 @@ class Field:
         return self._one
 
     def __call__(self, value) -> Fel:
-        """Coerce an int (base-field scalar), coefficient vector or Fel."""
+        """Coerce an int (base-field scalar), a list or tuple of l int coordinates, or a Fel.
+
+        Ints are reduced mod q.  A bool or any other type is refused, not
+        converted: its type is not int.
+        """
         if isinstance(value, Fel):
             if value.field is not self and value.field != self:
                 raise ValueError("element belongs to a different field")
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return self.embed(value)
-        coeffs = tuple(int(c) % self.q for c in value)
-        if len(coeffs) != self.l:
-            raise ValueError(f"expected {self.l} coordinates, got {len(coeffs)}")
-        return Fel(self, coeffs)
+        if not isinstance(value, (list, tuple)) or any(type(c) is not int for c in value):
+            raise ValueError(f"expected an integer or a list of {self.l} integers, got {value!r}")
+        if len(value) != self.l:
+            raise ValueError(f"expected {self.l} coordinates, got {len(value)}")
+        return Fel(self, tuple(c % self.q for c in value))
 
     def embed(self, c: int) -> Fel:
         """Lift a base-field scalar into the extension as a constant."""

@@ -60,28 +60,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise ValueError("mixed-field product")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = []
-            for j in range(other.cols):
-                acc = zero
-                for t in range(self.cols):
-                    a = arow[t]
-                    if a:
-                        acc = acc + a * other.data[t][j]
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(self.field, out, cols=other.cols)
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
         fld = self.field
@@ -110,15 +88,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-
-def vstack(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    field, cols = mats[0].field, mats[0].cols
-    if any(m.field != field or m.cols != cols for m in mats):
-        raise ValueError("vstack needs equal widths over one field")
-    return Matrix._trusted(field, [row for m in mats for row in m.data], cols)
 
 
 def hstack(mats: list[Matrix]) -> Matrix:

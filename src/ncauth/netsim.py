@@ -3,9 +3,10 @@
 The source's n outgoing edges are the virtual message edges: edge i carries
 source packet i and the i-th unit global kernel.  Every other node emits,
 on each outgoing edge, the F_q-linear combination of its incoming traffic
-given by the matching column of its local kernel matrix.  Global kernels
-follow the same recursion over unit vectors, so absent interference the
-flat value on edge e is exactly f_e applied to the stacked source packets.
+given by the matching column of its local kernel matrix.  The honest
+global kernels follow the same recursion over unit vectors, mixed in the
+same pass, so absent interference the flat value on edge e is exactly f_e
+applied to the stacked source packets.
 
 Adversarial substitutions model a relay that replaces its own view of one
 incoming edge by a coefficient-sum-one combination of everything it
@@ -20,20 +21,18 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .field import MAX_PRIME, Field, is_prime
-from .linalg import Matrix, solve
-from .scheme import TaggedPacket, VerifierKey, combine, verify, zero_packet
+from .linalg import Matrix
+from .scheme import TaggedPacket, VerifierKey, combine, mix, verify
 
 __all__ = [
     "Edge",
     "Network",
-    "GlobalKernels",
     "Intervention",
     "InterventionRecord",
     "FlowState",
     "DecodeResult",
     "CoalitionView",
     "CycleError",
-    "compute_global_kernels",
     "simulate",
     "decode",
     "coalition_view",
@@ -57,9 +56,9 @@ class Network:
     """A validated coding topology: DAG, local kernels, verifier seats, sinks."""
 
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
-        if int(q) > MAX_PRIME or not is_prime(int(q)):
+        if type(q) is not int or q > MAX_PRIME or not is_prime(q):
             raise ValueError(f"kernel field size must be a prime up to 2^16, got {q!r}")
-        self.q = int(q)
+        self.q = q
         self.nodes = tuple(str(n) for n in nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node names")
@@ -99,14 +98,14 @@ class Network:
         for node, rows in kernels.items():
             if node not in self.nodes:
                 raise ValueError(f"kernel for unknown node {node!r}")
-            rows = tuple(tuple(int(v) for v in r) for r in rows)
+            rows = tuple(tuple(r) for r in rows)
             want_r, want_c = len(self._in[node]), len(self._out[node])
             if len(rows) != want_r or any(len(r) != want_c for r in rows):
                 raise ValueError(
                     f"kernel of {node!r} must be {want_r}x{want_c} (in-degree x out-degree)"
                 )
-            if any(not 0 <= v < self.q for r in rows for v in r):
-                raise ValueError(f"kernel entries of {node!r} must lie in [0, {self.q})")
+            if any(type(v) is not int or not 0 <= v < self.q for r in rows for v in r):
+                raise ValueError(f"kernel entries of {node!r} must be integers in [0, {self.q})")
             self.kernels[node] = rows
         for node in self.nodes:
             if node == self.source or not self._out[node]:
@@ -150,38 +149,6 @@ class Network:
 
 
 @dataclass(frozen=True)
-class GlobalKernels:
-    n: int
-    vectors: dict[str, tuple[int, ...]]
-
-
-def compute_global_kernels(net: Network) -> GlobalKernels:
-    """Per-edge combination of the source messages, in topological order."""
-    n, q = net.n, net.q
-    vec: dict[str, tuple[int, ...]] = {}
-    for i, e in enumerate(net.out_edges(net.source)):
-        vec[e] = tuple(1 if t == i else 0 for t in range(n))
-    for node in net.topo_order:
-        if node == net.source:
-            continue
-        outs = net.out_edges(node)
-        if not outs:
-            continue
-        ins = net.in_edges(node)
-        kern = net.kernel(node)
-        for c, e in enumerate(outs):
-            f = [0] * n
-            for r, d in enumerate(ins):
-                w = kern[r][c]
-                if w:
-                    fd = vec[d]
-                    for t in range(n):
-                        f[t] = (f[t] + w * fd[t]) % q
-            vec[e] = tuple(f)
-    return GlobalKernels(n, vec)
-
-
-@dataclass(frozen=True)
 class Intervention:
     """Replace `node`'s view of incoming `edge` by a sum-one mix of its inputs."""
 
@@ -206,7 +173,7 @@ class InterventionRecord:
 @dataclass(frozen=True)
 class FlowState:
     network: Network
-    kernels: GlobalKernels
+    kernels: dict[str, tuple[int, ...]]  # honest global kernel of every edge
     edge_packets: dict[str, TaggedPacket]
     received: dict[str, tuple[TaggedPacket, ...]]
     log: tuple[InterventionRecord, ...]
@@ -217,9 +184,9 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     packets = list(packets)
     if len(packets) != net.n:
         raise ValueError(f"need {net.n} source packets, got {len(packets)}")
-    fld = packets[0].m.field
-    k = len(packets[0].tag)
-    if any(p.m.field != fld or len(p.tag) != k for p in packets):
+    fld = packets[0].field
+    width = len(packets[0].flat)
+    if any(p.field != fld or len(p.flat) != width for p in packets):
         raise ValueError("source packets disagree on field or tag length")
     if fld.q != net.q:
         raise ValueError(f"packet symbols mod {fld.q} but network kernels mod {net.q}")
@@ -239,13 +206,15 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
             raise ValueError("substitution coefficients must sum to 1 mod q")
         by_node.setdefault(iv.node, []).append(iv)
 
-    gk = compute_global_kernels(net)
+    n, q = net.n, net.q
     values: dict[str, TaggedPacket] = {}
+    kernels: dict[str, tuple[int, ...]] = {}
     received: dict[str, tuple[TaggedPacket, ...]] = {}
     log: list[InterventionRecord] = []
 
-    for e, p in zip(net.out_edges(net.source), packets):
+    for i, (e, p) in enumerate(zip(net.out_edges(net.source), packets)):
         values[e] = p
+        kernels[e] = tuple(int(t == i) for t in range(n))
     for node in net.topo_order:
         if node == net.source:
             received[node] = ()
@@ -257,9 +226,7 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
             injected = combine(honest, iv.coeffs)
             idx = ins.index(iv.edge)
             log.append(
-                InterventionRecord(
-                    node, iv.edge, tuple(iv.coeffs), honest[idx].flatten(), injected.flatten()
-                )
+                InterventionRecord(node, iv.edge, tuple(iv.coeffs), honest[idx].flat, injected.flat)
             )
             current[idx] = injected
         received[node] = tuple(current)
@@ -269,10 +236,13 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         kern = net.kernel(node)
         for c, e in enumerate(outs):
             if current:
-                values[e] = combine(current, [kern[r][c] for r in range(len(ins))])
+                col = [kern[r][c] for r in range(len(ins))]
+                values[e] = combine(current, col)
+                kernels[e] = mix(q, [kernels[d] for d in ins], col)
             else:
-                values[e] = zero_packet(fld, k)
-    return FlowState(net, gk, values, received, tuple(log))
+                values[e] = TaggedPacket(fld, (0,) * width)
+                kernels[e] = (0,) * n
+    return FlowState(net, kernels, values, received, tuple(log))
 
 
 @dataclass(frozen=True)
@@ -285,28 +255,28 @@ class DecodeResult:
 
 
 def decode(flow: FlowState, sink: str) -> DecodeResult:
-    """Invert the sink's global kernels; failure is reported, not raised."""
+    """Invert the sink's global kernels; failure is reported, not raised.
+
+    One reduction of [F | Y], the sink's kernel rows beside its received
+    flat packets, gives the rank (pivots among F's n columns), consistency
+    (no pivot among Y's) and, at full rank, the source packets (rows 0..n-1).
+    """
     net = flow.network
     if sink not in net.nodes:
         raise ValueError(f"unknown sink node {sink!r}")
     ins = net.in_edges(sink)
     if not ins:
         return DecodeResult(False, 0, None, None, "sink has no incoming edges")
-    base = Field(net.q, 1)
-    fmat = Matrix(base, [flow.kernels.vectors[e] for e in ins], cols=flow.kernels.n)
-    rank = fmat.rank()
-    if rank < flow.kernels.n:
+    n = net.n
+    rows = [flow.kernels[e] + p.flat for e, p in zip(ins, flow.received[sink])]
+    red, pivots = Matrix(Field(net.q, 1), rows).rref()
+    rank = sum(p < n for p in pivots)
+    if rank < n:
         return DecodeResult(False, rank, None, None, "insufficient rank")
-    obs = flow.received[sink]
-    fld = obs[0].m.field
-    k = len(obs[0].tag)
-    y = Matrix(base, [p.flatten() for p in obs], cols=1 + fld.l * (1 + k))
-    x = solve(fmat, y)
-    if x is None:
+    if len(pivots) > rank:
         return DecodeResult(False, rank, None, None, "observations are inconsistent")
-    pkts = tuple(
-        TaggedPacket.from_flat(fld, k, [e.coeffs[0] for e in x.row(i)]) for i in range(x.rows)
-    )
+    fld = flow.received[sink][0].field
+    pkts = tuple(TaggedPacket(fld, [e.coeffs[0] for e in red.row(i)[n:]]) for i in range(n))
     return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
 
 
@@ -342,7 +312,7 @@ def coalition_view(flow: FlowState, coalition) -> CoalitionView:
         ins = net.in_edges(node)
         counts.append(len(ins))
         for e, p in zip(ins, flow.received[node]):
-            rows.append(flow.kernels.vectors[e])
+            rows.append(flow.kernels[e])
             pkts.append(p)
     return CoalitionView(coalition, tuple(counts), tuple(rows), tuple(pkts))
 

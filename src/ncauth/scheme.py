@@ -104,50 +104,69 @@ class VerifierKey:
 
 @dataclass(frozen=True)
 class TaggedPacket:
-    """[header, payload, tag coefficients]; flattens to 1 + l + k*l symbols."""
+    """A packet as its v1 flat vector over F_q: header | payload | tag.
 
-    c: int
-    m: Fel
-    tag: tuple[Fel, ...]
+    One header symbol, the payload's l coordinates, then the l coordinates of
+    each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
+    views of that vector, and every F_q-linear operation on packets is a
+    `mix` of their flat vectors.
+    """
+
+    field: Field
+    flat: tuple[int, ...]
 
     def __post_init__(self):
-        q = self.m.field.q
-        if not 0 <= self.c < q:
-            raise ValueError(f"header must lie in [0, {q}), got {self.c}")
-        if not self.tag:
-            raise ValueError("empty tag")
+        flat = tuple(self.flat)
+        q, l = self.field.q, self.field.l
+        if len(flat) < 1 + 2 * l or (len(flat) - 1) % l:
+            raise ValueError(
+                f"flat packet must have 1 + {l}(1 + k) symbols with k >= 1, got {len(flat)}"
+            )
+        # bool is excluded: its type is a subclass of int, not int
+        if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= q:
+            raise ValueError(f"flat packet symbols must be ints in [0, {q})")
+        object.__setattr__(self, "flat", flat)
 
-    def flatten(self) -> tuple[int, ...]:
-        flat = (self.c,) + self.m.coeffs
-        for t in self.tag:
-            flat += t.coeffs
-        return flat
+    @property
+    def c(self) -> int:
+        return self.flat[0]
 
-    @classmethod
-    def from_flat(cls, field: Field, k: int, flat) -> "TaggedPacket":
-        flat = tuple(int(v) for v in flat)
-        expect = 1 + field.l * (1 + k)
-        if len(flat) != expect:
-            raise ValueError(f"flat packet must have {expect} symbols, got {len(flat)}")
-        l = field.l
-        m = field(flat[1 : 1 + l])
-        tag = tuple(field(flat[1 + l + j * l : 1 + l + (j + 1) * l]) for j in range(k))
-        return cls(flat[0] % field.q, m, tag)
+    @property
+    def m(self) -> Fel:
+        return Fel(self.field, self.flat[1 : 1 + self.field.l])
+
+    @property
+    def tag(self) -> tuple[Fel, ...]:
+        fld, flat, l = self.field, self.flat, self.field.l
+        return tuple(Fel(fld, flat[i : i + l]) for i in range(1 + l, len(flat), l))
 
     def is_zero(self) -> bool:
-        return self.c == 0 and self.m.is_zero() and all(t.is_zero() for t in self.tag)
+        return not any(self.flat)
 
 
-def zero_packet(field: Field, k: int) -> TaggedPacket:
-    return TaggedPacket(0, field.zero, (field.zero,) * k)
+def mix(q: int, vectors, coeffs) -> tuple[int, ...]:
+    """sum_i coeffs[i] * vectors[i] over F_q, for a nonempty list of equal-length vectors.
+
+    Every F_q-linear combination in the lab is this one: relay outputs,
+    substitutions and forgeries mix flat packets, and the simulator mixes
+    global kernel vectors in the same pass.
+    """
+    acc = None
+    for a, v in zip(coeffs, vectors):
+        a %= q
+        if a:
+            acc = [a * x for x in v] if acc is None else [s + a * x for s, x in zip(acc, v)]
+    if acc is None:
+        return (0,) * len(vectors[0])
+    return tuple([s % q for s in acc])
 
 
 def _tag_weights(M: int, s: Fel) -> list[Fel]:
     """(1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial."""
-    w = [s.field.one]
-    for t in range(M):
-        w.append(s.frob(t))
-    return w
+    w = [s.field.one, s]
+    while len(w) <= M:
+        w.append(w[-1].frob(1))
+    return w[: M + 1]
 
 
 def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey]]:
@@ -170,24 +189,25 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
 def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     """Authenticate payload s as a fresh source packet (header 1)."""
     fld = key.field
-    weights = _tag_weights(key.M, fld(s))
-    coeffs = []
+    s = fld(s)
+    weights = _tag_weights(key.M, s)
+    flat = [1, *s.coeffs]
     for j in range(key.k):
         acc = fld.zero
         for t, w in enumerate(weights):
             acc = acc + w * key.matrix[t, j]
-        coeffs.append(acc)
-    return TaggedPacket(1, fld(s), tuple(coeffs))
+        flat += acc.coeffs
+    return TaggedPacket(fld, flat)
 
 
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes."""
-    fld = packet.m.field
-    lhs = poly_eval(packet.tag, vkey.point)
-    rhs = fld.embed(packet.c) * vkey.evals[0]
-    for t in range(1, len(vkey.evals)):
-        rhs = rhs + packet.m.frob(t - 1) * vkey.evals[t]
-    return lhs - rhs
+    weights = _tag_weights(len(vkey.evals) - 1, packet.m)
+    weights[0] = packet.field.embed(packet.c)
+    rhs = packet.field.zero
+    for w, e in zip(weights, vkey.evals):
+        rhs = rhs + w * e
+    return poly_eval(packet.tag, vkey.point) - rhs
 
 
 def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:
@@ -202,22 +222,11 @@ def combine(packets, coeffs) -> TaggedPacket:
         raise ValueError("cannot combine zero packets")
     if len(packets) != len(coeffs):
         raise ValueError(f"{len(packets)} packets but {len(coeffs)} coefficients")
-    fld = packets[0].m.field
-    k = len(packets[0].tag)
-    if any(p.m.field != fld or len(p.tag) != k for p in packets):
+    fld = packets[0].field
+    width = len(packets[0].flat)
+    if any(p.field != fld or len(p.flat) != width for p in packets):
         raise ValueError("packets disagree on field or tag length")
-    q = fld.q
-    c = sum(a * p.c for a, p in zip(coeffs, packets)) % q
-    m = fld.zero
-    tag_acc = [fld.zero] * k
-    for a, p in zip(coeffs, packets):
-        w = fld.embed(a)
-        if w.is_zero():
-            continue
-        m = m + w * p.m
-        for j in range(k):
-            tag_acc[j] = tag_acc[j] + w * p.tag[j]
-    return TaggedPacket(c, m, tuple(tag_acc))
+    return TaggedPacket(fld, mix(fld.q, [p.flat for p in packets], coeffs))
 
 
 def moore_matrix(field: Field, messages, M: int) -> Matrix:

@@ -57,6 +57,30 @@ def transpose(m):
     return Matrix(m.field, [m.column(j) for j in range(m.cols)], cols=m.rows)
 
 
+def matmul(a, b):
+    """The product a @ b, entry by entry in field arithmetic."""
+    if a.field != b.field:
+        raise ValueError("mixed-field product")
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    zero = a.field.zero
+    rows = [
+        [sum((x * b.data[t][j] for t, x in enumerate(row) if x), zero) for j in range(b.cols)]
+        for row in a.data
+    ]
+    return Matrix(a.field, rows, cols=b.cols)
+
+
+def vstack(mats):
+    """The rows of `mats`, one matrix under the next; equal widths over one field."""
+    if not mats:
+        raise ValueError("nothing to stack")
+    field, cols = mats[0].field, mats[0].cols
+    if any(m.field != field or m.cols != cols for m in mats):
+        raise ValueError("vstack needs equal widths over one field")
+    return Matrix(field, [row for m in mats for row in m.data], cols=cols)
+
+
 def vandermonde(field, points, height):
     """height x len(points) matrix whose column j is (1, x_j, ..., x_j^(height-1)).
 

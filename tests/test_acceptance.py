@@ -209,19 +209,20 @@ def _residual_ctx(rng):
     return make_instance(rng, q, l, k, M, V=1, n=M)
 
 
+def _random_packet(rng, fld, k):
+    """Random (header, payload, tag) parts and the packet made of them."""
+    parts = (rng.randrange(fld.q), fld.random_element(rng),
+             tuple(fld.random_element(rng) for _ in range(k)))
+    c, m, tags = parts
+    return parts, TaggedPacket(fld, (c, *m.coeffs, *(x for t in tags for x in t.coeffs)))
+
+
 def _suite_residual_linearity(rng):
     params, skey, vkeys, messages, packets = _residual_ctx(rng)
     fld = params.field
     vk = vkeys[0]
     # arbitrary, not necessarily valid, packets: linearity is structural
-    pkts = [
-        TaggedPacket(
-            rng.randrange(fld.q),
-            fld.random_element(rng),
-            tuple(fld.random_element(rng) for _ in range(params.k)),
-        )
-        for _ in range(rng.randint(1, 3))
-    ]
+    pkts = [_random_packet(rng, fld, params.k)[1] for _ in range(rng.randint(1, 3))]
     coeffs = [rng.randrange(fld.q) for _ in pkts]
     lhs = residual(vk, combine(pkts, coeffs))
     rhs = sum(
@@ -246,12 +247,9 @@ def _suite_rref_idempotent(rng):
 def _suite_flat_roundtrip(rng):
     params, skey, vkeys, messages, packets = _residual_ctx(rng)
     fld = params.field
-    pkt = TaggedPacket(
-        rng.randrange(fld.q),
-        fld.random_element(rng),
-        tuple(fld.random_element(rng) for _ in range(params.k)),
-    )
-    assert TaggedPacket.from_flat(fld, params.k, pkt.flatten()) == pkt
+    parts, pkt = _random_packet(rng, fld, params.k)
+    assert (pkt.c, pkt.m, pkt.tag) == parts
+    assert TaggedPacket(fld, list(pkt.flat)) == pkt
 
 
 def test_criterion_8_invariant_suites():

