@@ -4,10 +4,26 @@ A ``Field`` fixes the prime q, the degree l and a monic irreducible modulus
 of degree l over F_q.  The modulus is chosen deterministically as the
 lexicographically smallest irreducible candidate, comparing coefficient
 tuples low degree first, so two contexts built from the same (q, l) agree
-element-for-element.  Elements are immutable coefficient vectors in the
-power basis of the modulus; that vector view doubles as the fixed
-F_q-linear identification of F_q^l with F_{q^l}.  Degree 1 reduces to F_q
-itself (the formal modulus is x).
+element-for-element.
+
+An element (``Fel``) is one int, its code c_0 + c_1 q + ... + c_(l-1) q^(l-1),
+where c_0, ..., c_(l-1) are its coordinates in the power basis of the
+modulus.  ``coeffs`` reads the coordinates back, and that view doubles as
+the fixed F_q-linear identification of F_q^l with F_{q^l}.  Arithmetic on
+codes takes one of three paths, fixed by (q, l):
+
+* l = 1: integers mod q.
+* 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
+  primitive element g, built on first use and shared by every Field of that
+  (q, l).  With n = q^l - 1, exp[i] is the code of g^i, stored twice over so
+  that a sum of two logs needs no reduction, and log inverts it.  A product
+  is exp[log a + log b], an inverse exp[n - log a], a power a^e
+  exp[log a * e mod n] and the Frobenius map a^(q^i) exp[log a * q^i mod n].
+  Over F_2 a sum is the XOR of the codes.  In odd characteristic it is one
+  Zech logarithm, a + b = a (1 + g^(log b - log a)), where
+  zech[k] = log(1 + g^k) and zech[n/2] = -1, since g^(n/2) = -1.
+* larger orders: polynomial arithmetic on the coordinates modulo the
+  modulus, with an extended-Euclid inverse.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, so that adding, negating or scaling it is a few big-int
@@ -20,9 +36,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from operator import mul
 
 MAX_PRIME = 1 << 16
 MAX_DEGREE = 16
+TABLE_ORDER = 1 << 16  # largest order whose extension fields use log tables
 
 
 class GuardError(RuntimeError):
@@ -154,10 +172,312 @@ def _smallest_irreducible(q: int, l: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {l} over F_{q}")
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _code(coeffs, q: int) -> int:
+    """The code of a coordinate sequence, low degree first."""
+    code = 0
+    for c in reversed(coeffs):
+        code = code * q + c
+    return code
+
+
+def _gf2_mulmod(a: int, b: int, red: int, l: int) -> int:
+    """a * b for codes over F_2 (bit t is the coefficient of x^t), modulo the
+    degree-l modulus whose code is red: shift, XOR and fold."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a >> l:
+            a ^= red
+    return p
+
+
+def _primitive_element(q: int, l: int, modulus) -> int:
+    """The smallest code of a primitive element of F_{q^l}.
+
+    g is primitive iff g^(n/p) != 1 for every prime p dividing n = q^l - 1.
+    The search starts at x: the constants lie in F_q, whose orders divide
+    q - 1 < n.
+    """
+    n = q**l - 1
+    cofactors = [n // p for p in _prime_factors(n)]
+    if q == 2:
+        red = _code(modulus, 2)
+
+        def is_one(code, e):  # code^e == 1, by square-and-multiply
+            acc = 1
+            while e:
+                if e & 1:
+                    acc = _gf2_mulmod(acc, code, red, l)
+                code = _gf2_mulmod(code, code, red, l)
+                e >>= 1
+            return acc == 1
+
+    else:
+
+        def is_one(code, e):
+            return _poly_powmod([code // q**t % q for t in range(l)], e, modulus, q) == [1]
+
+    for code in itertools.count(q):
+        if not any(is_one(code, e) for e in cofactors):
+            return code
+    raise AssertionError("unreachable: F_{q^l}^* is cyclic")
+
+
+@functools.lru_cache(maxsize=None)
+def _log_tables(q: int, l: int):
+    """(exp, log, zech) of Field(q, l) over its smallest primitive element g.
+
+    exp has 2n entries (exp[n + i] = exp[i]), log[code] is the discrete log
+    of a nonzero code, and zech, for odd q only (None over F_2), holds
+    log(1 + g^k) with -1 at k = n/2.  Each step g^i -> g^(i+1) is one
+    multiplication by g, an F_q-linear map of the code's coordinates.
+    """
+    from array import array  # loads a shared library: imported here, on first use, not at set-up
+
+    modulus = _smallest_irreducible(q, l)
+    n = q**l - 1
+    g = _primitive_element(q, l, modulus)
+    exp = array("H", [0]) * (2 * n)
+    log = array("H", [0]) * (n + 1)
+    zech = None
+    if q == 2:
+        # The map is the XOR of x^t g over the set bits t of the code,
+        # tabulated one byte of the code at a time.
+        red = _code(modulus, 2)
+        lo, hi = [0], [0]
+        for t in range(l):
+            tab = lo if t < 8 else hi
+            tab += [e ^ g for e in tab]
+            g = _gf2_mulmod(g, 2, red, l)  # x^(t+1) g
+        c = 1
+        for i in range(n):
+            exp[i] = c
+            log[c] = i
+            c = lo[c & 255] ^ hi[c >> 8]
+    else:
+        x_times_g = [[g // q**t % q for t in range(l)]]  # x^t g as l coordinates, t < l
+        for _ in range(l - 1):
+            v = _poly_rem([0, *x_times_g[-1]], modulus, q)
+            x_times_g.append(v + [0] * (l - len(v)))
+        rows = list(zip(*x_times_g))  # row r: coordinate r of each x^t g
+        place = [q**t for t in range(l)]
+        d = [1] + [0] * (l - 1)
+        for i in range(n):
+            c = sum(map(mul, d, place))
+            exp[i] = c
+            log[c] = i
+            d = [sum(map(mul, d, row)) % q for row in rows]
+        zech = array("i", [0]) * n
+        for k in range(n):
+            c = exp[k]
+            c += 1 if c % q != q - 1 else 1 - q  # the code of 1 + g^k
+            zech[k] = log[c] if c else -1
+    exp[n:] = exp[:n]
+    return exp, log, zech
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on codes
+
+
+class _Codes:
+    """Code arithmetic of one (q, l), shared by every Field of that (q, l)."""
+
+    __slots__ = ("q", "l", "place")
+
+    def __init__(self, q: int, l: int):
+        self.q, self.l = q, l
+        self.place = tuple(q**t for t in range(l))
+
+    def code(self, coeffs) -> int:
+        return _code(coeffs, self.q)
+
+    def coeffs(self, code: int) -> tuple[int, ...]:
+        q = self.q
+        return tuple([code // p % q for p in self.place])
+
+
+class _PrimeCodes(_Codes):
+    """l = 1: the code is the element of F_q itself."""
+
+    __slots__ = ()
+
+    def coeffs(self, code):
+        return (code,)
+
+    def add(self, a, b):
+        return (a + b) % self.q
+
+    def sub(self, a, b):
+        return (a - b) % self.q
+
+    def neg(self, a):
+        return -a % self.q
+
+    def mul(self, a, b):
+        return a * b % self.q
+
+    def inv(self, a):
+        return pow(a, self.q - 2, self.q)
+
+    def frob(self, a, i):
+        return a
+
+    def pow(self, a, e):
+        return pow(a, e, self.q)
+
+
+class _TableCodes(_Codes):
+    """1 < l, q^l <= TABLE_ORDER: log, antilog and Zech tables, built on first use."""
+
+    __slots__ = ("n", "half", "exp", "log", "zech")
+
+    def __init__(self, q: int, l: int):
+        super().__init__(q, l)
+        self.n = q**l - 1
+        self.half = self.n // 2
+
+    def __getattr__(self, name):
+        # reached only while the table slots are still unset
+        if name not in ("exp", "log", "zech"):
+            raise AttributeError(name)
+        self.exp, self.log, self.zech = _log_tables(self.q, self.l)
+        return getattr(self, name)
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        la = log[a]
+        z = self.zech[(log[b] - la) % self.n]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        log = self.log
+        lb = log[b] + self.half  # the log of -b, below 2n
+        if not a:
+            return self.exp[lb]
+        la = log[a]
+        z = self.zech[(lb - la) % self.n]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def neg(self, a):
+        return self.exp[self.log[a] + self.half] if a else 0
+
+    def mul(self, a, b):
+        if a and b:
+            log = self.log
+            return self.exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a):
+        return self.exp[self.n - self.log[a]]
+
+    def frob(self, a, i):
+        return self.exp[self.log[a] * self.place[i] % self.n] if a else 0
+
+    def pow(self, a, e):
+        if a:
+            return self.exp[self.log[a] * e % self.n]
+        return 0 if e else 1
+
+
+_BITS = [c[::-1] for c in itertools.product((0, 1), repeat=8)]  # byte -> its bits, low first
+_BYTE = {_BITS[b][:k]: b for k in range(9) for b in range(1 << k)}  # up to 8 bits -> their byte
+
+
+class _BinaryTableCodes(_TableCodes):
+    """The tables over F_2: a sum is the XOR of the codes, -a = a, and the
+    coordinates convert to and from the code a byte at a time."""
+
+    __slots__ = ()
+
+    def code(self, coeffs):
+        return _BYTE[tuple(coeffs[:8])] | _BYTE[tuple(coeffs[8:])] << 8
+
+    def coeffs(self, code):
+        return (_BITS[code & 255] + _BITS[code >> 8])[: self.l]
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+
+class _PolyCodes(_Codes):
+    """q^l > TABLE_ORDER: polynomials in x modulo the field's modulus, on the coordinates."""
+
+    __slots__ = ("modulus",)
+
+    def __init__(self, q: int, l: int):
+        super().__init__(q, l)
+        self.modulus = _smallest_irreducible(q, l)
+
+    def add(self, a, b):
+        q = self.q
+        return self.code([(x + y) % q for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def sub(self, a, b):
+        q = self.q
+        return self.code([(x - y) % q for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def neg(self, a):
+        q = self.q
+        return self.code([-x % q for x in self.coeffs(a)])
+
+    def mul(self, a, b):
+        q = self.q
+        return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
+
+    def inv(self, a):
+        return self.code(_poly_inverse(self.coeffs(a), self.modulus, self.q))
+
+    def frob(self, a, i):
+        return self.pow(a, self.q**i)
+
+    def pow(self, a, e):
+        if not e:
+            return 1
+        return self.code(_poly_powmod(self.coeffs(a), e, self.modulus, self.q))
+
+
+@functools.lru_cache(maxsize=None)
+def _arithmetic(q: int, l: int) -> _Codes:
+    if l == 1:
+        return _PrimeCodes(q, l)
+    if q**l <= TABLE_ORDER:
+        return _BinaryTableCodes(q, l) if q == 2 else _TableCodes(q, l)
+    return _PolyCodes(q, l)
+
+
 class Field:
     """Arithmetic context for F_{q^l} with a deterministic modulus."""
 
-    __slots__ = ("q", "l", "order", "modulus", "_zero", "_one")
+    __slots__ = ("q", "l", "order", "modulus", "_codes", "_zero", "_one")
 
     def __init__(self, q: int, l: int):
         if isinstance(q, int) and q > MAX_PRIME:
@@ -170,8 +490,9 @@ class Field:
         self.l = l
         self.order = q**l
         self.modulus = _smallest_irreducible(q, l)
-        self._zero = Fel(self, (0,) * l)
-        self._one = Fel(self, (1,) + (0,) * (l - 1))
+        self._codes = _arithmetic(q, l)
+        self._zero = _fel(self, 0)
+        self._one = _fel(self, 1)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.q == other.q and self.l == other.l
@@ -206,92 +527,77 @@ class Field:
             raise ValueError(f"expected an integer or a list of {self.l} integers, got {value!r}")
         if len(value) != self.l:
             raise ValueError(f"expected {self.l} coordinates, got {len(value)}")
-        return Fel(self, tuple(c % self.q for c in value))
+        q = self.q
+        return _fel(self, self._codes.code([c % q for c in value]))
 
     def embed(self, c: int) -> Fel:
         """Lift a base-field scalar into the extension as a constant."""
-        return Fel(self, (c % self.q,) + (0,) * (self.l - 1))
+        return _fel(self, c % self.q)
 
     def random_element(self, rng: random.Random) -> Fel:
-        return Fel(self, tuple(rng.randrange(self.q) for _ in range(self.l)))
+        q, code = self.q, 0
+        for p in self._codes.place:  # coordinates drawn low degree first
+            code += rng.randrange(q) * p
+        return _fel(self, code)
 
 
 class Fel:
-    """An element of F_{q^l}: a length-l coefficient tuple, low degree first."""
+    """An element of F_{q^l}, held as its int code (see the module docstring)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
-        # internal constructor: callers must pass reduced coefficients
+    def __init__(self, field: Field, coeffs):
+        # callers pass l coordinates already reduced mod q
         self.field = field
-        self.coeffs = coeffs
+        self.code = field._codes.code(coeffs)
 
-    def _check(self, other) -> bool:
-        if not isinstance(other, Fel):
-            return False
-        if self.field != other.field:
-            raise ValueError("mixed-field arithmetic")
-        return True
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The l coordinates, low degree first."""
+        return self.field._codes.coeffs(self.code)
 
     def __add__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        q = self.field.q
-        return Fel(self.field, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        q = self.field.q
-        return Fel(self.field, tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        q = self.field.q
-        return Fel(self.field, tuple((-a) % q for a in self.coeffs))
-
-    def __mul__(self, other):
-        if not self._check(other):
+        if not isinstance(other, Fel):
             return NotImplemented
         f = self.field
-        q, l = f.q, f.l
-        a, b = self.coeffs, other.coeffs
-        if l == 1:
-            return Fel(f, ((a[0] * b[0]) % q,))
-        prod = [0] * (2 * l - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        mod = f.modulus
-        for i in range(2 * l - 2, l - 1, -1):
-            c = prod[i] % q
-            if c:
-                for j in range(l):
-                    prod[i - l + j] -= c * mod[j]
-        return Fel(f, tuple(v % q for v in prod[:l]))
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed-field arithmetic")
+        return _fel(f, f._codes.add(self.code, other.code))
+
+    def __sub__(self, other):
+        if not isinstance(other, Fel):
+            return NotImplemented
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed-field arithmetic")
+        return _fel(f, f._codes.sub(self.code, other.code))
+
+    def __neg__(self):
+        f = self.field
+        return _fel(f, f._codes.neg(self.code))
+
+    def __mul__(self, other):
+        if not isinstance(other, Fel):
+            return NotImplemented
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed-field arithmetic")
+        return _fel(f, f._codes.mul(self.code, other.code))
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent; invert first")
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        return _fel(f, f._codes.pow(self.code, e))
 
     def inv(self):
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        if f.l == 1:
-            return Fel(f, (pow(self.coeffs[0], f.q - 2, f.q),))
-        return Fel(f, tuple(_poly_inverse(self.coeffs, f.modulus, f.q)))
+        return _fel(f, f._codes.inv(self.code))
 
     def __truediv__(self, other):
-        if not self._check(other):
+        if not isinstance(other, Fel):
             return NotImplemented
         return self * other.inv()
 
@@ -299,29 +605,34 @@ class Fel:
         """The i-fold q-power map a -> a^(q^i)."""
         if i < 0:
             raise ValueError("frobenius power must be nonnegative")
-        a = self
-        for _ in range(i % self.field.l):  # the map has order dividing l
-            a = a**self.field.q
-        return a
+        f = self.field
+        return _fel(f, f._codes.frob(self.code, i % f.l))  # the map has order l
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.code)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Fel)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Fel) and self.code == other.code and self.field == other.field
 
     def __hash__(self):
-        return hash((self.field.q, self.field.l, self.coeffs))
+        return hash(self.code)
 
     def __repr__(self):
         return f"Fel{self.coeffs}"
+
+
+_new = object.__new__
+
+
+def _fel(field: Field, code: int) -> Fel:
+    """The element of `field` with a reduced code."""
+    x = _new(Fel)
+    x.field = field
+    x.code = code
+    return x
 
 
 class Packing:
@@ -336,8 +647,8 @@ class Packing:
     multiples of the vector times powers of x (``times_x``).
     """
 
-    __slots__ = ("field", "size", "w", "mod", "_ew", "_emask", "_low", "_top", "_fold", "_codes",
-                 "_elements")
+    __slots__ = ("field", "size", "w", "mod", "_ew", "_emask", "_low", "_top", "_fold", "_entries",
+                 "_elements", "_q_entry")
 
     def __init__(self, field: Field, size: int):
         q, l = field.q, field.l
@@ -363,36 +674,37 @@ class Packing:
         self._low = ones ^ self._top
         # x^l = sum of fold_j x^j modulo the field's modulus
         self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
-        self._codes: dict[tuple[int, ...], int] = {}  # coordinates -> packed entry
+        self._q_entry = q * (self._emask // ((1 << w) - 1))  # q in every slot of one entry
+        self._entries: dict[int, int] = {}  # element code -> packed entry
         self._elements: dict[int, Fel] = {}  # packed entry -> element
 
-    def _code(self, coeffs: tuple[int, ...]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code << self.w | c
-        self._codes[coeffs] = code
-        return code
+    def _entry(self, e: Fel) -> int:
+        entry = 0
+        for c in reversed(e.coeffs):
+            entry = entry << self.w | c
+        self._entries[e.code] = entry
+        return entry
 
     def pack(self, elements) -> int:
         """The packed vector of `size` elements."""
-        ew, codes = self._ew, self._codes
+        ew, entries = self._ew, self._entries
         v = 0
         for e in reversed(elements):
-            code = codes.get(e.coeffs)
-            v = v << ew | (self._code(e.coeffs) if code is None else code)
+            entry = entries.get(e.code)
+            v = v << ew | (self._entry(e) if entry is None else entry)
         return v
 
     def entry(self, v: int, j: int) -> int:
         """Entry j of v as a packed entry; 0 exactly when the entry is zero."""
         return v >> (self._ew * j) & self._emask
 
-    def element(self, code: int) -> Fel:
+    def element(self, entry: int) -> Fel:
         """The element a packed entry holds."""
-        x = self._elements.get(code)
+        x = self._elements.get(entry)
         if x is None:
             w, slot = self.w, (1 << self.w) - 1
-            x = Fel(self.field, tuple(code >> (w * t) & slot for t in range(self.field.l)))
-            self._elements[code] = x
+            x = Fel(self.field, [entry >> (w * t) & slot for t in range(self.field.l)])
+            self._elements[entry] = x
         return x
 
     def unpack(self, v: int) -> tuple[Fel, ...]:
@@ -427,10 +739,16 @@ class Packing:
             out.append(self.times_x(out[-1]))
         return out
 
-    def add_mul(self, v: int, a: Fel, powers) -> int:
-        """v + a * u, where powers = x_powers(u)."""
-        mod, scale = self.mod, self.scale
-        for c, p in zip(a.coeffs, powers):
+    def neg(self, entry: int) -> int:
+        """The packed entry of minus the element a packed entry holds."""
+        return self.mod(self._q_entry - entry)
+
+    def add_mul(self, v: int, entry: int, powers) -> int:
+        """v + a * u, for a given as its packed entry, where powers = x_powers(u)."""
+        w, slot, mod, scale = self.w, (1 << self.w) - 1, self.mod, self.scale
+        for p in powers:
+            c = entry & slot
             if c:
                 v = mod(v + scale(c, p))
+            entry >>= w
         return v

@@ -72,14 +72,14 @@ class Matrix:
             if hit is None:
                 continue
             m[r], m[hit] = m[hit], m[r]
-            inv = pk.element(pk.entry(m[r], c)).inv()
+            inv = pk.pack([pk.element(pk.entry(m[r], c)).inv()])
             powers = pk.x_powers(pk.add_mul(0, inv, pk.x_powers(m[r])))
             m[r] = powers[0]
             for i in range(self.rows):
                 if i != r:
                     f = pk.entry(m[i], c)
                     if f:
-                        m[i] = pk.add_mul(m[i], -pk.element(f), powers)
+                        m[i] = pk.add_mul(m[i], pk.neg(f), powers)
             pivots.append(c)
             r += 1
             if r == self.rows:

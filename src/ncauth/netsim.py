@@ -386,9 +386,9 @@ def fan(q: int, n: int, edge_counts, rng: random.Random) -> Network:
     Hub kernel entries are drawn uniformly from rng, so member i observes
     edge_counts[i] random combinations of the n messages.
     """
-    edge_counts = tuple(int(c) for c in edge_counts)
-    if not edge_counts or any(c < 0 for c in edge_counts):
-        raise ValueError("edge_counts must be nonnegative and nonempty")
+    edge_counts = tuple(edge_counts)
+    if not edge_counts or any(type(c) is not int or c < 0 for c in edge_counts):
+        raise ValueError("edge_counts must be nonnegative integers and nonempty")
     members = [f"r{i}" for i in range(len(edge_counts))]
     nodes = ["s", "hub"] + members
     edges = [(f"m{j}", "s", "hub") for j in range(n)]

@@ -217,7 +217,9 @@ def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:
 def combine(packets, coeffs) -> TaggedPacket:
     """F_q-linear combination of packets with integer coefficients mod q."""
     packets = list(packets)
-    coeffs = [int(a) for a in coeffs]
+    coeffs = list(coeffs)
+    if any(type(a) is not int for a in coeffs):  # bool and float are refused, not converted
+        raise ValueError(f"coefficients must be integers, got {coeffs!r}")
     if not packets:
         raise ValueError("cannot combine zero packets")
     if len(packets) != len(coeffs):

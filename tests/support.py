@@ -31,6 +31,62 @@ def element_strategy(field):
     return st.one_of(st.sampled_from(special), st.integers(0, field.order - 1).map(from_code))
 
 
+def reference_mul(field, a, b):
+    """Schoolbook product of two coordinate tuples, reduced by the field's modulus."""
+    q, l, mod = field.q, field.l, field.modulus
+    prod = [0] * (2 * l - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * l - 2, l - 1, -1):  # x^i = x^(i-l) * (x^l - modulus)
+        c = prod[i] % q
+        for j in range(l):
+            prod[i - l + j] -= c * mod[j]
+    return tuple(v % q for v in prod[:l])
+
+
+def reference_pow(field, a, e):
+    """a^e for a coordinate tuple, by square-and-multiply on reference_mul."""
+    result = (1,) + (0,) * (field.l - 1)
+    while e:
+        if e & 1:
+            result = reference_mul(field, result, a)
+        a = reference_mul(field, a, a)
+        e >>= 1
+    return result
+
+
+def reference_inv(field, a):
+    """Inverse of a nonzero coordinate tuple by extended Euclid over F_q[x].
+
+    r0 = s0 * a and r1 = s1 * a modulo the modulus throughout, one leading
+    term at a time, until r1 is a nonzero constant c, so that a * s1 / c = 1.
+    """
+    q, l = field.q, field.l
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    r0, r1 = list(field.modulus), trim(list(a))
+    s0, s1 = [0] * l, [1] + [0] * (l - 1)
+    while len(r1) > 1:
+        d = len(r0) - len(r1)
+        if d < 0:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        c = r0[-1] * pow(r1[-1], q - 2, q) % q
+        for i, v in enumerate(r1):
+            r0[i + d] = (r0[i + d] - c * v) % q
+        for i, v in enumerate(s1):
+            if v:
+                s0[i + d] = (s0[i + d] - c * v) % q
+        trim(r0)
+    c = pow(r1[0], q - 2, q)
+    return tuple(v * c % q for v in s1)
+
+
 def elements(field):
     """All q^l elements of `field` in lexicographic coordinate order (zero first)."""
     if field.order > ENUMERATION_GUARD:

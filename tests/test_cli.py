@@ -5,7 +5,10 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -452,6 +455,18 @@ def test_main_keygen(tmp_path, capsys):
     assert main(["keygen", "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["verifier_keys"]) == 6
+
+
+def test_python_m_ncauth_runs_the_cli():
+    # a plain checkout runs the command line as a module, with only src/ on the path
+    root = Path(__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-m", "ncauth", "demo", "--seed", "0"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (root / "tests" / "golden" / "demo.seed0.txt").read_text(encoding="utf-8")
 
 
 def test_main_demo(capsys):

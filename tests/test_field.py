@@ -9,8 +9,16 @@ from hypothesis import strategies as st
 
 import support
 from ncauth import Fel, Field, GuardError, Matrix
-from ncauth.field import _is_irreducible
+from ncauth.field import TABLE_ORDER, _is_irreducible, _log_tables, _TableCodes, is_prime
 from support import ORACLE_FIELDS, element_strategy, elements
+
+# The oracle fields plus both sides of the table bound: GF(3^10) and GF(251^2)
+# use log tables, GF(257^2) and GF(5^7) polynomial arithmetic.
+ARITH_FIELDS = ORACLE_FIELDS + [(3, 5), (3, 10), (251, 2), (5, 7)]
+# Every field with log tables of order at most 2^10, small enough to check whole.
+SMALL_TABLE_FIELDS = [
+    (q, l) for q in range(2, 32) if is_prime(q) for l in range(2, 11) if q**l <= 1 << 10
+]
 
 
 def brute_smallest_irreducible(q, l):
@@ -125,6 +133,69 @@ def test_inverse_matches_fermat(x):
     fld = x.field
     assert x.inv() == x ** (fld.order - 2)
     assert x * x.inv() == fld.one
+
+
+@st.composite
+def element_pairs(draw):
+    q, l = draw(st.sampled_from(ARITH_FIELDS))
+    fld = Field(q, l)
+    elem = element_strategy(fld)
+    return draw(elem), draw(elem), draw(st.integers(0, 2 * fld.order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs())
+def test_arithmetic_matches_reference(args):
+    a, b, e = args
+    fld = a.field
+    q, x, y = fld.q, a.coeffs, b.coeffs
+    assert (a + b).coeffs == tuple((u + v) % q for u, v in zip(x, y))
+    assert (a - b).coeffs == tuple((u - v) % q for u, v in zip(x, y))
+    assert (-a).coeffs == tuple(-u % q for u in x)
+    assert (a * b).coeffs == support.reference_mul(fld, x, y)
+    if a:
+        assert a.inv().coeffs == support.reference_inv(fld, x)
+    for i in range(fld.l):
+        assert a.frob(i).coeffs == support.reference_pow(fld, x, q**i)
+    assert (a**e).coeffs == support.reference_pow(fld, x, e)
+
+
+@pytest.mark.parametrize(
+    "q,l,tables",
+    [(7, 1, False), (65521, 1, False), (2, 2, True), (3, 10, True), (251, 2, True),
+     (2, 16, True), (257, 2, False), (5, 7, False), (65521, 2, False)],
+)
+def test_table_bound(q, l, tables):
+    # log tables exactly for 1 < l and q^l <= TABLE_ORDER
+    assert (1 < l and q**l <= TABLE_ORDER) is tables
+    assert isinstance(Field(q, l)._codes, _TableCodes) is tables
+
+
+@pytest.mark.parametrize("q,l", SMALL_TABLE_FIELDS)
+def test_log_tables_exhaustive(q, l):
+    F = Field(q, l)
+    n = F.order - 1
+    exp, log, zech = _log_tables(q, l)
+    assert len(exp) == 2 * n and exp[n:] == exp[:n]
+    assert sorted(exp[:n]) == list(range(1, F.order))  # the generator is primitive
+    assert all(log[exp[i]] == i for i in range(n))
+    coeffs = {}
+    for c in itertools.product(range(q), repeat=l):
+        x = Fel(F, c)
+        assert x.coeffs == c
+        coeffs[x.code] = c
+    assert sorted(coeffs) == list(range(F.order))
+    if q == 2:
+        assert zech is None
+        return
+    code = {c: k for k, c in coeffs.items()}
+    for k in range(n):
+        c = coeffs[exp[k]]
+        one_plus = code[((c[0] + 1) % q, *c[1:])]  # 1 + g^k, added on coordinates
+        if one_plus:
+            assert exp[zech[k]] == one_plus
+        else:
+            assert k == n // 2 and zech[k] == -1
 
 
 def test_inverse_of_zero_raises():

@@ -255,6 +255,13 @@ def test_fan_topology_shape():
     assert all(len(v) == 2 for v in honest_kernels(net).values())
 
 
+@pytest.mark.parametrize("edge_counts", [(1.9, 0.5), (True, 1), (2, "1"), (2, None)])
+def test_fan_refuses_non_integer_edge_counts(edge_counts):
+    # (1.9, 0.5) used to become one edge for r0 and none for r1
+    with pytest.raises(ValueError, match="integers"):
+        fan(3, 2, edge_counts, random.Random(5))
+
+
 def test_topology_document_roundtrip():
     doc = {
         "version": 1,

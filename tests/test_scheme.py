@@ -147,6 +147,15 @@ def test_combine_identity_and_validation():
         combine([], [])
 
 
+@pytest.mark.parametrize("coeffs", [[1.5, 0], [True, 0], [1, "0"], [1, None]])
+def test_combine_refuses_non_integer_coefficients(coeffs):
+    # 1.5 used to be truncated to 1, so the mix equalled combine(packets, [1, 0])
+    rng = random.Random(2)
+    params, skey, vkeys, messages, packets = make_instance(rng, 3, 1, 2, 2, n=2)
+    with pytest.raises(ValueError, match="integers"):
+        combine(packets, coeffs)
+
+
 def test_any_linear_combination_verifies():
     rng = random.Random(71)
     for _ in range(30):
