@@ -15,7 +15,8 @@ codes takes one of three paths, fixed by (q, l):
 * l = 1: integers mod q.
 * 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
   primitive element g, built on first use and shared by every Field of that
-  (q, l).  With n = q^l - 1, exp[i] is the code of g^i, stored twice over so
+  (q, l).  The build takes n = q^l - 1 steps g^i -> g^(i+1), each two
+  table lookups on the int state (``_log_tables``).  With n as above, exp[i] is the code of g^i, stored twice over so
   that a sum of two logs needs no reduction, and log inverts it.  A product
   is exp[log a + log b], an inverse exp[n - log a], a power a^e
   exp[log a * e mod n] and the Frobenius map a^(q^i) exp[log a * q^i mod n].
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from operator import mul
 
 MAX_PRIME = 1 << 16
 MAX_DEGREE = 16
@@ -75,11 +75,12 @@ def _poly_rem(num, div, q: int) -> list[int]:
     num = list(num)
     dd = len(div) - 1
     inv_lead = pow(div[-1], q - 2, q)
+    terms = [(j - dd, d) for j, d in enumerate(div[:dd]) if d]  # the nonzero lower terms of div
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] * inv_lead % q
         if c:
-            for j in range(dd):
-                num[i - dd + j] = (num[i - dd + j] - c * div[j]) % q
+            for j, d in terms:
+                num[i + j] = (num[i + j] - c * d) % q
     return _trim(num[:dd])
 
 
@@ -141,37 +142,6 @@ def _poly_inverse(a, mod, q: int) -> list[int]:
     return [v * c % q for v in s1]
 
 
-def _is_irreducible(poly: tuple[int, ...], q: int) -> bool:
-    """Rabin's test (1980) for a monic poly of degree n over F_q.
-
-    poly is irreducible iff x^(q^n) = x modulo poly and, for every prime p
-    dividing n, x^(q^(n/p)) - x is coprime to poly.  The coprimality checks
-    run as soon as their power is reached, so most reducible candidates
-    stop early.
-    """
-    n = len(poly) - 1
-    x = _poly_rem([0, 1], poly, q)
-    checks = {n // p for p in range(2, n + 1) if n % p == 0 and is_prime(p)}
-    h = x  # x^(q^i) modulo poly
-    for i in range(1, n + 1):
-        h = _poly_powmod(h, q, poly, q)
-        if i in checks and len(_poly_gcd(poly, _poly_sub(h, x, q), q)) > 1:
-            return False
-    return h == x
-
-
-@functools.lru_cache(maxsize=None)
-def _smallest_irreducible(q: int, l: int) -> tuple[int, ...]:
-    # For l > 1 a constant term of 0 means x divides the candidate, so the
-    # first q^(l-1) candidates in order are skipped without a test.
-    first = range(1, q) if l > 1 else range(q)
-    for low in itertools.product(first, *[range(q)] * (l - 1)):
-        cand = low + (1,)
-        if _is_irreducible(cand, q):
-            return cand
-    raise AssertionError(f"no irreducible polynomial of degree {l} over F_{q}")
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -186,26 +156,42 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _is_irreducible(poly: tuple[int, ...], q: int) -> bool:
+    """Rabin's test (1980) for a monic poly of degree n over F_q.
+
+    poly is irreducible iff x^(q^n) = x modulo poly and, for every prime p
+    dividing n, x^(q^(n/p)) - x is coprime to poly.  The coprimality checks
+    run as soon as their power is reached, so most reducible candidates
+    stop early.
+    """
+    n = len(poly) - 1
+    x = _poly_rem([0, 1], poly, q)
+    checks = {n // p for p in _prime_factors(n)}
+    h = x  # x^(q^i) modulo poly
+    for i in range(1, n + 1):
+        h = _poly_powmod(h, q, poly, q)
+        if i in checks and len(_poly_gcd(poly, _poly_sub(h, x, q), q)) > 1:
+            return False
+    return h == x
+
+
+def _smallest_irreducible(q: int, l: int) -> tuple[int, ...]:
+    # For l > 1 a constant term of 0 means x divides the candidate, so the
+    # first q^(l-1) candidates in order are skipped without a test.
+    first = range(1, q) if l > 1 else range(q)
+    for low in itertools.product(first, *[range(q)] * (l - 1)):
+        cand = low + (1,)
+        if _is_irreducible(cand, q):
+            return cand
+    raise AssertionError(f"no irreducible polynomial of degree {l} over F_{q}")
+
+
 def _code(coeffs, q: int) -> int:
     """The code of a coordinate sequence, low degree first."""
     code = 0
     for c in reversed(coeffs):
         code = code * q + c
     return code
-
-
-def _gf2_mulmod(a: int, b: int, red: int, l: int) -> int:
-    """a * b for codes over F_2 (bit t is the coefficient of x^t), modulo the
-    degree-l modulus whose code is red: shift, XOR and fold."""
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        a <<= 1
-        if a >> l:
-            a ^= red
-    return p
 
 
 def _primitive_element(q: int, l: int, modulus) -> int:
@@ -217,78 +203,91 @@ def _primitive_element(q: int, l: int, modulus) -> int:
     """
     n = q**l - 1
     cofactors = [n // p for p in _prime_factors(n)]
-    if q == 2:
-        red = _code(modulus, 2)
-
-        def is_one(code, e):  # code^e == 1, by square-and-multiply
-            acc = 1
-            while e:
-                if e & 1:
-                    acc = _gf2_mulmod(acc, code, red, l)
-                code = _gf2_mulmod(code, code, red, l)
-                e >>= 1
-            return acc == 1
-
-    else:
-
-        def is_one(code, e):
-            return _poly_powmod([code // q**t % q for t in range(l)], e, modulus, q) == [1]
-
     for code in itertools.count(q):
-        if not any(is_one(code, e) for e in cofactors):
+        g = [code // q**t % q for t in range(l)]
+        if all(_poly_powmod(g, e, modulus, q) != [1] for e in cofactors):
             return code
     raise AssertionError("unreachable: F_{q^l}^* is cyclic")
 
 
-@functools.lru_cache(maxsize=None)
-def _log_tables(q: int, l: int):
-    """(exp, log, zech) of Field(q, l) over its smallest primitive element g.
+def _log_tables(q: int, l: int, modulus):
+    """(exp, log, zech) of F_{q^l} over its smallest primitive element g.
 
     exp has 2n entries (exp[n + i] = exp[i]), log[code] is the discrete log
     of a nonzero code, and zech, for odd q only (None over F_2), holds
     log(1 + g^k) with -1 at k = n/2.  Each step g^i -> g^(i+1) is one
-    multiplication by g, an F_q-linear map of the code's coordinates.
+    multiplication by g, an F_q-linear map of the coordinates, applied as
+    two table lookups, one per half of the coordinates.
     """
     from array import array  # loads a shared library: imported here, on first use, not at set-up
 
-    modulus = _smallest_irreducible(q, l)
     n = q**l - 1
     g = _primitive_element(q, l, modulus)
+    cols = [[g // q**t % q for t in range(l)]]  # the coordinates of x^t g, t < l
+    for _ in range(l - 1):
+        v = _poly_rem([0, *cols[-1]], modulus, q)
+        cols.append(v + [0] * (l - len(v)))
     exp = array("H", [0]) * (2 * n)
     log = array("H", [0]) * (n + 1)
     zech = None
     if q == 2:
-        # The map is the XOR of x^t g over the set bits t of the code,
-        # tabulated one byte of the code at a time.
-        red = _code(modulus, 2)
+        # The map is the XOR of the codes x^t g over the set bits t of the
+        # code, tabulated one byte of the code at a time.
         lo, hi = [0], [0]
-        for t in range(l):
+        for t, col in enumerate(cols):
             tab = lo if t < 8 else hi
-            tab += [e ^ g for e in tab]
-            g = _gf2_mulmod(g, 2, red, l)  # x^(t+1) g
+            xg = _code(col, 2)
+            tab += [e ^ xg for e in tab]
         c = 1
         for i in range(n):
             exp[i] = c
             log[c] = i
             c = lo[c & 255] ^ hi[c >> 8]
     else:
-        x_times_g = [[g // q**t % q for t in range(l)]]  # x^t g as l coordinates, t < l
-        for _ in range(l - 1):
-            v = _poly_rem([0, *x_times_g[-1]], modulus, q)
-            x_times_g.append(v + [0] * (l - len(v)))
-        rows = list(zip(*x_times_g))  # row r: coordinate r of each x^t g
-        place = [q**t for t in range(l)]
-        d = [1] + [0] * (l - 1)
+        # The state s is g^i packed w bits per coordinate (coordinate t in
+        # slot t) under the code of g^(i-1) in the bits from l*w up.  Each
+        # half of the slots indexes a table whose entries are that half's
+        # share of g^(i+1), packed and reduced, under the code of that half.
+        # The two shares add without carries: the codes into the code of
+        # g^i, the slots into g^(i+1) with each slot below 2q - 1 < 2^w,
+        # which is why the tables are keyed by unreduced slots.
+        w = q.bit_length() + 1
+        top = w * l
+        unit = sum(1 << (w * t) for t in range(l))
+        adj, high = ((1 << (w - 1)) - q) * unit, (1 << (w - 1)) * unit
+
+        def mod(s):  # every slot from [0, 2q) to [0, q), as in Packing
+            return s - ((s + adj & high) >> (w - 1)) * q
+
+        h = (l + 1) // 2
+        tables = []
+        for half in (range(h), range(h, l)):
+            keys, vals = [0], [0]
+            for j, t in enumerate(half):
+                xg = sum(c << (w * r) for r, c in enumerate(cols[t]))
+                shares = [0, xg]
+                for _ in range(q - 2):
+                    shares.append(mod(shares[-1] + xg))
+                # coordinate t equal to d: code d q^t, share d x^t g
+                shares = [d * q**t << top | v for d, v in enumerate(shares)]
+                keys = [k | d << (w * j) for d in range(2 * q - 1) for k in keys]
+                vals = [mod(v + shares[d % q]) for d in range(2 * q - 1) for v in vals]
+            tables.append(dict(zip(keys, vals)))
+        lo, hi = tables
+        mask, shift, hmask = (1 << (w * h)) - 1, w * h, (1 << (w * (l - h))) - 1
+        s = 1
         for i in range(n):
-            c = sum(map(mul, d, place))
-            exp[i] = c
+            s = lo[s & mask] + hi[s >> shift & hmask]
+            exp[i] = c = s >> top
             log[c] = i
-            d = [sum(map(mul, d, row)) % q for row in rows]
-        zech = array("i", [0]) * n
-        for k in range(n):
-            c = exp[k]
-            c += 1 if c % q != q - 1 else 1 - q  # the code of 1 + g^k
-            zech[k] = log[c] if c else -1
+        # Adding 1 steps coordinate 0 round within each block of q codes, so
+        # one_plus[c] = log(1 + c) is log with every block rotated by one.
+        # log[0] lands only at c = q - 1, that is g^(n/2) = -1: set apart.
+        one_plus = log.tolist()
+        for j in range(q):
+            one_plus[j::q] = log[(j + 1) % q :: q]
+        zech = array("i", [one_plus[c] for c in exp[:n]])
+        zech[n // 2] = -1
     exp[n:] = exp[:n]
     return exp, log, zech
 
@@ -300,10 +299,11 @@ def _log_tables(q: int, l: int):
 class _Codes:
     """Code arithmetic of one (q, l), shared by every Field of that (q, l)."""
 
-    __slots__ = ("q", "l", "place")
+    __slots__ = ("q", "l", "modulus", "place")
 
     def __init__(self, q: int, l: int):
         self.q, self.l = q, l
+        self.modulus = _smallest_irreducible(q, l)
         self.place = tuple(q**t for t in range(l))
 
     def code(self, coeffs) -> int:
@@ -358,7 +358,7 @@ class _TableCodes(_Codes):
         # reached only while the table slots are still unset
         if name not in ("exp", "log", "zech"):
             raise AttributeError(name)
-        self.exp, self.log, self.zech = _log_tables(self.q, self.l)
+        self.exp, self.log, self.zech = _log_tables(self.q, self.l, self.modulus)
         return getattr(self, name)
 
     def add(self, a, b):
@@ -403,21 +403,10 @@ class _TableCodes(_Codes):
         return 0 if e else 1
 
 
-_BITS = [c[::-1] for c in itertools.product((0, 1), repeat=8)]  # byte -> its bits, low first
-_BYTE = {_BITS[b][:k]: b for k in range(9) for b in range(1 << k)}  # up to 8 bits -> their byte
-
-
 class _BinaryTableCodes(_TableCodes):
-    """The tables over F_2: a sum is the XOR of the codes, -a = a, and the
-    coordinates convert to and from the code a byte at a time."""
+    """The tables over F_2: a sum is the XOR of the codes and -a = a."""
 
     __slots__ = ()
-
-    def code(self, coeffs):
-        return _BYTE[tuple(coeffs[:8])] | _BYTE[tuple(coeffs[8:])] << 8
-
-    def coeffs(self, code):
-        return (_BITS[code & 255] + _BITS[code >> 8])[: self.l]
 
     def add(self, a, b):
         return a ^ b
@@ -431,11 +420,7 @@ class _BinaryTableCodes(_TableCodes):
 class _PolyCodes(_Codes):
     """q^l > TABLE_ORDER: polynomials in x modulo the field's modulus, on the coordinates."""
 
-    __slots__ = ("modulus",)
-
-    def __init__(self, q: int, l: int):
-        super().__init__(q, l)
-        self.modulus = _smallest_irreducible(q, l)
+    __slots__ = ()
 
     def add(self, a, b):
         q = self.q
@@ -477,7 +462,7 @@ def _arithmetic(q: int, l: int) -> _Codes:
 class Field:
     """Arithmetic context for F_{q^l} with a deterministic modulus."""
 
-    __slots__ = ("q", "l", "order", "modulus", "_codes", "_zero", "_one")
+    __slots__ = ("q", "l", "order", "_codes", "_zero", "_one")
 
     def __init__(self, q: int, l: int):
         if isinstance(q, int) and q > MAX_PRIME:
@@ -489,7 +474,6 @@ class Field:
         self.q = q
         self.l = l
         self.order = q**l
-        self.modulus = _smallest_irreducible(q, l)
         self._codes = _arithmetic(q, l)
         self._zero = _fel(self, 0)
         self._one = _fel(self, 1)
@@ -502,6 +486,11 @@ class Field:
 
     def __repr__(self):
         return f"Field(q={self.q}, l={self.l})"
+
+    @property
+    def modulus(self) -> tuple[int, ...]:
+        """The monic irreducible modulus, coefficients low degree first."""
+        return self._codes.modulus
 
     @property
     def zero(self) -> Fel:

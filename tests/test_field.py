@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import support
 from ncauth import Fel, Field, GuardError, Matrix
-from ncauth.field import TABLE_ORDER, _is_irreducible, _log_tables, _TableCodes, is_prime
+from ncauth.field import TABLE_ORDER, _is_irreducible, _TableCodes, is_prime
 from support import ORACLE_FIELDS, element_strategy, elements
 
 # The oracle fields plus both sides of the table bound: GF(3^10) and GF(251^2)
@@ -175,7 +175,8 @@ def test_table_bound(q, l, tables):
 def test_log_tables_exhaustive(q, l):
     F = Field(q, l)
     n = F.order - 1
-    exp, log, zech = _log_tables(q, l)
+    codes = F._codes  # the (q, l)'s shared arithmetic, which holds its tables
+    exp, log, zech = codes.exp, codes.log, codes.zech
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
     assert sorted(exp[:n]) == list(range(1, F.order))  # the generator is primitive
     assert all(log[exp[i]] == i for i in range(n))
