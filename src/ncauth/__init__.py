@@ -7,7 +7,7 @@ verifiers can still be facing after pooling what they know.
 """
 
 from .field import Fel, Field, GuardError, is_prime
-from .linalg import Matrix, hstack, solve
+from .linalg import Matrix, solve
 from .scheme import (
     SourceKey,
     SystemParams,

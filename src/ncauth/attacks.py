@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .field import Field, GuardError, Packing
-from .linalg import Matrix, hstack, solve
+from .linalg import Matrix, solve
 from .netsim import CoalitionView
 from .scheme import SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
 
@@ -71,7 +71,7 @@ def solve_target_coeffs(messages, target) -> ForgerySpec | None:
     for c in range(fld.l):
         rows.append([s.coeffs[c] for s in messages])
         rhs.append([target.coeffs[c]])
-    x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
+    _, x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
     if x is None:
         return None
     return ForgerySpec(fld.q, tuple(x[i, 0].coeffs[0] for i in range(n)))
@@ -203,9 +203,8 @@ def predicted_rank(meta: RecoveryMeta) -> int:
 def gauss_count(system: RecoverySystem) -> tuple[bool, int, int]:
     """Consistency, solution count and coefficient rank from one elimination."""
     coeff = system.coeff
-    _, pivots = hstack([coeff, system.rhs]).rref()
-    rank = sum(p < coeff.cols for p in pivots)
-    if rank < len(pivots):
+    rank, x = solve(coeff, system.rhs)
+    if x is None:
         return False, 0, rank
     return True, coeff.field.order ** (coeff.cols - rank), rank
 

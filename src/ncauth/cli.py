@@ -235,6 +235,8 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
             coeffs = _require_ints(adoc, "coeffs", "attack")
             if len(coeffs) != params.n:
                 raise ConfigError("attack.coeffs", f"expected {params.n} coefficients")
+            if any(not 0 <= a < q for a in coeffs):
+                raise ConfigError("attack.coeffs", f"coefficients must lie in [0, {q})")
             if sum(coeffs) % q != 1:
                 raise ConfigError("attack.coeffs", "must sum to 1 mod q")
             attack["coeffs"] = coeffs
@@ -301,7 +303,7 @@ def run_scenario(
 
     decodes = {}
     for sink in net.sinks:
-        res = decode(flow, sink)
+        res = decode(coalition_view(flow, [sink]))
         decodes[sink] = {
             "ok": res.ok,
             "rank": res.rank,
@@ -345,11 +347,8 @@ def run_scenario(
                 matches_direct_tag=forged == tag(skey, forged.m),
             )
         if sc.adversaries:
-            base = Field(net.q, 1)
             view = coalition_view(flow, sc.adversaries)
-            out["coalition_can_decode"] = (
-                view.h_total > 0 and view.h_matrix(base).rank() >= net.n
-            )
+            out["coalition_can_decode"] = decode(view).rank >= net.n
     elif sc.attack["type"] == "pollute":
         out.update(
             node=sc.attack["node"],

@@ -506,12 +506,12 @@ class Field:
         Ints are reduced mod q.  A bool or any other type is refused, not
         converted: its type is not int.
         """
+        if type(value) is int:  # first and inline: decoders coerce every packet symbol
+            return _fel(self, value % self.q)
         if isinstance(value, Fel):
             if value.field is not self and value.field != self:
                 raise ValueError("element belongs to a different field")
             return value
-        if type(value) is int:
-            return self.embed(value)
         if not isinstance(value, (list, tuple)) or any(type(c) is not int for c in value):
             raise ValueError(f"expected an integer or a list of {self.l} integers, got {value!r}")
         if len(value) != self.l:

@@ -1,4 +1,4 @@
-"""Dense exact matrices over a Field.
+"""Dense exact matrices over a Field, and the one solve of a linear system.
 
 Everything is desk-scale: matrices are tuples of tuples of field elements.
 Row reduction is Gauss-Jordan with leftmost-nonzero pivoting (no
@@ -6,6 +6,10 @@ tie-breaking beyond row order), so reduced forms are deterministic.  It
 works on rows packed into ints (``field.Packing``): subtracting a multiple
 of the pivot row costs a few big-int operations per coordinate of the
 multiplier, whatever the width of the row.
+
+``solve`` is the only routine that reduces an augmented system [A | B]: one
+solve gives the rank of A and a particular solution, so sink and coalition
+decoding, key counting and forgery steering all go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, rows, cols: int | None = None):
-        data = tuple(tuple(field(v) for v in row) for row in rows)
+        data = tuple(tuple(map(field, row)) for row in rows)
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -90,25 +94,22 @@ class Matrix:
         return len(self.rref()[1])
 
 
-def hstack(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    field, height = mats[0].field, mats[0].rows
-    if any(m.field != field or m.rows != height for m in mats):
-        raise ValueError("hstack needs equal heights over one field")
-    rows = [sum((m.data[i] for m in mats), ()) for i in range(height)]
-    return Matrix._trusted(field, rows, sum(m.cols for m in mats))
+def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
+    """Rank of `coeff` and one particular solution of coeff @ X = rhs.
 
-
-def solve(coeff: Matrix, rhs: Matrix) -> Matrix | None:
-    """One particular solution of coeff @ X = rhs (free unknowns zero), or None."""
+    One reduction of [coeff | rhs]: the rank counts the pivots among coeff's
+    columns, and X sets every free unknown to zero.  X is None when a pivot
+    falls among rhs's columns, that is when the system is inconsistent.
+    """
     if rhs.rows != coeff.rows or rhs.field != coeff.field:
         raise ValueError("rhs shape does not match the coefficient matrix")
-    red, pivots = hstack([coeff, rhs]).rref()
-    if any(p >= coeff.cols for p in pivots):
-        return None
-    zero = coeff.field.zero
-    out = [[zero] * rhs.cols for _ in range(coeff.cols)]
+    fld, n = coeff.field, coeff.cols
+    rows = [a + b for a, b in zip(coeff.data, rhs.data)]
+    red, pivots = Matrix._trusted(fld, rows, n + rhs.cols).rref()
+    rank = sum(p < n for p in pivots)
+    if rank < len(pivots):
+        return rank, None
+    out = [(fld.zero,) * rhs.cols] * n
     for r, p in enumerate(pivots):
-        out[p] = list(red.data[r][coeff.cols :])
-    return Matrix(coeff.field, out, cols=rhs.cols)
+        out[p] = red.data[r][n:]
+    return rank, Matrix._trusted(fld, out, rhs.cols)

@@ -12,6 +12,10 @@ Adversarial substitutions model a relay that replaces its own view of one
 incoming edge by a coefficient-sum-one combination of everything it
 received; downstream nodes process the altered value, upstream traffic is
 untouched.
+
+Decoding works on what any set of nodes observed on their in-edges (a
+`CoalitionView`): a sink decodes its one-node view, and a coalition of
+relays decodes its pooled view with the same routine.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from .field import MAX_PRIME, Field, is_prime
-from .linalg import Matrix
+from .linalg import Matrix, solve
 from .scheme import TaggedPacket, VerifierKey, combine, mix, verify
 
 __all__ = [
@@ -117,7 +121,7 @@ class Network:
         for node, idx in verifiers.items():
             if node not in self.nodes:
                 raise ValueError(f"verifier seat on unknown node {node!r}")
-            if not isinstance(idx, int) or idx < 0:
+            if type(idx) is not int or idx < 0:
                 raise ValueError(f"verifier index of {node!r} must be a nonnegative int")
         if len(set(verifiers.values())) != len(verifiers):
             raise ValueError("two nodes share one verifier index")
@@ -254,35 +258,9 @@ class DecodeResult:
     reason: str | None = None
 
 
-def decode(flow: FlowState, sink: str) -> DecodeResult:
-    """Invert the sink's global kernels; failure is reported, not raised.
-
-    One reduction of [F | Y], the sink's kernel rows beside its received
-    flat packets, gives the rank (pivots among F's n columns), consistency
-    (no pivot among Y's) and, at full rank, the source packets (rows 0..n-1).
-    """
-    net = flow.network
-    if sink not in net.nodes:
-        raise ValueError(f"unknown sink node {sink!r}")
-    ins = net.in_edges(sink)
-    if not ins:
-        return DecodeResult(False, 0, None, None, "sink has no incoming edges")
-    n = net.n
-    rows = [flow.kernels[e] + p.flat for e, p in zip(ins, flow.received[sink])]
-    red, pivots = Matrix(Field(net.q, 1), rows).rref()
-    rank = sum(p < n for p in pivots)
-    if rank < n:
-        return DecodeResult(False, rank, None, None, "insufficient rank")
-    if len(pivots) > rank:
-        return DecodeResult(False, rank, None, None, "observations are inconsistent")
-    fld = flow.received[sink][0].field
-    pkts = tuple(TaggedPacket(fld, [e.coeffs[0] for e in red.row(i)[n:]]) for i in range(n))
-    return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
-
-
 @dataclass(frozen=True)
 class CoalitionView:
-    """What a set of conspiring verifier nodes saw: kernels and packets, stacked."""
+    """What a set of nodes observed on their in-edges: kernels and packets, stacked."""
 
     nodes: tuple[str, ...]
     row_counts: tuple[int, ...]
@@ -293,9 +271,28 @@ class CoalitionView:
     def h_total(self) -> int:
         return len(self.h_rows)
 
-    def h_matrix(self, fld: Field) -> Matrix:
-        n = len(self.h_rows[0]) if self.h_rows else 0
-        return Matrix(fld, self.h_rows, cols=n)
+
+def decode(view: CoalitionView) -> DecodeResult:
+    """Solve a view's observations for the source packets; failure is reported, not raised.
+
+    One solve of F X = Y, the observed kernel rows F beside the received flat
+    packets Y, gives the rank (pivots among F's n columns), consistency and,
+    at full rank, the source packets.  A sink decodes `coalition_view(flow,
+    [sink])`; a coalition decodes its own view the same way.
+    """
+    if not view.h_rows:
+        return DecodeResult(False, 0, None, None, "sink has no incoming edges")
+    n = len(view.h_rows[0])
+    fld = view.packets[0].field
+    base = Field(fld.q, 1)
+    coeff = Matrix(base, view.h_rows, cols=n)
+    rank, x = solve(coeff, Matrix(base, [p.flat for p in view.packets]))
+    if rank < n:
+        return DecodeResult(False, rank, None, None, "insufficient rank")
+    if x is None:
+        return DecodeResult(False, rank, None, None, "observations are inconsistent")
+    pkts = tuple(TaggedPacket(fld, [e.coeffs[0] for e in row]) for row in x.data)
+    return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
 
 
 def coalition_view(flow: FlowState, coalition) -> CoalitionView:

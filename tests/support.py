@@ -137,6 +137,17 @@ def vstack(mats):
     return Matrix(field, [row for m in mats for row in m.data], cols=cols)
 
 
+def hstack(mats):
+    """The columns of `mats`, one matrix beside the next; equal heights over one field."""
+    if not mats:
+        raise ValueError("nothing to stack")
+    field, height = mats[0].field, mats[0].rows
+    if any(m.field != field or m.rows != height for m in mats):
+        raise ValueError("hstack needs equal heights over one field")
+    cols = sum(m.cols for m in mats)
+    return Matrix(field, [sum((m.data[i] for m in mats), ()) for i in range(height)], cols=cols)
+
+
 def vandermonde(field, points, height):
     """height x len(points) matrix whose column j is (1, x_j, ..., x_j^(height-1)).
 

@@ -313,7 +313,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
     x_t = transpose(Matrix(base, [p.flat for p in packets], cols=width))
     true_rows = []
     for pkt in view.packets:
-        h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
+        _, h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
         true_rows.append(tuple(h[i, 0].coeffs[0] for i in range(len(packets))))
     fixed = CoalitionView(view.nodes, view.row_counts, tuple(true_rows), view.packets)

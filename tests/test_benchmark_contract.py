@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from ncauth import Matrix
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
 
@@ -33,6 +35,15 @@ def test_first_pass_outputs_check(workload):
         output = workloads.execute(cell, seed)
         assert workloads.check(cell, output).ok, cell.label
         assert len(workloads.output_hash(cell, seed, output)) == 32
+
+
+def test_reported_spans_name_live_functions():
+    # a reported name that wraps no function reads 0 forever; only these two may
+    rref = Matrix.rref
+    with tracing.Tracer() as tracer:
+        assert Matrix.rref is not rref  # "linalg.rref" spans Matrix.rref
+    dead = set(tracing.REPORTED) - set(tracer.stats)
+    assert dead == {"linalg.solve_count", "netsim.compute_global_kernels"}
 
 
 def test_traced_op():

@@ -40,6 +40,10 @@ def butterfly_doc(**attack):
 POLLUTE = {"type": "pollute", "node": "m", "edge": "e4", "coeffs": [0, 1]}
 
 
+def forge_coeffs(*coeffs):
+    return {"type": "forge", "coeffs": list(coeffs)}
+
+
 def inline_topology(**fields):
     """A valid inline two-hop topology over F_2, with `fields` overridden."""
     top = {
@@ -77,6 +81,7 @@ BAD_CONTAINERS = [
         for f, v, label in [
             ("edges", 5, "edges-int"), ("nodes", 5, "nodes-int"), ("sinks", 5, "sinks-int"),
             ("kernels", 5, "kernels-int"), ("verifiers", 5, "verifiers-int"),
+            ("verifiers", {"a": True}, "verifiers-bool"),
             ("nodes", None, "nodes-null"), ("sinks", None, "sinks-null"),
             ("kernels", [1], "kernels-list"), ("verifiers", [1], "verifiers-list"),
             ("kernels", {"a": 5}, "kernel-int"), ("kernels", {"a": [5]}, "kernel-row-int"),
@@ -111,6 +116,11 @@ BAD_VALUES = [
                  "params.allow_excess_messages", id="allow_excess-str"),
     pytest.param(lambda d: d["params"].update(allow_excess_messages=0),
                  "params.allow_excess_messages", id="allow_excess-int"),
+    # out of [0, q) yet summing to 1 mod q = 3
+    pytest.param(lambda d: (d["params"].update(q=3), d.update(attack=forge_coeffs(-1, 2))),
+                 "attack.coeffs", id="forge-coeffs-negative"),
+    pytest.param(lambda d: (d["params"].update(q=3), d.update(attack=forge_coeffs(4, 0))),
+                 "attack.coeffs", id="forge-coeffs-above-q"),
 ]
 
 
@@ -291,6 +301,21 @@ def test_inline_topology_helper_is_valid():
     doc = butterfly_doc()
     doc["topology"] = inline_topology()
     assert load_scenario(doc).network.sinks == ("t",)
+
+
+def test_sink_without_in_edges_reports_reason():
+    # the source itself listed as a sink observes nothing, so nothing is solved
+    doc = butterfly_doc()
+    doc["topology"] = inline_topology(sinks=["s", "t"])
+    decodes = run_scenario(doc)["decodes"]
+    assert decodes["s"] == {
+        "ok": False,
+        "rank": 0,
+        "reason": "sink has no incoming edges",
+        "payloads": None,
+        "diverged": None,
+    }
+    assert decodes["t"]["ok"] is False and decodes["t"]["reason"] == "insufficient rank"
 
 
 def test_inline_topology_q_mismatch():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, Matrix, hstack, solve
+from ncauth import Field, Matrix, solve
 from support import (
     ORACLE_FIELDS,
     element_strategy,
+    hstack,
     identity,
     matmul,
     random_matrix,
@@ -136,11 +137,46 @@ def test_solve_returns_particular_solution():
         a = random_matrix(F, rng.randint(1, 4), rng.randint(1, 4), rng)
         x_true = random_matrix(F, a.cols, 1, rng)
         rhs = matmul(a, x_true)
-        x = solve(a, rhs)
+        _, x = solve(a, rhs)
         assert x is not None
         assert matmul(a, x) == rhs
-    inconsistent = solve(Matrix(F, [[0, 0]]), Matrix(F, [[1]]))
-    assert inconsistent is None
+    rank, inconsistent = solve(Matrix(F, [[0, 0]]), Matrix(F, [[1]]))
+    assert rank == 0 and inconsistent is None
+
+
+@st.composite
+def linear_systems(draw):
+    """coeff @ X = rhs over an oracle field, rhs in coeff's column space or drawn freely.
+
+    Free right-hand sides of rank-deficient or tall systems are mostly
+    inconsistent; the empty, tall and wide shapes come from `oracle_matrices`.
+    """
+    coeff = draw(oracle_matrices())
+    fld = coeff.field
+    width = draw(st.integers(1, 3))
+    rows = st.lists(element_strategy(fld), min_size=width, max_size=width)
+    if draw(st.booleans()):
+        x = draw(st.lists(rows, min_size=coeff.cols, max_size=coeff.cols))
+        rhs = matmul(coeff, Matrix(fld, x, cols=width))
+    else:
+        rhs = Matrix(fld, draw(st.lists(rows, min_size=coeff.rows, max_size=coeff.rows)), cols=width)
+    return coeff, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_rank_and_particular_solution(system):
+    coeff, rhs = system
+    rank, x = solve(coeff, rhs)
+    assert rank == coeff.rank()
+    augmented_rank = len(reference_rref(hstack([coeff, rhs]))[1])
+    assert (x is None) == (augmented_rank > rank)
+    if x is not None:
+        assert (x.rows, x.cols) == (coeff.cols, rhs.cols)
+        assert matmul(coeff, x) == rhs
+        pivots = coeff.rref()[1]
+        zero_row = (coeff.field.zero,) * rhs.cols
+        assert all(x.row(j) == zero_row for j in range(coeff.cols) if j not in pivots)
 
 
 def test_vandermonde_structure_and_rank():

@@ -106,6 +106,8 @@ def test_network_validation_errors():
         )
     with pytest.raises(ValueError):
         butterfly(2, verifiers={"t1": 0, "t2": 0})  # shared seat
+    with pytest.raises(ValueError):
+        butterfly(2, verifiers={"t1": True})  # a bool is not a seat index
     # non-integers are refused, not converted through int()
     edges = [("e1", "s", "a"), ("e2", "a", "t")]
     for q, entry in (("7", 1), (7.0, 1), (True, 1), (7, 1.9), (7, True), (7, "1")):
@@ -161,7 +163,7 @@ def test_polluted_butterfly_accepts_everywhere_but_decodes_wrong():
         assert all(all(edges.values()) for edges in accepts.values())
         changed = flow.log[0].changed
         for sink in net.sinks:
-            res = decode(flow, sink)
+            res = decode(coalition_view(flow, [sink]))
             assert res.ok
             if res.payloads != tuple(messages):
                 diverged += 1
@@ -174,7 +176,7 @@ def test_decode_honest_and_rank_deficient():
     net = diamond(3)
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     flow = simulate(net, packets)
-    res = decode(flow, "t")
+    res = decode(coalition_view(flow, ["t"]))
     assert res.ok and res.rank == 2
     assert res.payloads == tuple(messages)
     assert res.packets == tuple(packets)
@@ -189,10 +191,10 @@ def test_decode_honest_and_rank_deficient():
         ("t",),
     )
     params2, skey2, vkeys2, messages2, packets2 = scheme_for(crippled, rng)
-    res2 = decode(simulate(crippled, packets2), "t")
+    res2 = decode(coalition_view(simulate(crippled, packets2), ["t"]))
     assert not res2.ok and res2.rank == 0 and res2.reason == "insufficient rank"
     with pytest.raises(ValueError):
-        decode(flow, "zz")
+        coalition_view(flow, ["zz"])
 
 
 def test_decode_reports_inconsistent_observations():
@@ -205,9 +207,10 @@ def test_decode_reports_inconsistent_observations():
     )
     params, skey, vkeys, messages, packets = make_instance(random.Random(0), 3, 2, 2, 2, V=1, n=2)
     assert packets[0] != packets[1]
-    honest = decode(simulate(net, packets), "t")
+    honest = decode(coalition_view(simulate(net, packets), ["t"]))
     assert honest.ok and honest.rank == 2 and honest.packets == tuple(packets)
-    res = decode(simulate(net, packets, [Intervention("c", "e5", (0, 1))]), "t")
+    flow = simulate(net, packets, [Intervention("c", "e5", (0, 1))])
+    res = decode(coalition_view(flow, ["t"]))
     assert not res.ok and res.rank == 2 and res.reason == "observations are inconsistent"
     assert res.packets is None and res.payloads is None
 
@@ -226,12 +229,29 @@ def test_coalition_view_rows_and_packets():
         BUTTERFLY_KERNELS["e8"],
     )
     assert view.packets[0] == flow.received["m"][0]
-    base = Field(2, 1)
-    assert view.h_matrix(base).rank() == 2
+    assert Matrix(Field(2, 1), view.h_rows).rank() == decode(view).rank == 2
     with pytest.raises(ValueError):
         coalition_view(flow, ())
     with pytest.raises(ValueError):
         coalition_view(flow, ("m", "m"))
+
+
+def test_decode_rank_is_the_rank_of_the_observed_kernels():
+    # any set of nodes decodes like a sink: its rank is that of its kernel rows
+    rng = random.Random(23)
+    for _ in range(40):
+        q, n = rng.choice((2, 3, 5)), rng.randint(1, 3)
+        net = fan(q, n, [rng.randint(0, 3) for _ in range(rng.randint(1, 3))], rng)
+        params, skey, vkeys, messages, packets = scheme_for(net, rng, l=2, M=3)
+        flow = simulate(net, packets)
+        candidates = ["hub", *net.verifiers]
+        nodes = rng.sample(candidates, rng.randint(1, len(candidates)))
+        view = coalition_view(flow, nodes)
+        res = decode(view)
+        assert res.rank == Matrix(Field(q, 1), view.h_rows, cols=n).rank()
+        assert res.ok == (res.rank == n)
+        if res.ok:
+            assert res.payloads == tuple(messages)
 
 
 def test_interventions_affect_only_the_intervened_view():
