@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .field import Field, GuardError, Packing
+from .field import Field, GuardError, packing
 from .linalg import Matrix, solve
 from .netsim import CoalitionView
 from .scheme import SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
@@ -74,7 +74,7 @@ def solve_target_coeffs(messages, target) -> ForgerySpec | None:
     _, x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
     if x is None:
         return None
-    return ForgerySpec(fld.q, tuple(x[i, 0].coeffs[0] for i in range(n)))
+    return ForgerySpec(fld.q, x.packed)  # over F_q a one-entry packed row is its symbol
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,20 @@ def build_recovery_system(
     if any(len(t) != k for t in tags):
         raise ValueError("observed tag length disagrees with k")
 
-    powers_matrix = moore_matrix(fld, messages, M)  # n x (M+1)
-    zero = fld.zero
-    width = k * (M + 1)
+    # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
+    # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.
+    pk = packing(fld, M + 1)
+    coerce, mod, scale = pk.coerce, pk.mod, pk.scale
+    block = pk.ew * (M + 1)
+    powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
 
     mixed_rows = []  # H_i rows times the message power matrix, coalition order
     for h in view.h_rows:
-        acc = [zero] * (M + 1)
-        for j, w in enumerate(h):
+        acc = 0
+        for w, srow in zip(h, powers_matrix):
+            w %= fld.q  # a kernel entry is an F_q scalar; scale takes 0 < w < q
             if w:
-                wf = fld.embed(w)
-                srow = powers_matrix.row(j)
-                acc = [a + wf * sv for a, sv in zip(acc, srow)]
+                acc = mod(acc + scale(w, srow))
         mixed_rows.append(acc)
 
     crows, crhs = [], []
@@ -151,23 +153,21 @@ def build_recovery_system(
     for cnt in view.row_counts:
         for j in range(k):
             for r in range(offset, offset + cnt):
-                row = [zero] * width
-                row[j * (M + 1) : (j + 1) * (M + 1)] = mixed_rows[r]
-                crows.append(row)
-                crhs.append([tags[r][j]])
+                crows.append(mixed_rows[r] << (block * j))
+                crhs.append(coerce(tags[r][j]))
         offset += cnt
     for key in keys:
         powers = [fld.one]
         for _ in range(k - 1):
             powers.append(powers[-1] * key.point)
+        row = 0  # x_i^j in entry j(M+1), for every j < k
+        for j, p in enumerate(powers):
+            row |= coerce(p) << (block * j)
         for t in range(M + 1):
-            row = [zero] * width
-            for j in range(k):
-                row[j * (M + 1) + t] = powers[j]
-            crows.append(row)
-            crhs.append([key.evals[t]])
+            crows.append(row << (pk.ew * t))
+            crhs.append(coerce(key.evals[t]))
 
-    r0 = Matrix(fld, mixed_rows, cols=M + 1).rank()
+    r0 = Matrix.from_packed(fld, mixed_rows, M + 1).rank()
     meta = RecoveryMeta(
         q=fld.q,
         l=fld.l,
@@ -178,7 +178,9 @@ def build_recovery_system(
         r0=r0,
         h_total=view.h_total,
     )
-    return RecoverySystem(Matrix(fld, crows, cols=width), Matrix(fld, crhs, cols=1), meta)
+    return RecoverySystem(
+        Matrix.from_packed(fld, crows, k * (M + 1)), Matrix.from_packed(fld, crhs, 1), meta
+    )
 
 
 def _check_coalition_bound(meta: RecoveryMeta):
@@ -227,9 +229,13 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     q = fld.q
     # Packed by equation, a column over F_{q^l} is l columns over F_q: base
     # unknown i of unknown j (coordinate i of x_j) has column x^i * column j.
-    pk = Packing(fld, coeff.rows)
-    columns = [p for j in range(coeff.cols) for p in pk.x_powers(pk.pack(coeff.column(j)))]
-    rhs = pk.pack(system.rhs.column(0))
+    pk, row_pk = packing(fld, coeff.rows), packing(fld, coeff.cols)
+    columns = [
+        p
+        for j in range(coeff.cols)
+        for p in pk.x_powers(pk.pack([row_pk.entry(v, j) for v in coeff.packed]))
+    ]
+    rhs = pk.pack(system.rhs.packed)  # one entry per row
     mod = pk.mod
 
     def extend(vecs, col):

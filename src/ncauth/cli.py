@@ -86,6 +86,18 @@ def _require_ints(doc, key, where) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _require_sum_one(adoc, q: int, count: int) -> tuple[int, ...]:
+    """attack.coeffs: `count` integers in [0, q) that sum to 1 mod q."""
+    coeffs = _require_ints(adoc, "coeffs", "attack")
+    if len(coeffs) != count:
+        raise ConfigError("attack.coeffs", f"expected {count} coefficients")
+    if any(not 0 <= a < q for a in coeffs):
+        raise ConfigError("attack.coeffs", f"coefficients must lie in [0, {q})")
+    if sum(coeffs) % q != 1:
+        raise ConfigError("attack.coeffs", "must sum to 1 mod q")
+    return coeffs
+
+
 def _coerce_element(field: Field, value, where: str) -> Fel:
     """An element given as a base-field integer or a list of its l coordinates."""
     try:
@@ -232,14 +244,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         if "coeffs" in adoc and "target" in adoc:
             raise ConfigError("attack", "give either coeffs or target, not both")
         if "coeffs" in adoc:
-            coeffs = _require_ints(adoc, "coeffs", "attack")
-            if len(coeffs) != params.n:
-                raise ConfigError("attack.coeffs", f"expected {params.n} coefficients")
-            if any(not 0 <= a < q for a in coeffs):
-                raise ConfigError("attack.coeffs", f"coefficients must lie in [0, {q})")
-            if sum(coeffs) % q != 1:
-                raise ConfigError("attack.coeffs", "must sum to 1 mod q")
-            attack["coeffs"] = coeffs
+            attack["coeffs"] = _require_sum_one(adoc, q, params.n)
         elif "target" in adoc:
             attack["target"] = _coerce_element(field, adoc["target"], "attack.target")
         else:
@@ -254,12 +259,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
         edge = str(adoc.get("edge", ins[0]))
         if edge not in ins:
             raise ConfigError("attack.edge", f"edge {edge!r} does not enter {node!r}")
-        coeffs = _require_ints(adoc, "coeffs", "attack")
-        if len(coeffs) != len(ins):
-            raise ConfigError("attack.coeffs", f"expected {len(ins)} coefficients")
-        if sum(coeffs) % q != 1:
-            raise ConfigError("attack.coeffs", "must sum to 1 mod q")
-        attack.update(node=node, edge=edge, coeffs=coeffs)
+        attack.update(node=node, edge=edge, coeffs=_require_sum_one(adoc, q, len(ins)))
     elif kind == "recover":
         if not adversaries:
             raise ConfigError("adversaries", "recover needs at least one adversary node")
@@ -405,10 +405,7 @@ def keygen_report(doc: dict, seed: int | None = None, unsafe: bool = False) -> d
             "V": sc.params.V,
             "n": sc.params.n,
         },
-        "source_key": [
-            [list(skey.matrix[t, j].coeffs) for j in range(sc.params.k)]
-            for t in range(sc.params.M + 1)
-        ],
+        "source_key": [[list(c.coeffs) for c in poly] for poly in skey.polys],
         "verifier_keys": [
             {
                 "index": vk.index,

@@ -28,8 +28,9 @@ codes takes one of three paths, fixed by (q, l):
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, so that adding, negating or scaling it is a few big-int
-operations whatever its length.  Row reduction and the exhaustive key count
-both work in it.
+operations whatever its length.  ``packing`` hands out one shared instance
+per (field, size).  Matrices hold their rows in it, and row reduction and
+the exhaustive key count work in it.
 """
 
 from __future__ import annotations
@@ -299,12 +300,13 @@ def _log_tables(q: int, l: int, modulus):
 class _Codes:
     """Code arithmetic of one (q, l), shared by every Field of that (q, l)."""
 
-    __slots__ = ("q", "l", "modulus", "place")
+    __slots__ = ("q", "l", "modulus", "place", "w")
 
     def __init__(self, q: int, l: int):
         self.q, self.l = q, l
         self.modulus = _smallest_irreducible(q, l)
         self.place = tuple(q**t for t in range(l))
+        self.w = q.bit_length() + 1  # bits per coordinate slot of a packed entry
 
     def code(self, coeffs) -> int:
         return _code(coeffs, self.q)
@@ -312,6 +314,23 @@ class _Codes:
     def coeffs(self, code: int) -> tuple[int, ...]:
         q = self.q
         return tuple([code // p % q for p in self.place])
+
+    def to_entry(self, code: int) -> int:
+        """The packed entry (``Packing``) of the element with this code."""
+        q, w = self.q, self.w
+        entry = 0
+        for p in reversed(self.place):
+            entry = entry << w | code // p % q
+        return entry
+
+    def from_entry(self, entry: int) -> int:
+        """The code of the element a packed entry holds."""
+        w, slot = self.w, (1 << self.w) - 1
+        code = 0
+        for p in self.place:
+            code += (entry & slot) * p
+            entry >>= w
+        return code
 
 
 class _PrimeCodes(_Codes):
@@ -506,7 +525,7 @@ class Field:
         Ints are reduced mod q.  A bool or any other type is refused, not
         converted: its type is not int.
         """
-        if type(value) is int:  # first and inline: decoders coerce every packet symbol
+        if type(value) is int:
             return _fel(self, value % self.q)
         if isinstance(value, Fel):
             if value.field is not self and value.field != self:
@@ -628,20 +647,23 @@ class Packing:
     """Vectors of `size` elements of F_{q^l}, each vector packed into one int.
 
     Coordinate t of entry j sits in slot j*l + t, w = q.bit_length() + 1 bits
-    wide.  Two reduced vectors add without a carry between slots (each slot
-    stays below 2q < 2^w), and ``mod`` reduces every slot from [0, 2q) to
-    [0, q) at once: adding 2^(w-1) - q to every slot sets a slot's top bit
-    exactly where it reached q, and q is subtracted there.  Multiplying by
-    an element of F_{q^l} is F_q-linear, so it is a sum of base-field
-    multiples of the vector times powers of x (``times_x``).
+    wide, so an element's packed entry is its coordinates w bits apart, and
+    over F_q it is the element itself.  Two reduced vectors add without a
+    carry between slots (each slot stays below 2q < 2^w), and ``mod`` reduces
+    every slot from [0, 2q) to [0, q) at once: adding 2^(w-1) - q to every
+    slot sets a slot's top bit exactly where it reached q, and q is
+    subtracted there.  Multiplying by an element of F_{q^l} is F_q-linear,
+    so it is a sum of base-field multiples of the vector times powers of x
+    (``times_x``).
     """
 
-    __slots__ = ("field", "size", "w", "mod", "_ew", "_emask", "_low", "_top", "_fold", "_entries",
-                 "_elements", "_q_entry")
+    __slots__ = ("field", "size", "w", "ew", "mod", "_emask", "_low", "_top", "_fold", "_q_entry",
+                 "_to_entry", "_from_entry")
 
     def __init__(self, field: Field, size: int):
         q, l = field.q, field.l
-        w = q.bit_length() + 1
+        codes = field._codes
+        w = codes.w
         ew = w * l  # bits per entry
         ones = (1 << (ew * size)) - 1
         unit = ones // ((1 << w) - 1)  # 1 in every slot
@@ -655,8 +677,8 @@ class Packing:
         self.field = field
         self.size = size
         self.w = w
+        self.ew = ew
         self.mod = mod
-        self._ew = ew
         self._emask = (1 << ew) - 1
         # every entry's coordinate l-1, and all its other coordinates
         self._top = (((1 << w) - 1) << (w * (l - 1))) * (ones // self._emask)
@@ -664,41 +686,37 @@ class Packing:
         # x^l = sum of fold_j x^j modulo the field's modulus
         self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
         self._q_entry = q * (self._emask // ((1 << w) - 1))  # q in every slot of one entry
-        self._entries: dict[int, int] = {}  # element code -> packed entry
-        self._elements: dict[int, Fel] = {}  # packed entry -> element
+        self._to_entry, self._from_entry = codes.to_entry, codes.from_entry
 
-    def _entry(self, e: Fel) -> int:
-        entry = 0
-        for c in reversed(e.coeffs):
-            entry = entry << self.w | c
-        self._entries[e.code] = entry
-        return entry
+    def coerce(self, value) -> int:
+        """The packed entry of `value`, coerced as ``Field.__call__`` coerces it."""
+        if type(value) is int:
+            return value % self.field.q  # a base-field scalar: coordinate 0 only
+        return self._to_entry(self.field(value).code)
 
-    def pack(self, elements) -> int:
-        """The packed vector of `size` elements."""
-        ew, entries = self._ew, self._entries
+    def pack(self, entries) -> int:
+        """The packed vector of a sequence of `size` packed entries."""
+        ew = self.ew
         v = 0
-        for e in reversed(elements):
-            entry = entries.get(e.code)
-            v = v << ew | (self._entry(e) if entry is None else entry)
+        for e in reversed(entries):
+            v = v << ew | e
         return v
 
     def entry(self, v: int, j: int) -> int:
         """Entry j of v as a packed entry; 0 exactly when the entry is zero."""
-        return v >> (self._ew * j) & self._emask
+        return v >> (self.ew * j) & self._emask
+
+    def entries(self, v: int) -> list[int]:
+        """The `size` packed entries of v; over F_q these are its symbols."""
+        ew, emask = self.ew, self._emask
+        return [v >> (ew * j) & emask for j in range(self.size)]
 
     def element(self, entry: int) -> Fel:
         """The element a packed entry holds."""
-        x = self._elements.get(entry)
-        if x is None:
-            w, slot = self.w, (1 << self.w) - 1
-            x = Fel(self.field, [entry >> (w * t) & slot for t in range(self.field.l)])
-            self._elements[entry] = x
-        return x
+        return _fel(self.field, self._from_entry(entry))
 
     def unpack(self, v: int) -> tuple[Fel, ...]:
-        ew, emask, element = self._ew, self._emask, self.element
-        return tuple(element(v >> (ew * j) & emask) for j in range(self.size))
+        return tuple(map(self.element, self.entries(v)))
 
     def scale(self, c: int, v: int) -> int:
         """c * v for a base-field scalar 0 < c < q, by doubling and adding."""
@@ -741,3 +759,9 @@ class Packing:
                 v = mod(v + scale(c, p))
             entry >>= w
         return v
+
+
+@functools.lru_cache(maxsize=256)
+def packing(field: Field, size: int) -> Packing:
+    """The Packing of `size` entries over `field`, shared by every caller."""
+    return Packing(field, size)

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
-from .field import MAX_PRIME, Field, is_prime
+from .field import MAX_PRIME, Field, is_prime, packing
 from .linalg import Matrix, solve
 from .scheme import TaggedPacket, VerifierKey, combine, mix, verify
 
@@ -206,6 +206,8 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
             raise ValueError(
                 f"intervention at {iv.node!r} needs {len(ins)} coefficients, got {len(iv.coeffs)}"
             )
+        if any(not 0 <= a < net.q for a in iv.coeffs):
+            raise ValueError(f"substitution coefficients must lie in [0, {net.q})")
         if sum(iv.coeffs) % net.q != 1:
             raise ValueError("substitution coefficients must sum to 1 mod q")
         by_node.setdefault(iv.node, []).append(iv)
@@ -277,21 +279,26 @@ def decode(view: CoalitionView) -> DecodeResult:
 
     One solve of F X = Y, the observed kernel rows F beside the received flat
     packets Y, gives the rank (pivots among F's n columns), consistency and,
-    at full rank, the source packets.  A sink decodes `coalition_view(flow,
-    [sink])`; a coalition decodes its own view the same way.
+    at full rank, the source packets.  Packets are F_q symbols, packed as
+    they are: over F_q a packed entry is the symbol itself.  A sink decodes
+    `coalition_view(flow, [sink])`; a coalition decodes its own view the
+    same way.
     """
     if not view.h_rows:
         return DecodeResult(False, 0, None, None, "sink has no incoming edges")
     n = len(view.h_rows[0])
     fld = view.packets[0].field
+    width = len(view.packets[0].flat)
     base = Field(fld.q, 1)
-    coeff = Matrix(base, view.h_rows, cols=n)
-    rank, x = solve(coeff, Matrix(base, [p.flat for p in view.packets]))
+    packet_pk = packing(base, width)
+    coeff = Matrix(base, view.h_rows, cols=n)  # reduces kernel entries mod q
+    observed = Matrix.from_packed(base, [packet_pk.pack(p.flat) for p in view.packets], width)
+    rank, x = solve(coeff, observed)
     if rank < n:
         return DecodeResult(False, rank, None, None, "insufficient rank")
     if x is None:
         return DecodeResult(False, rank, None, None, "observations are inconsistent")
-    pkts = tuple(TaggedPacket(fld, [e.coeffs[0] for e in row]) for row in x.data)
+    pkts = tuple(TaggedPacket(fld, packet_pk.entries(v)) for v in x.packed)
     return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import Fel, Field
 from .linalg import Matrix
@@ -73,24 +74,29 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class SourceKey:
-    """Secret (M+1) x k coefficient matrix; row t holds the coefficients of P_t."""
+    """The secret: polys[t] holds the k coefficients of P_t, low degree first.
 
-    matrix: Matrix
+    Row by row this is the (M+1) x k secret coefficient matrix.  The key is
+    only ever evaluated and combined, never reduced, so it is kept as the
+    polynomials' elements rather than as a packed ``Matrix``.
+    """
+
+    polys: tuple[tuple[Fel, ...], ...]
 
     @property
     def field(self) -> Field:
-        return self.matrix.field
+        return self.polys[0][0].field
 
     @property
     def k(self) -> int:
-        return self.matrix.cols
+        return len(self.polys[0])
 
     @property
     def M(self) -> int:
-        return self.matrix.rows - 1
+        return len(self.polys) - 1
 
     def poly(self, t: int) -> tuple[Fel, ...]:
-        return self.matrix.row(t)
+        return self.polys[t]
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,8 @@ class TaggedPacket:
 
     One header symbol, the payload's l coordinates, then the l coordinates of
     each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
-    views of that vector, and every F_q-linear operation on packets is a
-    `mix` of their flat vectors.
+    views of that vector, the elements built once per packet, and every
+    F_q-linear operation on packets is a `mix` of their flat vectors.
     """
 
     field: Field
@@ -131,11 +137,11 @@ class TaggedPacket:
     def c(self) -> int:
         return self.flat[0]
 
-    @property
+    @cached_property
     def m(self) -> Fel:
         return Fel(self.field, self.flat[1 : 1 + self.field.l])
 
-    @property
+    @cached_property
     def tag(self) -> tuple[Fel, ...]:
         fld, flat, l = self.field, self.flat, self.field.l
         return tuple(Fel(fld, flat[i : i + l]) for i in range(1 + l, len(flat), l))
@@ -174,10 +180,7 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     rng = random.Random(seed)
     fld = params.field
     key = SourceKey(
-        Matrix(
-            fld,
-            [[fld.random_element(rng) for _ in range(params.k)] for _ in range(params.M + 1)],
-        )
+        tuple(tuple(fld.random_element(rng) for _ in range(params.k)) for _ in range(params.M + 1))
     )
     vkeys = []
     for i, x in enumerate(params.public_points):
@@ -194,8 +197,8 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     flat = [1, *s.coeffs]
     for j in range(key.k):
         acc = fld.zero
-        for t, w in enumerate(weights):
-            acc = acc + w * key.matrix[t, j]
+        for w, poly in zip(weights, key.polys):
+            acc = acc + w * poly[j]
         flat += acc.coeffs
     return TaggedPacket(fld, flat)
 

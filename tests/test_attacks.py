@@ -122,7 +122,7 @@ def _column_major_secret(skey):
     vec = []
     for j in range(skey.k):
         for t in range(skey.M + 1):
-            vec.append(skey.matrix[t, j])
+            vec.append(skey.polys[t][j])
     return vec
 
 
@@ -214,6 +214,9 @@ def test_full_mixing_rank_pins_the_key():
     assert predicted_count(system.meta) == 1
     assert gauss_count(system) == (True, 1, 4)
     assert brute_force_count(system) == 1
+    # a hand-built view's kernel entries mean their residues mod q
+    unreduced = CoalitionView(("v0",), (2,), ((4, -3), (3, -2)), tuple(packets))
+    assert build_recovery_system(params, unreduced, vkeys, messages) == system
 
 
 def test_coalition_bound_enforced():

@@ -121,6 +121,10 @@ BAD_VALUES = [
                  "attack.coeffs", id="forge-coeffs-negative"),
     pytest.param(lambda d: (d["params"].update(q=3), d.update(attack=forge_coeffs(4, 0))),
                  "attack.coeffs", id="forge-coeffs-above-q"),
+    pytest.param(
+        lambda d: (d["params"].update(q=3), d.update(attack={**POLLUTE, "coeffs": [-1, 2]})),
+        "attack.coeffs", id="pollute-coeffs-negative",
+    ),
 ]
 
 
@@ -239,6 +243,34 @@ def test_recover_guard_marks_brute_skipped():
     assert atk["brute_skipped"] is True
     assert atk["counts"]["brute"] is None and atk["count_match"] is None
     assert atk["consistent"] is True  # elimination still ran
+
+
+@pytest.mark.parametrize("q,l", [(65521, 1), (257, 2)], ids=["gf65521", "gf257_2"])
+def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
+    # F_65521 packs 17-bit slots with l = 1; GF(257^2) multiplies as polynomials
+    honest = butterfly_doc()
+    honest["params"].update(q=q, l=l)
+    report = run_scenario(honest)
+    assert all(all(edges.values()) for edges in report["accepts"].values())
+    for sink in ("t1", "t2"):
+        d = report["decodes"][sink]
+        assert d["ok"] and d["rank"] == 2 and d["payloads"] == report["messages"]
+
+    forged = butterfly_doc(type="forge")
+    forged["params"].update(q=q, l=l)
+    report = run_scenario(forged)
+    atk = report["attack"]
+    assert atk["accepted_by_all"] is True and atk["matches_direct_tag"] is True
+    mixed = [sum(a * m[c] for a, m in zip(atk["coeffs"], report["messages"])) for c in range(l)]
+    assert atk["payload"] == [v % q for v in mixed]
+
+    doc = recover_doc()
+    doc["params"].update(q=q, l=l)
+    atk = run_scenario(doc)["attack"]
+    assert atk["consistent"] is True and atk["rank_match"] is True
+    assert atk["rank"] == atk["predicted_rank"] == 3 * atk["r0"] + 2 * (2 - atk["r0"])
+    assert atk["counts"]["gauss"] == atk["counts"]["predicted"] == q ** (l * (2 - atk["r0"]))
+    assert atk["brute_skipped"] is True  # q^(6l) candidates
 
 
 @pytest.mark.parametrize(
@@ -449,6 +481,14 @@ def test_main_malformed_document_exits_2(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_main_pollute_coeffs_outside_field_exit_2(tmp_path, capsys):
+    # [4, 0] sums to 1 mod 3 but is not a list of F_3 symbols; it was echoed unreduced
+    doc = butterfly_doc(**{**POLLUTE, "coeffs": [4, 0]})
+    doc["params"]["q"] = 3
+    assert main(["pollute", "--config", write_config(tmp_path, doc)]) == 2
+    assert "attack.coeffs: coefficients must lie in [0, 3)" in capsys.readouterr().err
 
 
 def test_main_config_validation_failure(tmp_path, capsys):

@@ -38,6 +38,25 @@ def test_rref_identity_and_zero():
     z = Matrix(F, [[0] * 3] * 2)
     red, pivots = z.rref()
     assert red == z and pivots == ()
+    # One packed form however a matrix was made: from ints, elements or
+    # coordinate lists, or as the reduced form or solution rref and solve
+    # return; each reads back the same elements.
+    rng = random.Random(17)
+    for q, l in [(3, 1), (65521, 1), (2, 8), (3, 5), (257, 2)]:
+        G = Field(q, l)
+        eye = identity(G, 3)
+        made = [
+            Matrix(G, [[G.one if i == j else G.zero for j in range(3)] for i in range(3)]),
+            Matrix(G, [[(int(i == j),) + (0,) * (l - 1) for j in range(3)] for i in range(3)]),
+            eye.rref()[0],
+            solve(eye, eye)[1],
+        ]
+        for m in made:
+            assert m == eye and m.data == eye.data
+        a = random_matrix(G, 3, 4, rng)
+        for b in (Matrix(G, [[x.coeffs for x in row] for row in a.data]), solve(eye, a)[1]):
+            assert b == a and b.data == a.data
+            assert all(b[i, j] == a.row(i)[j] == a.column(j)[i] for i in range(3) for j in range(4))
 
 
 def test_rref_idempotent_randomized():

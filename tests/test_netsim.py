@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ncauth import (
+    CoalitionView,
     CycleError,
     Field,
     Intervention,
@@ -149,6 +150,8 @@ def test_substitution_validation():
         simulate(net, packets, [Intervention("m", "e3", (0, 1))])  # not an in-edge
     with pytest.raises(ValueError):
         simulate(net, packets, [Intervention("nope", "e4", (0, 1))])
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        simulate(net, packets, [Intervention("m", "e4", (-1, 2))])  # sums to 1 mod 2
 
 
 def test_polluted_butterfly_accepts_everywhere_but_decodes_wrong():
@@ -230,6 +233,9 @@ def test_coalition_view_rows_and_packets():
     )
     assert view.packets[0] == flow.received["m"][0]
     assert Matrix(Field(2, 1), view.h_rows).rank() == decode(view).rank == 2
+    # a hand-built view's kernel entries mean their residues mod q: -1 is 1 and 2 is 0
+    shifted = tuple(tuple(a - 2 if a else 2 for a in h) for h in view.h_rows)
+    assert decode(CoalitionView(view.nodes, view.row_counts, shifted, view.packets)) == decode(view)
     with pytest.raises(ValueError):
         coalition_view(flow, ())
     with pytest.raises(ValueError):

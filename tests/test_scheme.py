@@ -54,7 +54,7 @@ def test_keygen_evals_match_matrix_route():
     for q, l, k, M in [(2, 1, 2, 1), (3, 1, 3, 2), (2, 2, 2, 2), (5, 1, 4, 3)]:
         params, skey, vkeys, _, _ = make_instance(rng, q, l, k, M)
         vand = vandermonde(params.field, [vk.point for vk in vkeys], k)
-        expected = matmul(skey.matrix, vand)
+        expected = matmul(Matrix(params.field, skey.polys), vand)
         for i, vk in enumerate(vkeys):
             assert expected.column(i) == vk.evals
 
@@ -62,7 +62,7 @@ def test_keygen_evals_match_matrix_route():
 def test_keygen_hand_example():
     # F_2, k=2, M=1, key rows P_0 = 1+x, P_1 = x; at point 1: P_0(1)=0, P_1(1)=1
     F = Field(2, 1)
-    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]))
+    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]).data)
     params = SystemParams(F, 2, 1, 1, 1, (F.one,))
     from ncauth.scheme import poly_eval
 
@@ -72,14 +72,14 @@ def test_keygen_hand_example():
 
 def test_tag_hand_examples():
     F = Field(2, 1)
-    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]))  # P_0 = 1+x, P_1 = x
+    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]).data)  # P_0 = 1+x, P_1 = x
     p = tag(key, F.one)  # T = P_0 + 1*P_1 = 1 + 2x = 1
     assert p.c == 1 and p.m == F.one
     assert p.tag == (F.one, F.zero)
     p0 = tag(key, F.zero)  # payload zero: tag is P_0 itself
     assert p0.tag == (F.one, F.one)
 
-    zero_key = SourceKey(Matrix(F, [[0, 0], [0, 0]]))
+    zero_key = SourceKey(Matrix(F, [[0, 0], [0, 0]]).data)
     assert all(t.is_zero() for t in tag(zero_key, F.one).tag)
 
 
@@ -220,7 +220,7 @@ def test_tag_coefficients_affine_identity():
     # L(s + s') - L(s) - L(s') == -P_0 coefficient (the affine part cancels once)
     both, one, two = tag(skey, s + s2).tag, tag(skey, s).tag, tag(skey, s2).tag
     for j in range(params.k):
-        assert both[j] - one[j] - two[j] == -skey.matrix[0, j]
+        assert both[j] - one[j] - two[j] == -skey.polys[0][j]
 
 
 def test_header_out_of_range_rejected():
