@@ -472,6 +472,11 @@ def lemma_sweep(
     """
     if family not in ("fan", "line"):
         raise ValueError(f"unknown topology family {family!r}")
+    for name, sizes in (("M", Ms), ("K", Ks)):
+        if sizes and min(sizes) < 1:
+            raise ValueError(f"{name} must be at least 1, got {min(sizes)}")
+    if reps < 0:
+        raise ValueError(f"reps must be nonnegative, got {reps}")
     rows = []
     idx = 0
     for q in qs:
@@ -696,16 +701,16 @@ def _dispatch(args) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         text = _dispatch(args)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
     return 0
 

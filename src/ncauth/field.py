@@ -3,20 +3,22 @@
 A ``Field`` fixes the prime q, the degree l and a monic irreducible modulus
 of degree l over F_q.  The modulus is chosen deterministically as the
 lexicographically smallest irreducible candidate, comparing coefficient
-tuples low degree first, so two contexts built from the same (q, l) agree
-element-for-element.
+tuples low degree first.  ``Field(q, l)`` is one object per (q, l), built
+on first use: fields are equal by identity, and copying or unpickling one
+returns it unchanged.
 
 An element (``Fel``) is one int, its code c_0 + c_1 q + ... + c_(l-1) q^(l-1),
 where c_0, ..., c_(l-1) are its coordinates in the power basis of the
 modulus.  ``coeffs`` reads the coordinates back, and that view doubles as
 the fixed F_q-linear identification of F_q^l with F_{q^l}.  Arithmetic on
-codes takes one of three paths, fixed by (q, l):
+codes takes one of three paths, fixed by (q, l) and held by the field as
+its class:
 
 * l = 1: integers mod q.
 * 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
-  primitive element g, built on first use and shared by every Field of that
-  (q, l).  The build takes n = q^l - 1 steps g^i -> g^(i+1), each two
-  table lookups on the int state (``_log_tables``).  With n as above, exp[i] is the code of g^i, stored twice over so
+  primitive element g, built by the field on first use.  The build takes
+  n = q^l - 1 steps g^i -> g^(i+1), each two table lookups on the int
+  state (``_log_tables``).  exp[i] is the code of g^i, stored twice over so
   that a sum of two logs needs no reduction, and log inverts it.  A product
   is exp[log a + log b], an inverse exp[n - log a], a power a^e
   exp[log a * e mod n] and the Frobenius map a^(q^i) exp[log a * q^i mod n].
@@ -294,19 +296,81 @@ def _log_tables(q: int, l: int, modulus):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on codes
+# fields and the arithmetic on their codes
+
+_FIELDS: dict[tuple[int, int], Field] = {}
 
 
-class _Codes:
-    """Code arithmetic of one (q, l), shared by every Field of that (q, l)."""
+class Field:
+    """F_{q^l}: one object per (q, l), whose class is its arithmetic on codes."""
 
-    __slots__ = ("q", "l", "modulus", "place", "w")
+    __slots__ = ("q", "l", "order", "modulus", "place", "w", "zero", "one")
 
-    def __init__(self, q: int, l: int):
-        self.q, self.l = q, l
-        self.modulus = _smallest_irreducible(q, l)
+    def __new__(cls, q: int, l: int):
+        # A float or bool hashes equal to an int: only ints may hit the cache.
+        if type(q) is int and type(l) is int:
+            field = _FIELDS.get((q, l))
+            if field is not None:
+                return field
+        if type(q) is int and q > MAX_PRIME:
+            raise ValueError(f"q exceeds supported bound 2^16: {q}")
+        if type(q) is not int or not is_prime(q):
+            raise ValueError(f"q must be prime, got {q!r}")
+        if type(l) is not int or not 1 <= l <= MAX_DEGREE:
+            raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {l!r}")
+        if l == 1:
+            kind = _PrimeField
+        elif q**l <= TABLE_ORDER:
+            kind = _BinaryTableField if q == 2 else _TableField
+        else:
+            kind = _PolyField
+        field = object.__new__(kind)
+        field._setup(q, l)
+        return _FIELDS.setdefault((q, l), field)
+
+    def _setup(self, q: int, l: int):
+        self.q, self.l, self.order = q, l, q**l
+        self.modulus = _smallest_irreducible(q, l)  # monic, coefficients low degree first
         self.place = tuple(q**t for t in range(l))
         self.w = q.bit_length() + 1  # bits per coordinate slot of a packed entry
+        self.zero = _fel(self, 0)
+        self.one = _fel(self, 1)
+
+    def __reduce__(self):
+        # copies and unpickled fields are the one object of their (q, l)
+        return Field, (self.q, self.l)
+
+    def __repr__(self):
+        return f"Field(q={self.q}, l={self.l})"
+
+    def __call__(self, value) -> Fel:
+        """Coerce an int (base-field scalar), a list or tuple of l int coordinates, or a Fel.
+
+        Ints are reduced mod q.  A bool or any other type is refused, not
+        converted: its type is not int.
+        """
+        if type(value) is int:
+            return _fel(self, value % self.q)
+        if isinstance(value, Fel):
+            if value.field is not self:
+                raise ValueError("element belongs to a different field")
+            return value
+        if not isinstance(value, (list, tuple)) or any(type(c) is not int for c in value):
+            raise ValueError(f"expected an integer or a list of {self.l} integers, got {value!r}")
+        if len(value) != self.l:
+            raise ValueError(f"expected {self.l} coordinates, got {len(value)}")
+        q = self.q
+        return _fel(self, self.code([c % q for c in value]))
+
+    def embed(self, c: int) -> Fel:
+        """Lift a base-field scalar into the extension as a constant."""
+        return _fel(self, c % self.q)
+
+    def random_element(self, rng: random.Random) -> Fel:
+        q, code = self.q, 0
+        for p in self.place:  # coordinates drawn low degree first
+            code += rng.randrange(q) * p
+        return _fel(self, code)
 
     def code(self, coeffs) -> int:
         return _code(coeffs, self.q)
@@ -333,7 +397,7 @@ class _Codes:
         return code
 
 
-class _PrimeCodes(_Codes):
+class _PrimeField(Field):
     """l = 1: the code is the element of F_q itself."""
 
     __slots__ = ()
@@ -363,14 +427,14 @@ class _PrimeCodes(_Codes):
         return pow(a, e, self.q)
 
 
-class _TableCodes(_Codes):
+class _TableField(Field):
     """1 < l, q^l <= TABLE_ORDER: log, antilog and Zech tables, built on first use."""
 
     __slots__ = ("n", "half", "exp", "log", "zech")
 
-    def __init__(self, q: int, l: int):
-        super().__init__(q, l)
-        self.n = q**l - 1
+    def _setup(self, q: int, l: int):
+        super()._setup(q, l)
+        self.n = self.order - 1
         self.half = self.n // 2
 
     def __getattr__(self, name):
@@ -422,7 +486,7 @@ class _TableCodes(_Codes):
         return 0 if e else 1
 
 
-class _BinaryTableCodes(_TableCodes):
+class _BinaryTableField(_TableField):
     """The tables over F_2: a sum is the XOR of the codes and -a = a."""
 
     __slots__ = ()
@@ -436,7 +500,7 @@ class _BinaryTableCodes(_TableCodes):
         return a
 
 
-class _PolyCodes(_Codes):
+class _PolyField(Field):
     """q^l > TABLE_ORDER: polynomials in x modulo the field's modulus, on the coordinates."""
 
     __slots__ = ()
@@ -469,86 +533,6 @@ class _PolyCodes(_Codes):
         return self.code(_poly_powmod(self.coeffs(a), e, self.modulus, self.q))
 
 
-@functools.lru_cache(maxsize=None)
-def _arithmetic(q: int, l: int) -> _Codes:
-    if l == 1:
-        return _PrimeCodes(q, l)
-    if q**l <= TABLE_ORDER:
-        return _BinaryTableCodes(q, l) if q == 2 else _TableCodes(q, l)
-    return _PolyCodes(q, l)
-
-
-class Field:
-    """Arithmetic context for F_{q^l} with a deterministic modulus."""
-
-    __slots__ = ("q", "l", "order", "_codes", "_zero", "_one")
-
-    def __init__(self, q: int, l: int):
-        if isinstance(q, int) and q > MAX_PRIME:
-            raise ValueError(f"q exceeds supported bound 2^16: {q}")
-        if not isinstance(q, int) or not is_prime(q):
-            raise ValueError(f"q must be prime, got {q!r}")
-        if not isinstance(l, int) or not 1 <= l <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in [1, {MAX_DEGREE}], got {l!r}")
-        self.q = q
-        self.l = l
-        self.order = q**l
-        self._codes = _arithmetic(q, l)
-        self._zero = _fel(self, 0)
-        self._one = _fel(self, 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.q == other.q and self.l == other.l
-
-    def __hash__(self):
-        return hash((Field, self.q, self.l))
-
-    def __repr__(self):
-        return f"Field(q={self.q}, l={self.l})"
-
-    @property
-    def modulus(self) -> tuple[int, ...]:
-        """The monic irreducible modulus, coefficients low degree first."""
-        return self._codes.modulus
-
-    @property
-    def zero(self) -> Fel:
-        return self._zero
-
-    @property
-    def one(self) -> Fel:
-        return self._one
-
-    def __call__(self, value) -> Fel:
-        """Coerce an int (base-field scalar), a list or tuple of l int coordinates, or a Fel.
-
-        Ints are reduced mod q.  A bool or any other type is refused, not
-        converted: its type is not int.
-        """
-        if type(value) is int:
-            return _fel(self, value % self.q)
-        if isinstance(value, Fel):
-            if value.field is not self and value.field != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if not isinstance(value, (list, tuple)) or any(type(c) is not int for c in value):
-            raise ValueError(f"expected an integer or a list of {self.l} integers, got {value!r}")
-        if len(value) != self.l:
-            raise ValueError(f"expected {self.l} coordinates, got {len(value)}")
-        q = self.q
-        return _fel(self, self._codes.code([c % q for c in value]))
-
-    def embed(self, c: int) -> Fel:
-        """Lift a base-field scalar into the extension as a constant."""
-        return _fel(self, c % self.q)
-
-    def random_element(self, rng: random.Random) -> Fel:
-        q, code = self.q, 0
-        for p in self._codes.place:  # coordinates drawn low degree first
-            code += rng.randrange(q) * p
-        return _fel(self, code)
-
-
 class Fel:
     """An element of F_{q^l}, held as its int code (see the module docstring)."""
 
@@ -557,52 +541,52 @@ class Fel:
     def __init__(self, field: Field, coeffs):
         # callers pass l coordinates already reduced mod q
         self.field = field
-        self.code = field._codes.code(coeffs)
+        self.code = field.code(coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         """The l coordinates, low degree first."""
-        return self.field._codes.coeffs(self.code)
+        return self.field.coeffs(self.code)
 
     def __add__(self, other):
         if not isinstance(other, Fel):
             return NotImplemented
         f = self.field
-        if other.field is not f and other.field != f:
+        if other.field is not f:
             raise ValueError("mixed-field arithmetic")
-        return _fel(f, f._codes.add(self.code, other.code))
+        return _fel(f, f.add(self.code, other.code))
 
     def __sub__(self, other):
         if not isinstance(other, Fel):
             return NotImplemented
         f = self.field
-        if other.field is not f and other.field != f:
+        if other.field is not f:
             raise ValueError("mixed-field arithmetic")
-        return _fel(f, f._codes.sub(self.code, other.code))
+        return _fel(f, f.sub(self.code, other.code))
 
     def __neg__(self):
         f = self.field
-        return _fel(f, f._codes.neg(self.code))
+        return _fel(f, f.neg(self.code))
 
     def __mul__(self, other):
         if not isinstance(other, Fel):
             return NotImplemented
         f = self.field
-        if other.field is not f and other.field != f:
+        if other.field is not f:
             raise ValueError("mixed-field arithmetic")
-        return _fel(f, f._codes.mul(self.code, other.code))
+        return _fel(f, f.mul(self.code, other.code))
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent; invert first")
         f = self.field
-        return _fel(f, f._codes.pow(self.code, e))
+        return _fel(f, f.pow(self.code, e))
 
     def inv(self):
         if not self.code:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        return _fel(f, f._codes.inv(self.code))
+        return _fel(f, f.inv(self.code))
 
     def __truediv__(self, other):
         if not isinstance(other, Fel):
@@ -614,7 +598,7 @@ class Fel:
         if i < 0:
             raise ValueError("frobenius power must be nonnegative")
         f = self.field
-        return _fel(f, f._codes.frob(self.code, i % f.l))  # the map has order l
+        return _fel(f, f.frob(self.code, i % f.l))  # the map has order l
 
     def is_zero(self) -> bool:
         return not self.code
@@ -623,14 +607,13 @@ class Fel:
         return bool(self.code)
 
     def __eq__(self, other):
-        return isinstance(other, Fel) and self.code == other.code and self.field == other.field
+        return isinstance(other, Fel) and self.code == other.code and self.field is other.field
 
     def __hash__(self):
         return hash(self.code)
 
     def __repr__(self):
         return f"Fel{self.coeffs}"
-
 
 _new = object.__new__
 
@@ -661,9 +644,7 @@ class Packing:
                  "_to_entry", "_from_entry")
 
     def __init__(self, field: Field, size: int):
-        q, l = field.q, field.l
-        codes = field._codes
-        w = codes.w
+        q, l, w = field.q, field.l, field.w
         ew = w * l  # bits per entry
         ones = (1 << (ew * size)) - 1
         unit = ones // ((1 << w) - 1)  # 1 in every slot
@@ -686,7 +667,7 @@ class Packing:
         # x^l = sum of fold_j x^j modulo the field's modulus
         self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
         self._q_entry = q * (self._emask // ((1 << w) - 1))  # q in every slot of one entry
-        self._to_entry, self._from_entry = codes.to_entry, codes.from_entry
+        self._to_entry, self._from_entry = field.to_entry, field.from_entry
 
     def coerce(self, value) -> int:
         """The packed entry of `value`, coerced as ``Field.__call__`` coerces it."""

@@ -69,7 +69,7 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and self.field is other.field
             and self.cols == other.cols
             and self.packed == other.packed
         )
@@ -116,7 +116,7 @@ def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
     off the rhs bits of the pivot rows.  X is None when a pivot falls among
     rhs's columns, that is when the system is inconsistent.
     """
-    if rhs.rows != coeff.rows or rhs.field != coeff.field:
+    if rhs.rows != coeff.rows or rhs.field is not coeff.field:
         raise ValueError("rhs shape does not match the coefficient matrix")
     fld, n = coeff.field, coeff.cols
     shift = packing(fld, n).ew * n

@@ -190,7 +190,7 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         raise ValueError(f"need {net.n} source packets, got {len(packets)}")
     fld = packets[0].field
     width = len(packets[0].flat)
-    if any(p.field != fld or len(p.flat) != width for p in packets):
+    if any(p.field is not fld or len(p.flat) != width for p in packets):
         raise ValueError("source packets disagree on field or tag length")
     if fld.q != net.q:
         raise ValueError(f"packet symbols mod {fld.q} but network kernels mod {net.q}")

@@ -229,7 +229,7 @@ def combine(packets, coeffs) -> TaggedPacket:
         raise ValueError(f"{len(packets)} packets but {len(coeffs)} coefficients")
     fld = packets[0].field
     width = len(packets[0].flat)
-    if any(p.field != fld or len(p.flat) != width for p in packets):
+    if any(p.field is not fld or len(p.flat) != width for p in packets):
         raise ValueError("packets disagree on field or tag length")
     return TaggedPacket(fld, mix(fld.q, [p.flat for p in packets], coeffs))
 

@@ -444,6 +444,14 @@ def test_main_out_file(tmp_path, capsys):
     assert report["attack"]["type"] == "pollute"
 
 
+def test_main_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["demo", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_main_subcommand_attack_mismatch(tmp_path, capsys):
     cfg = write_config(tmp_path, butterfly_doc(**POLLUTE))
     assert main(["simulate", "--config", cfg]) == 2
@@ -550,6 +558,19 @@ def test_main_lemma_sweep(capsys):
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("# rows=2")
     assert "mismatches=0" in out
+
+
+@pytest.mark.parametrize("family", ["fan", "line"])
+@pytest.mark.parametrize(
+    "option,value",
+    [("--K", "0"), ("--K", "1,-1"), ("--M", "0"), ("--reps", "-1")],
+    ids=["K0", "Kneg", "M0", "reps"],
+)
+def test_main_lemma_sweep_bad_size_names_option(capsys, family, option, value):
+    argv = ["lemma-sweep", "--q", "2", "--l", "1", "--k", "2", "--M", "1", "--family", family]
+    assert main(argv + [option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]} must be")
 
 
 # Small integers keep every accepted scenario desk-sized; the documents are

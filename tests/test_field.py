@@ -1,6 +1,8 @@
 """Field construction, arithmetic, Frobenius and the vector view."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from ncauth import Fel, Field, GuardError, Matrix
-from ncauth.field import TABLE_ORDER, _is_irreducible, _TableCodes, is_prime
+from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
+from ncauth.field import TABLE_ORDER, _is_irreducible, _TableField, is_prime
 from support import ORACLE_FIELDS, element_strategy, elements
 
 # The oracle fields plus both sides of the table bound: GF(3^10) and GF(251^2)
@@ -85,9 +87,22 @@ def test_large_prime_quadratic_modulus():
 
 
 def test_context_determinism_and_equality():
-    a, b = Field(3, 2), Field(3, 2)
-    assert a == b and a.modulus == b.modulus and hash(a) == hash(b)
+    assert Field(3, 2) is Field(3, 2)
     assert Field(3, 2) != Field(3, 1)
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (65521, 1), (2, 8), (3, 5), (257, 2)])
+def test_copies_of_a_field_are_the_field(q, l):
+    F = Field(q, l)
+    assert copy.copy(F) is F and copy.deepcopy(F) is F
+    assert pickle.loads(pickle.dumps(F)) is F
+    rng = random.Random(f"copy/{q}/{l}")
+    x = F.random_element(rng)
+    m = Matrix(F, [[F.random_element(rng) for _ in range(3)] for _ in range(2)])
+    p = tag(keygen(SystemParams(F, 2, 2, 1, 2, (1,)), 7)[0], x)
+    for obj in (x, m, p):
+        for dup in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert dup == obj and dup.field is F
 
 
 def test_bad_parameters_rejected():
@@ -103,6 +118,14 @@ def test_bad_parameters_rejected():
         Field(65537, 1)  # above the prime bound
     with pytest.raises(ValueError, match="bound"):
         Field(2**61 - 1, 1)  # refused before any trial division
+
+
+@pytest.mark.parametrize("q,l", [(2, True), (2.0, 1), (True, 1), (2, 1.0)])
+def test_non_int_parameters_rejected(q, l):
+    # each hashes equal to (2, 1), which must not answer for it
+    Field(2, 1)
+    with pytest.raises(ValueError):
+        Field(q, l)
 
 
 def test_f4_multiplication_table_entry():
@@ -168,15 +191,14 @@ def test_arithmetic_matches_reference(args):
 def test_table_bound(q, l, tables):
     # log tables exactly for 1 < l and q^l <= TABLE_ORDER
     assert (1 < l and q**l <= TABLE_ORDER) is tables
-    assert isinstance(Field(q, l)._codes, _TableCodes) is tables
+    assert isinstance(Field(q, l), _TableField) is tables
 
 
 @pytest.mark.parametrize("q,l", SMALL_TABLE_FIELDS)
 def test_log_tables_exhaustive(q, l):
     F = Field(q, l)
     n = F.order - 1
-    codes = F._codes  # the (q, l)'s shared arithmetic, which holds its tables
-    exp, log, zech = codes.exp, codes.log, codes.zech
+    exp, log, zech = F.exp, F.log, F.zech
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
     assert sorted(exp[:n]) == list(range(1, F.order))  # the generator is primitive
     assert all(log[exp[i]] == i for i in range(n))
