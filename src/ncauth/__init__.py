@@ -9,6 +9,7 @@ verifiers can still be facing after pooling what they know.
 from .field import Fel, Field, GuardError, is_prime
 from .linalg import Matrix, solve
 from .scheme import (
+    ForgerySpec,
     SourceKey,
     SystemParams,
     TaggedPacket,
@@ -42,7 +43,6 @@ from .netsim import (
 )
 from .attacks import (
     BRUTE_FORCE_GUARD,
-    ForgerySpec,
     RecoveryMeta,
     RecoveryResult,
     RecoverySystem,

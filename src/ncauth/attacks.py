@@ -20,37 +20,20 @@ from dataclasses import dataclass
 from .field import Field, GuardError, packing
 from .linalg import Matrix, solve
 from .netsim import CoalitionView
-from .scheme import SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
+from .scheme import ForgerySpec, SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
 
 BRUTE_FORCE_GUARD = 1 << 24
-
-
-@dataclass(frozen=True)
-class ForgerySpec:
-    """Combination coefficients a_1..a_n over F_q with sum(a_i) = 1."""
-
-    q: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("forgery needs at least one coefficient")
-        if any(not 0 <= a < self.q for a in self.coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.q})")
-        if sum(self.coeffs) % self.q != 1:
-            raise ValueError("forgery coefficients must sum to 1 mod q")
 
 
 def forge(packets, spec: ForgerySpec) -> TaggedPacket:
     """Mix fresh source packets into a forged-but-valid packet."""
     packets = list(packets)
-    if len(packets) != len(spec.coeffs):
-        raise ValueError(f"{len(packets)} packets but {len(spec.coeffs)} coefficients")
     if any(p.c != 1 for p in packets):
         raise ValueError("forgery expects freshly tagged packets (header 1)")
-    if packets[0].field.q != spec.q:
+    forged = combine(packets, spec.coeffs)
+    if forged.field.q != spec.q:
         raise ValueError("coefficient modulus does not match the packet field")
-    return combine(packets, spec.coeffs)
+    return forged
 
 
 def solve_target_coeffs(messages, target) -> ForgerySpec | None:

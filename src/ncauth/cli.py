@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .attacks import (
     BRUTE_FORCE_GUARD,
-    ForgerySpec,
     analyze_recovery,
     build_recovery_system,
     forge,
@@ -36,7 +35,7 @@ from .netsim import (
     network_from_dict,
     simulate,
 )
-from .scheme import SystemParams, keygen, tag, verify
+from .scheme import ForgerySpec, SystemParams, keygen, tag, verify
 
 SCHEMA_VERSION = 1
 REPORT_VERSION = 1
@@ -91,11 +90,10 @@ def _require_sum_one(adoc, q: int, count: int) -> tuple[int, ...]:
     coeffs = _require_ints(adoc, "coeffs", "attack")
     if len(coeffs) != count:
         raise ConfigError("attack.coeffs", f"expected {count} coefficients")
-    if any(not 0 <= a < q for a in coeffs):
-        raise ConfigError("attack.coeffs", f"coefficients must lie in [0, {q})")
-    if sum(coeffs) % q != 1:
-        raise ConfigError("attack.coeffs", "must sum to 1 mod q")
-    return coeffs
+    try:
+        return ForgerySpec(q, coeffs).coeffs
+    except ValueError as exc:
+        raise ConfigError("attack.coeffs", str(exc)) from exc
 
 
 def _coerce_element(field: Field, value, where: str) -> Fel:
@@ -138,15 +136,16 @@ class Scenario:
     attack: dict
 
 
-def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> Scenario:
+def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     """Validate a scenario document and bind every object it references."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario", "document must be an object")
     unknown = set(doc) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError("scenario", f"unknown fields {sorted(unknown)}")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {doc.get('version')!r}")
+    version = doc.get("version")
+    if not _is_int(version) or version != SCHEMA_VERSION:  # True and 1.0 equal 1
+        raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {version!r}")
     eff_seed = seed if seed is not None else doc.get("seed", 0)
     if not _is_int(eff_seed):
         raise ConfigError("seed", "must be an integer")
@@ -177,7 +176,7 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     else:
         pts = _sample_points(field, v_count, _substream(eff_seed, "points"), "params.V")
     try:
-        params = SystemParams(field, k, m_count, v_count, n_count, pts, allow_excess or unsafe)
+        params = SystemParams(field, k, m_count, v_count, n_count, pts, allow_excess)
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from exc
 
@@ -272,14 +271,9 @@ def load_scenario(doc: dict, seed: int | None = None, unsafe: bool = False) -> S
     return Scenario(echo, eff_seed, params, net, messages, adversaries, attack)
 
 
-def run_scenario(
-    doc: dict,
-    seed: int | None = None,
-    guard: int = BRUTE_FORCE_GUARD,
-    unsafe: bool = False,
-) -> dict:
+def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GUARD) -> dict:
     """Execute one scenario end to end and return its report document."""
-    sc = load_scenario(doc, seed=seed, unsafe=unsafe)
+    sc = load_scenario(doc, seed=seed)
     params, net = sc.params, sc.network
     field = params.field
     skey, vkeys = keygen(params, _substream(sc.seed, "keys").getrandbits(64))
@@ -389,9 +383,9 @@ def run_scenario(
     return report
 
 
-def keygen_report(doc: dict, seed: int | None = None, unsafe: bool = False) -> dict:
+def keygen_report(doc: dict, seed: int | None = None) -> dict:
     """Generate and dump one key generation (lab tool: secrets included)."""
-    sc = load_scenario(doc, seed=seed, unsafe=unsafe)
+    sc = load_scenario(doc, seed=seed)
     skey, vkeys = keygen(sc.params, _substream(sc.seed, "keys").getrandbits(64))
     return {
         "report_version": REPORT_VERSION,
@@ -472,9 +466,9 @@ def lemma_sweep(
     """
     if family not in ("fan", "line"):
         raise ValueError(f"unknown topology family {family!r}")
-    for name, sizes in (("M", Ms), ("K", Ks)):
-        if sizes and min(sizes) < 1:
-            raise ValueError(f"{name} must be at least 1, got {min(sizes)}")
+    for name, sizes, least in (("k", ks, 2), ("M", Ms, 1), ("K", Ks, 1)):
+        if sizes and min(sizes) < least:
+            raise ValueError(f"{name} must be at least {least}, got {min(sizes)}")
     if reps < 0:
         raise ValueError(f"reps must be nonnegative, got {reps}")
     rows = []
@@ -637,8 +631,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON document")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--unsafe-n-gt-m", action="store_true", dest="unsafe",
-                       help="permit more payloads per generation than M")
         return p
 
     scenario_command("keygen", "generate and dump keys for a scenario")
@@ -689,14 +681,14 @@ def _dispatch(args) -> str:
         return "\n".join(lines) + "\n" + _dump(report)
     doc = _load_config(args.config)
     if args.command == "keygen":
-        return _dump(keygen_report(doc, seed=args.seed, unsafe=args.unsafe))
+        return _dump(keygen_report(doc, seed=args.seed))
     expected = _EXPECTED_ATTACK[args.command]
     declared = doc.get("attack", {"type": "none"})
     declared = declared.get("type", "none") if isinstance(declared, dict) else None
     if declared != expected:
         raise ConfigError("attack.type", f"subcommand {args.command!r} expects {expected!r}, got {declared!r}")
     guard = getattr(args, "guard", BRUTE_FORCE_GUARD)  # only recover takes --guard
-    return _dump(run_scenario(doc, seed=args.seed, guard=guard, unsafe=args.unsafe))
+    return _dump(run_scenario(doc, seed=args.seed, guard=guard))
 
 
 def main(argv=None) -> int:

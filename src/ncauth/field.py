@@ -362,10 +362,6 @@ class Field:
         q = self.q
         return _fel(self, self.code([c % q for c in value]))
 
-    def embed(self, c: int) -> Fel:
-        """Lift a base-field scalar into the extension as a constant."""
-        return _fel(self, c % self.q)
-
     def random_element(self, rng: random.Random) -> Fel:
         q, code = self.q, 0
         for p in self.place:  # coordinates drawn low degree first

@@ -206,7 +206,7 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes."""
     weights = _tag_weights(len(vkey.evals) - 1, packet.m)
-    weights[0] = packet.field.embed(packet.c)
+    weights[0] = packet.field(packet.c)
     rhs = packet.field.zero
     for w, e in zip(weights, vkey.evals):
         rhs = rhs + w * e
@@ -232,6 +232,27 @@ def combine(packets, coeffs) -> TaggedPacket:
     if any(p.field is not fld or len(p.flat) != width for p in packets):
         raise ValueError("packets disagree on field or tag length")
     return TaggedPacket(fld, mix(fld.q, [p.flat for p in packets], coeffs))
+
+
+@dataclass(frozen=True)
+class ForgerySpec:
+    """Coefficients a_1..a_n over F_q with sum(a_i) = 1.
+
+    The one check of the rule both attacks rest on: a forger mixes source
+    packets, and a polluting relay replaces an incoming vector, with such a
+    combination, which the near-linear tag cannot tell from an honest one.
+    """
+
+    q: int
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("a sum-one combination needs at least one coefficient")
+        if any(not 0 <= a < self.q for a in self.coeffs):
+            raise ValueError(f"coefficients must lie in [0, {self.q})")
+        if sum(self.coeffs) % self.q != 1:
+            raise ValueError("coefficients must sum to 1 mod q")
 
 
 def moore_matrix(field: Field, messages, M: int) -> Matrix:

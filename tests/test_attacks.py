@@ -80,7 +80,7 @@ def test_every_sum_one_combination_forges_exactly(q, l, n):
         forged = forge(packets, ForgerySpec(q, coeffs))
         assert forged.c == 1
         mixed = sum(
-            (fld.embed(a) * s for a, s in zip(coeffs, messages)), fld.zero
+            (fld(a) * s for a, s in zip(coeffs, messages)), fld.zero
         )
         assert forged.m == mixed
         assert forged == tag(skey, mixed)  # byte-for-byte a fresh packet
@@ -93,15 +93,15 @@ def test_solve_target_reaches_observed_payload():
     fld = params.field
     spec = solve_target_coeffs(messages, messages[1])
     assert spec is not None
-    mixed = sum((fld.embed(a) * s for a, s in zip(spec.coeffs, messages)), fld.zero)
+    mixed = sum((fld(a) * s for a, s in zip(spec.coeffs, messages)), fld.zero)
     assert mixed == messages[1]
 
 
 def test_solve_target_single_message():
     fld = Field(3, 1)
-    s = fld.embed(2)
+    s = fld(2)
     assert solve_target_coeffs([s], s) == ForgerySpec(3, (1,))
-    assert solve_target_coeffs([s], fld.embed(1)) is None
+    assert solve_target_coeffs([s], fld(1)) is None
     with pytest.raises(ValueError):
         solve_target_coeffs([], s)
 
@@ -113,7 +113,7 @@ def test_solve_target_spanning_messages_reach_everything():
         spec = solve_target_coeffs(messages, target)
         assert spec is not None
         mixed = sum(
-            (fld.embed(a) * s for a, s in zip(spec.coeffs, messages)), fld.zero
+            (fld(a) * s for a, s in zip(spec.coeffs, messages)), fld.zero
         )
         assert mixed == target
 
@@ -206,7 +206,7 @@ def test_full_mixing_rank_pins_the_key():
         fld, k=2, M=1, V=1, n=2, public_points=(1,), allow_excess_messages=True
     )
     skey, vkeys = keygen(params, seed=3)
-    messages = [fld.embed(1), fld.embed(2)]
+    messages = [fld(1), fld(2)]
     packets = [tag(skey, s) for s in messages]
     view = CoalitionView(("v0",), (2,), ((1, 0), (0, 1)), tuple(packets))
     system = build_recovery_system(params, view, vkeys, messages)

@@ -92,8 +92,13 @@ BAD_CONTAINERS = [
 
 POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]]  # five of butterfly's six seats
 
-# Malformed field elements and flags: each was once silently accepted.
+# Malformed field elements, flags and versions: each was once silently accepted.
 BAD_VALUES = [
+    # True == 1.0 == 1, so only the type tells these versions apart
+    pytest.param(lambda d: d.update(version=True), "version", id="version-bool"),
+    pytest.param(lambda d: d.update(version=1.0), "version", id="version-float"),
+    pytest.param(lambda d: d.update(topology=inline_topology(version=True)), "topology",
+                 id="topology-version-bool"),
     pytest.param(lambda d: d.update(messages=["101", "011"]), "messages[0]", id="messages-str"),
     pytest.param(lambda d: d.update(messages=[True, 1]), "messages[0]", id="messages-bool"),
     pytest.param(lambda d: d.update(messages=[["1", "0", "1"], 1]), "messages[0]",
@@ -147,6 +152,14 @@ def test_reports_are_byte_reproducible():
     assert a == b
     c = json.dumps(run_scenario(butterfly_doc(), seed=12), sort_keys=True)
     assert a != c
+    # a report's scenario echo alone re-runs to the same bytes, n > M included
+    excess = butterfly_doc(**POLLUTE)
+    excess["params"].update(M=1, allow_excess_messages=True)
+    for doc, seed in [(butterfly_doc(), None), (butterfly_doc(), 12), (excess, None),
+                      (recover_doc(), 3)]:
+        report = run_scenario(doc, seed=seed)
+        again = run_scenario(report["scenario"])
+        assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_seed_override_is_echoed():
@@ -367,14 +380,15 @@ def test_inline_topology_q_mismatch():
 
 
 def test_unsafe_flag_allows_excess_messages():
+    # params.allow_excess_messages is the one switch, so the echo records it
     doc = butterfly_doc()
     doc["params"].update(M=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n=2 exceeds M=1"):
         load_scenario(doc)
-    sc = load_scenario(doc, unsafe=True)
-    assert sc.params.n == 2
     doc["params"]["allow_excess_messages"] = True
-    assert load_scenario(doc).params.n == 2
+    sc = load_scenario(doc)
+    assert sc.params.n == 2
+    assert sc.raw["params"]["allow_excess_messages"] is True
 
 
 def test_keygen_report_is_deterministic():
@@ -563,8 +577,8 @@ def test_main_lemma_sweep(capsys):
 @pytest.mark.parametrize("family", ["fan", "line"])
 @pytest.mark.parametrize(
     "option,value",
-    [("--K", "0"), ("--K", "1,-1"), ("--M", "0"), ("--reps", "-1")],
-    ids=["K0", "Kneg", "M0", "reps"],
+    [("--K", "0"), ("--K", "1,-1"), ("--M", "0"), ("--reps", "-1"), ("--k", "1"), ("--k", "0")],
+    ids=["K0", "Kneg", "M0", "reps", "k1", "k0"],
 )
 def test_main_lemma_sweep_bad_size_names_option(capsys, family, option, value):
     argv = ["lemma-sweep", "--q", "2", "--l", "1", "--k", "2", "--M", "1", "--family", family]

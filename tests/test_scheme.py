@@ -22,7 +22,7 @@ from support import make_instance, matmul, sample_points, sum_one_coeffs, vander
 
 def test_params_validation():
     F = Field(5, 1)
-    pts = (F.embed(1), F.embed(2))
+    pts = (F(1), F(2))
     SystemParams(F, 2, 2, 2, 2, pts)
     with pytest.raises(ValueError):
         SystemParams(F, 1, 2, 2, 2, pts)  # k too small
@@ -30,9 +30,9 @@ def test_params_validation():
         SystemParams(F, 2, 2, 2, 3, pts)  # n > M
     SystemParams(F, 2, 2, 2, 3, pts, allow_excess_messages=True)
     with pytest.raises(ValueError):
-        SystemParams(F, 2, 2, 2, 2, (F.embed(1), F.embed(1)))  # duplicate point
+        SystemParams(F, 2, 2, 2, 2, (F(1), F(1)))  # duplicate point
     with pytest.raises(ValueError):
-        SystemParams(F, 2, 2, 2, 2, (F.embed(0), F.embed(2)))  # zero point
+        SystemParams(F, 2, 2, 2, 2, (F(0), F(2)))  # zero point
     with pytest.raises(ValueError):
         SystemParams(F, 2, 2, 3, 2, pts)  # V mismatch
 
@@ -127,7 +127,7 @@ def test_combine_structural_equals_flat_route():
         params, skey, vkeys, messages, packets = make_instance(rng, q, l, k, M, n=M)
         coeffs = [rng.randrange(q) for _ in packets]
         mixed = combine(packets, coeffs)
-        scaled = [(F.embed(a), p) for a, p in zip(coeffs, packets)]
+        scaled = [(F(a), p) for a, p in zip(coeffs, packets)]
         assert mixed.c == sum(a * p.c for a, p in zip(coeffs, packets)) % q
         assert mixed.m == sum((w * p.m for w, p in scaled), F.zero)
         assert mixed.tag == tuple(
@@ -174,7 +174,7 @@ def test_residual_is_linear_in_the_packet():
     mixed = combine(packets, [a, b])
     for vk in vkeys:
         lhs = residual(vk, mixed)
-        rhs = F.embed(a) * residual(vk, packets[0]) + F.embed(b) * residual(vk, packets[1])
+        rhs = F(a) * residual(vk, packets[0]) + F(b) * residual(vk, packets[1])
         assert lhs == rhs
 
 
