@@ -118,7 +118,7 @@ def build_recovery_system(
     # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
     # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.
     pk = packing(fld, M + 1)
-    coerce, mod, scale = pk.coerce, pk.mod, pk.scale
+    coerce, add, scale = pk.coerce, pk.add, pk.scale
     block = pk.ew * (M + 1)
     powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
 
@@ -128,7 +128,7 @@ def build_recovery_system(
         for w, srow in zip(h, powers_matrix):
             w %= fld.q  # a kernel entry is an F_q scalar; scale takes 0 < w < q
             if w:
-                acc = mod(acc + scale(w, srow))
+                acc = add(acc, scale(w, srow))
         mixed_rows.append(acc)
 
     crows, crhs = [], []
@@ -219,14 +219,14 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
         for p in pk.x_powers(pk.pack([row_pk.entry(v, j) for v in coeff.packed]))
     ]
     rhs = pk.pack(system.rhs.packed)  # one entry per row
-    mod = pk.mod
+    add = pk.add
 
     def extend(vecs, col):
         """Each vector of `vecs` plus each F_q multiple of `col`, streamed."""
         mult = [0]
         for _ in range(q - 1):
-            mult.append(mod(mult[-1] + col))
-        return (mod(v + m) for v in vecs for m in mult)
+            mult.append(add(mult[-1], col))
+        return (add(v, m) for v in vecs for m in mult)
 
     def sums(start, cols):
         vecs = [start]

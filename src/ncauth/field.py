@@ -29,16 +29,21 @@ its class:
   modulus, with an extended-Euclid inverse.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
-vector in one int, so that adding, negating or scaling it is a few big-int
-operations whatever its length.  ``packing`` hands out one shared instance
-per (field, size).  Matrices hold their rows in it, and row reduction and
-the exhaustive key count work in it.
+vector in one int, its coordinates in slots of ``Field.w`` bits, so that
+adding, negating or scaling it is a few big-int operations whatever its
+length.  Over F_2 a slot is one bit, an entry is the element's code and a
+sum is an XOR; for odd q a slot has room for a carry-free sum, reduced in
+every slot at once.  ``Packing.add`` is the one packed sum.  ``packing``
+hands out one shared instance per (field, size).  Matrices hold their rows
+in it, and row reduction, the recovery rows and the exhaustive key count
+work in it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 MAX_PRIME = 1 << 16
@@ -213,7 +218,7 @@ def _primitive_element(q: int, l: int, modulus) -> int:
     raise AssertionError("unreachable: F_{q^l}^* is cyclic")
 
 
-def _log_tables(q: int, l: int, modulus):
+def _log_tables(field: Field):
     """(exp, log, zech) of F_{q^l} over its smallest primitive element g.
 
     exp has 2n entries (exp[n + i] = exp[i]), log[code] is the discrete log
@@ -224,6 +229,7 @@ def _log_tables(q: int, l: int, modulus):
     """
     from array import array  # loads a shared library: imported here, on first use, not at set-up
 
+    q, l, modulus = field.q, field.l, field.modulus
     n = q**l - 1
     g = _primitive_element(q, l, modulus)
     cols = [[g // q**t % q for t in range(l)]]  # the coordinates of x^t g, t < l
@@ -253,14 +259,12 @@ def _log_tables(q: int, l: int, modulus):
         # share of g^(i+1), packed and reduced, under the code of that half.
         # The two shares add without carries: the codes into the code of
         # g^i, the slots into g^(i+1) with each slot below 2q - 1 < 2^w,
-        # which is why the tables are keyed by unreduced slots.
-        w = q.bit_length() + 1
+        # which is why the tables are keyed by unreduced slots.  The shares
+        # are summed by the Packing of one element, which reduces the slots
+        # and leaves the code above them alone.
+        w = field.w
         top = w * l
-        unit = sum(1 << (w * t) for t in range(l))
-        adj, high = ((1 << (w - 1)) - q) * unit, (1 << (w - 1)) * unit
-
-        def mod(s):  # every slot from [0, 2q) to [0, q), as in Packing
-            return s - ((s + adj & high) >> (w - 1)) * q
+        add = packing(field, 1).add
 
         h = (l + 1) // 2
         tables = []
@@ -270,11 +274,11 @@ def _log_tables(q: int, l: int, modulus):
                 xg = sum(c << (w * r) for r, c in enumerate(cols[t]))
                 shares = [0, xg]
                 for _ in range(q - 2):
-                    shares.append(mod(shares[-1] + xg))
+                    shares.append(add(shares[-1], xg))
                 # coordinate t equal to d: code d q^t, share d x^t g
                 shares = [d * q**t << top | v for d, v in enumerate(shares)]
                 keys = [k | d << (w * j) for d in range(2 * q - 1) for k in keys]
-                vals = [mod(v + shares[d % q]) for d in range(2 * q - 1) for v in vals]
+                vals = [add(v, shares[d % q]) for d in range(2 * q - 1) for v in vals]
             tables.append(dict(zip(keys, vals)))
         lo, hi = tables
         mask, shift, hmask = (1 << (w * h)) - 1, w * h, (1 << (w * (l - h))) - 1
@@ -332,7 +336,9 @@ class Field:
         self.q, self.l, self.order = q, l, q**l
         self.modulus = _smallest_irreducible(q, l)  # monic, coefficients low degree first
         self.place = tuple(q**t for t in range(l))
-        self.w = q.bit_length() + 1  # bits per coordinate slot of a packed entry
+        # bits per coordinate slot of a packed entry (``Packing``): one over
+        # F_2, where a sum is an XOR; room for a carry-free sum below 2q otherwise
+        self.w = 1 if q == 2 else q.bit_length() + 1
         self.zero = _fel(self, 0)
         self.one = _fel(self, 1)
 
@@ -374,23 +380,6 @@ class Field:
     def coeffs(self, code: int) -> tuple[int, ...]:
         q = self.q
         return tuple([code // p % q for p in self.place])
-
-    def to_entry(self, code: int) -> int:
-        """The packed entry (``Packing``) of the element with this code."""
-        q, w = self.q, self.w
-        entry = 0
-        for p in reversed(self.place):
-            entry = entry << w | code // p % q
-        return entry
-
-    def from_entry(self, entry: int) -> int:
-        """The code of the element a packed entry holds."""
-        w, slot = self.w, (1 << self.w) - 1
-        code = 0
-        for p in self.place:
-            code += (entry & slot) * p
-            entry >>= w
-        return code
 
 
 class _PrimeField(Field):
@@ -437,7 +426,7 @@ class _TableField(Field):
         # reached only while the table slots are still unset
         if name not in ("exp", "log", "zech"):
             raise AttributeError(name)
-        self.exp, self.log, self.zech = _log_tables(self.q, self.l, self.modulus)
+        self.exp, self.log, self.zech = _log_tables(self)
         return getattr(self, name)
 
     def add(self, a, b):
@@ -625,37 +614,32 @@ def _fel(field: Field, code: int) -> Fel:
 class Packing:
     """Vectors of `size` elements of F_{q^l}, each vector packed into one int.
 
-    Coordinate t of entry j sits in slot j*l + t, w = q.bit_length() + 1 bits
-    wide, so an element's packed entry is its coordinates w bits apart, and
-    over F_q it is the element itself.  Two reduced vectors add without a
-    carry between slots (each slot stays below 2q < 2^w), and ``mod`` reduces
+    Coordinate t of entry j sits in slot j*l + t, ``Field.w`` bits wide, so
+    an element's packed entry is its coordinates w bits apart, and over F_q
+    it is the element itself.  ``add`` is the one packed sum.  For odd q a
+    slot is q.bit_length() + 1 bits: two reduced vectors add without a carry
+    between slots (each slot stays below 2q < 2^w), and the sum reduces
     every slot from [0, 2q) to [0, q) at once: adding 2^(w-1) - q to every
     slot sets a slot's top bit exactly where it reached q, and q is
-    subtracted there.  Multiplying by an element of F_{q^l} is F_q-linear,
-    so it is a sum of base-field multiples of the vector times powers of x
-    (``times_x``).
+    subtracted there.  Over F_2 a slot is one bit and a sum is an XOR
+    (``_BinaryPacking``, chosen whenever q = 2).  Multiplying by an element
+    of F_{q^l} is F_q-linear, so it is a sum of base-field multiples of the
+    vector times powers of x (``times_x``).
     """
 
-    __slots__ = ("field", "size", "w", "ew", "mod", "_emask", "_low", "_top", "_fold", "_q_entry",
-                 "_to_entry", "_from_entry")
+    __slots__ = ("field", "size", "w", "ew", "add", "_emask", "_low", "_top", "_fold", "_q_entry")
+
+    def __new__(cls, field: Field, size: int):
+        return object.__new__(_BinaryPacking if field.q == 2 else cls)
 
     def __init__(self, field: Field, size: int):
         q, l, w = field.q, field.l, field.w
         ew = w * l  # bits per entry
         ones = (1 << (ew * size)) - 1
-        unit = ones // ((1 << w) - 1)  # 1 in every slot
-        adj = ((1 << (w - 1)) - q) * unit
-        high = (1 << (w - 1)) * unit
-        shift = w - 1
-
-        def mod(s):
-            return s - ((s + adj & high) >> shift) * q
-
         self.field = field
         self.size = size
         self.w = w
         self.ew = ew
-        self.mod = mod
         self._emask = (1 << ew) - 1
         # every entry's coordinate l-1, and all its other coordinates
         self._top = (((1 << w) - 1) << (w * (l - 1))) * (ones // self._emask)
@@ -663,13 +647,31 @@ class Packing:
         # x^l = sum of fold_j x^j modulo the field's modulus
         self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
         self._q_entry = q * (self._emask // ((1 << w) - 1))  # q in every slot of one entry
-        self._to_entry, self._from_entry = field.to_entry, field.from_entry
+        self.add = self._adder(ones // ((1 << w) - 1))
+
+    def _adder(self, unit: int):
+        """The packed sum, a closure over its constants; `unit` has 1 in every slot."""
+        q, shift = self.field.q, self.w - 1
+        adj = ((1 << shift) - q) * unit
+        high = (1 << shift) * unit
+
+        def add(u, v):
+            """u + v for reduced packed vectors u and v, or for any u + v with slots in [0, 2q)."""
+            s = u + v
+            return s - ((s + adj & high) >> shift) * q
+
+        return add
 
     def coerce(self, value) -> int:
         """The packed entry of `value`, coerced as ``Field.__call__`` coerces it."""
+        fld = self.field
         if type(value) is int:
-            return value % self.field.q  # a base-field scalar: coordinate 0 only
-        return self._to_entry(self.field(value).code)
+            return value % fld.q  # a base-field scalar: coordinate 0 only
+        code, q, w = fld(value).code, fld.q, self.w
+        entry = 0
+        for p in reversed(fld.place):
+            entry = entry << w | code // p % q
+        return entry
 
     def pack(self, entries) -> int:
         """The packed vector of a sequence of `size` packed entries."""
@@ -690,7 +692,12 @@ class Packing:
 
     def element(self, entry: int) -> Fel:
         """The element a packed entry holds."""
-        return _fel(self.field, self._from_entry(entry))
+        w, slot = self.w, (1 << self.w) - 1
+        code = 0
+        for p in self.field.place:
+            code += (entry & slot) * p
+            entry >>= w
+        return _fel(self.field, code)
 
     def unpack(self, v: int) -> tuple[Fel, ...]:
         return tuple(map(self.element, self.entries(v)))
@@ -699,21 +706,21 @@ class Packing:
         """c * v for a base-field scalar 0 < c < q, by doubling and adding."""
         if c == 1:
             return v
-        mod = self.mod
+        add = self.add
         acc = v
         for bit in bin(c)[3:]:
-            acc = mod(acc + acc)
+            acc = add(acc, acc)
             if bit == "1":
-                acc = mod(acc + v)
+                acc = add(acc, v)
         return acc
 
     def times_x(self, v: int) -> int:
         """x * v: every coordinate moves up one slot and the top one folds back."""
-        w, mod = self.w, self.mod
+        w, add = self.w, self.add
         top = (v & self._top) >> (w * (self.field.l - 1))
         out = (v & self._low) << w
         for j, c in self._fold:
-            out = mod(out + (self.scale(c, top) << (w * j)))
+            out = add(out, self.scale(c, top) << (w * j))
         return out
 
     def x_powers(self, v: int) -> list[int]:
@@ -725,16 +732,56 @@ class Packing:
 
     def neg(self, entry: int) -> int:
         """The packed entry of minus the element a packed entry holds."""
-        return self.mod(self._q_entry - entry)
+        return self.add(self._q_entry, -entry)  # q - c in every slot, in (0, q]
 
     def add_mul(self, v: int, entry: int, powers) -> int:
         """v + a * u, for a given as its packed entry, where powers = x_powers(u)."""
-        w, slot, mod, scale = self.w, (1 << self.w) - 1, self.mod, self.scale
+        w, slot, add, scale = self.w, (1 << self.w) - 1, self.add, self.scale
         for p in powers:
             c = entry & slot
             if c:
-                v = mod(v + scale(c, p))
+                v = add(v, scale(c, p))
             entry >>= w
+        return v
+
+
+class _BinaryPacking(Packing):
+    """q = 2: one bit per coordinate, so an entry is the element's code and a sum is an XOR."""
+
+    __slots__ = ("_fold_bits",)
+
+    def __init__(self, field: Field, size: int):
+        super().__init__(field, size)
+        # the fold of x^l as one multiplier: each entry's top bit, moved to
+        # slot 0, times fold_bits < 2^l stays inside its own entry
+        self._fold_bits = sum(1 << j for j, _ in self._fold)
+
+    def _adder(self, unit: int):
+        return operator.xor
+
+    def coerce(self, value) -> int:
+        if type(value) is int:
+            return value & 1
+        return self.field(value).code
+
+    def element(self, entry: int) -> Fel:
+        return _fel(self.field, entry)
+
+    def scale(self, c: int, v: int) -> int:
+        return v  # c = 1, the only nonzero scalar
+
+    def times_x(self, v: int) -> int:
+        l = self.field.l
+        return (v & self._low) << 1 ^ ((v & self._top) >> (l - 1)) * self._fold_bits
+
+    def neg(self, entry: int) -> int:
+        return entry
+
+    def add_mul(self, v: int, entry: int, powers) -> int:
+        for p in powers:
+            if entry & 1:
+                v ^= p
+            entry >>= 1
         return v
 
 

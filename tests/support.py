@@ -119,9 +119,9 @@ def matmul(a, b):
         raise ValueError("mixed-field product")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    zero = a.field.zero
+    zero, bdata = a.field.zero, b.data
     rows = [
-        [sum((x * b.data[t][j] for t, x in enumerate(row) if x), zero) for j in range(b.cols)]
+        [sum((x * bdata[t][j] for t, x in enumerate(row) if x), zero) for j in range(b.cols)]
         for row in a.data
     ]
     return Matrix(a.field, rows, cols=b.cols)

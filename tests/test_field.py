@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
-from ncauth.field import TABLE_ORDER, _is_irreducible, _TableField, is_prime
+from ncauth.field import TABLE_ORDER, Packing, _is_irreducible, _TableField, is_prime, packing
 from support import ORACLE_FIELDS, element_strategy, elements
 
 # The oracle fields plus both sides of the table bound: GF(3^10) and GF(251^2)
@@ -337,3 +337,57 @@ def test_degree_one_field_is_plain_prime_field():
     assert (a + b).coeffs == (1,)
     assert a.frob(4) == a
     assert a.inv() * a == F.one
+
+
+# The binary fields up to the largest table field, and odd q on both table
+# paths and the prime path at the bound: every packed layout in use.
+PACKING_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 16), (3, 5), (257, 2), (65521, 1)]
+
+
+@st.composite
+def packed_operands(draw):
+    """A Packing, two vectors, an element, a nonzero base-field scalar and an int to coerce."""
+    q, l = draw(st.sampled_from(PACKING_FIELDS))
+    fld = Field(q, l)
+    size = draw(st.integers(1, 6))
+    vector = st.lists(element_strategy(fld), min_size=size, max_size=size)
+    pk = draw(st.sampled_from([packing(fld, size), Packing(fld, size)]))
+    scalar, n = draw(st.integers(1, q - 1)), draw(st.integers(-(1 << 17), 1 << 17))
+    return pk, draw(vector), draw(vector), draw(element_strategy(fld)), scalar, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_operands())
+def test_packing_ops_match_element_arithmetic(args):
+    pk, u, v, a, c, n = args
+    fld = pk.field
+    # x, the class of the polynomial x modulo the modulus (-m_0 when l = 1)
+    x = fld([0, 1] + [0] * (fld.l - 2)) if fld.l > 1 else fld(-fld.modulus[0])
+    entries = [pk.coerce(e) for e in u]
+    pu, pv = pk.pack(entries), pk.pack([pk.coerce(e) for e in v])
+    assert pk.entries(pu) == entries
+    assert [pk.entry(pu, j) for j in range(len(u))] == entries
+    assert [bool(e) for e in entries] == [bool(e) for e in u]
+    assert pk.unpack(pu) == tuple(u)
+    assert list(map(pk.element, entries)) == u
+    assert pk.element(pk.coerce(n)) == fld(n)
+    assert pk.unpack(pk.add(pu, pv)) == tuple(s + t for s, t in zip(u, v))
+    assert [pk.element(pk.neg(e)) for e in entries] == [-e for e in u]
+    assert pk.unpack(pk.scale(c, pu)) == tuple(fld(c) * e for e in u)
+    assert pk.unpack(pk.times_x(pu)) == tuple(x * e for e in u)
+    powers = pk.x_powers(pu)
+    assert [pk.unpack(p) for p in powers] == [tuple(x**t * e for e in u) for t in range(fld.l)]
+    assert pk.unpack(pk.add_mul(pv, pk.coerce(a), powers)) == tuple(
+        t + a * s for s, t in zip(u, v)
+    )
+
+
+@pytest.mark.parametrize("l", [1, 3, 8, 16])
+@pytest.mark.parametrize("size", [1, 5, 42])
+def test_binary_packing_is_one_bit_per_coordinate(l, size):
+    fld = Field(2, l)
+    assert fld.w == 1
+    ones = fld([1] * l)  # every coordinate set: the widest element
+    for pk in (packing(fld, size), Packing(fld, size)):
+        assert pk.ew == l
+        assert pk.pack([pk.coerce(ones)] * size) == (1 << (size * l)) - 1

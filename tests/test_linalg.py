@@ -115,6 +115,27 @@ def test_rref_matches_reference_elimination(m):
     assert m.rank() == len(pivots)
 
 
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+def test_rref_matches_reference_at_benchmark_shapes(q, l):
+    """40 x 42 reductions, above the widest recovery-system solve (36 x 37), full rank and deficient."""
+    fld = Field(q, l)
+    rng = random.Random(1000 * q + l)
+    full = random_matrix(fld, 40, 42, rng)
+    # rank at most 25: a product through 25 dimensions
+    low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
+    # zero columns, repeated rows and a zero row among random ones
+    rows = [list(r) for r in random_matrix(fld, 20, 42, rng).data]
+    for r in rows:
+        r[0] = r[7] = r[41] = fld.zero
+    holes = Matrix(fld, rows + rows[:19] + [[fld.zero] * 42], cols=42)
+    ranks = []
+    for m in (full, low, holes):
+        red, pivots = m.rref()
+        assert (red, pivots) == reference_rref(m)
+        ranks.append(len(pivots))
+    assert ranks[0] == 40 and ranks[1] <= 25 and ranks[2] <= 20
+
+
 def test_rank_properties_randomized():
     rng = random.Random(29)
     F = Field(5, 1)
