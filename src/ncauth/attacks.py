@@ -150,7 +150,7 @@ def build_recovery_system(
             crows.append(row << (pk.ew * t))
             crhs.append(coerce(key.evals[t]))
 
-    r0 = Matrix.from_packed(fld, mixed_rows, M + 1).rank()
+    r0 = Matrix._from_packed(fld, mixed_rows, M + 1).rank()
     meta = RecoveryMeta(
         q=fld.q,
         l=fld.l,
@@ -162,7 +162,7 @@ def build_recovery_system(
         h_total=view.h_total,
     )
     return RecoverySystem(
-        Matrix.from_packed(fld, crows, k * (M + 1)), Matrix.from_packed(fld, crhs, 1), meta
+        Matrix._from_packed(fld, crows, k * (M + 1)), Matrix._from_packed(fld, crhs, 1), meta
     )
 
 

@@ -619,6 +619,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _guard(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below, with the negative values
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncauth",
@@ -638,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_command("forge", "run a scenario with a forgery attack")
     scenario_command("pollute", "run a scenario with an in-network substitution")
     recover = scenario_command("recover", "run a coalition key-recovery analysis")
-    recover.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD,
+    recover.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD,
                          help="brute-force candidate budget")
 
     sweep = sub.add_parser("lemma-sweep", help="sweep instances and check key-count formulas")
@@ -649,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--K", type=_int_list, default=(1, 2))
     sweep.add_argument("--reps", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD)
+    sweep.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD)
     sweep.add_argument("--family", choices=("fan", "line"), default="fan")
     sweep.add_argument("--out", default=None)
 

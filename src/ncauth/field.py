@@ -20,8 +20,8 @@ its class:
   n = q^l - 1 steps g^i -> g^(i+1), each two table lookups on the int
   state (``_log_tables``).  exp[i] is the code of g^i, stored twice over so
   that a sum of two logs needs no reduction, and log inverts it.  A product
-  is exp[log a + log b], an inverse exp[n - log a], a power a^e
-  exp[log a * e mod n] and the Frobenius map a^(q^i) exp[log a * q^i mod n].
+  is exp[log a + log b], an inverse exp[n - log a] and the Frobenius map
+  a^(q^i) exp[log a * q^i mod n].
   Over F_2 a sum is the XOR of the codes.  In odd characteristic it is one
   Zech logarithm, a + b = a (1 + g^(log b - log a)), where
   zech[k] = log(1 + g^k) and zech[n/2] = -1, since g^(n/2) = -1.
@@ -396,9 +396,6 @@ class _PrimeField(Field):
     def sub(self, a, b):
         return (a - b) % self.q
 
-    def neg(self, a):
-        return -a % self.q
-
     def mul(self, a, b):
         return a * b % self.q
 
@@ -407,9 +404,6 @@ class _PrimeField(Field):
 
     def frob(self, a, i):
         return a
-
-    def pow(self, a, e):
-        return pow(a, e, self.q)
 
 
 class _TableField(Field):
@@ -450,9 +444,6 @@ class _TableField(Field):
         z = self.zech[(lb - la) % self.n]
         return self.exp[la + z] if z >= 0 else 0
 
-    def neg(self, a):
-        return self.exp[self.log[a] + self.half] if a else 0
-
     def mul(self, a, b):
         if a and b:
             log = self.log
@@ -465,14 +456,9 @@ class _TableField(Field):
     def frob(self, a, i):
         return self.exp[self.log[a] * self.place[i] % self.n] if a else 0
 
-    def pow(self, a, e):
-        if a:
-            return self.exp[self.log[a] * e % self.n]
-        return 0 if e else 1
-
 
 class _BinaryTableField(_TableField):
-    """The tables over F_2: a sum is the XOR of the codes and -a = a."""
+    """The tables over F_2: a sum, and so a difference, is the XOR of the codes."""
 
     __slots__ = ()
 
@@ -480,9 +466,6 @@ class _BinaryTableField(_TableField):
         return a ^ b
 
     sub = add
-
-    def neg(self, a):
-        return a
 
 
 class _PolyField(Field):
@@ -498,10 +481,6 @@ class _PolyField(Field):
         q = self.q
         return self.code([(x - y) % q for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
-    def neg(self, a):
-        q = self.q
-        return self.code([-x % q for x in self.coeffs(a)])
-
     def mul(self, a, b):
         q = self.q
         return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
@@ -510,23 +489,13 @@ class _PolyField(Field):
         return self.code(_poly_inverse(self.coeffs(a), self.modulus, self.q))
 
     def frob(self, a, i):
-        return self.pow(a, self.q**i)
-
-    def pow(self, a, e):
-        if not e:
-            return 1
-        return self.code(_poly_powmod(self.coeffs(a), e, self.modulus, self.q))
+        return self.code(_poly_powmod(self.coeffs(a), self.q**i, self.modulus, self.q))
 
 
 class Fel:
-    """An element of F_{q^l}, held as its int code (see the module docstring)."""
+    """An element of F_{q^l}, held as its int code; ``Field.__call__`` makes one."""
 
     __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, coeffs):
-        # callers pass l coordinates already reduced mod q
-        self.field = field
-        self.code = field.code(coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -549,10 +518,6 @@ class Fel:
             raise ValueError("mixed-field arithmetic")
         return _fel(f, f.sub(self.code, other.code))
 
-    def __neg__(self):
-        f = self.field
-        return _fel(f, f.neg(self.code))
-
     def __mul__(self, other):
         if not isinstance(other, Fel):
             return NotImplemented
@@ -561,22 +526,11 @@ class Fel:
             raise ValueError("mixed-field arithmetic")
         return _fel(f, f.mul(self.code, other.code))
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent; invert first")
-        f = self.field
-        return _fel(f, f.pow(self.code, e))
-
     def inv(self):
         if not self.code:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
         return _fel(f, f.inv(self.code))
-
-    def __truediv__(self, other):
-        if not isinstance(other, Fel):
-            return NotImplemented
-        return self * other.inv()
 
     def frob(self, i: int):
         """The i-fold q-power map a -> a^(q^i)."""

@@ -2,12 +2,11 @@
 
 Everything is desk-scale.  A matrix is its rows, each packed into one int
 in the ``field.Packing`` layout, and nothing else; elements are built only
-when someone reads them (``data``, ``row``, ``column``, ``m[i, j]``).  Row
-reduction is Gauss-Jordan with leftmost-nonzero pivoting (no tie-breaking
-beyond row order), so reduced forms are deterministic, and it works on the
-packed rows directly: subtracting a multiple of the pivot row costs a few
-big-int operations per coordinate of the multiplier, whatever the width of
-the row.
+when ``data``, the one reader, reads them.  Row reduction is Gauss-Jordan
+with leftmost-nonzero pivoting (no tie-breaking beyond row order), so
+reduced forms are deterministic, and it works on the packed rows directly:
+subtracting a multiple of the pivot row costs a few big-int operations per
+coordinate of the multiplier, whatever the width of the row.
 
 ``solve`` is the only routine that reduces an augmented system [A | B]: one
 solve gives the rank of A and a particular solution, so sink and coalition
@@ -44,8 +43,8 @@ class Matrix:
         self.packed = tuple([pk.pack([coerce(x) for x in row]) for row in rows])
 
     @classmethod
-    def from_packed(cls, field: Field, packed, cols: int) -> "Matrix":
-        """The matrix whose rows are the given reduced packed vectors of `cols` entries."""
+    def _from_packed(cls, field: Field, packed, cols: int) -> "Matrix":
+        """The matrix of the given reduced packed rows of `cols` entries, taken unchecked."""
         self = cls.__new__(cls)
         self.field, self.cols = field, cols
         self.packed = tuple(packed)
@@ -55,16 +54,6 @@ class Matrix:
     @property
     def data(self) -> tuple[tuple[Fel, ...], ...]:
         return tuple(map(packing(self.field, self.cols).unpack, self.packed))
-
-    def row(self, i: int) -> tuple[Fel, ...]:
-        return packing(self.field, self.cols).unpack(self.packed[i])
-
-    def column(self, j: int) -> tuple[Fel, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def __getitem__(self, key) -> Fel:
-        i, j = key
-        return self.row(i)[j]
 
     def __eq__(self, other):
         return (
@@ -101,7 +90,7 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return Matrix.from_packed(fld, m, self.cols), tuple(pivots)
+        return Matrix._from_packed(fld, m, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -121,11 +110,11 @@ def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
     fld, n = coeff.field, coeff.cols
     shift = packing(fld, n).ew * n
     rows = [a | b << shift for a, b in zip(coeff.packed, rhs.packed)]
-    red, pivots = Matrix.from_packed(fld, rows, n + rhs.cols).rref()
+    red, pivots = Matrix._from_packed(fld, rows, n + rhs.cols).rref()
     rank = sum(p < n for p in pivots)
     if rank < len(pivots):
         return rank, None
     out = [0] * n
     for v, p in zip(red.packed, pivots):
         out[p] = v >> shift
-    return rank, Matrix.from_packed(fld, out, rhs.cols)
+    return rank, Matrix._from_packed(fld, out, rhs.cols)

@@ -28,26 +28,6 @@ from .field import Field, packing
 from .linalg import Matrix, solve
 from .scheme import ForgerySpec, TaggedPacket, VerifierKey, combine, mix, verify
 
-__all__ = [
-    "Edge",
-    "Network",
-    "Intervention",
-    "InterventionRecord",
-    "FlowState",
-    "DecodeResult",
-    "CoalitionView",
-    "CycleError",
-    "simulate",
-    "decode",
-    "coalition_view",
-    "accept_map",
-    "butterfly",
-    "line",
-    "diamond",
-    "fan",
-    "network_from_dict",
-]
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -288,7 +268,7 @@ def decode(view: CoalitionView) -> DecodeResult:
     base = Field(fld.q, 1)
     packet_pk = packing(base, width)
     coeff = Matrix(base, view.h_rows, cols=n)  # reduces kernel entries mod q
-    observed = Matrix.from_packed(base, [packet_pk.pack(p.flat) for p in view.packets], width)
+    observed = Matrix._from_packed(base, [packet_pk.pack(p.flat) for p in view.packets], width)
     rank, x = solve(coeff, observed)
     if rank < n:
         return DecodeResult(False, rank, None, None, "insufficient rank")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import Fel, Field
+from .field import Fel, Field, _fel
 from .linalg import Matrix
 
 
@@ -95,9 +95,6 @@ class SourceKey:
     def M(self) -> int:
         return len(self.polys) - 1
 
-    def poly(self, t: int) -> tuple[Fel, ...]:
-        return self.polys[t]
-
 
 @dataclass(frozen=True)
 class VerifierKey:
@@ -114,8 +111,8 @@ class TaggedPacket:
 
     One header symbol, the payload's l coordinates, then the l coordinates of
     each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
-    views of that vector, the elements built once per packet, and every
-    F_q-linear operation on packets is a `mix` of their flat vectors.
+    views of that vector, built once per packet from its checked symbols, and
+    every F_q-linear operation on packets is a `mix` of their flat vectors.
     """
 
     field: Field
@@ -139,12 +136,12 @@ class TaggedPacket:
 
     @cached_property
     def m(self) -> Fel:
-        return Fel(self.field, self.flat[1 : 1 + self.field.l])
+        return _fel(self.field, self.field.code(self.flat[1 : 1 + self.field.l]))
 
     @cached_property
     def tag(self) -> tuple[Fel, ...]:
         fld, flat, l = self.field, self.flat, self.field.l
-        return tuple(Fel(fld, flat[i : i + l]) for i in range(1 + l, len(flat), l))
+        return tuple(_fel(fld, fld.code(flat[i : i + l])) for i in range(1 + l, len(flat), l))
 
     def is_zero(self) -> bool:
         return not any(self.flat)
@@ -184,7 +181,7 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     )
     vkeys = []
     for i, x in enumerate(params.public_points):
-        evals = tuple(poly_eval(key.poly(t), x) for t in range(params.M + 1))
+        evals = tuple(poly_eval(poly, x) for poly in key.polys)
         vkeys.append(VerifierKey(i, x, evals))
     return key, vkeys
 

@@ -7,7 +7,7 @@ import random
 
 from hypothesis import strategies as st
 
-from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
+from ncauth import Field, GuardError, Matrix, SystemParams, keygen, tag
 from ncauth.cli import _sample_points, _sum_one_coeffs as sum_one_coeffs
 
 ENUMERATION_GUARD = 1 << 20
@@ -27,7 +27,7 @@ def element_strategy(field):
     def from_code(code):
         return field([code // q**t % q for t in range(l)])
 
-    special = [field.zero, field.one, -field.one, field([q - 1] * l)]
+    special = [field.zero, field.one, field.zero - field.one, field([q - 1] * l)]
     return st.one_of(st.sampled_from(special), st.integers(0, field.order - 1).map(from_code))
 
 
@@ -93,7 +93,7 @@ def elements(field):
         raise GuardError(
             f"field of size {field.order} exceeds enumeration guard {ENUMERATION_GUARD}"
         )
-    return [Fel(field, c) for c in itertools.product(range(field.q), repeat=field.l)]
+    return [field(c) for c in itertools.product(range(field.q), repeat=field.l)]
 
 
 def random_matrix(field, rows, cols, rng):
@@ -110,7 +110,8 @@ def identity(field, n):
 
 
 def transpose(m):
-    return Matrix(m.field, [m.column(j) for j in range(m.cols)], cols=m.rows)
+    data = m.data
+    return Matrix(m.field, [[row[j] for row in data] for j in range(m.cols)], cols=m.rows)
 
 
 def matmul(a, b):
@@ -225,9 +226,10 @@ def reference_brute_force_count(system):
 def reference_rref(matrix):
     """Row-reduction oracle: Gauss-Jordan on field elements, one entry at a time.
 
-    Leftmost-nonzero pivoting in row order, pivots inverted as a^(order-2):
-    the reduced form and pivots `Matrix.rref` must reproduce exactly.  It
-    shares no code with it beyond element arithmetic.
+    Leftmost-nonzero pivoting in row order, pivots inverted as a^(order-2)
+    by `reference_pow` on coordinates: the reduced form and pivots
+    `Matrix.rref` must reproduce exactly.  It shares no code with it beyond
+    element products and differences.
     """
     fld = matrix.field
     m = [list(r) for r in matrix.data]
@@ -238,7 +240,7 @@ def reference_rref(matrix):
         if hit is None:
             continue
         m[r], m[hit] = m[hit], m[r]
-        inv = m[r][c] ** (fld.order - 2)
+        inv = fld(reference_pow(fld, m[r][c].coeffs, fld.order - 2))
         m[r] = [e * inv for e in m[r]]
         for i in range(matrix.rows):
             if i != r and m[i][c]:

@@ -22,7 +22,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import forgery_instances, make_instance
+from support import forgery_instances, make_instance, reference_pow
 
 FIELD_POOL = (
     (2, 1), (3, 1), (5, 1), (7, 1),
@@ -178,9 +178,9 @@ def _suite_field_axioms(rng):
     assert a + b == b + a and a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a + fld.zero == a and a * fld.one == a
-    assert a + (-a) == fld.zero
+    assert a + (fld.zero - a) == fld.zero
     if not b.is_zero():
-        assert (a / b) * b == a
+        assert (a * b.inv()) * b == a
 
 
 def _suite_frobenius_automorphism(rng):
@@ -190,7 +190,7 @@ def _suite_frobenius_automorphism(rng):
     assert (a + b).frob(i) == a.frob(i) + b.frob(i)
     assert (a * b).frob(i) == a.frob(i) * b.frob(i)
     assert a.frob(fld.l) == a
-    assert a.frob(i) == a ** (fld.q**i)
+    assert a.frob(i).coeffs == reference_pow(fld, a.coeffs, fld.q**i)
 
 
 def _suite_frobenius_fixes_base(rng):

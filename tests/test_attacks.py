@@ -144,7 +144,7 @@ def test_recovery_hand_example_matrix():
     assert (meta.r0, meta.h_total, meta.K) == (1, 1, 1)
 
     def ints(m):
-        return [[v.coeffs[0] for v in m.row(r)] for r in range(m.rows)]
+        return [[v.coeffs[0] for v in row] for row in m.data]
 
     # two observation rows (one per secret column), then the member's key rows
     assert ints(system.coeff) == [
@@ -192,11 +192,11 @@ def test_true_key_satisfies_the_system():
         )
         system = build_recovery_system(params, view, vkeys[:2], messages)
         secret = _column_major_secret(skey)
-        for r in range(system.coeff.rows):
+        for row, (want,) in zip(system.coeff.data, system.rhs.data, strict=True):
             acc = params.field.zero
-            for c, v in enumerate(system.coeff.row(r)):
+            for c, v in enumerate(row):
                 acc = acc + v * secret[c]
-            assert acc == system.rhs[r, 0]
+            assert acc == want
 
 
 def test_full_mixing_rank_pins_the_key():
@@ -318,7 +318,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
     for pkt in view.packets:
         _, h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
-        true_rows.append(tuple(h[i, 0].coeffs[0] for i in range(len(packets))))
+        true_rows.append(tuple(x.coeffs[0] for (x,) in h.data))
     fixed = CoalitionView(view.nodes, view.row_counts, tuple(true_rows), view.packets)
     system2 = build_recovery_system(params, fixed, vkeys[:1], messages)
     ok2, cnt2, _ = gauss_count(system2)

@@ -537,6 +537,20 @@ def test_main_guard_only_on_recover(tmp_path, capsys):
         main(["simulate", "--config", write_config(tmp_path, butterfly_doc()), "--guard", "2"])
 
 
+@pytest.mark.parametrize("command", ["recover", "lemma-sweep"])
+def test_main_guard_must_be_nonnegative(tmp_path, capsys, command):
+    if command == "recover":
+        argv = ["recover", "--config", write_config(tmp_path, recover_doc())]
+    else:
+        argv = ["lemma-sweep", "--q", "2", "--l", "1", "--k", "2", "--M", "1", "--K", "1"]
+    for bad in ("-5", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--guard", bad])
+        assert exc.value.code == 2
+        assert "--guard" in capsys.readouterr().err
+    assert main(argv + ["--guard", "0"]) == 0
+
+
 def test_main_keygen(tmp_path, capsys):
     cfg = write_config(tmp_path, butterfly_doc())
     assert main(["keygen", "--config", cfg]) == 0

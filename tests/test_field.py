@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
+from ncauth import Fel, Field, GuardError, Matrix, SystemParams, TaggedPacket, keygen, tag
 from ncauth.field import TABLE_ORDER, Packing, _is_irreducible, _TableField, is_prime, packing
 from support import ORACLE_FIELDS, element_strategy, elements
 
@@ -154,7 +154,7 @@ def nonzero_elements(draw):
 @given(nonzero_elements())
 def test_inverse_matches_fermat(x):
     fld = x.field
-    assert x.inv() == x ** (fld.order - 2)
+    assert x.inv().coeffs == support.reference_pow(fld, x.coeffs, fld.order - 2)
     assert x * x.inv() == fld.one
 
 
@@ -163,24 +163,23 @@ def element_pairs(draw):
     q, l = draw(st.sampled_from(ARITH_FIELDS))
     fld = Field(q, l)
     elem = element_strategy(fld)
-    return draw(elem), draw(elem), draw(st.integers(0, 2 * fld.order))
+    return draw(elem), draw(elem)
 
 
 @settings(max_examples=300, deadline=None)
 @given(element_pairs())
 def test_arithmetic_matches_reference(args):
-    a, b, e = args
+    a, b = args
     fld = a.field
     q, x, y = fld.q, a.coeffs, b.coeffs
     assert (a + b).coeffs == tuple((u + v) % q for u, v in zip(x, y))
     assert (a - b).coeffs == tuple((u - v) % q for u, v in zip(x, y))
-    assert (-a).coeffs == tuple(-u % q for u in x)
+    assert (fld.zero - a).coeffs == tuple(-u % q for u in x)
     assert (a * b).coeffs == support.reference_mul(fld, x, y)
     if a:
         assert a.inv().coeffs == support.reference_inv(fld, x)
     for i in range(fld.l):
         assert a.frob(i).coeffs == support.reference_pow(fld, x, q**i)
-    assert (a**e).coeffs == support.reference_pow(fld, x, e)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +203,7 @@ def test_log_tables_exhaustive(q, l):
     assert all(log[exp[i]] == i for i in range(n))
     coeffs = {}
     for c in itertools.product(range(q), repeat=l):
-        x = Fel(F, c)
+        x = F(c)
         assert x.coeffs == c
         coeffs[x.code] = c
     assert sorted(coeffs) == list(range(F.order))
@@ -224,11 +223,6 @@ def test_log_tables_exhaustive(q, l):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Field(5, 1).zero.inv()
-
-
-def test_pow_negative_rejected():
-    with pytest.raises(ValueError):
-        Field(2, 2).one ** -1
 
 
 def test_field_axioms_randomized():
@@ -257,7 +251,7 @@ def test_frobenius_is_additive_multiplicative_and_fixes_base():
             assert (a + b).frob(i) == a.frob(i) + b.frob(i)
             assert (a * b).frob(i) == a.frob(i) * b.frob(i)
             assert a.frob(l) == a  # order divides l
-            assert a.frob(i) == a ** (q**i)
+            assert a.frob(i).coeffs == support.reference_pow(F, a.coeffs, q**i)
         for c in range(q):
             assert F(c).frob(1) == F(c)
 
@@ -330,6 +324,24 @@ def test_coercion_refuses_non_integers(value):
         Matrix(F, [[value]])
 
 
+def test_field_call_is_the_one_element_constructor():
+    F = Field(3, 2)
+    with pytest.raises(TypeError):
+        Fel(F, (5, 0))
+    assert F((5, 0)) == F((2, 0))  # coordinates are reduced mod q
+    for bad in [(0, 0, 1), (True, 0)]:
+        with pytest.raises(ValueError):
+            F(bad)
+    # a packet's element views read symbols its constructor has checked
+    rng = random.Random(7)
+    for q, l in [(3, 2), (2, 8), (5, 1)]:
+        fld = Field(q, l)
+        pkt = TaggedPacket(fld, [1] + [rng.randrange(q) for _ in range(3 * l)])
+        flat = pkt.flat
+        assert pkt.m == fld(flat[1 : 1 + l])
+        assert pkt.tag == (fld(flat[1 + l : 1 + 2 * l]), fld(flat[1 + 2 * l :]))
+
+
 def test_degree_one_field_is_plain_prime_field():
     F = Field(7, 1)
     a, b = F(3), F(5)
@@ -372,11 +384,12 @@ def test_packing_ops_match_element_arithmetic(args):
     assert list(map(pk.element, entries)) == u
     assert pk.element(pk.coerce(n)) == fld(n)
     assert pk.unpack(pk.add(pu, pv)) == tuple(s + t for s, t in zip(u, v))
-    assert [pk.element(pk.neg(e)) for e in entries] == [-e for e in u]
+    assert [pk.element(pk.neg(e)) for e in entries] == [fld.zero - e for e in u]
     assert pk.unpack(pk.scale(c, pu)) == tuple(fld(c) * e for e in u)
     assert pk.unpack(pk.times_x(pu)) == tuple(x * e for e in u)
     powers = pk.x_powers(pu)
-    assert [pk.unpack(p) for p in powers] == [tuple(x**t * e for e in u) for t in range(fld.l)]
+    x_pows = [fld(support.reference_pow(fld, x.coeffs, t)) for t in range(fld.l)]
+    assert [pk.unpack(p) for p in powers] == [tuple(xt * e for e in u) for xt in x_pows]
     assert pk.unpack(pk.add_mul(pv, pk.coerce(a), powers)) == tuple(
         t + a * s for s, t in zip(u, v)
     )

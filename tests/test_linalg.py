@@ -56,7 +56,6 @@ def test_rref_identity_and_zero():
         a = random_matrix(G, 3, 4, rng)
         for b in (Matrix(G, [[x.coeffs for x in row] for row in a.data]), solve(eye, a)[1]):
             assert b == a and b.data == a.data
-            assert all(b[i, j] == a.row(i)[j] == a.column(j)[i] for i in range(3) for j in range(4))
 
 
 def test_rref_idempotent_randomized():
@@ -216,15 +215,14 @@ def test_solve_rank_and_particular_solution(system):
         assert matmul(coeff, x) == rhs
         pivots = coeff.rref()[1]
         zero_row = (coeff.field.zero,) * rhs.cols
-        assert all(x.row(j) == zero_row for j in range(coeff.cols) if j not in pivots)
+        assert all(row == zero_row for j, row in enumerate(x.data) if j not in pivots)
 
 
 def test_vandermonde_structure_and_rank():
     F = Field(2, 2)
     w = F((0, 1))
     v = vandermonde(F, [F.one, w], 3)
-    assert v.column(0) == (F.one, F.one, F.one)
-    assert v.column(1) == (F.one, w, w * w)
+    assert list(zip(*v.data)) == [(F.one, F.one, F.one), (F.one, w, w * w)]
     rng = random.Random(3)
     for q, l in [(3, 1), (2, 2), (5, 1)]:
         G = Field(q, l)

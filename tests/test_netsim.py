@@ -126,7 +126,7 @@ def test_honest_flow_matches_global_kernels():
         x = Matrix(base, [p.flat for p in packets], cols=len(packets[0].flat))
         for e, f in flow.kernels.items():
             fe = Matrix(base, [f], cols=net.n)
-            expect = matmul(fe, x).row(0)
+            expect = matmul(fe, x).data[0]
             assert tuple(v.coeffs[0] for v in expect) == flow.edge_packets[e].flat
 
 
