@@ -369,9 +369,19 @@ class Field:
         return _fel(self, self.code([c % q for c in value]))
 
     def random_element(self, rng: random.Random) -> Fel:
+        """An element whose coordinates, low degree first, are ``rng.randrange(q)`` draws.
+
+        Each draw is the one ``randrange`` makes, getrandbits(q.bit_length())
+        until a value below q comes up, without its per-call argument checks:
+        the same stream, so the same keys and payloads from the same seed.
+        """
         q, code = self.q, 0
-        for p in self.place:  # coordinates drawn low degree first
-            code += rng.randrange(q) * p
+        bits, getrandbits = q.bit_length(), rng.getrandbits
+        for p in self.place:
+            r = getrandbits(bits)
+            while r >= q:
+                r = getrandbits(bits)
+            code += r * p
         return _fel(self, code)
 
     def code(self, coeffs) -> int:
@@ -496,6 +506,13 @@ class Fel:
     """An element of F_{q^l}, held as its int code; ``Field.__call__`` makes one."""
 
     __slots__ = ("field", "code")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("Fel is not constructed directly; call its Field, e.g. F(3) or F([1, 2])")
+
+    def __reduce__(self):
+        # copies and unpickled elements are rebuilt without __new__, on the one field object
+        return _fel, (self.field, self.code)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

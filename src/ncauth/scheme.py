@@ -23,11 +23,12 @@ from .field import Fel, Field, _fel
 from .linalg import Matrix
 
 
-def poly_eval(coeffs, x: Fel) -> Fel:
-    """Evaluate a polynomial given low-to-high coefficients at x (Horner)."""
-    acc = x.field.zero
+def poly_eval(field: Field, coeffs, x: int) -> int:
+    """The code of a polynomial at x, given codes: coefficients low to high, and x (Horner)."""
+    add, mul = field.add, field.mul
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = add(mul(acc, x), c)
     return acc
 
 
@@ -164,8 +165,17 @@ def mix(q: int, vectors, coeffs) -> tuple[int, ...]:
     return tuple([s % q for s in acc])
 
 
+def _weights(field: Field, M: int, s: int) -> list[int]:
+    """Codes of (1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial."""
+    frob = field.frob
+    w = [1, s]
+    while len(w) <= M:
+        w.append(frob(w[-1], 1))
+    return w[: M + 1]
+
+
 def _tag_weights(M: int, s: Fel) -> list[Fel]:
-    """(1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial."""
+    """The elements of ``_weights``: a Moore row, built at the recovery system's API edge."""
     w = [s.field.one, s]
     while len(w) <= M:
         w.append(w[-1].frob(1))
@@ -179,9 +189,10 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     key = SourceKey(
         tuple(tuple(fld.random_element(rng) for _ in range(params.k)) for _ in range(params.M + 1))
     )
+    polys = [[c.code for c in poly] for poly in key.polys]
     vkeys = []
     for i, x in enumerate(params.public_points):
-        evals = tuple(poly_eval(poly, x) for poly in key.polys)
+        evals = tuple(_fel(fld, poly_eval(fld, poly, x.code)) for poly in polys)
         vkeys.append(VerifierKey(i, x, evals))
     return key, vkeys
 
@@ -190,24 +201,34 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     """Authenticate payload s as a fresh source packet (header 1)."""
     fld = key.field
     s = fld(s)
-    weights = _tag_weights(key.M, s)
+    add, mul = fld.add, fld.mul
+    weights = _weights(fld, key.M, s.code)
     flat = [1, *s.coeffs]
     for j in range(key.k):
-        acc = fld.zero
+        acc = 0
         for w, poly in zip(weights, key.polys):
-            acc = acc + w * poly[j]
-        flat += acc.coeffs
+            acc = add(acc, mul(w, poly[j].code))
+        flat += fld.coeffs(acc)
     return TaggedPacket(fld, flat)
 
 
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
-    """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes."""
-    weights = _tag_weights(len(vkey.evals) - 1, packet.m)
-    weights[0] = packet.field(packet.c)
-    rhs = packet.field.zero
+    """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes.
+
+    Computed on codes read straight from the packet's flat vector: the header
+    c, a base-field scalar, is its own code.
+    """
+    fld, flat = packet.field, packet.flat
+    if vkey.point.field is not fld:
+        raise ValueError("mixed-field arithmetic")
+    l, code, add, mul = fld.l, fld.code, fld.add, fld.mul
+    weights = _weights(fld, len(vkey.evals) - 1, code(flat[1 : 1 + l]))
+    weights[0] = flat[0]
+    rhs = 0
     for w, e in zip(weights, vkey.evals):
-        rhs = rhs + w * e
-    return poly_eval(packet.tag, vkey.point) - rhs
+        rhs = add(rhs, mul(w, e.code))
+    tags = [code(flat[i : i + l]) for i in range(1 + l, len(flat), l)]
+    return _fel(fld, fld.sub(poly_eval(fld, tags, vkey.point.code), rhs))
 
 
 def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:

@@ -7,7 +7,7 @@ import random
 
 from hypothesis import strategies as st
 
-from ncauth import Field, GuardError, Matrix, SystemParams, keygen, tag
+from ncauth import Field, GuardError, Matrix, SystemParams, TaggedPacket, keygen, tag
 from ncauth.cli import _sample_points, _sum_one_coeffs as sum_one_coeffs
 
 ENUMERATION_GUARD = 1 << 20
@@ -167,6 +167,52 @@ def vandermonde(field, points, height):
             col.append(col[-1] * x)
         cols.append(col)
     return Matrix(field, [[c[i] for c in cols] for i in range(height)], cols=len(pts))
+
+
+def _element_weights(M, s):
+    """(1, s, s^q, ..., s^(q^(M-1))) by element Frobenius maps."""
+    w = [s.field.one, s]
+    while len(w) <= M:
+        w.append(w[-1].frob(1))
+    return w[: M + 1]
+
+
+def reference_evals(key, x):
+    """(P_0(x), ..., P_M(x)) by Horner on elements: the verifier key at point x."""
+    out = []
+    for poly in key.polys:
+        acc = x.field.zero
+        for c in reversed(poly):
+            acc = acc * x + c
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_tag(key, s):
+    """The source packet of payload s, each tag coefficient summed on elements."""
+    fld = key.field
+    s = fld(s)
+    weights = _element_weights(key.M, s)
+    flat = [1, *s.coeffs]
+    for j in range(key.k):
+        acc = fld.zero
+        for w, poly in zip(weights, key.polys):
+            acc = acc + w * poly[j]
+        flat += acc.coeffs
+    return TaggedPacket(fld, flat)
+
+
+def reference_residual(vkey, packet):
+    """T(x_i) - c P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i) on elements, from the packet's views."""
+    weights = _element_weights(len(vkey.evals) - 1, packet.m)
+    weights[0] = packet.field(packet.c)
+    rhs = packet.field.zero
+    for w, e in zip(weights, vkey.evals):
+        rhs = rhs + w * e
+    lhs = packet.field.zero
+    for t in reversed(packet.tag):
+        lhs = lhs * vkey.point + t
+    return lhs - rhs
 
 
 def make_instance(rng, q, l, k, M, V=None, n=None):

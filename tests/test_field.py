@@ -105,6 +105,17 @@ def test_copies_of_a_field_are_the_field(q, l):
             assert dup == obj and dup.field is F
 
 
+@pytest.mark.parametrize("l", [1, 2, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 251, 257, 65521])
+def test_random_element_draws_the_randrange_stream(q, l):
+    # keys, payloads, reports and digests all rest on this stream
+    F = Field(q, l)
+    ours, theirs = random.Random(f"stream/{q}/{l}"), random.Random(f"stream/{q}/{l}")
+    drawn = [F.random_element(ours) for _ in range(300)]
+    assert drawn == [F([theirs.randrange(q) for _ in range(l)]) for _ in range(300)]
+    assert ours.getstate() == theirs.getstate()
+
+
 def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         Field(4, 2)  # not prime
@@ -326,8 +337,9 @@ def test_coercion_refuses_non_integers(value):
 
 def test_field_call_is_the_one_element_constructor():
     F = Field(3, 2)
-    with pytest.raises(TypeError):
-        Fel(F, (5, 0))
+    for args in [(F, (5, 0)), ()]:
+        with pytest.raises(TypeError):
+            Fel(*args)
     assert F((5, 0)) == F((2, 0))  # coordinates are reduced mod q
     for bad in [(0, 0, 1), (True, 0)]:
         with pytest.raises(ValueError):

@@ -3,21 +3,42 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncauth import (
+    Fel,
     Field,
+    ForgerySpec,
     Matrix,
     SourceKey,
     SystemParams,
     TaggedPacket,
+    accept_map,
+    butterfly,
     combine,
+    forge,
     keygen,
     moore_matrix,
     residual,
+    simulate,
     tag,
     verify,
 )
-from support import make_instance, matmul, sample_points, sum_one_coeffs, vandermonde
+from support import (
+    make_instance,
+    matmul,
+    reference_evals,
+    reference_residual,
+    reference_tag,
+    sample_points,
+    sum_one_coeffs,
+    vandermonde,
+)
+
+# One field per arithmetic class: integers mod q, log tables over F_2 and
+# over odd q, and polynomials (257^2 is above the table bound).
+SCHEME_FIELDS = [(5, 1), (2, 8), (3, 5), (257, 2)]
 
 
 def test_params_validation():
@@ -65,8 +86,8 @@ def test_keygen_hand_example():
     params = SystemParams(F, 2, 1, 1, 1, (F.one,))
     from ncauth.scheme import poly_eval
 
-    evals = tuple(poly_eval(key.polys[t], F.one) for t in range(2))
-    assert evals == (F.zero, F.one)
+    evals = tuple(poly_eval(F, [c.code for c in key.polys[t]], F.one.code) for t in range(2))
+    assert evals == (F.zero.code, F.one.code)
 
 
 def test_tag_hand_examples():
@@ -226,3 +247,69 @@ def test_header_out_of_range_rejected():
     F = Field(2, 1)
     with pytest.raises(ValueError):
         TaggedPacket(F, (2, 1, 1))
+
+
+def test_verify_refuses_a_packet_over_another_field():
+    rng = random.Random(29)
+    _, _, vkeys, _, _ = make_instance(rng, 2, 8, 3, 2, V=1, n=1)
+    _, _, _, _, packets = make_instance(rng, 3, 5, 3, 2, V=1, n=1)
+    with pytest.raises(ValueError, match="mixed-field arithmetic"):
+        verify(vkeys[0], packets[0])
+    with pytest.raises(ValueError, match="mixed-field arithmetic"):
+        residual(vkeys[0], packets[0])
+
+
+@st.composite
+def scheme_instances(draw):
+    """A scheme instance over one of SCHEME_FIELDS, and the rng that drew it."""
+    q, l = draw(st.sampled_from(SCHEME_FIELDS))
+    k, M = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return make_instance(rng, q, l, k, M), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme_instances())
+def test_scheme_on_codes_matches_element_reference(case):
+    (params, skey, vkeys, messages, packets), rng = case
+    fld, k = params.field, params.k
+    q, l = fld.q, fld.l
+    assert [vk.evals for vk in vkeys] == [reference_evals(skey, vk.point) for vk in vkeys]
+    assert packets == [reference_tag(skey, s) for s in messages]
+    mixed = combine(packets, [rng.randrange(q) for _ in packets])
+    forged = forge(packets, ForgerySpec(q, sum_one_coeffs(q, len(packets), rng)))
+    noise = TaggedPacket(fld, [rng.randrange(q) for _ in range(1 + l * (1 + k))])
+    # one tag coordinate moved: the residual is a nonzero multiple of a power of x_i
+    flat = list(packets[0].flat)
+    pos = 1 + l * (1 + rng.randrange(k)) + rng.randrange(l)
+    flat[pos] = (flat[pos] + rng.randrange(1, q)) % q
+    corrupt = TaggedPacket(fld, flat)
+    for vk in vkeys:
+        for p in (*packets, mixed, forged, noise, corrupt):
+            want = reference_residual(vk, p)
+            assert residual(vk, p) == want
+            assert verify(vk, p) is want.is_zero()
+        assert not verify(vk, corrupt)
+
+
+@pytest.mark.parametrize("q,l", [(7, 1), (2, 8), (3, 5), (257, 2)])  # six seats: GF(5) is too small
+def test_keys_tags_and_checks_make_no_element_arithmetic(q, l, monkeypatch):
+    # the per-node hot path runs on codes: an element sum, difference,
+    # product or Frobenius map inside it raises
+    fld = Field(q, l)
+    net = butterfly(q)
+    rng = random.Random(q * l)
+    params = SystemParams(fld, 3, 2, 6, 2, sample_points(fld, 6, rng))
+    messages = [fld.random_element(rng) for _ in range(2)]
+
+    def refuse(*args):
+        raise AssertionError("element arithmetic on the hot path")
+
+    for name in ("__add__", "__sub__", "__mul__", "frob"):
+        monkeypatch.setattr(Fel, name, refuse)
+    skey, vkeys = keygen(params, 11)
+    packets = [tag(skey, s) for s in messages]
+    assert all(verify(vk, p) for vk in vkeys for p in packets)
+    flow = simulate(net, packets)
+    accepts = accept_map(flow, {node: vkeys[i] for node, i in net.verifiers.items()})
+    assert accepts and all(all(edges.values()) for edges in accepts.values())
