@@ -607,6 +607,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             "config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an int too long, bad UTF-8
+        raise ConfigError("config", f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario", "document must be an object")
     return doc

@@ -7,21 +7,24 @@ tuples low degree first.  ``Field(q, l)`` is one object per (q, l), built
 on first use: fields are equal by identity, and copying or unpickling one
 returns it unchanged.
 
-An element (``Fel``) is one int, its code c_0 + c_1 q + ... + c_(l-1) q^(l-1),
-where c_0, ..., c_(l-1) are its coordinates in the power basis of the
-modulus.  ``coeffs`` reads the coordinates back, and that view doubles as
-the fixed F_q-linear identification of F_q^l with F_{q^l}.  Arithmetic on
-codes takes one of three paths, fixed by (q, l) and held by the field as
-its class:
+An element (``Fel``) is one int, its code: its coordinates c_0, ...,
+c_(l-1) in the power basis of the modulus, w = ``Field.w`` bits apart
+(c_t in bits [t w, (t+1) w)).  Over F_2 that is c_0 + 2 c_1 + ..., and over
+F_q (l = 1) the element itself.  ``coeffs`` reads the coordinates back, and
+that view doubles as the fixed F_q-linear identification of F_q^l with
+F_{q^l}.  The code is also the element's packed entry (``Packing``), so
+elements and packed vectors share one integer form.  Arithmetic on codes
+takes one of three paths, fixed by (q, l) and held by the field as its
+class:
 
 * l = 1: integers mod q.
 * 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
   primitive element g, built by the field on first use.  The build takes
-  n = q^l - 1 steps g^i -> g^(i+1), each two table lookups on the int
-  state (``_log_tables``).  exp[i] is the code of g^i, stored twice over so
-  that a sum of two logs needs no reduction, and log inverts it.  A product
-  is exp[log a + log b], an inverse exp[n - log a] and the Frobenius map
-  a^(q^i) exp[log a * q^i mod n].
+  n = q^l - 1 steps g^i -> g^(i+1), each two table lookups on the code
+  and one packed sum (``_log_tables``).  exp[i] is the code of g^i, stored
+  twice over so that a sum of two logs needs no reduction, and log
+  inverts it.  A product is exp[log a + log b], an inverse exp[n - log a]
+  and the Frobenius map a^(q^i) exp[log a * q^i mod n].
   Over F_2 a sum is the XOR of the codes.  In odd characteristic it is one
   Zech logarithm, a + b = a (1 + g^(log b - log a)), where
   zech[k] = log(1 + g^k) and zech[n/2] = -1, since g^(n/2) = -1.
@@ -29,14 +32,13 @@ its class:
   modulus, with an extended-Euclid inverse.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
-vector in one int, its coordinates in slots of ``Field.w`` bits, so that
-adding, negating or scaling it is a few big-int operations whatever its
-length.  Over F_2 a slot is one bit, an entry is the element's code and a
-sum is an XOR; for odd q a slot has room for a carry-free sum, reduced in
-every slot at once.  ``Packing.add`` is the one packed sum.  ``packing``
-hands out one shared instance per (field, size).  Matrices hold their rows
-in it, and row reduction, the recovery rows and the exhaustive key count
-work in it.
+vector in one int, its entries' codes side by side, so that adding,
+negating or scaling it is a few big-int operations whatever its length.
+Over F_2 a slot is one bit and a sum is an XOR; for odd q a slot has room
+for a carry-free sum, reduced in every slot at once.  ``Packing.add`` is
+the one packed sum.  ``packing`` hands out one shared instance per (field,
+size).  Matrices hold their rows in it, and row reduction, the recovery
+rows and the exhaustive key count work in it.
 """
 
 from __future__ import annotations
@@ -194,108 +196,67 @@ def _smallest_irreducible(q: int, l: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {l} over F_{q}")
 
 
-def _code(coeffs, q: int) -> int:
-    """The code of a coordinate sequence, low degree first."""
-    code = 0
-    for c in reversed(coeffs):
-        code = code * q + c
-    return code
-
-
-def _primitive_element(q: int, l: int, modulus) -> int:
-    """The smallest code of a primitive element of F_{q^l}.
+def _primitive_element(q: int, l: int, modulus) -> list[int]:
+    """The coordinates of the primitive element of F_{q^l} with the smallest code.
 
     g is primitive iff g^(n/p) != 1 for every prime p dividing n = q^l - 1.
     The search starts at x: the constants lie in F_q, whose orders divide
-    q - 1 < n.
+    q - 1 < n.  It runs through c_0 + c_1 q + ..., which orders the
+    coordinate tuples as their codes do.
     """
     n = q**l - 1
     cofactors = [n // p for p in _prime_factors(n)]
-    for code in itertools.count(q):
-        g = [code // q**t % q for t in range(l)]
+    for k in itertools.count(q):
+        g = [k // q**t % q for t in range(l)]
         if all(_poly_powmod(g, e, modulus, q) != [1] for e in cofactors):
-            return code
+            return g
     raise AssertionError("unreachable: F_{q^l}^* is cyclic")
 
 
 def _log_tables(field: Field):
-    """(exp, log, zech) of F_{q^l} over its smallest primitive element g.
+    """(exp, log, zech) of F_{q^l} over its primitive element g of smallest code.
 
     exp has 2n entries (exp[n + i] = exp[i]), log[code] is the discrete log
     of a nonzero code, and zech, for odd q only (None over F_2), holds
-    log(1 + g^k) with -1 at k = n/2.  Each step g^i -> g^(i+1) is one
-    multiplication by g, an F_q-linear map of the coordinates, applied as
-    two table lookups, one per half of the coordinates.
+    log(1 + g^k), -1 where 1 + g^k = 0, at k = n/2.  Over F_2 the codes
+    1..n are dense, and exp and log are arrays; for odd q the codes are
+    sparse, coordinates w bits apart, so exp is a list and log a dict.
+
+    Each step g^i -> g^(i+1) is one multiplication by g, an F_q-linear map
+    of the coordinates: each half of the code keys a table of that half's
+    share of g^(i+1), and the packed sum of one element adds the two.
     """
     from array import array  # loads a shared library: imported here, on first use, not at set-up
 
-    q, l, modulus = field.q, field.l, field.modulus
-    n = q**l - 1
-    g = _primitive_element(q, l, modulus)
-    cols = [[g // q**t % q for t in range(l)]]  # the coordinates of x^t g, t < l
-    for _ in range(l - 1):
-        v = _poly_rem([0, *cols[-1]], modulus, q)
-        cols.append(v + [0] * (l - len(v)))
-    exp = array("H", [0]) * (2 * n)
-    log = array("H", [0]) * (n + 1)
-    zech = None
+    q, l, w = field.q, field.l, field.w
+    n = field.order - 1
+    pk = packing(field, 1)
+    add = pk.add
+    cols = pk.x_powers(field.code(_primitive_element(q, l, field.modulus)))  # x^t g, t < l
+    h = (l + 1) // 2
+    tables = []
+    for half in (range(h), range(h, l)):
+        keys, vals = [0], [0]
+        for j, t in enumerate(half):
+            shares = [0, cols[t]]  # d x^t g, the share of coordinate t equal to d
+            for _ in range(q - 2):
+                shares.append(add(shares[-1], cols[t]))
+            keys = [k | d << (w * j) for d in range(q) for k in keys]
+            vals = [add(v, shares[d]) for d in range(q) for v in vals]
+        tables.append(dict(zip(keys, vals)))
+    lo, hi = tables
+    mask, shift = (1 << (w * h)) - 1, w * h
     if q == 2:
-        # The map is the XOR of the codes x^t g over the set bits t of the
-        # code, tabulated one byte of the code at a time.
-        lo, hi = [0], [0]
-        for t, col in enumerate(cols):
-            tab = lo if t < 8 else hi
-            xg = _code(col, 2)
-            tab += [e ^ xg for e in tab]
-        c = 1
-        for i in range(n):
-            exp[i] = c
-            log[c] = i
-            c = lo[c & 255] ^ hi[c >> 8]
+        exp, log = array("H", [0]) * (2 * n), array("H", [0]) * (n + 1)
     else:
-        # The state s is g^i packed w bits per coordinate (coordinate t in
-        # slot t) under the code of g^(i-1) in the bits from l*w up.  Each
-        # half of the slots indexes a table whose entries are that half's
-        # share of g^(i+1), packed and reduced, under the code of that half.
-        # The two shares add without carries: the codes into the code of
-        # g^i, the slots into g^(i+1) with each slot below 2q - 1 < 2^w,
-        # which is why the tables are keyed by unreduced slots.  The shares
-        # are summed by the Packing of one element, which reduces the slots
-        # and leaves the code above them alone.
-        w = field.w
-        top = w * l
-        add = packing(field, 1).add
-
-        h = (l + 1) // 2
-        tables = []
-        for half in (range(h), range(h, l)):
-            keys, vals = [0], [0]
-            for j, t in enumerate(half):
-                xg = sum(c << (w * r) for r, c in enumerate(cols[t]))
-                shares = [0, xg]
-                for _ in range(q - 2):
-                    shares.append(add(shares[-1], xg))
-                # coordinate t equal to d: code d q^t, share d x^t g
-                shares = [d * q**t << top | v for d, v in enumerate(shares)]
-                keys = [k | d << (w * j) for d in range(2 * q - 1) for k in keys]
-                vals = [add(v, shares[d % q]) for d in range(2 * q - 1) for v in vals]
-            tables.append(dict(zip(keys, vals)))
-        lo, hi = tables
-        mask, shift, hmask = (1 << (w * h)) - 1, w * h, (1 << (w * (l - h))) - 1
-        s = 1
-        for i in range(n):
-            s = lo[s & mask] + hi[s >> shift & hmask]
-            exp[i] = c = s >> top
-            log[c] = i
-        # Adding 1 steps coordinate 0 round within each block of q codes, so
-        # one_plus[c] = log(1 + c) is log with every block rotated by one.
-        # log[0] lands only at c = q - 1, that is g^(n/2) = -1: set apart.
-        one_plus = log.tolist()
-        for j in range(q):
-            one_plus[j::q] = log[(j + 1) % q :: q]
-        zech = array("i", [one_plus[c] for c in exp[:n]])
-        zech[n // 2] = -1
+        exp, log = [0] * (2 * n), {}
+    c = 1
+    for i in range(n):
+        exp[i] = c
+        log[c] = i
+        c = add(lo[c & mask], hi[c >> shift])
     exp[n:] = exp[:n]
+    zech = None if q == 2 else array("i", [log.get(add(c, 1), -1) for c in exp[:n]])
     return exp, log, zech
 
 
@@ -308,7 +269,7 @@ _FIELDS: dict[tuple[int, int], Field] = {}
 class Field:
     """F_{q^l}: one object per (q, l), whose class is its arithmetic on codes."""
 
-    __slots__ = ("q", "l", "order", "modulus", "place", "w", "zero", "one")
+    __slots__ = ("q", "l", "order", "modulus", "w", "shifts", "zero", "one")
 
     def __new__(cls, q: int, l: int):
         # A float or bool hashes equal to an int: only ints may hit the cache.
@@ -335,10 +296,11 @@ class Field:
     def _setup(self, q: int, l: int):
         self.q, self.l, self.order = q, l, q**l
         self.modulus = _smallest_irreducible(q, l)  # monic, coefficients low degree first
-        self.place = tuple(q**t for t in range(l))
-        # bits per coordinate slot of a packed entry (``Packing``): one over
-        # F_2, where a sum is an XOR; room for a carry-free sum below 2q otherwise
-        self.w = 1 if q == 2 else q.bit_length() + 1
+        # bits per coordinate of a code, which is also its packed entry
+        # (``Packing``): one over F_2, where a sum is an XOR; room for a
+        # carry-free sum below 2q otherwise
+        self.w = w = 1 if q == 2 else q.bit_length() + 1
+        self.shifts = tuple(w * t for t in range(l))  # where each coordinate of a code starts
         self.zero = _fel(self, 0)
         self.one = _fel(self, 1)
 
@@ -377,19 +339,23 @@ class Field:
         """
         q, code = self.q, 0
         bits, getrandbits = q.bit_length(), rng.getrandbits
-        for p in self.place:
+        for s in self.shifts:
             r = getrandbits(bits)
             while r >= q:
                 r = getrandbits(bits)
-            code += r * p
+            code |= r << s
         return _fel(self, code)
 
     def code(self, coeffs) -> int:
-        return _code(coeffs, self.q)
+        """The code of l reduced coordinates, low degree first."""
+        code, w = 0, self.w
+        for c in reversed(coeffs):
+            code = code << w | c
+        return code
 
     def coeffs(self, code: int) -> tuple[int, ...]:
-        q = self.q
-        return tuple([code // p % q for p in self.place])
+        mask = (1 << self.w) - 1
+        return tuple([code >> s & mask for s in self.shifts])
 
 
 class _PrimeField(Field):
@@ -419,12 +385,13 @@ class _PrimeField(Field):
 class _TableField(Field):
     """1 < l, q^l <= TABLE_ORDER: log, antilog and Zech tables, built on first use."""
 
-    __slots__ = ("n", "half", "exp", "log", "zech")
+    __slots__ = ("n", "half", "qpow", "exp", "log", "zech")
 
     def _setup(self, q: int, l: int):
         super()._setup(q, l)
         self.n = self.order - 1
         self.half = self.n // 2
+        self.qpow = tuple(q**i for i in range(l))  # the Frobenius exponents
 
     def __getattr__(self, name):
         # reached only while the table slots are still unset
@@ -464,7 +431,7 @@ class _TableField(Field):
         return self.exp[self.n - self.log[a]]
 
     def frob(self, a, i):
-        return self.exp[self.log[a] * self.place[i] % self.n] if a else 0
+        return self.exp[self.log[a] * self.qpow[i] % self.n] if a else 0
 
 
 class _BinaryTableField(_TableField):
@@ -586,13 +553,12 @@ class Packing:
     """Vectors of `size` elements of F_{q^l}, each vector packed into one int.
 
     Coordinate t of entry j sits in slot j*l + t, ``Field.w`` bits wide, so
-    an element's packed entry is its coordinates w bits apart, and over F_q
-    it is the element itself.  ``add`` is the one packed sum.  For odd q a
-    slot is q.bit_length() + 1 bits: two reduced vectors add without a carry
-    between slots (each slot stays below 2q < 2^w), and the sum reduces
-    every slot from [0, 2q) to [0, q) at once: adding 2^(w-1) - q to every
-    slot sets a slot's top bit exactly where it reached q, and q is
-    subtracted there.  Over F_2 a slot is one bit and a sum is an XOR
+    an element's packed entry is its code.  ``add`` is the one packed sum.
+    For odd q a slot is q.bit_length() + 1 bits: two reduced vectors add
+    without a carry between slots (each slot stays below 2q < 2^w), and the
+    sum reduces every slot from [0, 2q) to [0, q) at once: adding
+    2^(w-1) - q to every slot sets a slot's top bit exactly where it reached
+    q, and q is subtracted there.  Over F_2 a slot is one bit and a sum is an XOR
     (``_BinaryPacking``, chosen whenever q = 2).  Multiplying by an element
     of F_{q^l} is F_q-linear, so it is a sum of base-field multiples of the
     vector times powers of x (``times_x``).
@@ -634,15 +600,10 @@ class Packing:
         return add
 
     def coerce(self, value) -> int:
-        """The packed entry of `value`, coerced as ``Field.__call__`` coerces it."""
-        fld = self.field
+        """The packed entry of `value`, coerced as ``Field.__call__`` coerces it: its code."""
         if type(value) is int:
-            return value % fld.q  # a base-field scalar: coordinate 0 only
-        code, q, w = fld(value).code, fld.q, self.w
-        entry = 0
-        for p in reversed(fld.place):
-            entry = entry << w | code // p % q
-        return entry
+            return value % self.field.q  # a base-field scalar: coordinate 0 only
+        return self.field(value).code
 
     def pack(self, entries) -> int:
         """The packed vector of a sequence of `size` packed entries."""
@@ -662,13 +623,8 @@ class Packing:
         return [v >> (ew * j) & emask for j in range(self.size)]
 
     def element(self, entry: int) -> Fel:
-        """The element a packed entry holds."""
-        w, slot = self.w, (1 << self.w) - 1
-        code = 0
-        for p in self.field.place:
-            code += (entry & slot) * p
-            entry >>= w
-        return _fel(self.field, code)
+        """The element a packed entry holds: the entry is its code."""
+        return _fel(self.field, entry)
 
     def unpack(self, v: int) -> tuple[Fel, ...]:
         return tuple(map(self.element, self.entries(v)))
@@ -717,7 +673,7 @@ class Packing:
 
 
 class _BinaryPacking(Packing):
-    """q = 2: one bit per coordinate, so an entry is the element's code and a sum is an XOR."""
+    """q = 2: one bit per coordinate, so a sum is an XOR."""
 
     __slots__ = ("_fold_bits",)
 
@@ -729,14 +685,6 @@ class _BinaryPacking(Packing):
 
     def _adder(self, unit: int):
         return operator.xor
-
-    def coerce(self, value) -> int:
-        if type(value) is int:
-            return value & 1
-        return self.field(value).code
-
-    def element(self, entry: int) -> Fel:
-        return _fel(self.field, entry)
 
     def scale(self, c: int, v: int) -> int:
         return v  # c = 1, the only nonzero scalar

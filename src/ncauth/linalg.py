@@ -78,7 +78,7 @@ class Matrix:
             if hit is None:
                 continue
             m[r], m[hit] = m[hit], m[r]
-            inv = pk.coerce(pk.element(pk.entry(m[r], c)).inv())
+            inv = pk.element(pk.entry(m[r], c)).inv().code
             powers = pk.x_powers(pk.add_mul(0, inv, pk.x_powers(m[r])))
             m[r] = powers[0]
             for i in range(self.rows):

@@ -483,6 +483,19 @@ def test_main_bad_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"7" * 5000 + b"}", b'{"seed": 1}\xff'],
+    ids=["nested-too-deep", "int-too-long", "not-utf-8"],
+)
+def test_main_unparsable_config_names_config(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "doc,message",
     [
         ([], "scenario: document must be an object"),

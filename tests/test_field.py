@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+from array import array
 import pickle
 import random
 
@@ -204,20 +205,28 @@ def test_table_bound(q, l, tables):
     assert isinstance(Field(q, l), _TableField) is tables
 
 
+def test_binary_tables_stay_dense_arrays():
+    # a dict log over F_2 would cost megabytes per field: only odd q needs one
+    F = Field(2, 16)
+    n = F.order - 1
+    for table, size in ((F.log, n + 1), (F.exp, 2 * n)):
+        assert type(table) is array and table.typecode == "H" and len(table) == size
+
+
 @pytest.mark.parametrize("q,l", SMALL_TABLE_FIELDS)
 def test_log_tables_exhaustive(q, l):
     F = Field(q, l)
     n = F.order - 1
     exp, log, zech = F.exp, F.log, F.zech
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
-    assert sorted(exp[:n]) == list(range(1, F.order))  # the generator is primitive
     assert all(log[exp[i]] == i for i in range(n))
     coeffs = {}
     for c in itertools.product(range(q), repeat=l):
         x = F(c)
         assert x.coeffs == c
         coeffs[x.code] = c
-    assert sorted(coeffs) == list(range(F.order))
+    assert len(coeffs) == F.order and coeffs[0] == (0,) * l  # distinct codes, zero's is 0
+    assert sorted(exp[:n]) == sorted(coeffs.keys() - {0})  # the generator is primitive
     if q == 2:
         assert zech is None
         return
@@ -361,6 +370,26 @@ def test_degree_one_field_is_plain_prime_field():
     assert (a + b).coeffs == (1,)
     assert a.frob(4) == a
     assert a.inv() * a == F.one
+
+
+@pytest.mark.parametrize(
+    "q,l",
+    [(5, 1), (65521, 1), (2, 8), (2, 16), (3, 5), (3, 10), (251, 2), (257, 2), (65521, 2)],
+)
+def test_code_is_the_packed_entry(q, l):
+    F = Field(q, l)
+    rng = random.Random(1000 * q + l)
+    els = [F.zero, F([q - 1] * l)] + [F.random_element(rng) for _ in range(40)]
+    one = packing(F, 1)
+    for x in els:
+        assert x.code == sum(c << (F.w * t) for t, c in enumerate(x.coeffs))
+        assert one.coerce(x) == x.code and one.element(x.code) == x
+    assert F.zero.code == 0
+    # coordinate t of entry j in slot j*l + t, built from the coordinates alone
+    pk = packing(F, len(els))
+    v = sum(c << (F.w * (j * l + t)) for j, x in enumerate(els) for t, c in enumerate(x.coeffs))
+    assert pk.entries(v) == [x.code for x in els]
+    assert pk.unpack(v) == tuple(els)
 
 
 # The binary fields up to the largest table field, and odd q on both table
