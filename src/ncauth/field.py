@@ -15,7 +15,9 @@ that view doubles as the fixed F_q-linear identification of F_q^l with
 F_{q^l}.  The code is also the element's packed entry (``Packing``), so
 elements and packed vectors share one integer form.  Arithmetic on codes
 takes one of three paths, fixed by (q, l) and held by the field as its
-class:
+class.  For 1 < l a sum or difference is the packed sum or difference of
+one entry (``Packing``) on every path, and the paths differ in the
+product, inverse and Frobenius map:
 
 * l = 1: integers mod q.
 * 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
@@ -25,20 +27,18 @@ class:
   twice over so that a sum of two logs needs no reduction, and log
   inverts it.  A product is exp[log a + log b], an inverse exp[n - log a]
   and the Frobenius map a^(q^i) exp[log a * q^i mod n].
-  Over F_2 a sum is the XOR of the codes.  In odd characteristic it is one
-  Zech logarithm, a + b = a (1 + g^(log b - log a)), where
-  zech[k] = log(1 + g^k) and zech[n/2] = -1, since g^(n/2) = -1.
 * larger orders: polynomial arithmetic on the coordinates modulo the
   modulus, with an extended-Euclid inverse.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, its entries' codes side by side, so that adding,
-negating or scaling it is a few big-int operations whatever its length.
+subtracting or scaling it is a few big-int operations whatever its length.
 Over F_2 a slot is one bit and a sum is an XOR; for odd q a slot has room
-for a carry-free sum, reduced in every slot at once.  ``Packing.add`` is
-the one packed sum.  ``packing`` hands out one shared instance per (field,
-size).  Matrices hold their rows in it, and row reduction, the recovery
-rows and the exhaustive key count work in it.
+for a carry-free sum, reduced in every slot at once.  ``Packing.add`` and
+``Packing.sub`` are the one packed sum and difference.  ``packing`` hands
+out one shared instance per (field, size).  Matrices hold their rows in
+it, and row reduction, the recovery rows and the exhaustive key count work
+in it.
 """
 
 from __future__ import annotations
@@ -214,13 +214,12 @@ def _primitive_element(q: int, l: int, modulus) -> list[int]:
 
 
 def _log_tables(field: Field):
-    """(exp, log, zech) of F_{q^l} over its primitive element g of smallest code.
+    """(exp, log) of F_{q^l} over its primitive element g of smallest code.
 
-    exp has 2n entries (exp[n + i] = exp[i]), log[code] is the discrete log
-    of a nonzero code, and zech, for odd q only (None over F_2), holds
-    log(1 + g^k), -1 where 1 + g^k = 0, at k = n/2.  Over F_2 the codes
-    1..n are dense, and exp and log are arrays; for odd q the codes are
-    sparse, coordinates w bits apart, so exp is a list and log a dict.
+    exp has 2n entries (exp[n + i] = exp[i]) and log[code] is the discrete
+    log of a nonzero code.  Over F_2 the codes 1..n are dense, and exp and
+    log are arrays; for odd q the codes are sparse, coordinates w bits
+    apart, so exp is a list and log a dict.
 
     Each step g^i -> g^(i+1) is one multiplication by g, an F_q-linear map
     of the coordinates: each half of the code keys a table of that half's
@@ -256,8 +255,7 @@ def _log_tables(field: Field):
         log[c] = i
         c = add(lo[c & mask], hi[c >> shift])
     exp[n:] = exp[:n]
-    zech = None if q == 2 else array("i", [log.get(add(c, 1), -1) for c in exp[:n]])
-    return exp, log, zech
+    return exp, log
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ class Field:
         if l == 1:
             kind = _PrimeField
         elif q**l <= TABLE_ORDER:
-            kind = _BinaryTableField if q == 2 else _TableField
+            kind = _TableField
         else:
             kind = _PolyField
         field = object.__new__(kind)
@@ -382,44 +380,47 @@ class _PrimeField(Field):
         return a
 
 
-class _TableField(Field):
-    """1 < l, q^l <= TABLE_ORDER: log, antilog and Zech tables, built on first use."""
+class _PolyField(Field):
+    """1 < l: one-entry packed sums, and polynomials in x modulo the field's modulus.
 
-    __slots__ = ("n", "half", "qpow", "exp", "log", "zech")
+    The polynomial product, inverse and Frobenius map, on the coordinates,
+    serve every order above TABLE_ORDER.
+    """
+
+    __slots__ = ("add", "sub")
+
+    def _setup(self, q: int, l: int):
+        super()._setup(q, l)
+        pk = packing(self, 1)
+        self.add, self.sub = pk.add, pk.sub
+
+    def mul(self, a, b):
+        q = self.q
+        return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
+
+    def inv(self, a):
+        return self.code(_poly_inverse(self.coeffs(a), self.modulus, self.q))
+
+    def frob(self, a, i):
+        return self.code(_poly_powmod(self.coeffs(a), self.q**i, self.modulus, self.q))
+
+
+class _TableField(_PolyField):
+    """1 < l, q^l <= TABLE_ORDER: log and antilog tables, built on first use."""
+
+    __slots__ = ("n", "qpow", "exp", "log")
 
     def _setup(self, q: int, l: int):
         super()._setup(q, l)
         self.n = self.order - 1
-        self.half = self.n // 2
         self.qpow = tuple(q**i for i in range(l))  # the Frobenius exponents
 
     def __getattr__(self, name):
         # reached only while the table slots are still unset
-        if name not in ("exp", "log", "zech"):
+        if name not in ("exp", "log"):
             raise AttributeError(name)
-        self.exp, self.log, self.zech = _log_tables(self)
+        self.exp, self.log = _log_tables(self)
         return getattr(self, name)
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self.log
-        la = log[a]
-        z = self.zech[(log[b] - la) % self.n]
-        return self.exp[la + z] if z >= 0 else 0
-
-    def sub(self, a, b):
-        if not b:
-            return a
-        log = self.log
-        lb = log[b] + self.half  # the log of -b, below 2n
-        if not a:
-            return self.exp[lb]
-        la = log[a]
-        z = self.zech[(lb - la) % self.n]
-        return self.exp[la + z] if z >= 0 else 0
 
     def mul(self, a, b):
         if a and b:
@@ -432,41 +433,6 @@ class _TableField(Field):
 
     def frob(self, a, i):
         return self.exp[self.log[a] * self.qpow[i] % self.n] if a else 0
-
-
-class _BinaryTableField(_TableField):
-    """The tables over F_2: a sum, and so a difference, is the XOR of the codes."""
-
-    __slots__ = ()
-
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-
-class _PolyField(Field):
-    """q^l > TABLE_ORDER: polynomials in x modulo the field's modulus, on the coordinates."""
-
-    __slots__ = ()
-
-    def add(self, a, b):
-        q = self.q
-        return self.code([(x + y) % q for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def sub(self, a, b):
-        q = self.q
-        return self.code([(x - y) % q for x, y in zip(self.coeffs(a), self.coeffs(b))])
-
-    def mul(self, a, b):
-        q = self.q
-        return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
-
-    def inv(self, a):
-        return self.code(_poly_inverse(self.coeffs(a), self.modulus, self.q))
-
-    def frob(self, a, i):
-        return self.code(_poly_powmod(self.coeffs(a), self.q**i, self.modulus, self.q))
 
 
 class Fel:
@@ -553,18 +519,20 @@ class Packing:
     """Vectors of `size` elements of F_{q^l}, each vector packed into one int.
 
     Coordinate t of entry j sits in slot j*l + t, ``Field.w`` bits wide, so
-    an element's packed entry is its code.  ``add`` is the one packed sum.
-    For odd q a slot is q.bit_length() + 1 bits: two reduced vectors add
-    without a carry between slots (each slot stays below 2q < 2^w), and the
-    sum reduces every slot from [0, 2q) to [0, q) at once: adding
+    an element's packed entry is its code.  ``add`` and ``sub`` are the one
+    packed sum and difference; with one entry they are the element sum and
+    difference of every field with 1 < l.  For odd q a slot is
+    q.bit_length() + 1 bits: two reduced vectors add without a carry between
+    slots (each slot stays below 2q < 2^w), and so does u + q - v, and the
+    result reduces every slot from [0, 2q) to [0, q) at once: adding
     2^(w-1) - q to every slot sets a slot's top bit exactly where it reached
-    q, and q is subtracted there.  Over F_2 a slot is one bit and a sum is an XOR
-    (``_BinaryPacking``, chosen whenever q = 2).  Multiplying by an element
-    of F_{q^l} is F_q-linear, so it is a sum of base-field multiples of the
-    vector times powers of x (``times_x``).
+    q, and q is subtracted there.  Over F_2 a slot is one bit and a sum or
+    difference is an XOR (``_BinaryPacking``, chosen whenever q = 2).
+    Multiplying by an element of F_{q^l} is F_q-linear, so it is a sum of
+    base-field multiples of the vector times powers of x (``times_x``).
     """
 
-    __slots__ = ("field", "size", "w", "ew", "add", "_emask", "_low", "_top", "_fold", "_q_entry")
+    __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_top", "_fold")
 
     def __new__(cls, field: Field, size: int):
         return object.__new__(_BinaryPacking if field.q == 2 else cls)
@@ -583,21 +551,26 @@ class Packing:
         self._low = ones ^ self._top
         # x^l = sum of fold_j x^j modulo the field's modulus
         self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
-        self._q_entry = q * (self._emask // ((1 << w) - 1))  # q in every slot of one entry
-        self.add = self._adder(ones // ((1 << w) - 1))
+        self.add, self.sub = self._adder(ones // ((1 << w) - 1))
 
     def _adder(self, unit: int):
-        """The packed sum, a closure over its constants; `unit` has 1 in every slot."""
+        """(add, sub), closures over their constants; `unit` has 1 in every slot."""
         q, shift = self.field.q, self.w - 1
         adj = ((1 << shift) - q) * unit
         high = (1 << shift) * unit
+        qs = q * unit
 
         def add(u, v):
             """u + v for reduced packed vectors u and v, or for any u + v with slots in [0, 2q)."""
             s = u + v
             return s - ((s + adj & high) >> shift) * q
 
-        return add
+        def sub(u, v):
+            """u - v for reduced packed vectors: u + q - v has every slot in (0, 2q), no borrow."""
+            s = u + qs - v
+            return s - ((s + adj & high) >> shift) * q
+
+        return add, sub
 
     def coerce(self, value) -> int:
         """The packed entry of `value`, coerced as ``Field.__call__`` coerces it: its code."""
@@ -657,10 +630,6 @@ class Packing:
             out.append(self.times_x(out[-1]))
         return out
 
-    def neg(self, entry: int) -> int:
-        """The packed entry of minus the element a packed entry holds."""
-        return self.add(self._q_entry, -entry)  # q - c in every slot, in (0, q]
-
     def add_mul(self, v: int, entry: int, powers) -> int:
         """v + a * u, for a given as its packed entry, where powers = x_powers(u)."""
         w, slot, add, scale = self.w, (1 << self.w) - 1, self.add, self.scale
@@ -684,7 +653,7 @@ class _BinaryPacking(Packing):
         self._fold_bits = sum(1 << j for j, _ in self._fold)
 
     def _adder(self, unit: int):
-        return operator.xor
+        return operator.xor, operator.xor
 
     def scale(self, c: int, v: int) -> int:
         return v  # c = 1, the only nonzero scalar
@@ -692,9 +661,6 @@ class _BinaryPacking(Packing):
     def times_x(self, v: int) -> int:
         l = self.field.l
         return (v & self._low) << 1 ^ ((v & self._top) >> (l - 1)) * self._fold_bits
-
-    def neg(self, entry: int) -> int:
-        return entry
 
     def add_mul(self, v: int, entry: int, powers) -> int:
         for p in powers:

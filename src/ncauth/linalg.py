@@ -85,7 +85,7 @@ class Matrix:
                 if i != r:
                     f = pk.entry(m[i], c)
                     if f:
-                        m[i] = pk.add_mul(m[i], pk.neg(f), powers)
+                        m[i] = pk.add_mul(m[i], fld.sub(0, f), powers)
             pivots.append(c)
             r += 1
             if r == self.rows:

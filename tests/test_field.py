@@ -194,6 +194,20 @@ def test_arithmetic_matches_reference(args):
         assert a.frob(i).coeffs == support.reference_pow(fld, x, q**i)
 
 
+@pytest.mark.parametrize("q,l", [(65521, 2), (257, 2), (251, 2), (3, 10), (3, 5), (2, 16)])
+def test_sum_and_difference_at_slot_extremes(q, l):
+    # a carry-free packed slot is tightest where coordinates reach q - 1,
+    # which random draws seldom combine: every coordinate from these four
+    F = Field(q, l)
+    edge = [0, 1, q // 2, q - 1]
+    coords = [(c,) * l for c in edge]
+    coords += [tuple(edge[(t + k) % 4] for t in range(l)) for k in range(4)]
+    for x, y in itertools.product(coords, repeat=2):
+        a, b = F(list(x)), F(list(y))
+        assert (a + b).coeffs == tuple((u + v) % q for u, v in zip(x, y))
+        assert (a - b).coeffs == tuple((u - v) % q for u, v in zip(x, y))
+
+
 @pytest.mark.parametrize(
     "q,l,tables",
     [(7, 1, False), (65521, 1, False), (2, 2, True), (3, 10, True), (251, 2, True),
@@ -217,7 +231,7 @@ def test_binary_tables_stay_dense_arrays():
 def test_log_tables_exhaustive(q, l):
     F = Field(q, l)
     n = F.order - 1
-    exp, log, zech = F.exp, F.log, F.zech
+    exp, log = F.exp, F.log
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
     assert all(log[exp[i]] == i for i in range(n))
     coeffs = {}
@@ -227,17 +241,12 @@ def test_log_tables_exhaustive(q, l):
         coeffs[x.code] = c
     assert len(coeffs) == F.order and coeffs[0] == (0,) * l  # distinct codes, zero's is 0
     assert sorted(exp[:n]) == sorted(coeffs.keys() - {0})  # the generator is primitive
-    if q == 2:
-        assert zech is None
-        return
+    # 1 + g^k and g^k - 1 for every k, against the sum on coordinates
     code = {c: k for k, c in coeffs.items()}
     for k in range(n):
         c = coeffs[exp[k]]
-        one_plus = code[((c[0] + 1) % q, *c[1:])]  # 1 + g^k, added on coordinates
-        if one_plus:
-            assert exp[zech[k]] == one_plus
-        else:
-            assert k == n // 2 and zech[k] == -1
+        assert F.add(1, exp[k]) == code[((c[0] + 1) % q, *c[1:])]
+        assert F.sub(exp[k], 1) == code[((c[0] - 1) % q, *c[1:])]
 
 
 def test_inverse_of_zero_raises():
@@ -425,7 +434,8 @@ def test_packing_ops_match_element_arithmetic(args):
     assert list(map(pk.element, entries)) == u
     assert pk.element(pk.coerce(n)) == fld(n)
     assert pk.unpack(pk.add(pu, pv)) == tuple(s + t for s, t in zip(u, v))
-    assert [pk.element(pk.neg(e)) for e in entries] == [fld.zero - e for e in u]
+    assert pk.unpack(pk.sub(pu, pv)) == tuple(s - t for s, t in zip(u, v))
+    assert [pk.element(pk.sub(0, e)) for e in entries] == [fld.zero - e for e in u]
     assert pk.unpack(pk.scale(c, pu)) == tuple(fld(c) * e for e in u)
     assert pk.unpack(pk.times_x(pu)) == tuple(x * e for e in u)
     powers = pk.x_powers(pu)
