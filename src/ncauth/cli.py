@@ -43,11 +43,12 @@ FLAT_LAYOUT = "v1:header|payload|tag"
 
 _SCENARIO_KEYS = {"version", "seed", "params", "topology", "verifiers", "messages", "adversaries", "attack"}
 _PARAM_KEYS = {"q", "l", "k", "M", "V", "n", "public_points", "allow_excess_messages"}
-_ATTACK_KEYS = {
-    "none": {"type"},
-    "forge": {"type", "coeffs", "target"},
-    "pollute": {"type", "node", "edge", "coeffs"},
-    "recover": {"type"},
+# attack.type -> (the subcommand that runs it, its document keys)
+_ATTACKS = {
+    "none": ("simulate", {"type"}),
+    "forge": ("forge", {"type", "coeffs", "target"}),
+    "pollute": ("pollute", {"type", "node", "edge", "coeffs"}),
+    "recover": ("recover", {"type"}),
 }
 _BUILTIN_TOPOLOGIES = {"butterfly": butterfly, "line": line, "diamond": diamond}
 
@@ -85,13 +86,13 @@ def _require_ints(doc, key, where) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _require_sum_one(adoc, q: int, count: int) -> tuple[int, ...]:
+def _require_sum_one(adoc, q: int, count: int) -> ForgerySpec:
     """attack.coeffs: `count` integers in [0, q) that sum to 1 mod q."""
     coeffs = _require_ints(adoc, "coeffs", "attack")
     if len(coeffs) != count:
         raise ConfigError("attack.coeffs", f"expected {count} coefficients")
     try:
-        return ForgerySpec(q, coeffs).coeffs
+        return ForgerySpec(q, coeffs)
     except ValueError as exc:
         raise ConfigError("attack.coeffs", str(exc)) from exc
 
@@ -133,7 +134,8 @@ class Scenario:
     network: Network
     messages: tuple[Fel, ...]
     adversaries: tuple[str, ...]
-    attack: dict
+    attack_type: str
+    attack: ForgerySpec | Fel | Intervention | None  # a forge target is an element
 
 
 def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
@@ -233,21 +235,21 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     if not isinstance(adoc, dict):
         raise ConfigError("attack", "must be an object")
     kind = adoc.get("type", "none")
-    if not isinstance(kind, str) or kind not in _ATTACK_KEYS:
+    if not isinstance(kind, str) or kind not in _ATTACKS:
         raise ConfigError("attack.type", f"unknown attack {kind!r}")
-    unknown = set(adoc) - _ATTACK_KEYS[kind]
+    unknown = set(adoc) - _ATTACKS[kind][1]
     if unknown:
         raise ConfigError("attack", f"unknown fields {sorted(unknown)} for type {kind!r}")
-    attack: dict = {"type": kind}
+    attack = None
     if kind == "forge":
         if "coeffs" in adoc and "target" in adoc:
             raise ConfigError("attack", "give either coeffs or target, not both")
         if "coeffs" in adoc:
-            attack["coeffs"] = _require_sum_one(adoc, q, params.n)
+            attack = _require_sum_one(adoc, q, params.n)
         elif "target" in adoc:
-            attack["target"] = _coerce_element(field, adoc["target"], "attack.target")
+            attack = _coerce_element(field, adoc["target"], "attack.target")
         else:
-            attack["coeffs"] = _sum_one_coeffs(q, params.n, _substream(eff_seed, "forge"))
+            attack = ForgerySpec(q, _sum_one_coeffs(q, params.n, _substream(eff_seed, "forge")))
     elif kind == "pollute":
         node = str(_require(adoc, "node", str, "attack"))
         if node not in net.nodes:
@@ -258,33 +260,32 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         edge = str(adoc.get("edge", ins[0]))
         if edge not in ins:
             raise ConfigError("attack.edge", f"edge {edge!r} does not enter {node!r}")
-        attack.update(node=node, edge=edge, coeffs=_require_sum_one(adoc, q, len(ins)))
+        attack = Intervention(node, edge, _require_sum_one(adoc, q, len(ins)).coeffs)
     elif kind == "recover":
         if not adversaries:
             raise ConfigError("adversaries", "recover needs at least one adversary node")
+        if len(adversaries) >= params.k:
+            raise ConfigError("adversaries", f"recover needs fewer than k={params.k} adversaries")
         for a in adversaries:
             if a not in net.verifiers:
                 raise ConfigError("adversaries", f"node {a!r} holds no verifier seat")
 
     echo = dict(doc)
     echo["seed"] = eff_seed
-    return Scenario(echo, eff_seed, params, net, messages, adversaries, attack)
+    return Scenario(echo, eff_seed, params, net, messages, adversaries, kind, attack)
 
 
 def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GUARD) -> dict:
     """Execute one scenario end to end and return its report document."""
-    sc = load_scenario(doc, seed=seed)
-    params, net = sc.params, sc.network
+    return _run(load_scenario(doc, seed=seed), guard)
+
+
+def _run(sc: Scenario, guard: int) -> dict:
+    params, net, kind = sc.params, sc.network, sc.attack_type
     field = params.field
     skey, vkeys = keygen(params, _substream(sc.seed, "keys").getrandbits(64))
     packets = [tag(skey, s) for s in sc.messages]
-
-    interventions = []
-    if sc.attack["type"] == "pollute":
-        interventions.append(
-            Intervention(sc.attack["node"], sc.attack["edge"], sc.attack["coeffs"])
-        )
-    flow = simulate(net, packets, interventions)
+    flow = simulate(net, packets, [sc.attack] if kind == "pollute" else [])
 
     keys_by_node = {node: vkeys[idx] for node, idx in net.verifiers.items()}
     accepts = accept_map(flow, keys_by_node)
@@ -317,17 +318,15 @@ def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GU
         "accepts": accepts,
         "non_informative": non_informative,
         "decodes": decodes,
-        "attack": {"type": sc.attack["type"]},
+        "attack": {"type": kind},
     }
     out = report["attack"]
 
-    if sc.attack["type"] == "forge":
-        spec = None
-        if "coeffs" in sc.attack:
-            spec = ForgerySpec(field.q, sc.attack["coeffs"])
-        else:
-            out["target"] = list(sc.attack["target"].coeffs)
-            spec = solve_target_coeffs(sc.messages, sc.attack["target"])
+    if kind == "forge":
+        spec = sc.attack
+        if isinstance(spec, Fel):
+            out["target"] = list(spec.coeffs)
+            spec = solve_target_coeffs(sc.messages, spec)
         out["reachable"] = spec is not None
         if spec is not None:
             forged = forge(packets, spec)
@@ -343,11 +342,11 @@ def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GU
         if sc.adversaries:
             view = coalition_view(flow, sc.adversaries)
             out["coalition_can_decode"] = decode(view).rank >= net.n
-    elif sc.attack["type"] == "pollute":
+    elif kind == "pollute":
         out.update(
-            node=sc.attack["node"],
-            edge=sc.attack["edge"],
-            coeffs=list(sc.attack["coeffs"]),
+            node=sc.attack.node,
+            edge=sc.attack.edge,
+            coeffs=list(sc.attack.coeffs),
             records=[
                 {
                     "node": r.node,
@@ -361,10 +360,8 @@ def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GU
             ],
             any_divergence=any(d["ok"] and d["diverged"] for d in decodes.values()),
         )
-    elif sc.attack["type"] == "recover":
-        view = coalition_view(flow, sc.adversaries)
-        keys = [vkeys[net.verifiers[a]] for a in sc.adversaries]
-        res = analyze_recovery(build_recovery_system(params, view, keys, sc.messages), guard)
+    elif kind == "recover":
+        res = _recover(params, flow, vkeys, sc.adversaries, sc.messages, guard)
         meta = res.meta
         out.update(
             coalition=list(sc.adversaries),
@@ -381,6 +378,13 @@ def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GU
             condition_held=meta.condition_held,
         )
     return report
+
+
+def _recover(params, flow, vkeys, coalition, messages, guard):
+    """The coalition's view and its members' keys by seat, counted three ways."""
+    keys = [vkeys[flow.network.verifiers[a]] for a in coalition]
+    system = build_recovery_system(params, coalition_view(flow, coalition), keys, messages)
+    return analyze_recovery(system, guard)
 
 
 def keygen_report(doc: dict, seed: int | None = None) -> dict:
@@ -524,8 +528,7 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
         messages[-1] = messages[0]  # exercise repeated payloads
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
-    view = coalition_view(flow, coalition)
-    res = analyze_recovery(build_recovery_system(params, view, vkeys, messages), guard)
+    res = _recover(params, flow, vkeys, coalition, messages, guard)
     meta = res.meta
     return SweepRow(
         q=q,
@@ -671,9 +674,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXPECTED_ATTACK = {"simulate": "none", "forge": "forge", "pollute": "pollute", "recover": "recover"}
-
-
 def _dispatch(args) -> str:
     if args.command == "lemma-sweep":
         result = lemma_sweep(
@@ -694,13 +694,11 @@ def _dispatch(args) -> str:
     doc = _load_config(args.config)
     if args.command == "keygen":
         return _dump(keygen_report(doc, seed=args.seed))
-    expected = _EXPECTED_ATTACK[args.command]
-    declared = doc.get("attack", {"type": "none"})
-    declared = declared.get("type", "none") if isinstance(declared, dict) else None
-    if declared != expected:
-        raise ConfigError("attack.type", f"subcommand {args.command!r} expects {expected!r}, got {declared!r}")
-    guard = getattr(args, "guard", BRUTE_FORCE_GUARD)  # only recover takes --guard
-    return _dump(run_scenario(doc, seed=args.seed, guard=guard))
+    sc = load_scenario(doc, seed=args.seed)
+    expected = next(t for t, (command, _) in _ATTACKS.items() if command == args.command)
+    if sc.attack_type != expected:
+        raise ConfigError("attack.type", f"subcommand {args.command!r} expects {expected!r}, got {sc.attack_type!r}")
+    return _dump(_run(sc, getattr(args, "guard", BRUTE_FORCE_GUARD)))  # only recover takes --guard
 
 
 def main(argv=None) -> int:

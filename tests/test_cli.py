@@ -322,6 +322,7 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
             "attack.coeffs",
         ),
         (lambda d: d.update(attack={"type": "recover"}), "adversaries"),
+        (lambda d: d.update(adversaries=["u1", "u2", "m"], attack={"type": "recover"}), "adversaries"),
         *BAD_CONTAINERS,
         *BAD_VALUES,
     ],
@@ -333,6 +334,14 @@ def test_config_errors_name_the_offending_field(mutate, field):
     with pytest.raises(ConfigError) as err:
         load_scenario(doc)
     assert str(err.value).startswith(field + ":"), str(err.value)
+
+
+def test_point_shortage_names_the_nonzero_point_count():
+    doc = butterfly_doc()
+    doc["params"]["V"] = 8  # F_8 has 7 nonzero points
+    with pytest.raises(ConfigError) as err:
+        load_scenario(doc)
+    assert str(err.value) == "params.V: needs 8 distinct nonzero points but the field has 7"
 
 
 def test_recover_adversary_without_seat():
@@ -411,11 +420,15 @@ def test_lemma_sweep_small():
     assert "mismatches=0" in text.splitlines()[-1]
 
 
-def test_lemma_sweep_empty_ranges():
-    result = lemma_sweep((), (1,), (2,), (1,), (1,))
-    assert result.rows == () and result.summary["rows"] == 0
-    text = render_sweep(result)
-    assert text.splitlines()[-1] == "# rows=0 checked=0 skipped=0 mismatches=0 h_exceeds_bound=0"
+def test_lemma_sweep_empty_ranges(capsys):
+    empty = "# rows=0 checked=0 skipped=0 mismatches=0 h_exceeds_bound=0"
+    for result in (lemma_sweep((), (1,), (2,), (1,), (1,)),
+                   lemma_sweep((2,), (1,), (2,), (1,), (1,), reps=0)):
+        assert result.rows == () and result.summary["rows"] == 0
+        assert render_sweep(result).splitlines()[-1] == empty
+    argv = ["lemma-sweep", "--q", "2", "--l", "1", "--k", "2", "--M", "1", "--K", "1"]
+    assert main(argv + ["--reps", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == empty
 
 
 def test_lemma_sweep_skips_out_of_scope_combinations():
@@ -466,10 +479,30 @@ def test_main_unwritable_out_exit_2(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-def test_main_subcommand_attack_mismatch(tmp_path, capsys):
-    cfg = write_config(tmp_path, butterfly_doc(**POLLUTE))
-    assert main(["simulate", "--config", cfg]) == 2
-    assert "attack.type" in capsys.readouterr().err
+def attack_docs():
+    """One valid document per attack type."""
+    return {
+        "none": butterfly_doc(),
+        "forge": butterfly_doc(**forge_coeffs(0, 1)),
+        "pollute": butterfly_doc(**POLLUTE),
+        "recover": recover_doc(),
+    }
+
+
+COMMAND_ATTACKS = {"simulate": "none", "forge": "forge", "pollute": "pollute", "recover": "recover"}
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [(c, t) for c, own in COMMAND_ATTACKS.items() for t in attack_docs() if t != own],
+)
+def test_main_subcommand_attack_mismatch(tmp_path, capsys, command, kind):
+    cfg = write_config(tmp_path, attack_docs()[kind])
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = COMMAND_ATTACKS[command]
+    assert captured.err == f"error: attack.type: subcommand {command!r} expects {expected!r}, got {kind!r}\n"
 
 
 def test_main_bad_config_file(tmp_path, capsys):
@@ -581,6 +614,12 @@ def test_python_m_ncauth_runs_the_cli():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == (root / "tests" / "golden" / "demo.seed0.txt").read_text(encoding="utf-8")
+
+
+def test_main_demo_default_seed_is_zero(capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "demo.seed0.txt"
+    assert main(["demo"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_main_demo(capsys):
