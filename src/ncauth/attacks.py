@@ -132,13 +132,10 @@ def build_recovery_system(
         mixed_rows.append(acc)
 
     crows, crhs = [], []
-    offset = 0
-    for cnt in view.row_counts:
-        for j in range(k):
-            for r in range(offset, offset + cnt):
-                crows.append(mixed_rows[r] << (block * j))
-                crhs.append(coerce(tags[r][j]))
-        offset += cnt
+    for j in range(k):
+        for row, tag in zip(mixed_rows, tags):
+            crows.append(row << (block * j))
+            crhs.append(coerce(tag[j]))
     for key in keys:
         powers = [fld.one]
         for _ in range(k - 1):
@@ -243,31 +240,31 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """A recovery system's key count and rank, three ways, and how they compare.
+    """One coalition instance: its shape, its key count and rank three ways, compared.
 
-    `brute` is None when the enumeration's guard refused the system.
+    The shape fields are the system's `RecoveryMeta`.  `brute` is None, and
+    `count_match` None, when the enumeration's guard refused the system.
     """
 
-    meta: RecoveryMeta
+    q: int
+    l: int
+    k: int
+    M: int
+    K: int
+    n: int
+    r0: int
+    h_total: int
+    condition_held: bool
     candidates: int  # (q^l)^unknowns secret vectors in all
     consistent: bool
     rank: int
     predicted_rank: int
+    rank_match: bool
     gauss: int
     predicted: int
     brute: int | None
-
-    @property
-    def skipped(self) -> bool:
-        return self.brute is None
-
-    @property
-    def rank_match(self) -> bool:
-        return self.rank == self.predicted_rank
-
-    @property
-    def count_match(self) -> bool | None:
-        return None if self.skipped else self.predicted == self.gauss == self.brute
+    skipped: bool
+    count_match: bool | None
 
 
 def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> RecoveryResult:
@@ -283,5 +280,17 @@ def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> 
         brute = brute_force_count(system, guard)
     except GuardError:
         brute = None
-    candidates = system.coeff.field.order ** system.coeff.cols
-    return RecoveryResult(meta, candidates, consistent, rank, prank, gcount, pred, brute)
+    return RecoveryResult(
+        **vars(meta),
+        condition_held=meta.condition_held,
+        candidates=system.coeff.field.order ** system.coeff.cols,
+        consistent=consistent,
+        rank=rank,
+        predicted_rank=prank,
+        rank_match=rank == prank,
+        gauss=gcount,
+        predicted=pred,
+        brute=brute,
+        skipped=brute is None,
+        count_match=None if brute is None else pred == gcount == brute,
+    )

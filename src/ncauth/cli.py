@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .attacks import (
     BRUTE_FORCE_GUARD,
+    RecoveryResult,
     analyze_recovery,
     build_recovery_system,
     forge,
@@ -362,12 +363,11 @@ def _run(sc: Scenario, guard: int) -> dict:
         )
     elif kind == "recover":
         res = _recover(params, flow, vkeys, sc.adversaries, sc.messages, guard)
-        meta = res.meta
         out.update(
             coalition=list(sc.adversaries),
-            K=meta.K,
-            r0=meta.r0,
-            h_total=meta.h_total,
+            K=res.K,
+            r0=res.r0,
+            h_total=res.h_total,
             rank=res.rank,
             predicted_rank=res.predicted_rank,
             rank_match=res.rank_match,
@@ -375,7 +375,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             counts={"predicted": res.predicted, "gauss": res.gauss, "brute": res.brute},
             brute_skipped=res.skipped,
             count_match=res.count_match,
-            condition_held=meta.condition_held,
+            condition_held=res.condition_held,
         )
     return report
 
@@ -420,28 +420,11 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    q: int
-    l: int
-    k: int
-    M: int
-    K: int
-    n: int
+class SweepRow(RecoveryResult):
+    """One sweep instance: its recovery result, the members' edge counts and its index."""
+
     edge_counts: tuple[int, ...]
     seed: int
-    candidates: int
-    skipped: bool
-    h_total: int
-    r0: int
-    rank: int
-    predicted_rank: int
-    rank_match: bool
-    consistent: bool
-    predicted: int
-    gauss: int
-    brute: int | None
-    count_match: bool | None
-    condition_held: bool
 
 
 @dataclass(frozen=True)
@@ -475,25 +458,22 @@ def lemma_sweep(
             raise ValueError(f"{name} must be at least {least}, got {min(sizes)}")
     if reps < 0:
         raise ValueError(f"reps must be nonnegative, got {reps}")
+    fields = [Field(q, l) for q in qs for l in ls]  # refused here even if no row would use it
     rows = []
     idx = 0
-    for q in qs:
-        for l in ls:
-            for k in ks:
-                for m_count in Ms:
-                    for coalition_size in Ks:
-                        if coalition_size > k - 1:
-                            continue
-                        field = Field(q, l)
-                        if field.order - 1 < coalition_size:
-                            continue
-                        for _ in range(reps):
-                            rows.append(
-                                _sweep_instance(
-                                    field, k, m_count, coalition_size, seed, idx, guard, family
-                                )
+    for field in fields:
+        for k in ks:
+            for m_count in Ms:
+                for coalition_size in Ks:
+                    if coalition_size > k - 1 or field.order - 1 < coalition_size:
+                        continue
+                    for _ in range(reps):
+                        rows.append(
+                            _sweep_instance(
+                                field, k, m_count, coalition_size, seed, idx, guard, family
                             )
-                            idx += 1
+                        )
+                        idx += 1
     checked = [r for r in rows if not r.skipped]
     mismatches = sum(
         1 for r in checked if r.count_match is not True or not r.rank_match or not r.consistent
@@ -510,7 +490,7 @@ def lemma_sweep(
 
 def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, family):
     rng = _substream(master_seed, f"sweep:{idx}")
-    q, l = field.q, field.l
+    q = field.q
     if family == "line":
         n = 1
         edge_counts = (1,) * coalition_size
@@ -529,30 +509,7 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
     res = _recover(params, flow, vkeys, coalition, messages, guard)
-    meta = res.meta
-    return SweepRow(
-        q=q,
-        l=l,
-        k=k,
-        M=m_count,
-        K=coalition_size,
-        n=n,
-        edge_counts=edge_counts,
-        seed=idx,
-        candidates=res.candidates,
-        skipped=res.skipped,
-        h_total=meta.h_total,
-        r0=meta.r0,
-        rank=res.rank,
-        predicted_rank=res.predicted_rank,
-        rank_match=res.rank_match,
-        consistent=res.consistent,
-        predicted=res.predicted,
-        gauss=res.gauss,
-        brute=res.brute,
-        count_match=res.count_match,
-        condition_held=meta.condition_held,
-    )
+    return SweepRow(**vars(res), edge_counts=edge_counts, seed=idx)
 
 
 def render_sweep(result: SweepResult) -> str:
@@ -605,16 +562,13 @@ def _dump(report: dict) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "config", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (RecursionError, ValueError) as exc:  # nesting too deep, an int too long, bad UTF-8
         raise ConfigError("config", f"unreadable JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario", "document must be an object")
-    return doc
 
 
 def _int_list(text: str) -> tuple[int, ...]:

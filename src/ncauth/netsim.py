@@ -241,7 +241,6 @@ class CoalitionView:
     """What a set of nodes observed on their in-edges: kernels and packets, stacked."""
 
     nodes: tuple[str, ...]
-    row_counts: tuple[int, ...]
     h_rows: tuple[tuple[int, ...], ...]
     packets: tuple[TaggedPacket, ...]
 
@@ -285,16 +284,14 @@ def coalition_view(flow: FlowState, coalition) -> CoalitionView:
     if len(set(coalition)) != len(coalition):
         raise ValueError("duplicate coalition node")
     net = flow.network
-    rows, pkts, counts = [], [], []
+    rows, pkts = [], []
     for node in coalition:
         if node not in net.nodes:
             raise ValueError(f"unknown coalition node {node!r}")
-        ins = net.in_edges(node)
-        counts.append(len(ins))
-        for e, p in zip(ins, flow.received[node]):
+        for e, p in zip(net.in_edges(node), flow.received[node]):
             rows.append(flow.kernels[e])
             pkts.append(p)
-    return CoalitionView(coalition, tuple(counts), tuple(rows), tuple(pkts))
+    return CoalitionView(coalition, tuple(rows), tuple(pkts))
 
 
 def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
@@ -313,7 +310,7 @@ def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
 # built-in topologies
 
 
-def butterfly(q: int, verifiers=None) -> Network:
+def butterfly(q: int) -> Network:
     """The two-message crossover network; its middle edge mixes both messages."""
     edges = [
         ("e1", "s", "u1"),
@@ -332,31 +329,28 @@ def butterfly(q: int, verifiers=None) -> Network:
         "m": [[1], [1]],
         "w": [[1, 1]],
     }
-    if verifiers is None:
-        verifiers = {"u1": 0, "u2": 1, "m": 2, "w": 3, "t1": 4, "t2": 5}
+    verifiers = {"u1": 0, "u2": 1, "m": 2, "w": 3, "t1": 4, "t2": 5}
     return Network(
         q, "s", ("s", "u1", "u2", "m", "w", "t1", "t2"), edges, kernels, verifiers, ("t1", "t2")
     )
 
 
-def line(q: int, hops: int = 2, verifiers=None) -> Network:
+def line(q: int, hops: int = 2) -> Network:
     """One message relayed along a chain of `hops` unit-weight nodes."""
     if hops < 1:
         raise ValueError("line needs at least one hop")
     nodes = ["s"] + [f"v{i}" for i in range(1, hops + 1)]
     edges = [(f"e{i}", nodes[i], nodes[i + 1]) for i in range(hops)]
     kernels = {f"v{i}": [[1]] for i in range(1, hops)}
-    if verifiers is None:
-        verifiers = {f"v{i}": i - 1 for i in range(1, hops + 1)}
+    verifiers = {f"v{i}": i - 1 for i in range(1, hops + 1)}
     return Network(q, "s", nodes, edges, kernels, verifiers, (nodes[-1],))
 
 
-def diamond(q: int, verifiers=None) -> Network:
+def diamond(q: int) -> Network:
     """Two disjoint unit-weight paths meeting at one sink."""
     edges = [("e1", "s", "a"), ("e2", "s", "b"), ("e3", "a", "t"), ("e4", "b", "t")]
     kernels = {"a": [[1]], "b": [[1]]}
-    if verifiers is None:
-        verifiers = {"a": 0, "b": 1, "t": 2}
+    verifiers = {"a": 0, "b": 1, "t": 2}
     return Network(q, "s", ("s", "a", "b", "t"), edges, kernels, verifiers, ("t",))
 
 

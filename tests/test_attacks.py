@@ -1,5 +1,6 @@
 """Forgery construction/steering and coalition recovery counting."""
 
+import dataclasses
 import itertools
 import random
 
@@ -15,7 +16,6 @@ from ncauth import (
     Intervention,
     Matrix,
     RecoveryMeta,
-    RecoveryResult,
     RecoverySystem,
     SystemParams,
     analyze_recovery,
@@ -133,7 +133,7 @@ def hand_instance():
     skey, vkeys = keygen(params, seed=5)
     messages = [fld.one]
     packets = [tag(skey, messages[0])]
-    view = CoalitionView(("v0",), (1,), ((1,),), (packets[0],))
+    view = CoalitionView(("v0",), ((1,),), (packets[0],))
     return params, skey, vkeys, messages, packets, view
 
 
@@ -170,7 +170,7 @@ def test_recovery_hand_example_matrix():
 
 def test_recovery_without_observations_counts_keyspace():
     params, skey, vkeys, messages, packets, _ = hand_instance()
-    view = CoalitionView(("v0",), (0,), (), ())
+    view = CoalitionView(("v0",), (), ())
     system = build_recovery_system(params, view, vkeys, messages)
     assert system.meta.r0 == 0
     assert predicted_rank(system.meta) == 2
@@ -186,7 +186,6 @@ def test_true_key_satisfies_the_system():
         coeffs = [rng.randrange(3) for _ in messages]
         view = CoalitionView(
             ("a", "b"),
-            (1, 0),
             (tuple(coeffs),),
             (combine(packets, coeffs),),
         )
@@ -208,14 +207,14 @@ def test_full_mixing_rank_pins_the_key():
     skey, vkeys = keygen(params, seed=3)
     messages = [fld(1), fld(2)]
     packets = [tag(skey, s) for s in messages]
-    view = CoalitionView(("v0",), (2,), ((1, 0), (0, 1)), tuple(packets))
+    view = CoalitionView(("v0",), ((1, 0), (0, 1)), tuple(packets))
     system = build_recovery_system(params, view, vkeys, messages)
     assert system.meta.r0 == 2
     assert predicted_count(system.meta) == 1
     assert gauss_count(system) == (True, 1, 4)
     assert brute_force_count(system) == 1
     # a hand-built view's kernel entries mean their residues mod q
-    unreduced = CoalitionView(("v0",), (2,), ((4, -3), (3, -2)), tuple(packets))
+    unreduced = CoalitionView(("v0",), ((4, -3), (3, -2)), tuple(packets))
     assert build_recovery_system(params, unreduced, vkeys, messages) == system
 
 
@@ -233,7 +232,7 @@ def test_build_recovery_system_input_checks():
         build_recovery_system(params, view, [], messages)
     with pytest.raises(ValueError):
         build_recovery_system(params, view, vkeys, messages + messages)
-    short = CoalitionView(("v0",), (1,), ((1,),), ())
+    short = CoalitionView(("v0",), ((1,),), ())
     with pytest.raises(ValueError):
         build_recovery_system(params, short, vkeys, messages)
 
@@ -265,17 +264,13 @@ def test_counts_agree_on_random_instances():
         if rng.random() < 0.4 and len(messages) > 1:
             messages[-1] = messages[0]  # repeated payload lowers r0
             packets[-1] = packets[0]
-        rows, pkts, counts = [], [], []
+        rows, pkts = [], []
         for _ in range(K):
-            cnt = rng.randint(0, 2)
-            counts.append(cnt)
-            for _ in range(cnt):
+            for _ in range(rng.randint(0, 2)):
                 h = tuple(rng.randrange(q) for _ in messages)
                 rows.append(h)
                 pkts.append(combine(packets, h))
-        view = CoalitionView(
-            tuple(f"v{i}" for i in range(K)), tuple(counts), tuple(rows), tuple(pkts)
-        )
+        view = CoalitionView(tuple(f"v{i}" for i in range(K)), tuple(rows), tuple(pkts))
         system = build_recovery_system(params, view, vkeys[:K], messages)
         ok, cnt, rank = gauss_count(system)
         assert ok, (q, l, k, M)
@@ -319,7 +314,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
         _, h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
         true_rows.append(tuple(x.coeffs[0] for (x,) in h.data))
-    fixed = CoalitionView(view.nodes, view.row_counts, tuple(true_rows), view.packets)
+    fixed = CoalitionView(view.nodes, tuple(true_rows), view.packets)
     system2 = build_recovery_system(params, fixed, vkeys[:1], messages)
     ok2, cnt2, _ = gauss_count(system2)
     assert ok2 and cnt2 == predicted_count(system2.meta)
@@ -336,14 +331,19 @@ def test_analyze_recovery_compares_three_counts():
     params, skey, vkeys, messages, packets, view = hand_instance()
     system = build_recovery_system(params, view, vkeys, messages)
     res = analyze_recovery(system)
-    assert res.meta == system.meta and res.candidates == 16
+    meta = vars(system.meta)
+    assert {name: getattr(res, name) for name in meta} == meta  # the shape fields, flat
+    assert res.condition_held == system.meta.condition_held and res.candidates == 16
     assert (res.consistent, res.rank, res.predicted_rank) == (True, 3, 3)
     assert (res.predicted, res.gauss, res.brute) == (2, 2, 2)
     assert res.rank_match and res.count_match is True and not res.skipped
     refused = analyze_recovery(system, guard=8)  # the counter's guard decides the skip
     assert refused.brute is None and refused.skipped and refused.count_match is None
     assert (refused.consistent, refused.gauss, refused.rank) == (True, 2, 3)
-    off = RecoveryResult(system.meta, 16, True, 2, 3, 2, 2, 4)
+    # r0 = 0 predicts rank 2 and count 4 against the system's 3 and 2
+    wrong = dataclasses.replace(system, meta=dataclasses.replace(system.meta, r0=0))
+    off = analyze_recovery(wrong)
+    assert (off.predicted_rank, off.predicted) == (2, 4) and (off.rank, off.gauss) == (3, 2)
     assert not off.rank_match and off.count_match is False
 
 

@@ -6,12 +6,13 @@ Running the first pass of every deck here makes a change that breaks that
 contract fail the tests rather than the benchmark run.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
 import pytest
 
-from ncauth import Matrix
+from ncauth import Matrix, SweepRow
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
@@ -35,6 +36,15 @@ def test_first_pass_outputs_check(workload):
         output = workloads.execute(cell, seed)
         assert workloads.check(cell, output).ok, cell.label
         assert len(workloads.output_hash(cell, seed, output)) == 32
+
+
+def test_sweep_row_fields_are_the_digested_record():
+    # output_hash digests dataclasses.asdict of each row: a new column changes the digest
+    assert {f.name for f in dataclasses.fields(SweepRow)} == {
+        "q", "l", "k", "M", "K", "n", "edge_counts", "seed", "candidates", "skipped",
+        "h_total", "r0", "rank", "predicted_rank", "rank_match", "consistent", "predicted",
+        "gauss", "brute", "count_match", "condition_held",
+    }
 
 
 def test_reported_spans_name_live_functions():

@@ -653,6 +653,18 @@ def test_main_lemma_sweep_bad_size_names_option(capsys, family, option, value):
     assert err.startswith(f"error: {option[2:]} must be")
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [(["--q", "4", "--k", "2", "--K", "3"], "q must be prime, got 4"),
+     (["--l", "0", "--k", "2", "--K", "2"], "extension degree must be in [1, 16], got 0")],
+    ids=["q4", "l0"],
+)
+def test_main_lemma_sweep_bad_field_refused_with_no_rows(capsys, grid, message):
+    # K > k-1 filters out every row, so no instance ever builds the field
+    assert main(["lemma-sweep"] + grid) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Small integers keep every accepted scenario desk-sized; the documents are
 # otherwise any JSON shape.
 JSON_VALUES = st.recursive(

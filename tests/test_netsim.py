@@ -106,9 +106,9 @@ def test_network_validation_errors():
             {"a": [[2]]},  # entry out of range
         )
     with pytest.raises(ValueError):
-        butterfly(2, verifiers={"t1": 0, "t2": 0})  # shared seat
+        butterfly(2).with_verifiers({"t1": 0, "t2": 0})  # shared seat
     with pytest.raises(ValueError):
-        butterfly(2, verifiers={"t1": True})  # a bool is not a seat index
+        butterfly(2).with_verifiers({"t1": True})  # a bool is not a seat index
     # non-integers are refused, not converted through int()
     edges = [("e1", "s", "a"), ("e2", "a", "t")]
     for q, entry in (("7", 1), (7.0, 1), (True, 1), (7, 1.9), (7, True), (7, "1")):
@@ -224,7 +224,7 @@ def test_coalition_view_rows_and_packets():
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     flow = simulate(net, packets)
     view = coalition_view(flow, ("m", "t1"))
-    assert view.row_counts == (2, 2) and view.h_total == 4
+    assert view.h_total == 4
     assert view.h_rows == (
         BUTTERFLY_KERNELS["e4"],
         BUTTERFLY_KERNELS["e5"],
@@ -235,7 +235,7 @@ def test_coalition_view_rows_and_packets():
     assert Matrix(Field(2, 1), view.h_rows).rank() == decode(view).rank == 2
     # a hand-built view's kernel entries mean their residues mod q: -1 is 1 and 2 is 0
     shifted = tuple(tuple(a - 2 if a else 2 for a in h) for h in view.h_rows)
-    assert decode(CoalitionView(view.nodes, view.row_counts, shifted, view.packets)) == decode(view)
+    assert decode(CoalitionView(view.nodes, shifted, view.packets)) == decode(view)
     with pytest.raises(ValueError):
         coalition_view(flow, ())
     with pytest.raises(ValueError):
