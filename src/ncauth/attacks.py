@@ -72,11 +72,7 @@ class RecoveryMeta:
     n: int
     r0: int  # rank of the stacked per-member H_i x (message power matrix)
     h_total: int  # total incoming edges across the coalition
-
-    @property
-    def condition_held(self) -> bool:
-        """Whether the coalition's total edge count stays within the tag dimension."""
-        return self.h_total <= self.M
+    condition_held: bool  # whether h_total stays within the tag dimension M
 
 
 @dataclass(frozen=True)
@@ -157,6 +153,7 @@ def build_recovery_system(
         n=len(messages),
         r0=r0,
         h_total=view.h_total,
+        condition_held=view.h_total <= M,
     )
     return RecoverySystem(
         Matrix._from_packed(fld, crows, k * (M + 1)), Matrix._from_packed(fld, crhs, 1), meta
@@ -239,22 +236,13 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
 
 
 @dataclass(frozen=True)
-class RecoveryResult:
-    """One coalition instance: its shape, its key count and rank three ways, compared.
+class RecoveryResult(RecoveryMeta):
+    """One coalition instance: its system's shape, its key count and rank three ways, compared.
 
-    The shape fields are the system's `RecoveryMeta`.  `brute` is None, and
-    `count_match` None, when the enumeration's guard refused the system.
+    `brute` is None, and `count_match` None, when the enumeration's guard
+    refused the system.
     """
 
-    q: int
-    l: int
-    k: int
-    M: int
-    K: int
-    n: int
-    r0: int
-    h_total: int
-    condition_held: bool
     candidates: int  # (q^l)^unknowns secret vectors in all
     consistent: bool
     rank: int
@@ -282,7 +270,6 @@ def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> 
         brute = None
     return RecoveryResult(
         **vars(meta),
-        condition_held=meta.condition_held,
         candidates=system.coeff.field.order ** system.coeff.cols,
         consistent=consistent,
         rank=rank,

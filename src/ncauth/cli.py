@@ -293,8 +293,8 @@ def _run(sc: Scenario, guard: int) -> dict:
     non_informative = sorted(
         [node, e]
         for node in keys_by_node
-        for e, p in zip(net.in_edges(node), flow.received[node])
-        if p.is_zero()
+        for e in net.in_edges(node)
+        if flow.packets[e].is_zero()
     )
 
     decodes = {}

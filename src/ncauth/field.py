@@ -58,16 +58,7 @@ class GuardError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------

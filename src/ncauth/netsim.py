@@ -9,9 +9,11 @@ same pass, so absent interference the flat value on edge e is exactly f_e
 applied to the stacked source packets.
 
 Adversarial substitutions model a relay that replaces its own view of one
-incoming edge by a coefficient-sum-one combination of everything it
-received; downstream nodes process the altered value, upstream traffic is
-untouched.
+incoming edge by a coefficient-sum-one combination of all its inputs;
+downstream nodes process the altered value, upstream traffic is
+untouched.  A flow holds one packet per edge, the one delivered to
+the edge's head: on a substituted edge that is the substitute, and the
+value its tail emitted is kept in the intervention record.
 
 Decoding works on what any set of nodes observed on their in-edges (a
 `CoalitionView`): a sink decodes its one-node view, and a coalition of
@@ -122,9 +124,6 @@ class Network:
     def out_edges(self, node: str) -> tuple[str, ...]:
         return tuple(self._out[node])
 
-    def kernel(self, node: str) -> tuple[tuple[int, ...], ...]:
-        return self.kernels.get(node, ())
-
     def with_verifiers(self, verifiers) -> "Network":
         return Network(
             self.q, self.source, self.nodes, self.edges, self.kernels, verifiers, self.sinks
@@ -155,10 +154,15 @@ class InterventionRecord:
 
 @dataclass(frozen=True)
 class FlowState:
+    """One run: per edge, its honest global kernel and the packet delivered to its head.
+
+    A substituted edge's packet is the substitute; what its tail emitted is
+    the `honest` value of the edge's `InterventionRecord` in `log`.
+    """
+
     network: Network
-    kernels: dict[str, tuple[int, ...]]  # honest global kernel of every edge
-    edge_packets: dict[str, TaggedPacket]
-    received: dict[str, tuple[TaggedPacket, ...]]
+    kernels: dict[str, tuple[int, ...]]
+    packets: dict[str, TaggedPacket]
     log: tuple[InterventionRecord, ...]
 
 
@@ -191,7 +195,6 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     n, q = net.n, net.q
     values: dict[str, TaggedPacket] = {}
     kernels: dict[str, tuple[int, ...]] = {}
-    received: dict[str, tuple[TaggedPacket, ...]] = {}
     log: list[InterventionRecord] = []
 
     for i, (e, p) in enumerate(zip(net.out_edges(net.source), packets)):
@@ -199,24 +202,19 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         kernels[e] = tuple(int(t == i) for t in range(n))
     for node in net.topo_order:
         if node == net.source:
-            received[node] = ()
             continue
         ins = net.in_edges(node)
         honest = [values[d] for d in ins]
-        current = list(honest)
         for iv in by_node.get(node, ()):
             injected = combine(honest, iv.coeffs)
             idx = ins.index(iv.edge)
             log.append(
                 InterventionRecord(node, iv.edge, tuple(iv.coeffs), honest[idx].flat, injected.flat)
             )
-            current[idx] = injected
-        received[node] = tuple(current)
-        outs = net.out_edges(node)
-        if not outs:
-            continue
-        kern = net.kernel(node)
-        for c, e in enumerate(outs):
+            values[iv.edge] = injected
+        current = [values[d] for d in ins]
+        kern = net.kernels.get(node, ())
+        for c, e in enumerate(net.out_edges(node)):
             if current:
                 col = [kern[r][c] for r in range(len(ins))]
                 values[e] = combine(current, col)
@@ -224,7 +222,7 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
             else:
                 values[e] = TaggedPacket(fld, (0,) * width)
                 kernels[e] = (0,) * n
-    return FlowState(net, kernels, values, received, tuple(log))
+    return FlowState(net, kernels, values, tuple(log))
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,7 @@ class CoalitionView:
 def decode(view: CoalitionView) -> DecodeResult:
     """Solve a view's observations for the source packets; failure is reported, not raised.
 
-    One solve of F X = Y, the observed kernel rows F beside the received flat
+    One solve of F X = Y, the observed kernel rows F beside the observed flat
     packets Y, gives the rank (pivots among F's n columns), consistency and,
     at full rank, the source packets.  Packets are F_q symbols, packed as
     they are: over F_q a packed entry is the symbol itself.  A sink decodes
@@ -288,9 +286,9 @@ def coalition_view(flow: FlowState, coalition) -> CoalitionView:
     for node in coalition:
         if node not in net.nodes:
             raise ValueError(f"unknown coalition node {node!r}")
-        for e, p in zip(net.in_edges(node), flow.received[node]):
+        for e in net.in_edges(node):
             rows.append(flow.kernels[e])
-            pkts.append(p)
+            pkts.append(flow.packets[e])
     return CoalitionView(coalition, tuple(rows), tuple(pkts))
 
 
@@ -300,9 +298,7 @@ def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
     out: dict[str, dict[str, bool]] = {}
     for node in sorted(keys_by_node):
         vkey = keys_by_node[node]
-        out[node] = {
-            e: verify(vkey, p) for e, p in zip(net.in_edges(node), flow.received[node])
-        }
+        out[node] = {e: verify(vkey, flow.packets[e]) for e in net.in_edges(node)}
     return out
 
 

@@ -219,7 +219,7 @@ def test_full_mixing_rank_pins_the_key():
 
 
 def test_coalition_bound_enforced():
-    meta = RecoveryMeta(q=2, l=1, k=2, M=1, K=2, n=1, r0=0, h_total=0)
+    meta = RecoveryMeta(q=2, l=1, k=2, M=1, K=2, n=1, r0=0, h_total=0, condition_held=True)
     with pytest.raises(ValueError, match="below k"):
         predicted_count(meta)
     with pytest.raises(ValueError, match="below k"):
@@ -333,7 +333,7 @@ def test_analyze_recovery_compares_three_counts():
     res = analyze_recovery(system)
     meta = vars(system.meta)
     assert {name: getattr(res, name) for name in meta} == meta  # the shape fields, flat
-    assert res.condition_held == system.meta.condition_held and res.candidates == 16
+    assert res.candidates == 16
     assert (res.consistent, res.rank, res.predicted_rank) == (True, 3, 3)
     assert (res.predicted, res.gauss, res.brute) == (2, 2, 2)
     assert res.rank_match and res.count_match is True and not res.skipped
@@ -443,7 +443,16 @@ def test_gauss_count_matches_enumeration_oracle():
 
 
 def test_h_condition_boundaries():
-    at = RecoveryMeta(q=2, l=1, k=2, M=3, K=1, n=1, r0=0, h_total=3)
-    over = RecoveryMeta(q=2, l=1, k=2, M=3, K=1, n=1, r0=0, h_total=4)
-    assert at.condition_held is True
-    assert over.condition_held is False
+    # the coalition's edges may number at most M = 3
+    fld = Field(2, 1)
+    params = SystemParams(fld, k=2, M=3, V=1, n=1, public_points=(1,))
+    skey, vkeys = keygen(params, seed=5)
+    messages = [fld.one]
+    packet = tag(skey, messages[0])
+
+    def held(h_total):
+        view = CoalitionView(("v0",), ((1,),) * h_total, (packet,) * h_total)
+        return build_recovery_system(params, view, vkeys, messages).meta.condition_held
+
+    assert held(3) is True
+    assert held(4) is False

@@ -58,6 +58,14 @@ def brute_smallest_irreducible(q, l):
     raise AssertionError("no irreducible found")
 
 
+def test_is_prime_matches_naive_oracle():
+    def naive(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    for n in [*range(-2, 4097), 65519, 65521, 65536, 65537]:
+        assert is_prime(n) == naive(n), n
+
+
 @pytest.mark.parametrize("q,l", [(2, 2), (3, 2), (2, 3), (5, 2)])
 def test_modulus_matches_factorization_oracle(q, l):
     assert Field(q, l).modulus == brute_smallest_irreducible(q, l)

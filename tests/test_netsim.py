@@ -26,6 +26,7 @@ from ncauth import (
     simulate,
     tag,
 )
+from ncauth.scheme import mix
 from support import make_instance, matmul
 
 BUTTERFLY_KERNELS = {
@@ -127,7 +128,7 @@ def test_honest_flow_matches_global_kernels():
         for e, f in flow.kernels.items():
             fe = Matrix(base, [f], cols=net.n)
             expect = matmul(fe, x).data[0]
-            assert tuple(v.coeffs[0] for v in expect) == flow.edge_packets[e].flat
+            assert tuple(v.coeffs[0] for v in expect) == flow.packets[e].flat
 
 
 def test_identity_substitution_changes_nothing():
@@ -136,7 +137,7 @@ def test_identity_substitution_changes_nothing():
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     honest = simulate(net, packets)
     same = simulate(net, packets, [Intervention("m", "e4", (1, 0))])
-    assert same.edge_packets == honest.edge_packets
+    assert same.packets == honest.packets
     assert same.log[0].changed is False
 
 
@@ -231,7 +232,7 @@ def test_coalition_view_rows_and_packets():
         BUTTERFLY_KERNELS["e3"],
         BUTTERFLY_KERNELS["e8"],
     )
-    assert view.packets[0] == flow.received["m"][0]
+    assert view.packets[0] == flow.packets["e4"]
     assert Matrix(Field(2, 1), view.h_rows).rank() == decode(view).rank == 2
     # a hand-built view's kernel entries mean their residues mod q: -1 is 1 and 2 is 0
     shifted = tuple(tuple(a - 2 if a else 2 for a in h) for h in view.h_rows)
@@ -265,9 +266,26 @@ def test_interventions_affect_only_the_intervened_view():
     net = butterfly(2)
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     flow = simulate(net, packets, [Intervention("m", "e4", (0, 1))])
-    # emitted value on e4 stays honest; only m's received copy changes
-    assert flow.edge_packets["e4"] == packets[0]
-    assert flow.received["m"][0] == flow.received["m"][1] == packets[1]
+    # e4's packet is the one delivered to m; the value u1 emitted on it is in the record
+    assert flow.log[0].honest == packets[0].flat
+    assert flow.packets["e4"] == flow.packets["e5"] == packets[1]
+    assert flow.packets["e3"] == packets[0]  # u1's other output is upstream, untouched
+
+
+def test_substitution_taints_exactly_the_downstream_closure():
+    # an edge is tainted when its packet is not its honest kernel applied to the sources
+    rng = random.Random(14)
+    net = butterfly(2)
+    params, skey, vkeys, messages, packets = scheme_for(net, rng)
+    assert packets[0] != packets[1]
+    sources = [p.flat for p in packets]
+
+    def tainted(coeffs):
+        flow = simulate(net, packets, [Intervention("m", "e4", coeffs)])
+        return {e for e, p in flow.packets.items() if p.flat != mix(2, sources, flow.kernels[e])}
+
+    assert tainted((0, 1)) == {"e4", "e7", "e8", "e9"}
+    assert tainted((1, 0)) == set()
 
 
 def test_fan_topology_shape():
