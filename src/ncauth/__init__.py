@@ -38,7 +38,6 @@ from .netsim import (
     diamond,
     fan,
     line,
-    network_from_dict,
     simulate,
 )
 from .attacks import (
@@ -63,6 +62,7 @@ from .cli import (
     keygen_report,
     lemma_sweep,
     load_scenario,
+    network_from_dict,
     render_sweep,
     run_scenario,
 )

@@ -1,9 +1,11 @@
-"""Scenario runner, parameter sweeps and the command-line front end.
+"""Scenario and topology documents, scenario runner, sweeps and the command line.
 
 A scenario document binds field parameters, a topology, payloads and an
-optional attack into one experiment.  All randomness is derived from the
-scenario seed through named substreams, and reports are emitted as
-sorted-key JSON, so rerunning a scenario byte-reproduces its report.
+optional attack into one experiment.  One set of helpers parses it and its
+inline topology, naming the offending field; names must be strings.  All
+randomness is derived from the scenario seed through named substreams, and
+reports are emitted as sorted-key JSON, so rerunning a scenario
+byte-reproduces its report.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .attacks import (
 )
 from .field import Field, Fel
 from .netsim import (
+    Edge,
     Intervention,
     Network,
     accept_map,
@@ -33,17 +36,19 @@ from .netsim import (
     diamond,
     fan,
     line,
-    network_from_dict,
     simulate,
 )
 from .scheme import ForgerySpec, SystemParams, keygen, tag, verify
 
 SCHEMA_VERSION = 1
+TOPOLOGY_VERSION = 1
 REPORT_VERSION = 1
 FLAT_LAYOUT = "v1:header|payload|tag"
 
 _SCENARIO_KEYS = {"version", "seed", "params", "topology", "verifiers", "messages", "adversaries", "attack"}
 _PARAM_KEYS = {"q", "l", "k", "M", "V", "n", "public_points", "allow_excess_messages"}
+_TOPOLOGY_KEYS = {"version", "q", "source", "nodes", "edges", "kernels", "verifiers", "sinks"}
+_EDGE_KEYS = ("id", "tail", "head")
 # attack.type -> (the subcommand that runs it, its document keys)
 _ATTACKS = {
     "none": ("simulate", {"type"}),
@@ -66,36 +71,73 @@ def _substream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}/{name}")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is(value, kind) -> bool:
+    """isinstance for a JSON value: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _check_document(doc, where, keys, version_field, version):
+    """An object with no unknown fields and the integer `version`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(where, "document must be an object")
+    unknown = set(doc) - keys
+    if unknown:
+        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
+    found = doc.get("version")
+    if not _is(found, int) or found != version:  # True and 1.0 equal 1
+        raise ConfigError(version_field, f"expected {version}, got {found!r}")
 
 
 def _require(doc, key, kind, where):
     if key not in doc:
         raise ConfigError(f"{where}.{key}", "missing")
-    value = doc[key]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if not _is(doc[key], kind):
         raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}")
-    return value
+    return doc[key]
 
 
-def _require_ints(doc, key, where) -> tuple[int, ...]:
+def _require_list(doc, key, kind, where) -> tuple:
+    """A list of integers (kind int) or of names (kind str)."""
     values = _require(doc, key, list, where)
-    if not all(map(_is_int, values)):
-        raise ConfigError(f"{where}.{key}", "expected a list of integers")
+    if not all(_is(v, kind) for v in values):
+        noun = "integers" if kind is int else "strings"
+        raise ConfigError(f"{where}.{key}", f"expected a list of {noun}")
     return tuple(values)
 
 
 def _require_sum_one(adoc, q: int, count: int) -> ForgerySpec:
     """attack.coeffs: `count` integers in [0, q) that sum to 1 mod q."""
-    coeffs = _require_ints(adoc, "coeffs", "attack")
+    coeffs = _require_list(adoc, "coeffs", int, "attack")
     if len(coeffs) != count:
         raise ConfigError("attack.coeffs", f"expected {count} coefficients")
     try:
         return ForgerySpec(q, coeffs)
     except ValueError as exc:
         raise ConfigError("attack.coeffs", str(exc)) from exc
+
+
+def network_from_dict(doc: dict) -> Network:
+    """Check an inline topology's fields and build it; `Network`'s refusals name `topology`."""
+    _check_document(doc, "topology", _TOPOLOGY_KEYS, "topology.version", TOPOLOGY_VERSION)
+    q = _require(doc, "q", int, "topology")
+    source = _require(doc, "source", str, "topology")
+    nodes = _require_list(doc, "nodes", str, "topology")
+    edges = []
+    for i, edoc in enumerate(_require(doc, "edges", list, "topology")):
+        where = f"topology.edges[{i}]"
+        if not isinstance(edoc, dict) or set(edoc) != set(_EDGE_KEYS):
+            raise ConfigError(where, "must have exactly id/tail/head")
+        edges.append(Edge(*(_require(edoc, key, str, where) for key in _EDGE_KEYS)))
+    kernels = _require(doc, "kernels", dict, "topology") if "kernels" in doc else {}
+    for node, rows in kernels.items():
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ConfigError(f"topology.kernels.{node}", "expected a list of rows")
+    verifiers = _require(doc, "verifiers", dict, "topology") if "verifiers" in doc else {}
+    sinks = _require_list(doc, "sinks", str, "topology") if "sinks" in doc else ()
+    try:
+        return Network(q, source, nodes, edges, kernels, verifiers, sinks)
+    except ValueError as exc:
+        raise ConfigError("topology", str(exc)) from exc
 
 
 def _coerce_element(field: Field, value, where: str) -> Fel:
@@ -141,16 +183,9 @@ class Scenario:
 
 def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     """Validate a scenario document and bind every object it references."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario", "document must be an object")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError("scenario", f"unknown fields {sorted(unknown)}")
-    version = doc.get("version")
-    if not _is_int(version) or version != SCHEMA_VERSION:  # True and 1.0 equal 1
-        raise ConfigError("version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    _check_document(doc, "scenario", _SCENARIO_KEYS, "version", SCHEMA_VERSION)
     eff_seed = seed if seed is not None else doc.get("seed", 0)
-    if not _is_int(eff_seed):
+    if not _is(eff_seed, int):
         raise ConfigError("seed", "must be an integer")
 
     pdoc = _require(doc, "params", dict, "scenario")
@@ -189,10 +224,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
             raise ConfigError("topology", f"unknown builtin {top!r}")
         net = _BUILTIN_TOPOLOGIES[top](q)
     elif isinstance(top, dict):
-        try:
-            net = network_from_dict(top)
-        except ValueError as exc:
-            raise ConfigError("topology", str(exc)) from exc
+        net = network_from_dict(top)
         if net.q != q:
             raise ConfigError("topology.q", f"kernel modulus {net.q} but params.q is {q}")
     else:
@@ -200,10 +232,10 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     if "verifiers" in doc:
         vmap = _require(doc, "verifiers", dict, "scenario")
         for node, idx in vmap.items():
-            if not _is_int(idx):
+            if not _is(idx, int):
                 raise ConfigError(f"verifiers.{node}", "seat must be an integer")
         try:
-            net = net.with_verifiers({str(k_): v for k_, v in vmap.items()})
+            net = net.with_verifiers(vmap)
         except ValueError as exc:
             raise ConfigError("verifiers", str(exc)) from exc
     for node, idx in net.verifiers.items():
@@ -225,7 +257,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
 
     adversaries = ()
     if "adversaries" in doc:
-        adversaries = tuple(str(a) for a in _require(doc, "adversaries", list, "scenario"))
+        adversaries = _require_list(doc, "adversaries", str, "scenario")
     for a in adversaries:
         if a not in net.nodes:
             raise ConfigError("adversaries", f"unknown node {a!r}")
@@ -252,13 +284,13 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         else:
             attack = ForgerySpec(q, _sum_one_coeffs(q, params.n, _substream(eff_seed, "forge")))
     elif kind == "pollute":
-        node = str(_require(adoc, "node", str, "attack"))
+        node = _require(adoc, "node", str, "attack")
         if node not in net.nodes:
             raise ConfigError("attack.node", f"unknown node {node!r}")
         ins = net.in_edges(node)
         if not ins:
             raise ConfigError("attack.node", f"node {node!r} has no incoming edges")
-        edge = str(adoc.get("edge", ins[0]))
+        edge = _require(adoc, "edge", str, "attack") if "edge" in adoc else ins[0]
         if edge not in ins:
             raise ConfigError("attack.edge", f"edge {edge!r} does not enter {node!r}")
         attack = Intervention(node, edge, _require_sum_one(adoc, q, len(ins)).coeffs)

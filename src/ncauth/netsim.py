@@ -44,10 +44,10 @@ class Network:
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
         Field(q, 1)  # kernels live in F_q: q must be a prime up to the field bound
         self.q = q
-        self.nodes = tuple(str(n) for n in nodes)
+        self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node names")
-        self.source = str(source)
+        self.source = source
         if self.source not in self.nodes:
             raise ValueError(f"unknown source node {self.source!r}")
 
@@ -108,7 +108,7 @@ class Network:
             raise ValueError("two nodes share one verifier index")
         self.verifiers = verifiers
 
-        self.sinks = tuple(str(s) for s in sinks)
+        self.sinks = tuple(sinks)
         for s in self.sinks:
             if s not in self.nodes:
                 raise ValueError(f"unknown sink node {s!r}")
@@ -140,10 +140,7 @@ class Intervention:
 
 
 @dataclass(frozen=True)
-class InterventionRecord:
-    node: str
-    edge: str
-    coeffs: tuple[int, ...]
+class InterventionRecord(Intervention):
     honest: tuple[int, ...]
     injected: tuple[int, ...]
 
@@ -370,46 +367,3 @@ def fan(q: int, n: int, edge_counts, rng: random.Random) -> Network:
         kernels["hub"] = [[rng.randrange(q) for _ in range(total)] for _ in range(n)]
     verifiers = {m: i for i, m in enumerate(members)}
     return Network(q, "s", nodes, edges, kernels, verifiers, ())
-
-
-# ---------------------------------------------------------------------------
-# topology documents
-
-TOPOLOGY_VERSION = 1
-_TOP_KEYS = {"version", "q", "source", "nodes", "edges", "kernels", "verifiers", "sinks"}
-_EDGE_KEYS = {"id", "tail", "head"}
-
-
-def network_from_dict(doc: dict) -> Network:
-    if not isinstance(doc, dict):
-        raise ValueError("topology: document must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"topology: unknown fields {sorted(unknown)}")
-    version = doc.get("version")
-    if type(version) is not int or version != TOPOLOGY_VERSION:  # True and 1.0 equal 1
-        raise ValueError(f"topology.version: expected {TOPOLOGY_VERSION}, got {version!r}")
-    for required in ("q", "source", "nodes", "edges"):
-        if required not in doc:
-            raise ValueError(f"topology.{required}: missing")
-    for key, kind in (("nodes", list), ("edges", list), ("kernels", dict), ("verifiers", dict),
-                      ("sinks", list)):
-        if key in doc and not isinstance(doc[key], kind):
-            raise ValueError(f"topology.{key}: expected {kind.__name__}")
-    for node, rows in doc.get("kernels", {}).items():
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError(f"topology.kernels.{node}: expected a list of rows")
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        if not isinstance(e, dict) or set(e) != _EDGE_KEYS:
-            raise ValueError(f"topology.edges[{i}]: must have exactly id/tail/head")
-        edges.append((str(e["id"]), str(e["tail"]), str(e["head"])))
-    return Network(
-        doc["q"],
-        doc["source"],
-        doc["nodes"],
-        edges,
-        doc.get("kernels", {}),
-        doc.get("verifiers", {}),
-        doc.get("sinks", ()),
-    )

@@ -267,6 +267,8 @@ class ForgerySpec:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a sum-one combination needs at least one coefficient")
+        if any(type(a) is not int for a in self.coeffs):  # bool and float are refused
+            raise ValueError(f"coefficients must be integers, got {self.coeffs!r}")
         if any(not 0 <= a < self.q for a in self.coeffs):
             raise ValueError(f"coefficients must lie in [0, {self.q})")
         if sum(self.coeffs) % self.q != 1:

@@ -64,6 +64,19 @@ def inline_topology(**fields):
     return top
 
 
+def int_sink_topology():
+    """inline_topology with its sink t written as the integer 3 wherever it is named."""
+    top = inline_topology(nodes=["s", "a", 3], sinks=[3])
+    top["edges"][2]["head"] = 3
+    return top
+
+
+def int_edge_id_topology():
+    top = inline_topology()
+    top["edges"][0]["id"] = 7
+    return top
+
+
 # Malformed container types: each once escaped load_scenario as a TypeError.
 BAD_CONTAINERS = [
     pytest.param(lambda d: d["params"].update(public_points=5), "params.public_points",
@@ -75,17 +88,25 @@ BAD_CONTAINERS = [
     pytest.param(lambda d: d.update(attack={"type": []}), "attack.type", id="attack-type-list"),
     pytest.param(lambda d: d.update(adversaries=5), "scenario.adversaries", id="adversaries-int"),
     pytest.param(lambda d: d.update(verifiers={"m": None}), "verifiers.m", id="verifier-seat-null"),
+    # a topology field's type is named exactly; what only Network or Field refuses is `topology`
     *(
-        pytest.param(lambda d, f=f, v=v: d.update(topology=inline_topology(**{f: v})), "topology",
+        pytest.param(lambda d, f=f, v=v: d.update(topology=inline_topology(**{f: v})), field,
                      id=f"topology-{label}")
-        for f, v, label in [
-            ("edges", 5, "edges-int"), ("nodes", 5, "nodes-int"), ("sinks", 5, "sinks-int"),
-            ("kernels", 5, "kernels-int"), ("verifiers", 5, "verifiers-int"),
-            ("verifiers", {"a": True}, "verifiers-bool"),
-            ("nodes", None, "nodes-null"), ("sinks", None, "sinks-null"),
-            ("kernels", [1], "kernels-list"), ("verifiers", [1], "verifiers-list"),
-            ("kernels", {"a": 5}, "kernel-int"), ("kernels", {"a": [5]}, "kernel-row-int"),
-            ("q", None, "q-null"), ("q", 2**61 - 1, "q-huge-prime"),
+        for f, v, label, field in [
+            ("edges", 5, "edges-int", "topology.edges"),
+            ("nodes", 5, "nodes-int", "topology.nodes"),
+            ("sinks", 5, "sinks-int", "topology.sinks"),
+            ("kernels", 5, "kernels-int", "topology.kernels"),
+            ("verifiers", 5, "verifiers-int", "topology.verifiers"),
+            ("verifiers", {"a": True}, "verifiers-bool", "topology"),
+            ("nodes", None, "nodes-null", "topology.nodes"),
+            ("sinks", None, "sinks-null", "topology.sinks"),
+            ("kernels", [1], "kernels-list", "topology.kernels"),
+            ("verifiers", [1], "verifiers-list", "topology.verifiers"),
+            ("kernels", {"a": 5}, "kernel-int", "topology.kernels.a"),
+            ("kernels", {"a": [5]}, "kernel-row-int", "topology.kernels.a"),
+            ("q", None, "q-null", "topology.q"),
+            ("q", 2**61 - 1, "q-huge-prime", "topology"),
         ]
     ),
 ]
@@ -97,8 +118,13 @@ BAD_VALUES = [
     # True == 1.0 == 1, so only the type tells these versions apart
     pytest.param(lambda d: d.update(version=True), "version", id="version-bool"),
     pytest.param(lambda d: d.update(version=1.0), "version", id="version-float"),
-    pytest.param(lambda d: d.update(topology=inline_topology(version=True)), "topology",
+    pytest.param(lambda d: d.update(topology=inline_topology(version=True)), "topology.version",
                  id="topology-version-bool"),
+    # names are strings: these ran as sink "3" and edge "7"
+    pytest.param(lambda d: d.update(topology=int_sink_topology()), "topology.nodes",
+                 id="topology-sink-int"),
+    pytest.param(lambda d: d.update(topology=int_edge_id_topology()), "topology.edges[0].id",
+                 id="topology-edge-id-int"),
     pytest.param(lambda d: d.update(messages=["101", "011"]), "messages[0]", id="messages-str"),
     pytest.param(lambda d: d.update(messages=[True, 1]), "messages[0]", id="messages-bool"),
     pytest.param(lambda d: d.update(messages=[["1", "0", "1"], 1]), "messages[0]",

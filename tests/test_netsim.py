@@ -22,10 +22,10 @@ from ncauth import (
     fan,
     keygen,
     line,
-    network_from_dict,
     simulate,
     tag,
 )
+from ncauth.cli import network_from_dict
 from ncauth.scheme import mix
 from support import make_instance, matmul
 

@@ -176,6 +176,13 @@ def test_combine_refuses_non_integer_coefficients(coeffs):
         combine(packets, coeffs)
 
 
+@pytest.mark.parametrize("q,coeffs", [(2, (1.0,)), (3, (True, 0)), (5, (0.5, 0.5))])
+def test_forgery_spec_refuses_non_integer_coefficients(q, coeffs):
+    # each sums to 1 mod q, so the spec was built and only combine refused it later
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        ForgerySpec(q, coeffs)
+
+
 def test_any_linear_combination_verifies():
     rng = random.Random(71)
     for _ in range(30):
