@@ -160,23 +160,14 @@ def build_recovery_system(
     )
 
 
-def _check_coalition_bound(meta: RecoveryMeta):
-    if meta.K >= meta.k:
-        raise ValueError(
-            f"closed form needs coalition size below k (K={meta.K}, k={meta.k})"
-        )
-
-
 def predicted_count(meta: RecoveryMeta) -> int:
     """Closed-form number of secret matrices consistent with the coalition view."""
-    _check_coalition_bound(meta)
-    return meta.q ** (meta.l * (meta.M + 1 - meta.r0) * (meta.k - meta.K))
+    return meta.q ** (meta.l * (meta.M + 1 - meta.r0) * (meta.k - min(meta.K, meta.k)))
 
 
 def predicted_rank(meta: RecoveryMeta) -> int:
-    """Closed-form rank of the stacked coefficient matrix."""
-    _check_coalition_bound(meta)
-    return meta.r0 * meta.k + (meta.M + 1 - meta.r0) * meta.K
+    """Closed-form rank of the stacked coefficient matrix; a k x K Vandermonde matrix has rank min(K, k)."""
+    return meta.r0 * meta.k + (meta.M + 1 - meta.r0) * min(meta.K, meta.k)
 
 
 def gauss_count(system: RecoverySystem) -> tuple[bool, int, int]:

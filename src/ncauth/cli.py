@@ -88,20 +88,22 @@ def _check_document(doc, where, keys, version_field, version):
         raise ConfigError(version_field, f"expected {version}, got {found!r}")
 
 
-def _require(doc, key, kind, where):
+def _require(doc, key, kind, where=""):
+    """doc[key] of type `kind`; a top-level field (no `where`) is named by its key alone."""
+    name = f"{where}.{key}" if where else key
     if key not in doc:
-        raise ConfigError(f"{where}.{key}", "missing")
+        raise ConfigError(name, "missing")
     if not _is(doc[key], kind):
-        raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}")
+        raise ConfigError(name, f"expected {kind.__name__}")
     return doc[key]
 
 
-def _require_list(doc, key, kind, where) -> tuple:
+def _require_list(doc, key, kind, where="") -> tuple:
     """A list of integers (kind int) or of names (kind str)."""
     values = _require(doc, key, list, where)
     if not all(_is(v, kind) for v in values):
         noun = "integers" if kind is int else "strings"
-        raise ConfigError(f"{where}.{key}", f"expected a list of {noun}")
+        raise ConfigError(f"{where}.{key}" if where else key, f"expected a list of {noun}")
     return tuple(values)
 
 
@@ -188,7 +190,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     if not _is(eff_seed, int):
         raise ConfigError("seed", "must be an integer")
 
-    pdoc = _require(doc, "params", dict, "scenario")
+    pdoc = _require(doc, "params", dict)
     unknown = set(pdoc) - _PARAM_KEYS
     if unknown:
         raise ConfigError("params", f"unknown fields {sorted(unknown)}")
@@ -230,7 +232,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     else:
         raise ConfigError("topology", "must be a builtin name or an inline document")
     if "verifiers" in doc:
-        vmap = _require(doc, "verifiers", dict, "scenario")
+        vmap = _require(doc, "verifiers", dict)
         for node, idx in vmap.items():
             if not _is(idx, int):
                 raise ConfigError(f"verifiers.{node}", "seat must be an integer")
@@ -245,7 +247,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         raise ConfigError("params.n", f"must equal the source out-degree ({net.n})")
 
     if "messages" in doc:
-        raw_msgs = _require(doc, "messages", list, "scenario")
+        raw_msgs = _require(doc, "messages", list)
         if len(raw_msgs) != params.n:
             raise ConfigError("messages", f"expected {params.n} payloads, got {len(raw_msgs)}")
         messages = tuple(
@@ -255,9 +257,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         rng = _substream(eff_seed, "messages")
         messages = tuple(field.random_element(rng) for _ in range(params.n))
 
-    adversaries = ()
-    if "adversaries" in doc:
-        adversaries = _require_list(doc, "adversaries", str, "scenario")
+    adversaries = _require_list(doc, "adversaries", str) if "adversaries" in doc else ()
     for a in adversaries:
         if a not in net.nodes:
             raise ConfigError("adversaries", f"unknown node {a!r}")
@@ -297,8 +297,6 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     elif kind == "recover":
         if not adversaries:
             raise ConfigError("adversaries", "recover needs at least one adversary node")
-        if len(adversaries) >= params.k:
-            raise ConfigError("adversaries", f"recover needs fewer than k={params.k} adversaries")
         for a in adversaries:
             if a not in net.verifiers:
                 raise ConfigError("adversaries", f"node {a!r} holds no verifier seat")
@@ -479,9 +477,9 @@ def lemma_sweep(
     """Check predicted key counts against elimination and brute force.
 
     Instances with more candidate keys than `guard` are marked skipped
-    rather than failing the sweep.  Combinations that violate the closed
-    form's hypotheses (coalition size at least k, or more members than
-    available nonzero points) are not generated at all.
+    rather than failing the sweep.  Every coalition size has a closed form,
+    since a k x K Vandermonde matrix has rank min(K, k); sizes beyond the
+    field's nonzero point count are not generated.
     """
     if family not in ("fan", "line"):
         raise ValueError(f"unknown topology family {family!r}")
@@ -497,7 +495,7 @@ def lemma_sweep(
         for k in ks:
             for m_count in Ms:
                 for coalition_size in Ks:
-                    if coalition_size > k - 1 or field.order - 1 < coalition_size:
+                    if field.order - 1 < coalition_size:
                         continue
                     for _ in range(reps):
                         rows.append(

@@ -15,7 +15,6 @@ from ncauth import (
     GuardError,
     Intervention,
     Matrix,
-    RecoveryMeta,
     RecoverySystem,
     SystemParams,
     analyze_recovery,
@@ -27,6 +26,7 @@ from ncauth import (
     forge,
     gauss_count,
     keygen,
+    line,
     predicted_count,
     predicted_rank,
     simulate,
@@ -218,12 +218,26 @@ def test_full_mixing_rank_pins_the_key():
     assert build_recovery_system(params, unreduced, vkeys, messages) == system
 
 
-def test_coalition_bound_enforced():
-    meta = RecoveryMeta(q=2, l=1, k=2, M=1, K=2, n=1, r0=0, h_total=0, condition_held=True)
-    with pytest.raises(ValueError, match="below k"):
-        predicted_count(meta)
-    with pytest.raises(ValueError, match="below k"):
-        predicted_rank(meta)
+@pytest.mark.parametrize("family", ["fan", "line"])
+@pytest.mark.parametrize("q,l,k,M", [(2, 2, 2, 1), (2, 2, 2, 2), (5, 1, 2, 1)])
+def test_coalitions_of_k_or_more_pin_the_secret(family, q, l, k, M):
+    # K key points of a degree < k polynomial interpolate it once K >= k
+    rng = random.Random(q * 100 + l * 10 + M)
+    for K in (k, k + 1):
+        if family == "line":
+            n, net, coalition = 1, line(q, hops=K), [f"v{i}" for i in range(1, K + 1)]
+        else:
+            n = rng.randint(1, M)
+            net = fan(q, n, [rng.randint(0, 2) for _ in range(K)], rng)
+            coalition = [f"r{i}" for i in range(K)]
+        params, skey, vkeys, messages, packets = make_instance(rng, q, l, k, M, V=K, n=n)
+        view = coalition_view(simulate(net, packets), coalition)
+        system = build_recovery_system(params, view, vkeys, messages)
+        ok, cnt, rank = gauss_count(system)
+        assert ok and system.meta.K == K
+        assert predicted_count(system.meta) == cnt == 1
+        assert brute_force_count(system) == reference_brute_force_count(system) == 1
+        assert rank == predicted_rank(system.meta) == (M + 1) * k
 
 
 def test_build_recovery_system_input_checks():

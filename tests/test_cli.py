@@ -86,7 +86,11 @@ BAD_CONTAINERS = [
     pytest.param(lambda d: d.update(attack={"type": "forge", "coeffs": ["x", 1]}),
                  "attack.coeffs", id="forge-coeffs-str"),
     pytest.param(lambda d: d.update(attack={"type": []}), "attack.type", id="attack-type-list"),
-    pytest.param(lambda d: d.update(adversaries=5), "scenario.adversaries", id="adversaries-int"),
+    pytest.param(lambda d: d.update(adversaries=5), "adversaries", id="adversaries-int"),
+    # a top-level field is named by its key alone, as every later check of it names it
+    pytest.param(lambda d: d.pop("params"), "params", id="params-missing"),
+    pytest.param(lambda d: d.update(verifiers=[]), "verifiers", id="verifiers-list"),
+    pytest.param(lambda d: d.update(messages=5), "messages", id="messages-int"),
     pytest.param(lambda d: d.update(verifiers={"m": None}), "verifiers.m", id="verifier-seat-null"),
     # a topology field's type is named exactly; what only Network or Field refuses is `topology`
     *(
@@ -276,6 +280,14 @@ def test_recover_report_counts():
     assert atk["condition_held"] is False  # two taps exceed the tag bound M=1
 
 
+def test_recover_coalition_of_k_interpolates_the_secret():
+    doc = butterfly_doc(type="recover")
+    doc["adversaries"] = ["u1", "u2", "m"]  # K = k = 3
+    atk = run_scenario(doc, guard=1 << 27)["attack"]  # 8^9 = 2^27 candidates
+    assert atk["counts"] == {"predicted": 1, "gauss": 1, "brute": 1}
+    assert atk["rank_match"] is True and atk["count_match"] is True
+
+
 def test_recover_guard_marks_brute_skipped():
     report = run_scenario(recover_doc(), guard=2)
     atk = report["attack"]
@@ -348,7 +360,6 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
             "attack.coeffs",
         ),
         (lambda d: d.update(attack={"type": "recover"}), "adversaries"),
-        (lambda d: d.update(adversaries=["u1", "u2", "m"], attack={"type": "recover"}), "adversaries"),
         *BAD_CONTAINERS,
         *BAD_VALUES,
     ],
@@ -458,12 +469,22 @@ def test_lemma_sweep_empty_ranges(capsys):
 
 
 def test_lemma_sweep_skips_out_of_scope_combinations():
-    # K=2 needs k>=3 and at least two nonzero points, so F_2/k=2 yields nothing
+    # K=2 needs at least two nonzero points, so F_2 yields nothing
     result = lemma_sweep((2,), (1,), (2,), (1,), (2,), reps=3, seed=0)
     assert result.summary["rows"] == 0
     result = lemma_sweep((2,), (1,), (2,), (1,), (1,), reps=1, seed=0, guard=1)
     assert result.summary["skipped"] == 1
     assert result.rows[0].brute is None and result.rows[0].count_match is None
+
+
+@pytest.mark.parametrize("family", ["fan", "line"])
+def test_lemma_sweep_checks_coalitions_of_k_or_more(family):
+    result = lemma_sweep((2, 3), (1, 2), (2, 3), (1, 2), (1, 2, 3, 4), reps=1, seed=7,
+                         guard=1 << 36, family=family)
+    assert result.summary["checked"] == result.summary["rows"] > 0
+    assert result.summary["mismatches"] == 0
+    pinned = [r for r in result.rows if r.K >= r.k]
+    assert pinned and all(r.predicted == r.gauss == r.brute == 1 for r in pinned)
 
 
 def test_lemma_sweep_line_family():
@@ -559,7 +580,7 @@ def test_main_unparsable_config_names_config(tmp_path, capsys, content):
     [
         ([], "scenario: document must be an object"),
         ({**butterfly_doc(), "seed": True}, "seed: must be an integer"),
-        ({**butterfly_doc(), "adversaries": 5}, "scenario.adversaries: expected list"),
+        ({**butterfly_doc(), "adversaries": 5}, "adversaries: expected list"),
         (
             {**butterfly_doc(), "topology": inline_topology(edges=5)},
             "topology.edges: expected list",
@@ -686,7 +707,7 @@ def test_main_lemma_sweep_bad_size_names_option(capsys, family, option, value):
     ids=["q4", "l0"],
 )
 def test_main_lemma_sweep_bad_field_refused_with_no_rows(capsys, grid, message):
-    # K > k-1 filters out every row, so no instance ever builds the field
+    # every field is built before any row, so a bad one is refused before any instance
     assert main(["lemma-sweep"] + grid) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
