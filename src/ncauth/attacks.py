@@ -6,10 +6,10 @@ Two ways to beat the tagged-packet code without touching the secrets:
   to one is itself a perfectly formed packet for the combined payload, so it
   passes every verifier while carrying a payload nobody sent.
 
-* recover: verifiers that pool their keys and observations can write one
-  linear system for the secret coefficient matrix.  The solution set is an
-  affine subspace whose exact size this module predicts, computes by
-  elimination, and (for small instances) confirms by exhaustive enumeration.
+* recover: nodes that pool their observations and any keys they hold can
+  write one linear system for the secret coefficient matrix.  Its solutions
+  form an affine subspace whose exact size this module predicts, computes
+  by elimination, and (for small instances) confirms by enumeration.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class RecoveryMeta:
     l: int
     k: int
     M: int
-    K: int
+    K: int  # keys pooled by the seated members
     n: int
     r0: int  # rank of the stacked per-member H_i x (message power matrix)
     h_total: int  # total incoming edges across the coalition
@@ -94,15 +94,13 @@ def build_recovery_system(
     rows (one per unknown column), equating the member's mixed message powers
     against the observed tag coefficient; each pooled private key contributes
     M+1 rows tying whole columns together through plain powers of its public
-    point.  The true key always satisfies the system, so it is consistent by
-    construction when the observations come from an honest run.
+    point.  The view may hold nodes without keys.  The true key always
+    satisfies the system, so it is consistent for an honest run's observations.
     """
     fld = params.field
     k, M = params.k, params.M
     keys = list(keys)
     messages = [fld(s) for s in messages]
-    if len(view.nodes) != len(keys):
-        raise ValueError("need exactly one private key per coalition member")
     if view.h_rows and any(len(h) != len(messages) for h in view.h_rows):
         raise ValueError("observation width disagrees with the message count")
     if len(view.packets) != view.h_total:

@@ -297,9 +297,6 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     elif kind == "recover":
         if not adversaries:
             raise ConfigError("adversaries", "recover needs at least one adversary node")
-        for a in adversaries:
-            if a not in net.verifiers:
-                raise ConfigError("adversaries", f"node {a!r} holds no verifier seat")
 
     echo = dict(doc)
     echo["seed"] = eff_seed
@@ -411,8 +408,9 @@ def _run(sc: Scenario, guard: int) -> dict:
 
 
 def _recover(params, flow, vkeys, coalition, messages, guard):
-    """The coalition's view and its members' keys by seat, counted three ways."""
-    keys = [vkeys[flow.network.verifiers[a]] for a in coalition]
+    """The coalition's view and its seated members' keys, counted three ways."""
+    seats = flow.network.verifiers
+    keys = [vkeys[seats[a]] for a in coalition if a in seats]
     system = build_recovery_system(params, coalition_view(flow, coalition), keys, messages)
     return analyze_recovery(system, guard)
 

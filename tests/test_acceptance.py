@@ -103,7 +103,7 @@ def test_criterion_3_pollution_undetected_but_damaging():
 def count_sweep():
     start = time.perf_counter()
     result = lemma_sweep(
-        qs=(2, 3), ls=(1, 2), ks=(2, 3), Ms=(1, 2), Ks=(1, 2), reps=3, seed=7
+        qs=(2, 3), ls=(1, 2), ks=(2, 3), Ms=(1, 2), Ks=(1, 2, 3), reps=3, seed=7
     )
     return result, time.perf_counter() - start
 
@@ -111,8 +111,9 @@ def count_sweep():
 def test_criterion_4_key_count_formula(count_sweep):
     result, elapsed = count_sweep
     checked = [r for r in result.rows if not r.skipped]
-    assert len(checked) >= 75
+    assert len(checked) >= 95
     assert any(r.K >= r.k for r in checked)
+    assert any(r.K > r.k for r in checked)
     for row in checked:
         assert row.candidates <= 1 << 24
         assert row.consistent

@@ -242,8 +242,9 @@ def test_coalitions_of_k_or_more_pin_the_secret(family, q, l, k, M):
 
 def test_build_recovery_system_input_checks():
     params, skey, vkeys, messages, packets, view = hand_instance()
-    with pytest.raises(ValueError):
-        build_recovery_system(params, view, [], messages)
+    keyless = analyze_recovery(build_recovery_system(params, view, [], messages))
+    assert (keyless.K, keyless.rank, keyless.predicted_rank) == (0, 2, 2)  # r0 * k
+    assert keyless.predicted == keyless.gauss == keyless.brute == 4  # q^(l(M+1-r0)k)
     with pytest.raises(ValueError):
         build_recovery_system(params, view, vkeys, messages + messages)
     short = CoalitionView(("v0",), ((1,),), ())

@@ -3,8 +3,10 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -381,11 +383,55 @@ def test_point_shortage_names_the_nonzero_point_count():
     assert str(err.value) == "params.V: needs 8 distinct nonzero points but the field has 7"
 
 
-def test_recover_adversary_without_seat():
+def test_recover_adversary_without_seat(tmp_path, capsys):
+    # any set of nodes is a coalition; K counts the keys its seated members pool
     doc = recover_doc()
     doc["verifiers"] = {"v1": 0}
-    with pytest.raises(ConfigError, match="adversaries"):
-        load_scenario(doc)
+    atk = run_scenario(doc)["attack"]
+    assert (atk["K"], atk["h_total"], atk["rank"], atk["predicted_rank"]) == (1, 2, 4, 4)
+    assert atk["counts"] == {"predicted": 9, "gauss": 9, "brute": 9}
+    doc["verifiers"] = {}  # keyless relays: q^(l(M+1-r0)k) = 3^3 secrets
+    assert main(["recover", "--config", write_config(tmp_path, doc)]) == 0
+    atk = json.loads(capsys.readouterr().out)["attack"]
+    assert (atk["K"], atk["h_total"], atk["rank"], atk["predicted_rank"]) == (0, 2, 3, 3)
+    assert atk["counts"] == {"predicted": 27, "gauss": 27, "brute": 27}
+
+
+BUTTERFLY_NON_SOURCE = ("u1", "u2", "m", "w", "t1", "t2")
+
+
+@pytest.mark.parametrize("q, l", [(7, 1), (2, 3), (3, 2)], ids=["GF7", "GF8", "GF9"])
+def test_recover_counts_under_partial_seatings(q, l):
+    # every butterfly coalition of one or two nodes, each under a random
+    # seating of up to V = 4 nodes, so members with and without keys mix
+    rng = random.Random(f"seatings:{q}^{l}")
+    keyless_checked = 0
+    for k, M in itertools.product((2, 3), (1, 2)):
+        params = {"q": q, "l": l, "k": k, "M": M, "V": 4, "n": 2, "allow_excess_messages": True}
+        for size in (1, 2):
+            for coalition in itertools.combinations(BUTTERFLY_NON_SOURCE, size):
+                seated = rng.randint(0, 4)
+                seats = dict(
+                    zip(rng.sample(BUTTERFLY_NON_SOURCE, seated), rng.sample(range(4), seated))
+                )
+                doc = {
+                    "version": 1,
+                    "seed": rng.getrandbits(16),
+                    "params": params,
+                    "topology": "butterfly",
+                    "verifiers": seats,
+                    "adversaries": list(coalition),
+                    "attack": {"type": "recover"},
+                }
+                atk = run_scenario(doc, guard=1 << 20)["attack"]
+                assert atk["K"] == sum(a in seats for a in coalition)
+                assert atk["rank_match"] is True and atk["consistent"] is True
+                counts = atk["counts"]
+                assert counts["predicted"] == counts["gauss"]
+                if not atk["brute_skipped"]:
+                    assert counts["gauss"] == counts["brute"]
+                    keyless_checked += atk["K"] == 0
+    assert keyless_checked > 0
 
 
 def test_inline_topology_helper_is_valid():
