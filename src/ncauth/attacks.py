@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .field import Field, GuardError, packing
-from .linalg import Matrix, solve
+from .linalg import Matrix, rank_and_consistency, solve
 from .netsim import CoalitionView
 from .scheme import ForgerySpec, SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
 
@@ -169,10 +169,10 @@ def predicted_rank(meta: RecoveryMeta) -> int:
 
 
 def gauss_count(system: RecoverySystem) -> tuple[bool, int, int]:
-    """Consistency, solution count and coefficient rank from one elimination."""
+    """Consistency, solution count and coefficient rank from one forward elimination."""
     coeff = system.coeff
-    rank, x = solve(coeff, system.rhs)
-    if x is None:
+    rank, consistent = rank_and_consistency(coeff, system.rhs)
+    if not consistent:
         return False, 0, rank
     return True, coeff.field.order ** (coeff.cols - rank), rank
 

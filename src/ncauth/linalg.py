@@ -2,15 +2,20 @@
 
 Everything is desk-scale.  A matrix is its rows, each packed into one int
 in the ``field.Packing`` layout, and nothing else; elements are built only
-when ``data``, the one reader, reads them.  Row reduction is Gauss-Jordan
-with leftmost-nonzero pivoting (no tie-breaking beyond row order), so
-reduced forms are deterministic, and it works on the packed rows directly:
-subtracting a multiple of the pivot row costs a few big-int operations per
-coordinate of the multiplier, whatever the width of the row.
+when ``data``, the one reader, reads them.  Row reduction is a forward pass
+(``Matrix.echelon``: leftmost-nonzero pivoting, no tie-breaking beyond row
+order, clearing below each pivot) and, for ``Matrix.rref``, a back pass
+that scales each pivot row and clears above it, so reduced forms are
+deterministic.  Both work on the packed rows directly: subtracting a
+multiple of a pivot row costs a few big-int operations per coordinate of
+the multiplier, whatever the width of the row.
 
-``solve`` is the only routine that reduces an augmented system [A | B]: one
-solve gives the rank of A and a particular solution, so sink and coalition
-decoding, key counting and forgery steering all go through it.
+``solve`` and ``rank_and_consistency`` are the only routines that reduce an
+augmented system [A | B].  One solve gives the rank of A and a particular
+solution, so sink and coalition decoding and forgery steering go through
+it.  Rank and consistency need only the pivot columns, so ``Matrix.rank``
+and ``rank_and_consistency`` (the key count of ``attacks.gauss_count``)
+stop after the forward pass.
 """
 
 from __future__ import annotations
@@ -66,55 +71,113 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
+    def _forward(self) -> tuple[list[int], list[int], list[int]]:
+        """The forward pass: echelon rows, pivot columns, and each pivot's inverse as a code.
+
+        The pivot rows are left unscaled: a row below the pivot p that has f
+        in p's column gains -f/p times the raw pivot row, so each pivot
+        costs one x-power chain of its row.
+        """
         fld = self.field
         pk = packing(fld, self.cols)
+        ew, emask = pk.ew, (1 << pk.ew) - 1
+        x_powers, add_mul, mul, sub = pk.x_powers, pk.add_mul, fld.mul, fld.sub
         m = list(self.packed)
         pivots: list[int] = []
+        invs: list[int] = []
         r = 0
         for c in range(self.cols):
-            hit = next((i for i in range(r, self.rows) if pk.entry(m[i], c)), None)
+            if r == self.rows:
+                break
+            sh = ew * c
+            hit = next((i for i in range(r, self.rows) if m[i] >> sh & emask), None)
             if hit is None:
                 continue
             m[r], m[hit] = m[hit], m[r]
-            inv = pk.element(pk.entry(m[r], c)).inv().code
-            powers = pk.x_powers(pk.add_mul(0, inv, pk.x_powers(m[r])))
-            m[r] = powers[0]
-            for i in range(self.rows):
-                if i != r:
-                    f = pk.entry(m[i], c)
-                    if f:
-                        m[i] = pk.add_mul(m[i], fld.sub(0, f), powers)
+            inv = pk.element(m[r] >> sh & emask).inv().code
+            ninv = sub(0, inv)
+            powers = x_powers(m[r])
+            for i in range(r + 1, self.rows):
+                f = m[i] >> sh & emask
+                if f:
+                    m[i] = add_mul(m[i], mul(f, ninv), powers)
             pivots.append(c)
+            invs.append(inv)
             r += 1
-            if r == self.rows:
-                break
+        return m, pivots, invs
+
+    def echelon(self) -> tuple["Matrix", tuple[int, ...]]:
+        """A row echelon form and the pivot column indices: the forward pass alone."""
+        m, pivots, _ = self._forward()
+        return Matrix._from_packed(self.field, m, self.cols), tuple(pivots)
+
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row echelon form and the pivot column indices.
+
+        The forward pass, then a back pass from the last pivot to the first:
+        each pivot row clears the rows above it with its raw x-powers, then
+        is scaled to a leading one, so each pivot costs one more chain.
+        """
+        fld = self.field
+        pk = packing(fld, self.cols)
+        ew, emask = pk.ew, (1 << pk.ew) - 1
+        x_powers, add_mul, mul, sub = pk.x_powers, pk.add_mul, fld.mul, fld.sub
+        m, pivots, invs = self._forward()
+        for r in reversed(range(len(pivots))):
+            sh, inv = ew * pivots[r], invs[r]
+            ninv = sub(0, inv)
+            powers = x_powers(m[r])
+            for i in range(r):
+                f = m[i] >> sh & emask
+                if f:
+                    m[i] = add_mul(m[i], mul(f, ninv), powers)
+            m[r] = add_mul(0, inv, powers)
         return Matrix._from_packed(fld, m, self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.echelon()[1])
 
 
-def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
-    """Rank of `coeff` and one particular solution of coeff @ X = rhs.
+def _augmented(coeff: Matrix, rhs: Matrix) -> tuple[Matrix, int]:
+    """[coeff | rhs], and the bit shift at which rhs's entries start in its rows.
 
-    One reduction of [coeff | rhs], whose rows are coeff's packed rows with
-    rhs's shifted past their n entries: the rank counts the pivots among
-    coeff's columns, and X, which sets every free unknown to zero, is read
-    off the rhs bits of the pivot rows.  X is None when a pivot falls among
-    rhs's columns, that is when the system is inconsistent.
+    Its rows are coeff's packed rows with rhs's shifted past their n entries.
     """
     if rhs.rows != coeff.rows or rhs.field is not coeff.field:
         raise ValueError("rhs shape does not match the coefficient matrix")
     fld, n = coeff.field, coeff.cols
     shift = packing(fld, n).ew * n
     rows = [a | b << shift for a, b in zip(coeff.packed, rhs.packed)]
-    red, pivots = Matrix._from_packed(fld, rows, n + rhs.cols).rref()
+    return Matrix._from_packed(fld, rows, n + rhs.cols), shift
+
+
+def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
+    """Rank of `coeff` and one particular solution of coeff @ X = rhs.
+
+    One reduction of [coeff | rhs]: the rank counts the pivots among coeff's
+    columns, and X, which sets every free unknown to zero, is read off the
+    rhs bits of the pivot rows.  X is None when a pivot falls among rhs's
+    columns, that is when the system is inconsistent.
+    """
+    augmented, shift = _augmented(coeff, rhs)
+    red, pivots = augmented.rref()
+    n = coeff.cols
     rank = sum(p < n for p in pivots)
     if rank < len(pivots):
         return rank, None
     out = [0] * n
     for v, p in zip(red.packed, pivots):
         out[p] = v >> shift
-    return rank, Matrix._from_packed(fld, out, rhs.cols)
+    return rank, Matrix._from_packed(coeff.field, out, rhs.cols)
+
+
+def rank_and_consistency(coeff: Matrix, rhs: Matrix) -> tuple[int, bool]:
+    """Rank of `coeff`, and whether coeff @ X = rhs has a solution.
+
+    The forward pass over [coeff | rhs] alone: the rank counts its pivots
+    among coeff's columns, and the system is consistent when no pivot falls
+    among rhs's columns.
+    """
+    pivots = _augmented(coeff, rhs)[0].echelon()[1]
+    rank = sum(p < coeff.cols for p in pivots)
+    return rank, rank == len(pivots)

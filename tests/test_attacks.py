@@ -39,6 +39,7 @@ from support import (
     elements,
     identity,
     make_instance,
+    matmul,
     random_matrix,
     reference_brute_force_count,
     sample_points,
@@ -440,6 +441,15 @@ def test_gauss_count_identity_and_degenerate():
     assert count(zero, Matrix(F, [[0]] * 3)) == (True, 4**4, 0)
     assert count(zero, b) == (False, 0, 0)
     assert count(Matrix(F, [], cols=5), Matrix(F, [], cols=1)) == (True, 4**5, 0)
+    # rank 2 of 4 unknowns, rows a, b, a + b: a consistent rhs leaves 2 free
+    # unknowns, and rhs (0, 0, 1) puts the one pivot beyond coeff's columns in the rhs
+    rng = random.Random(5)
+    for G in (Field(2, 8), Field(3, 5)):
+        a, b = random_matrix(G, 2, 4, rng).data
+        coeff = Matrix(G, [a, b, [x + y for x, y in zip(a, b)]], cols=4)
+        x = random_matrix(G, 4, 1, rng)
+        assert count(coeff, matmul(coeff, x)) == (True, G.order**2, 2)
+        assert count(coeff, Matrix(G, [[0], [0], [1]], cols=1)) == (False, 0, 2)
 
 
 def test_gauss_count_matches_enumeration_oracle():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, solve
+from ncauth.field import Packing
 from support import (
     ORACLE_FIELDS,
     element_strategy,
@@ -106,12 +107,28 @@ def oracle_matrices(draw):
     return Matrix(fld, data, cols=cols)
 
 
+def assert_echelon_agrees(m, pivots):
+    """m's forward pass has `pivots`, is a row echelon form and reduces to m's rref."""
+    ech, ech_pivots = m.echelon()
+    assert ech_pivots == pivots
+    rows = ech.data
+    for i, row in enumerate(rows):
+        if i >= len(pivots):
+            assert not any(row)  # zero rows come last
+            continue
+        c = pivots[i]
+        assert row[c] and not any(row[:c])  # the leading entry sits at the pivot
+        assert not any(below[c] for below in rows[i + 1 :])
+    assert ech.rref() == m.rref()
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_matrices())
 def test_rref_matches_reference_elimination(m):
     red, pivots = m.rref()
     assert (red, pivots) == reference_rref(m)
     assert m.rank() == len(pivots)
+    assert_echelon_agrees(m, pivots)
 
 
 @pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
@@ -131,8 +148,33 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
     for m in (full, low, holes):
         red, pivots = m.rref()
         assert (red, pivots) == reference_rref(m)
+        assert_echelon_agrees(m, pivots)
         ranks.append(len(pivots))
     assert ranks[0] == 40 and ranks[1] <= 25 and ranks[2] <= 20
+
+
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+def test_elimination_x_power_chains(q, l, monkeypatch):
+    """One x-power chain per pivot in the forward pass, one more in the back pass."""
+    fld = Field(q, l)
+    rng = random.Random(7 * q + l)
+    full = random_matrix(fld, 40, 42, rng)
+    low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
+    calls = []
+    x_powers = Packing.x_powers
+
+    def counted(self, v):
+        calls.append(v)
+        return x_powers(self, v)
+
+    monkeypatch.setattr(Packing, "x_powers", counted)
+    for m in (full, low):
+        calls.clear()
+        r = m.rank()
+        assert len(calls) == r
+        calls.clear()
+        assert len(m.rref()[1]) == r and len(calls) == 2 * r
+    assert (full.rank(), low.rank()) == (40, 25)
 
 
 def test_rank_properties_randomized():
