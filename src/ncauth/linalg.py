@@ -2,23 +2,25 @@
 
 Everything is desk-scale.  A matrix is its rows, each packed into one int
 in the ``field.Packing`` layout, and nothing else; elements are built only
-when ``data``, the one reader, reads them.  Row reduction is a forward pass
-(``Matrix.echelon``: leftmost-nonzero pivoting, no tie-breaking beyond row
-order, clearing below each pivot) and, for ``Matrix.rref``, a back pass
-that scales each pivot row and clears above it, so reduced forms are
-deterministic.  Both work on the packed rows directly: subtracting a
-multiple of a pivot row costs a few big-int operations per coordinate of
-the multiplier, whatever the width of the row.
+when ``data``, the one reader, reads them.  Row reduction is one loop
+with leftmost-nonzero pivoting and no tie-breaking beyond row order, so
+reduced forms are deterministic: ``Matrix.echelon`` clears below each
+pivot, and ``Matrix.rref`` clears all other rows and scales the pivot row.
+It works on the packed rows directly: subtracting a multiple of a pivot
+row costs a few big-int operations per coordinate of the multiplier,
+whatever the width of the row.
 
 ``solve`` and ``rank_and_consistency`` are the only routines that reduce an
 augmented system [A | B].  One solve gives the rank of A and a particular
 solution, so sink and coalition decoding and forgery steering go through
 it.  Rank and consistency need only the pivot columns, so ``Matrix.rank``
 and ``rank_and_consistency`` (the key count of ``attacks.gauss_count``)
-stop after the forward pass.
+clear below each pivot only.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .field import Fel, Field, packing
 
@@ -71,12 +73,13 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
-    def _forward(self) -> tuple[list[int], list[int], list[int]]:
-        """The forward pass: echelon rows, pivot columns, and each pivot's inverse as a code.
+    def _eliminate(self, above: bool) -> tuple["Matrix", tuple[int, ...]]:
+        """The one elimination loop: the cleared matrix and the pivot column indices.
 
-        The pivot rows are left unscaled: a row below the pivot p that has f
-        in p's column gains -f/p times the raw pivot row, so each pivot
-        costs one x-power chain of its row.
+        At each pivot p, a row with f in p's column gains -f/p times the raw
+        pivot row, so each pivot costs one x-power chain of its row.  The
+        rows below are always cleared; with `above`, so are the rows above,
+        and the pivot row is then scaled to a leading one by the same chain.
         """
         fld = self.field
         pk = packing(fld, self.cols)
@@ -84,7 +87,6 @@ class Matrix:
         x_powers, add_mul, mul, sub = pk.x_powers, pk.add_mul, fld.mul, fld.sub
         m = list(self.packed)
         pivots: list[int] = []
-        invs: list[int] = []
         r = 0
         for c in range(self.cols):
             if r == self.rows:
@@ -97,42 +99,23 @@ class Matrix:
             inv = pk.element(m[r] >> sh & emask).inv().code
             ninv = sub(0, inv)
             powers = x_powers(m[r])
-            for i in range(r + 1, self.rows):
+            for i in chain(range(r if above else 0), range(r + 1, self.rows)):
                 f = m[i] >> sh & emask
                 if f:
                     m[i] = add_mul(m[i], mul(f, ninv), powers)
+            if above:
+                m[r] = add_mul(0, inv, powers)
             pivots.append(c)
-            invs.append(inv)
             r += 1
-        return m, pivots, invs
+        return Matrix._from_packed(fld, m, self.cols), tuple(pivots)
 
     def echelon(self) -> tuple["Matrix", tuple[int, ...]]:
-        """A row echelon form and the pivot column indices: the forward pass alone."""
-        m, pivots, _ = self._forward()
-        return Matrix._from_packed(self.field, m, self.cols), tuple(pivots)
+        """A row echelon form and the pivot column indices: elimination below each pivot."""
+        return self._eliminate(above=False)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices.
-
-        The forward pass, then a back pass from the last pivot to the first:
-        each pivot row clears the rows above it with its raw x-powers, then
-        is scaled to a leading one, so each pivot costs one more chain.
-        """
-        fld = self.field
-        pk = packing(fld, self.cols)
-        ew, emask = pk.ew, (1 << pk.ew) - 1
-        x_powers, add_mul, mul, sub = pk.x_powers, pk.add_mul, fld.mul, fld.sub
-        m, pivots, invs = self._forward()
-        for r in reversed(range(len(pivots))):
-            sh, inv = ew * pivots[r], invs[r]
-            ninv = sub(0, inv)
-            powers = x_powers(m[r])
-            for i in range(r):
-                f = m[i] >> sh & emask
-                if f:
-                    m[i] = add_mul(m[i], mul(f, ninv), powers)
-            m[r] = add_mul(0, inv, powers)
-        return Matrix._from_packed(fld, m, self.cols), tuple(pivots)
+        """Reduced row echelon form and the pivot column indices: elimination of every other row."""
+        return self._eliminate(above=True)
 
     def rank(self) -> int:
         return len(self.echelon()[1])
@@ -174,7 +157,7 @@ def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
 def rank_and_consistency(coeff: Matrix, rhs: Matrix) -> tuple[int, bool]:
     """Rank of `coeff`, and whether coeff @ X = rhs has a solution.
 
-    The forward pass over [coeff | rhs] alone: the rank counts its pivots
+    [coeff | rhs] cleared below each pivot only: the rank counts its pivots
     among coeff's columns, and the system is consistent when no pivot falls
     among rhs's columns.
     """

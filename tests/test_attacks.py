@@ -17,6 +17,7 @@ from ncauth import (
     Matrix,
     RecoverySystem,
     SystemParams,
+    TaggedPacket,
     analyze_recovery,
     brute_force_count,
     build_recovery_system,
@@ -251,6 +252,9 @@ def test_build_recovery_system_input_checks():
     short = CoalitionView(("v0",), ((1,),), ())
     with pytest.raises(ValueError):
         build_recovery_system(params, short, vkeys, messages)
+    one_coeff_tag = CoalitionView(("v0",), ((1,),), (TaggedPacket(params.field, (1, 1, 0)),))
+    with pytest.raises(ValueError, match="tag length disagrees with k"):
+        build_recovery_system(params, one_coeff_tag, vkeys, messages)
 
 
 def test_counts_agree_on_random_instances():

@@ -338,12 +338,19 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
         (lambda d: d.update(topology=7), "topology"),
         (lambda d: d["params"].update(n=1), "params.n"),
         (lambda d: d.update(verifiers={"u1": 9}), "verifiers"),
+        pytest.param(
+            lambda d: d.update(verifiers={"ghost": 0}), "verifiers", id="verifier-unknown-node"
+        ),
         (lambda d: d.update(messages=[[1, 0, 0]]), "messages"),
         (lambda d: d.update(messages=[[1, 0], [0, 1]]), "messages[0]"),
         (lambda d: d.update(seed="x"), "seed"),
         pytest.param(lambda d: d.update(seed=True), "seed", id="bool-seed"),
         pytest.param(lambda d: d["params"].update(k=True), "params.k", id="bool-params.k"),
         (lambda d: d.update(adversaries=["ghost"]), "adversaries"),
+        pytest.param(
+            lambda d: d.update(adversaries=["u1", "u1"]), "adversaries", id="adversaries-duplicate"
+        ),
+        pytest.param(lambda d: d.update(attack=["forge"]), "attack", id="attack-not-object"),
         (lambda d: d.update(attack={"type": "warp"}), "attack.type"),
         (lambda d: d.update(attack={"type": "forge", "coeffs": [1, 1]}), "attack.coeffs"),
         (lambda d: d.update(attack={"type": "forge", "coeffs": [1]}), "attack.coeffs"),
@@ -353,6 +360,11 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
         ),
         (lambda d: d.update(attack={"type": "forge", "node": "m"}), "attack"),
         (lambda d: d.update(attack={"type": "pollute", "node": "s", "coeffs": [1]}), "attack.node"),
+        pytest.param(
+            lambda d: d.update(attack={"type": "pollute", "node": "ghost", "coeffs": [1]}),
+            "attack.node",
+            id="pollute-unknown-node",
+        ),
         (
             lambda d: d.update(attack={"type": "pollute", "node": "m", "edge": "e1", "coeffs": [0, 1]}),
             "attack.edge",
@@ -731,6 +743,10 @@ def test_main_lemma_sweep(capsys):
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("# rows=2")
     assert "mismatches=0" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma-sweep", "--q", "2,x"])
+    assert exc.value.code == 2
+    assert "--q: expected comma-separated integers, got '2,x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["fan", "line"])

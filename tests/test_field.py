@@ -387,6 +387,8 @@ def test_degree_one_field_is_plain_prime_field():
     assert (a + b).coeffs == (1,)
     assert a.frob(4) == a
     assert a.inv() * a == F.one
+    with pytest.raises(ValueError, match="nonnegative"):
+        a.frob(-1)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,10 @@ def test_rref_hand_example_f2():
     assert red == Matrix(F, [[1, 1], [0, 0]])
     assert pivots == (0,)
     assert m.rank() == 1
+    # echelon clears below each pivot only: an echelon form is left as it is
+    upper = Matrix(F, [[1, 1], [0, 1]])
+    assert upper.echelon() == (upper, (0, 1))
+    assert upper.rref() == (identity(F, 2), (0, 1))
 
 
 def test_rref_identity_and_zero():
@@ -153,9 +157,9 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
     assert ranks[0] == 40 and ranks[1] <= 25 and ranks[2] <= 20
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 1), (3, 1)])
 def test_elimination_x_power_chains(q, l, monkeypatch):
-    """One x-power chain per pivot in the forward pass, one more in the back pass."""
+    """One x-power chain per pivot, whether elimination clears below it only or all other rows."""
     fld = Field(q, l)
     rng = random.Random(7 * q + l)
     full = random_matrix(fld, 40, 42, rng)
@@ -173,7 +177,7 @@ def test_elimination_x_power_chains(q, l, monkeypatch):
         r = m.rank()
         assert len(calls) == r
         calls.clear()
-        assert len(m.rref()[1]) == r and len(calls) == 2 * r
+        assert len(m.rref()[1]) == r and len(calls) == r
     assert (full.rank(), low.rank()) == (40, 25)
 
 
@@ -197,6 +201,14 @@ def test_matmul_identity_and_shapes():
     assert matmul(a, identity(F, 4)) == a
     with pytest.raises(ValueError):
         matmul(a, a)
+    with pytest.raises(ValueError, match="declared 3 columns but rows have 2"):
+        Matrix(F, [[0, 1]], cols=3)
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(F, [[0, 1], [1]])
+    with pytest.raises(ValueError, match="column count required"):
+        Matrix(F, [])
+    with pytest.raises(ValueError, match="rhs shape"):
+        solve(a, random_matrix(F, 2, 1, rng))
 
 
 def test_stacking():

@@ -78,6 +78,10 @@ def test_zero_kernel_propagates_zero():
         ("t",),
     )
     assert honest_kernels(net)["e2"] == (0,)
+    # a node with out-edges and no in-edges, other than the source, emits zeros
+    net = Network(2, "s", ("s", "a", "t"), [("e1", "s", "t"), ("e2", "a", "t")], {})
+    flow = simulate(net, [TaggedPacket(Field(2, 1), (1, 1, 0))])
+    assert flow.kernels["e2"] == (0,) and flow.packets["e2"].flat == (0, 0, 0)
 
 
 def test_cycle_rejected():
@@ -115,6 +119,22 @@ def test_network_validation_errors():
     for q, entry in (("7", 1), (7.0, 1), (True, 1), (7, 1.9), (7, True), (7, "1")):
         with pytest.raises(ValueError):
             Network(q, "s", ("s", "a", "t"), edges, {"a": [[entry]]})
+    # one refusal per override of a valid one-hop network, named by its message
+    one_hop = [("e1", "s", "t")]
+    refused = [
+        ("duplicate node names", dict(nodes=("s", "s", "t"))),
+        ("unknown source", dict(source="x")),
+        ("duplicate edge ids", dict(edges=one_hop * 2)),
+        ("at least one outgoing", dict(edges=[])),
+        ("kernel for unknown node", dict(kernels={"x": [[1]]})),
+        ("must be 1x1", dict(nodes=("s", "a", "t"), edges=edges, kernels={"a": [[1, 1]]})),
+        ("verifier seat on unknown node", dict(verifiers={"x": 0})),
+        ("unknown sink", dict(sinks=("x",))),
+    ]
+    for match, override in refused:
+        args = dict(q=2, source="s", nodes=("s", "t"), edges=one_hop, kernels={}) | override
+        with pytest.raises(ValueError, match=match):
+            Network(**args)
 
 
 def test_honest_flow_matches_global_kernels():
@@ -347,3 +367,8 @@ def test_simulate_input_validation():
     wrong_field = make_instance(rng, 3, 1, 2, 2, V=1, n=2)[4]
     with pytest.raises(ValueError):
         simulate(net, wrong_field)
+    mixed = [TaggedPacket(Field(2, 1), (1, 0, 0)), TaggedPacket(Field(2, 1), (1, 0, 0, 0))]
+    with pytest.raises(ValueError, match="disagree on field or tag length"):
+        simulate(net, mixed)
+    with pytest.raises(ValueError, match="needs 2 coefficients, got 1"):
+        simulate(net, packets, [Intervention("t", "e3", (1,))])

@@ -47,6 +47,9 @@ def test_params_validation():
     SystemParams(F, 2, 2, 2, 2, pts)
     with pytest.raises(ValueError):
         SystemParams(F, 1, 2, 2, 2, pts)  # k too small
+    for M, V, n, name in ((0, 2, 1, "M"), (2, 0, 1, "V"), (2, 2, 0, "n")):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            SystemParams(F, 2, M, V, n, pts)
     with pytest.raises(ValueError):
         SystemParams(F, 2, 2, 2, 3, pts)  # n > M
     SystemParams(F, 2, 2, 2, 3, pts, allow_excess_messages=True)
@@ -165,6 +168,9 @@ def test_combine_identity_and_validation():
         combine(packets, [1])
     with pytest.raises(ValueError):
         combine([], [])
+    other = make_instance(rng, 3, 1, 3, 2, n=1)[4][0]  # one more tag coefficient
+    with pytest.raises(ValueError, match="disagree on field or tag length"):
+        combine([packets[0], other], [1, 0])
 
 
 @pytest.mark.parametrize("coeffs", [[1.5, 0], [True, 0], [1, "0"], [1, None]])
