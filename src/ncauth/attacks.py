@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .field import Field, GuardError, packing
 from .linalg import Matrix, rank_and_consistency, solve
@@ -183,16 +184,15 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     Deliberately independent of the elimination path: nothing is pivoted and
     every candidate is counted.  The count meets in the middle
     (Horowitz-Sahni 1974): the F_{q^l} system is expanded into its F_q
-    coordinates, the base unknowns are split into halves A and B, every
-    assignment of A is tabulated by its per-equation sums, and every
-    assignment of B adds the number of A-assignments that complete it.
+    coordinates, the base unknowns are split into halves A and B, and each
+    half's per-equation sums are built as one list, a level per column.  A's
+    sums are tabulated; every sum of B adds the A-assignments completing it.
     """
     coeff = system.coeff
     fld = coeff.field
     total = fld.order**coeff.cols
     if total > guard:
         raise GuardError(f"{total} candidates exceed the guard of {guard}")
-    q = fld.q
     # Packed by equation, a column over F_{q^l} is l columns over F_q: base
     # unknown i of unknown j (coordinate i of x_j) has column x^i * column j.
     pk, row_pk = packing(fld, coeff.rows), packing(fld, coeff.cols)
@@ -204,24 +204,22 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     rhs = pk.pack(system.rhs.packed)  # one entry per row
     add = pk.add
 
-    def extend(vecs, col):
-        """Each vector of `vecs` plus each F_q multiple of `col`, streamed."""
-        mult = [0]
-        for _ in range(q - 1):
-            mult.append(add(mult[-1], col))
-        return (add(v, m) for v in vecs for m in mult)
-
     def sums(start, cols):
-        vecs = [start]
+        """start plus every F_q combination of `cols`, one level per column."""
+        level = [start]
         for col in cols:
-            vecs = extend(vecs, col)
-        return vecs
+            nxt, m = level[:], 0
+            for _ in range(fld.q - 1):  # the level plus each nonzero multiple of col
+                m = add(m, col)
+                nxt += map(add, level, repeat(m))
+            level = nxt
+        return level
 
     half = len(columns) // 2
-    table = Counter(sums(0, columns[:half])).get
+    table = Counter(sums(0, columns[:half]))
     # As b runs over every assignment of B so does -b, so the sums
     # rhs - f_B(b) that complete an A-assignment are the sums rhs + f_B(b).
-    return sum(table(s, 0) for s in sums(rhs, columns[half:]))
+    return sum(map(table.get, sums(rhs, columns[half:]), repeat(0)))
 
 
 @dataclass(frozen=True)

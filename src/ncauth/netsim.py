@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
+from graphlib import CycleError
 
 from .field import Field, packing
 from .linalg import Matrix, solve
@@ -39,7 +39,10 @@ class Edge:
 
 
 class Network:
-    """A validated coding topology: DAG, local kernels, verifier seats, sinks."""
+    """A validated coding topology: DAG, local kernels, verifier seats, sinks.
+
+    `topo_order` is one deterministic Kahn pass; a cycle raises ``graphlib.CycleError``.
+    """
 
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
         Field(q, 1)  # kernels live in F_q: q must be a prime up to the field bound
@@ -73,10 +76,17 @@ class Network:
         if not self._out[self.source]:
             raise ValueError("source needs at least one outgoing message edge")
 
-        ts = TopologicalSorter({n: set() for n in self.nodes})
-        for e in self.edges:
-            ts.add(e.head, e.tail)
-        self.topo_order = tuple(ts.static_order())  # raises CycleError on cycles
+        waiting = {n: len(ins) for n, ins in self._in.items()}
+        head = {e.id: e.head for e in self.edges}
+        order = [n for n in self.nodes if not waiting[n]]
+        for node in order:  # Kahn (1962): grows as nodes become ready, from document order
+            for h in map(head.get, self._out[node]):
+                waiting[h] -= 1
+                if not waiting[h]:
+                    order.append(h)
+        if len(order) < len(self.nodes):
+            raise CycleError(f"nodes on or after a cycle: {[n for n in self.nodes if waiting[n]]}")
+        self.topo_order = tuple(order)
 
         self.kernels: dict[str, tuple[tuple[int, ...], ...]] = {}
         kernels = dict(kernels or {})
@@ -217,7 +227,7 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
                 values[e] = combine(current, col)
                 kernels[e] = mix(q, [kernels[d] for d in ins], col)
             else:
-                values[e] = TaggedPacket(fld, (0,) * width)
+                values[e] = TaggedPacket._from_reduced(fld, (0,) * width)
                 kernels[e] = (0,) * n
     return FlowState(net, kernels, values, tuple(log))
 
@@ -268,7 +278,7 @@ def decode(view: CoalitionView) -> DecodeResult:
         return DecodeResult(False, rank, None, None, "insufficient rank")
     if x is None:
         return DecodeResult(False, rank, None, None, "observations are inconsistent")
-    pkts = tuple(TaggedPacket(fld, packet_pk.entries(v)) for v in x.packed)
+    pkts = tuple(TaggedPacket._from_reduced(fld, tuple(packet_pk.entries(v))) for v in x.packed)
     return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
 
 

@@ -112,7 +112,7 @@ class TaggedPacket:
 
     One header symbol, the payload's l coordinates, then the l coordinates of
     each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
-    views of that vector, built once per packet from its checked symbols, and
+    views of that vector, built once per packet from its reduced symbols, and
     every F_q-linear operation on packets is a `mix` of their flat vectors.
     """
 
@@ -130,6 +130,13 @@ class TaggedPacket:
         if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= q:
             raise ValueError(f"flat packet symbols must be ints in [0, {q})")
         object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def _from_reduced(cls, field: Field, flat: tuple[int, ...]) -> "TaggedPacket":
+        """The packet of a valid-length tuple of symbols already in [0, q), taken unchecked."""
+        self = cls.__new__(cls)
+        self.__dict__.update(field=field, flat=flat)
+        return self
 
     @property
     def c(self) -> int:
@@ -209,7 +216,7 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
         for w, poly in zip(weights, key.polys):
             acc = add(acc, mul(w, poly[j].code))
         flat += fld.coeffs(acc)
-    return TaggedPacket(fld, flat)
+    return TaggedPacket._from_reduced(fld, tuple(flat))
 
 
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
@@ -249,7 +256,7 @@ def combine(packets, coeffs) -> TaggedPacket:
     width = len(packets[0].flat)
     if any(p.field is not fld or len(p.flat) != width for p in packets):
         raise ValueError("packets disagree on field or tag length")
-    return TaggedPacket(fld, mix(fld.q, [p.flat for p in packets], coeffs))
+    return TaggedPacket._from_reduced(fld, mix(fld.q, [p.flat for p in packets], coeffs))
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,29 @@ def test_brute_force_wide_prime_coordinates():
     assert brute_force_count(system([[ext((3, 200))]], [ext((256, 255))], ext)) == 1
 
 
+# The largest systems the default sweep enumerates: 18 base unknowns over
+# GF(4) (k=3, M=2) and 12 over GF(9) (k=2, M=2).  A keyless view leaves every
+# secret column free of the others, so both halves' sums repeat, and a
+# repeated observation row with a shifted rhs makes the system contradictory.
+@pytest.mark.parametrize("q,l,k,M", [(2, 2, 3, 2), (3, 2, 2, 2)], ids=["gf4-18", "gf9-12"])
+@pytest.mark.parametrize("K", [0, 1])
+def test_brute_force_at_the_largest_checked_shapes(q, l, k, M, K):
+    rng = random.Random(24 + K)
+    params, skey, vkeys, messages, packets = make_instance(rng, q, l, k, M, V=1, n=M)
+    h_rows = ((1,) + (0,) * (M - 1), tuple(rng.randrange(q) for _ in range(M)))
+    view = CoalitionView(("v0",), h_rows, tuple(combine(packets, h) for h in h_rows))
+    system = build_recovery_system(params, view, vkeys[:K], messages)
+    assert l * system.coeff.cols == (18 if q == 2 else 12)
+    consistent, gcount, _ = gauss_count(system)
+    assert consistent and brute_force_count(system) == gcount == predicted_count(system.meta) > 1
+
+    fld = params.field
+    coeff = Matrix(fld, [*system.coeff.data, system.coeff.data[0]], cols=system.coeff.cols)
+    rhs = Matrix(fld, [*system.rhs.data, [system.rhs.data[0][0] + fld.one]], cols=1)
+    contradictory = RecoverySystem(coeff, rhs, system.meta)
+    assert brute_force_count(contradictory) == gauss_count(contradictory)[1] == 0
+
+
 def test_gauss_count_identity_and_degenerate():
     F = Field(2, 2)
     b = Matrix(F, [[F.one], [F.zero], [F((1, 1))]], cols=1)

@@ -79,6 +79,13 @@ def int_edge_id_topology():
     return top
 
 
+def cyclic_topology():
+    """inline_topology with an edge from t back to a, so a and t form a cycle."""
+    top = inline_topology(kernels={"a": [[1], [1], [1]], "t": [[1]]})
+    top["edges"].append({"id": "e4", "tail": "t", "head": "a"})
+    return top
+
+
 # Malformed container types: each once escaped load_scenario as a TypeError.
 BAD_CONTAINERS = [
     pytest.param(lambda d: d["params"].update(public_points=5), "params.public_points",
@@ -131,6 +138,7 @@ BAD_VALUES = [
                  id="topology-sink-int"),
     pytest.param(lambda d: d.update(topology=int_edge_id_topology()), "topology.edges[0].id",
                  id="topology-edge-id-int"),
+    pytest.param(lambda d: d.update(topology=cyclic_topology()), "topology", id="topology-cycle"),
     pytest.param(lambda d: d.update(messages=["101", "011"]), "messages[0]", id="messages-str"),
     pytest.param(lambda d: d.update(messages=[True, 1]), "messages[0]", id="messages-bool"),
     pytest.param(lambda d: d.update(messages=[["1", "0", "1"], 1]), "messages[0]",
@@ -329,51 +337,78 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
 @pytest.mark.parametrize(
     "mutate,field",
     [
-        (lambda d: d.update(bogus=1), "scenario"),
-        (lambda d: d.update(version=2), "version"),
-        (lambda d: d["params"].pop("q"), "params.q"),
-        (lambda d: d["params"].update(q=6), "params"),
-        (lambda d: d["params"].update(extra=1), "params"),
-        (lambda d: d.update(topology="ring"), "topology"),
-        (lambda d: d.update(topology=7), "topology"),
-        (lambda d: d["params"].update(n=1), "params.n"),
-        (lambda d: d.update(verifiers={"u1": 9}), "verifiers"),
+        # every case carries its id, so adding a case renames none; the first
+        # cases keep the ids pytest once derived from their lambdas
+        pytest.param(lambda d: d.update(bogus=1), "scenario", id="<lambda>-scenario"),
+        pytest.param(lambda d: d.update(version=2), "version", id="<lambda>-version"),
+        pytest.param(lambda d: d["params"].pop("q"), "params.q", id="<lambda>-params.q"),
+        pytest.param(lambda d: d["params"].update(q=6), "params", id="<lambda>-params0"),
+        pytest.param(lambda d: d["params"].update(extra=1), "params", id="<lambda>-params1"),
+        pytest.param(lambda d: d.update(topology="ring"), "topology", id="<lambda>-topology0"),
+        pytest.param(lambda d: d.update(topology=7), "topology", id="<lambda>-topology1"),
+        pytest.param(lambda d: d["params"].update(n=1), "params.n", id="<lambda>-params.n"),
+        pytest.param(lambda d: d.update(verifiers={"u1": 9}), "verifiers", id="<lambda>-verifiers"),
         pytest.param(
             lambda d: d.update(verifiers={"ghost": 0}), "verifiers", id="verifier-unknown-node"
         ),
-        (lambda d: d.update(messages=[[1, 0, 0]]), "messages"),
-        (lambda d: d.update(messages=[[1, 0], [0, 1]]), "messages[0]"),
-        (lambda d: d.update(seed="x"), "seed"),
+        pytest.param(lambda d: d.update(messages=[[1, 0, 0]]), "messages", id="<lambda>-messages"),
+        pytest.param(
+            lambda d: d.update(messages=[[1, 0], [0, 1]]), "messages[0]", id="<lambda>-messages[0]"
+        ),
+        pytest.param(lambda d: d.update(seed="x"), "seed", id="<lambda>-seed"),
         pytest.param(lambda d: d.update(seed=True), "seed", id="bool-seed"),
         pytest.param(lambda d: d["params"].update(k=True), "params.k", id="bool-params.k"),
-        (lambda d: d.update(adversaries=["ghost"]), "adversaries"),
+        pytest.param(
+            lambda d: d.update(adversaries=["ghost"]), "adversaries", id="<lambda>-adversaries0"
+        ),
         pytest.param(
             lambda d: d.update(adversaries=["u1", "u1"]), "adversaries", id="adversaries-duplicate"
         ),
         pytest.param(lambda d: d.update(attack=["forge"]), "attack", id="attack-not-object"),
-        (lambda d: d.update(attack={"type": "warp"}), "attack.type"),
-        (lambda d: d.update(attack={"type": "forge", "coeffs": [1, 1]}), "attack.coeffs"),
-        (lambda d: d.update(attack={"type": "forge", "coeffs": [1]}), "attack.coeffs"),
-        (
+        pytest.param(
+            lambda d: d.update(attack={"type": "warp"}), "attack.type", id="<lambda>-attack.type"
+        ),
+        pytest.param(
+            lambda d: d.update(attack={"type": "forge", "coeffs": [1, 1]}),
+            "attack.coeffs",
+            id="<lambda>-attack.coeffs0",
+        ),
+        pytest.param(
+            lambda d: d.update(attack={"type": "forge", "coeffs": [1]}),
+            "attack.coeffs",
+            id="<lambda>-attack.coeffs1",
+        ),
+        pytest.param(
             lambda d: d.update(attack={"type": "forge", "coeffs": [0, 1], "target": 1}),
             "attack",
+            id="<lambda>-attack0",
         ),
-        (lambda d: d.update(attack={"type": "forge", "node": "m"}), "attack"),
-        (lambda d: d.update(attack={"type": "pollute", "node": "s", "coeffs": [1]}), "attack.node"),
+        pytest.param(
+            lambda d: d.update(attack={"type": "forge", "node": "m"}), "attack", id="<lambda>-attack1"
+        ),
+        pytest.param(
+            lambda d: d.update(attack={"type": "pollute", "node": "s", "coeffs": [1]}),
+            "attack.node",
+            id="<lambda>-attack.node",
+        ),
         pytest.param(
             lambda d: d.update(attack={"type": "pollute", "node": "ghost", "coeffs": [1]}),
             "attack.node",
             id="pollute-unknown-node",
         ),
-        (
+        pytest.param(
             lambda d: d.update(attack={"type": "pollute", "node": "m", "edge": "e1", "coeffs": [0, 1]}),
             "attack.edge",
+            id="<lambda>-attack.edge",
         ),
-        (
+        pytest.param(
             lambda d: d.update(attack={"type": "pollute", "node": "m", "coeffs": [1, 1]}),
             "attack.coeffs",
+            id="<lambda>-attack.coeffs2",
         ),
-        (lambda d: d.update(attack={"type": "recover"}), "adversaries"),
+        pytest.param(
+            lambda d: d.update(attack={"type": "recover"}), "adversaries", id="<lambda>-adversaries1"
+        ),
         *BAD_CONTAINERS,
         *BAD_VALUES,
     ],
@@ -647,8 +682,15 @@ def test_main_unparsable_config_names_config(tmp_path, capsys, content):
             {**butterfly_doc(), "params": {**butterfly_doc()["params"], "public_points": 5}},
             "params.public_points: expected list",
         ),
+        (
+            {**butterfly_doc(), "topology": cyclic_topology()},
+            "topology: nodes on or after a cycle: ['a', 't']",
+        ),
     ],
-    ids=["array", "bool-seed", "adversaries-int", "topology-edges-int", "public_points-int"],
+    ids=[
+        "array", "bool-seed", "adversaries-int", "topology-edges-int", "public_points-int",
+        "topology-cycle",
+    ],
 )
 def test_main_malformed_document_exits_2(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)

@@ -2,8 +2,11 @@
 
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncauth import (
     CoalitionView,
@@ -93,6 +96,55 @@ def test_cycle_rejected():
             [("e1", "s", "a"), ("e2", "a", "b"), ("e3", "b", "a")],
             {"a": [[1], [1]], "b": [[1]]},
         )
+
+
+@st.composite
+def shuffled_dags(draw):
+    """(nodes, edges) of a random DAG: edges run forward in a hidden rank, both lists shuffled."""
+    ranked = ["s"] + [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    forward = st.tuples(st.integers(0, len(ranked) - 1), st.integers(0, len(ranked) - 1)).filter(
+        lambda p: p[0] < p[1]
+    )
+    pairs = [(0, 1)] + draw(st.lists(forward, max_size=20))  # parallel edges allowed
+    edges = draw(st.permutations([(f"e{i}", ranked[a], ranked[b]) for i, (a, b) in enumerate(pairs)]))
+    return draw(st.permutations(ranked)), edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_dags())
+def test_topological_order_places_every_tail_before_its_head(dag):
+    nodes, edges = dag
+    ins = {n: sum(e[2] == n for e in edges) for n in nodes}
+    outs = {n: sum(e[1] == n for e in edges) for n in nodes}
+    kernels = {n: [[1] * outs[n]] * ins[n] for n in nodes if ins[n] and outs[n]}
+    order = Network(2, "s", nodes, edges, kernels).topo_order
+    assert sorted(order) == sorted(nodes)  # every node exactly once
+    place = {n: i for i, n in enumerate(order)}
+    assert all(place[tail] < place[head] for _, tail, head in edges)
+
+
+@pytest.mark.parametrize(
+    "nodes,edges,kernels,stuck",
+    [
+        (("s", "a"), [("e1", "s", "a"), ("e2", "a", "a")], {"a": [[1], [1]]}, ["a"]),
+        (  # reached from the source, with a node downstream of it
+            ("s", "t", "a", "b"),
+            [("e1", "s", "a"), ("e2", "a", "b"), ("e3", "b", "a"), ("e4", "b", "t")],
+            {"a": [[1], [1]], "b": [[1, 1]]},
+            ["t", "a", "b"],
+        ),
+        (
+            ("s", "t", "a", "b", "c"),
+            [("e1", "s", "t"), ("e2", "a", "b"), ("e3", "b", "c"), ("e4", "c", "a")],
+            {"a": [[1]], "b": [[1]], "c": [[1]]},
+            ["a", "b", "c"],
+        ),
+    ],
+    ids=["self-loop", "two-cycle", "cycle-unreachable-from-source"],
+)
+def test_cycles_raise_cycle_error_naming_their_nodes(nodes, edges, kernels, stuck):
+    with pytest.raises(CycleError, match=re.escape(f"nodes on or after a cycle: {stuck}")):
+        Network(2, "s", nodes, edges, kernels)
 
 
 def test_network_validation_errors():
