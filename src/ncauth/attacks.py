@@ -14,7 +14,7 @@ Two ways to beat the tagged-packet code without touching the secrets:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -61,6 +61,9 @@ def solve_target_coeffs(messages, target) -> ForgerySpec | None:
     return ForgerySpec(fld.q, x.packed)  # over F_q a one-entry packed row is its symbol
 
 
+# RecoveryMeta, RecoveryResult and SweepRow stay dataclasses: the benchmark
+# digests every sweep row with ``dataclasses.asdict`` and its contract test
+# reads ``dataclasses.fields(SweepRow)``.  Every other record is a namedtuple.
 @dataclass(frozen=True)
 class RecoveryMeta:
     """Shape summary of one coalition instance."""
@@ -76,13 +79,8 @@ class RecoveryMeta:
     condition_held: bool  # whether h_total stays within the tag dimension M
 
 
-@dataclass(frozen=True)
-class RecoverySystem:
-    """Linear constraints on the k(M+1) secret coefficients, column-major order."""
-
-    coeff: Matrix
-    rhs: Matrix
-    meta: RecoveryMeta
+RecoverySystem = namedtuple("RecoverySystem", "coeff rhs meta")
+RecoverySystem.__doc__ = "Linear constraints on the k(M+1) secret coefficients, column-major order."
 
 
 def build_recovery_system(

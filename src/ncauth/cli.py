@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .attacks import (
@@ -171,16 +172,12 @@ def _sum_one_coeffs(q: int, count: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(head + [(1 - sum(head)) % q])
 
 
-@dataclass
-class Scenario:
-    raw: dict
-    seed: int
-    params: SystemParams
-    network: Network
-    messages: tuple[Fel, ...]
-    adversaries: tuple[str, ...]
-    attack_type: str
-    attack: ForgerySpec | Fel | Intervention | None  # a forge target is an element
+Scenario = namedtuple("Scenario", "raw seed params network messages adversaries attack_type attack")
+Scenario.__doc__ = """A validated scenario document and every object it binds.
+
+`attack` is what `attack_type` runs on: a `ForgerySpec` or a target element
+for forge, an `Intervention` for pollute, None otherwise.
+"""
 
 
 def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
@@ -455,10 +452,7 @@ class SweepRow(RecoveryResult):
     seed: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-    summary: dict
+SweepResult = namedtuple("SweepResult", "rows summary")
 
 
 def lemma_sweep(

@@ -23,7 +23,7 @@ relays decodes its pooled view with the same routine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from graphlib import CycleError
 
 from .field import Field, packing
@@ -31,11 +31,7 @@ from .linalg import Matrix, solve
 from .scheme import ForgerySpec, TaggedPacket, VerifierKey, combine, mix, verify
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    tail: str
-    head: str
+Edge = namedtuple("Edge", "id tail head")
 
 
 class Network:
@@ -140,37 +136,29 @@ class Network:
         )
 
 
-@dataclass(frozen=True)
-class Intervention:
-    """Replace `node`'s view of incoming `edge` by a sum-one mix of its inputs."""
-
-    node: str
-    edge: str
-    coeffs: tuple[int, ...]
+Intervention = namedtuple("Intervention", "node edge coeffs")
+Intervention.__doc__ = "Replace `node`'s view of incoming `edge` by a sum-one mix of its inputs."
 
 
-@dataclass(frozen=True)
-class InterventionRecord(Intervention):
-    honest: tuple[int, ...]
-    injected: tuple[int, ...]
+class InterventionRecord(
+    namedtuple("InterventionRecord", "node edge coeffs honest injected")
+):
+    """An applied `Intervention` and the flat values its tail emitted and its head received."""
+
+    __slots__ = ()
 
     @property
     def changed(self) -> bool:
         return self.honest != self.injected
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """One run: per edge, its honest global kernel and the packet delivered to its head.
+FlowState = namedtuple("FlowState", "network kernels packets log")
+FlowState.__doc__ = """One run: per edge, its honest global kernel and its delivered packet.
 
-    A substituted edge's packet is the substitute; what its tail emitted is
-    the `honest` value of the edge's `InterventionRecord` in `log`.
-    """
-
-    network: Network
-    kernels: dict[str, tuple[int, ...]]
-    packets: dict[str, TaggedPacket]
-    log: tuple[InterventionRecord, ...]
+`packets[e]` is the packet delivered to e's head.  A substituted edge's
+packet is the substitute; what its tail emitted is the `honest` value of
+the edge's `InterventionRecord` in `log`.
+"""
 
 
 def simulate(net: Network, packets, interventions=()) -> FlowState:
@@ -232,22 +220,13 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     return FlowState(net, kernels, values, tuple(log))
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    ok: bool
-    rank: int
-    packets: tuple[TaggedPacket, ...] | None
-    payloads: tuple | None
-    reason: str | None = None
+DecodeResult = namedtuple("DecodeResult", "ok rank packets payloads reason", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class CoalitionView:
+class CoalitionView(namedtuple("CoalitionView", "nodes h_rows packets")):
     """What a set of nodes observed on their in-edges: kernels and packets, stacked."""
 
-    nodes: tuple[str, ...]
-    h_rows: tuple[tuple[int, ...], ...]
-    packets: tuple[TaggedPacket, ...]
+    __slots__ = ()
 
     @property
     def h_total(self) -> int:

@@ -16,7 +16,7 @@ the attack tooling lives off exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .field import Fel, Field, _fel
@@ -32,49 +32,46 @@ def poly_eval(field: Field, coeffs, x: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(
+    namedtuple("SystemParams", "field k M V n public_points allow_excess_messages")
+):
     """Scheme-wide public parameters.
 
     k   -- degree bound: secret polynomials have k coefficients each
     M   -- number of payload-weighted polynomials (M+1 secrets in total)
     V   -- number of verifiers, one public point each
     n   -- messages authenticated per generation
+    public_points -- the V distinct nonzero points, coerced into the field
     """
 
-    field: Field
-    k: int
-    M: int
-    V: int
-    n: int
-    public_points: tuple[Fel, ...]
-    allow_excess_messages: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.M < 1:
-            raise ValueError(f"M must be at least 1, got {self.M}")
-        if self.V < 1:
-            raise ValueError(f"V must be at least 1, got {self.V}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.n > self.M and not self.allow_excess_messages:
-            raise ValueError(
-                f"n={self.n} exceeds M={self.M}; pass allow_excess_messages to override"
-            )
-        pts = tuple(self.field(p) for p in self.public_points)
-        object.__setattr__(self, "public_points", pts)
-        if len(pts) != self.V:
-            raise ValueError(f"expected {self.V} public points, got {len(pts)}")
+    def __new__(cls, field, k, M, V, n, public_points, allow_excess_messages=False):
+        if k < 2:
+            raise ValueError(f"k must be at least 2, got {k}")
+        if M < 1:
+            raise ValueError(f"M must be at least 1, got {M}")
+        if V < 1:
+            raise ValueError(f"V must be at least 1, got {V}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        if n > M and not allow_excess_messages:
+            raise ValueError(f"n={n} exceeds M={M}; pass allow_excess_messages to override")
+        pts = tuple(field(p) for p in public_points)
+        if len(pts) != V:
+            raise ValueError(f"expected {V} public points, got {len(pts)}")
         if len(set(pts)) != len(pts):
             raise ValueError("public points must be distinct")
         if any(p.is_zero() for p in pts):
             raise ValueError("public points must be nonzero")
+        return tuple.__new__(cls, (field, k, M, V, n, pts, allow_excess_messages))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks what the constructor checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SourceKey:
+class SourceKey(namedtuple("SourceKey", "polys")):
     """The secret: polys[t] holds the k coefficients of P_t, low degree first.
 
     Row by row this is the (M+1) x k secret coefficient matrix.  The key is
@@ -82,7 +79,7 @@ class SourceKey:
     polynomials' elements rather than as a packed ``Matrix``.
     """
 
-    polys: tuple[tuple[Fel, ...], ...]
+    __slots__ = ()
 
     @property
     def field(self) -> Field:
@@ -97,17 +94,14 @@ class SourceKey:
         return len(self.polys) - 1
 
 
-@dataclass(frozen=True)
-class VerifierKey:
-    """Private key of verifier `index`: the secret polynomials at its point."""
+VerifierKey = namedtuple("VerifierKey", "index point evals")
+VerifierKey.__doc__ = """Private key of verifier `index`: the secret polynomials at its point.
 
-    index: int
-    point: Fel
-    evals: tuple[Fel, ...]  # (P_0(x_i), ..., P_M(x_i))
+`evals` is (P_0(x_i), ..., P_M(x_i)).  The field `index` hides ``tuple.index``.
+"""
 
 
-@dataclass(frozen=True)
-class TaggedPacket:
+class TaggedPacket(namedtuple("TaggedPacket", "field flat")):
     """A packet as its v1 flat vector over F_q: header | payload | tag.
 
     One header symbol, the payload's l coordinates, then the l coordinates of
@@ -116,12 +110,11 @@ class TaggedPacket:
     every F_q-linear operation on packets is a `mix` of their flat vectors.
     """
 
-    field: Field
-    flat: tuple[int, ...]
+    # no __slots__: the cached `m` and `tag` views live in the instance __dict__
 
-    def __post_init__(self):
-        flat = tuple(self.flat)
-        q, l = self.field.q, self.field.l
+    def __new__(cls, field, flat):
+        flat = tuple(flat)
+        q, l = field.q, field.l
         if len(flat) < 1 + 2 * l or (len(flat) - 1) % l:
             raise ValueError(
                 f"flat packet must have 1 + {l}(1 + k) symbols with k >= 1, got {len(flat)}"
@@ -129,14 +122,19 @@ class TaggedPacket:
         # bool is excluded: its type is a subclass of int, not int
         if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= q:
             raise ValueError(f"flat packet symbols must be ints in [0, {q})")
-        object.__setattr__(self, "flat", flat)
+        return tuple.__new__(cls, (field, flat))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks what the constructor checks
+        return cls(*iterable)
 
     @classmethod
     def _from_reduced(cls, field: Field, flat: tuple[int, ...]) -> "TaggedPacket":
         """The packet of a valid-length tuple of symbols already in [0, q), taken unchecked."""
-        self = cls.__new__(cls)
-        self.__dict__.update(field=field, flat=flat)
-        return self
+        return tuple.__new__(cls, (field, flat))
+
+    def __setattr__(self, name, value):  # cached_property writes __dict__ directly
+        raise AttributeError(f"cannot assign {name!r}: a packet is immutable")
 
     @property
     def c(self) -> int:
@@ -259,8 +257,7 @@ def combine(packets, coeffs) -> TaggedPacket:
     return TaggedPacket._from_reduced(fld, mix(fld.q, [p.flat for p in packets], coeffs))
 
 
-@dataclass(frozen=True)
-class ForgerySpec:
+class ForgerySpec(namedtuple("ForgerySpec", "q coeffs")):
     """Coefficients a_1..a_n over F_q with sum(a_i) = 1.
 
     The one check of the rule both attacks rest on: a forger mixes source
@@ -268,18 +265,22 @@ class ForgerySpec:
     combination, which the near-linear tag cannot tell from an honest one.
     """
 
-    q: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, q, coeffs):
+        if not coeffs:
             raise ValueError("a sum-one combination needs at least one coefficient")
-        if any(type(a) is not int for a in self.coeffs):  # bool and float are refused
-            raise ValueError(f"coefficients must be integers, got {self.coeffs!r}")
-        if any(not 0 <= a < self.q for a in self.coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.q})")
-        if sum(self.coeffs) % self.q != 1:
+        if any(type(a) is not int for a in coeffs):  # bool and float are refused
+            raise ValueError(f"coefficients must be integers, got {coeffs!r}")
+        if any(not 0 <= a < q for a in coeffs):
+            raise ValueError(f"coefficients must lie in [0, {q})")
+        if sum(coeffs) % q != 1:
             raise ValueError("coefficients must sum to 1 mod q")
+        return tuple.__new__(cls, (q, coeffs))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks what the constructor checks
+        return cls(*iterable)
 
 
 def moore_matrix(field: Field, messages, M: int) -> Matrix:

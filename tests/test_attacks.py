@@ -361,7 +361,7 @@ def test_analyze_recovery_compares_three_counts():
     assert refused.brute is None and refused.skipped and refused.count_match is None
     assert (refused.consistent, refused.gauss, refused.rank) == (True, 2, 3)
     # r0 = 0 predicts rank 2 and count 4 against the system's 3 and 2
-    wrong = dataclasses.replace(system, meta=dataclasses.replace(system.meta, r0=0))
+    wrong = system._replace(meta=dataclasses.replace(system.meta, r0=0))
     off = analyze_recovery(wrong)
     assert (off.predicted_rank, off.predicted) == (2, 4) and (off.rank, off.gauss) == (3, 2)
     assert not off.rank_match and off.count_match is False
