@@ -21,7 +21,7 @@ from itertools import repeat
 from .field import Field, GuardError, packing
 from .linalg import Matrix, rank_and_consistency, solve
 from .netsim import CoalitionView
-from .scheme import ForgerySpec, SystemParams, TaggedPacket, VerifierKey, combine, moore_matrix
+from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, moore_matrix
 
 BRUTE_FORCE_GUARD = 1 << 24
 
@@ -104,6 +104,10 @@ def build_recovery_system(
         raise ValueError("observation width disagrees with the message count")
     if len(view.packets) != view.h_total:
         raise ValueError("one observed packet per coalition edge required")
+    if any(p.field is not fld for p in view.packets) or any(
+        e.field is not fld for key in keys for e in (key.point, *key.evals)
+    ):
+        raise ValueError("element belongs to a different field")
     tags = [p.tag for p in view.packets]
     if any(len(t) != k for t in tags):
         raise ValueError("observed tag length disagrees with k")
@@ -111,7 +115,7 @@ def build_recovery_system(
     # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
     # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.
     pk = packing(fld, M + 1)
-    coerce, add, scale = pk.coerce, pk.add, pk.scale
+    add, scale = pk.add, pk.scale
     block = pk.ew * (M + 1)
     powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
 
@@ -128,17 +132,17 @@ def build_recovery_system(
     for j in range(k):
         for row, tag in zip(mixed_rows, tags):
             crows.append(row << (block * j))
-            crhs.append(coerce(tag[j]))
+            crhs.append(tag[j].code)
     for key in keys:
         powers = [fld.one]
         for _ in range(k - 1):
             powers.append(powers[-1] * key.point)
         row = 0  # x_i^j in entry j(M+1), for every j < k
         for j, p in enumerate(powers):
-            row |= coerce(p) << (block * j)
+            row |= p.code << (block * j)
         for t in range(M + 1):
             crows.append(row << (pk.ew * t))
-            crhs.append(coerce(key.evals[t]))
+            crhs.append(key.evals[t].code)
 
     r0 = Matrix._from_packed(fld, mixed_rows, M + 1).rank()
     meta = RecoveryMeta(

@@ -2,25 +2,23 @@
 
 Everything is desk-scale.  A matrix is its rows, each packed into one int
 in the ``field.Packing`` layout, and nothing else; elements are built only
-when ``data``, the one reader, reads them.  Row reduction is one loop
-with leftmost-nonzero pivoting and no tie-breaking beyond row order, so
-reduced forms are deterministic: ``Matrix.echelon`` clears below each
-pivot, and ``Matrix.rref`` clears all other rows and scales the pivot row.
-It works on the packed rows directly: subtracting a multiple of a pivot
-row costs a few big-int operations per coordinate of the multiplier,
-whatever the width of the row.
+when ``data``, the one reader, reads them.  Row reduction is one loop of
+row insertion, as a network-coding decoder reduces packets on arrival:
+each row is reduced by the pivot rows before it, keyed by leading column,
+and becomes one if still nonzero.  ``Matrix.echelon`` returns the pivot
+rows in column order; ``Matrix.rref`` scales and back-clears them.  A
+multiple of a pivot row costs a few big-int operations per coordinate of
+the multiplier, whatever the width of the row.
 
 ``solve`` and ``rank_and_consistency`` are the only routines that reduce an
 augmented system [A | B].  One solve gives the rank of A and a particular
 solution, so sink and coalition decoding and forgery steering go through
 it.  Rank and consistency need only the pivot columns, so ``Matrix.rank``
 and ``rank_and_consistency`` (the key count of ``attacks.gauss_count``)
-clear below each pivot only.
+stop at the echelon form.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .field import Fel, Field, packing
 
@@ -74,47 +72,48 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
     def _eliminate(self, above: bool) -> tuple["Matrix", tuple[int, ...]]:
-        """The one elimination loop: the cleared matrix and the pivot column indices.
+        """The one elimination loop: the reduced matrix and the pivot column indices.
 
-        At each pivot p, a row with f in p's column gains -f/p times the raw
-        pivot row, so each pivot costs one x-power chain of its row.  The
-        rows below are always cleared; with `above`, so are the rows above,
-        and the pivot row is then scaled to a leading one by the same chain.
+        A row with f at its leading column (that of its lowest set bit) gains
+        -f/p times the pivot row there, whose leading entry is p, until it is
+        zero or is inserted as that column's pivot row with one x-power chain.
+        With `above`, each pivot row is scaled by its chain and then cleared
+        at each higher pivot column, in ascending order, by that pivot's
+        chain: a pivot row is zero left of its column.
         """
         fld = self.field
         pk = packing(fld, self.cols)
         ew, emask = pk.ew, (1 << pk.ew) - 1
-        x_powers, add_mul, mul, sub = pk.x_powers, pk.add_mul, fld.mul, fld.sub
-        m = list(self.packed)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            sh = ew * c
-            hit = next((i for i in range(r, self.rows) if m[i] >> sh & emask), None)
-            if hit is None:
-                continue
-            m[r], m[hit] = m[hit], m[r]
-            inv = pk.element(m[r] >> sh & emask).inv().code
-            ninv = sub(0, inv)
-            powers = x_powers(m[r])
-            for i in chain(range(r if above else 0), range(r + 1, self.rows)):
-                f = m[i] >> sh & emask
-                if f:
-                    m[i] = add_mul(m[i], mul(f, ninv), powers)
-            if above:
-                m[r] = add_mul(0, inv, powers)
-            pivots.append(c)
-            r += 1
+        add_mul, mul, sub = pk.add_mul, fld.mul, fld.sub
+        table: dict[int, tuple[int, list[int]]] = {}  # lead column -> (-1/p, chain)
+        for v in self.packed:
+            while v:
+                c = ((v & -v).bit_length() - 1) // ew
+                f = v >> ew * c & emask
+                hit = table.get(c)
+                if hit is None:
+                    table[c] = (sub(0, pk.element(f).inv().code), pk.x_powers(v))
+                    break
+                v = add_mul(v, mul(f, hit[0]), hit[1])
+        pivots = sorted(table)
+        m = [table[p][1][0] for p in pivots]
+        if above:
+            for i, p in enumerate(pivots):
+                v = add_mul(0, sub(0, table[p][0]), table[p][1])
+                for c in pivots[i + 1 :]:
+                    f = v >> ew * c & emask
+                    if f:
+                        v = add_mul(v, mul(f, table[c][0]), table[c][1])
+                m[i] = v
+        m += [0] * (self.rows - len(pivots))
         return Matrix._from_packed(fld, m, self.cols), tuple(pivots)
 
     def echelon(self) -> tuple["Matrix", tuple[int, ...]]:
-        """A row echelon form and the pivot column indices: elimination below each pivot."""
+        """A row echelon form and the pivot column indices: the pivot rows, then zero rows."""
         return self._eliminate(above=False)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices: elimination of every other row."""
+        """Reduced row echelon form and the pivot column indices; unique, whatever the row order."""
         return self._eliminate(above=True)
 
     def rank(self) -> int:
@@ -157,7 +156,7 @@ def solve(coeff: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
 def rank_and_consistency(coeff: Matrix, rhs: Matrix) -> tuple[int, bool]:
     """Rank of `coeff`, and whether coeff @ X = rhs has a solution.
 
-    [coeff | rhs] cleared below each pivot only: the rank counts its pivots
+    [coeff | rhs] reduced to an echelon form only: the rank counts its pivots
     among coeff's columns, and the system is consistent when no pivot falls
     among rhs's columns.
     """

@@ -166,9 +166,9 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     packets = list(packets)
     if len(packets) != net.n:
         raise ValueError(f"need {net.n} source packets, got {len(packets)}")
-    fld = packets[0].field
-    width = len(packets[0].flat)
-    if any(p.field is not fld or len(p.flat) != width for p in packets):
+    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
+    fld, width = fields[0], len(flats[0])
+    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
         raise ValueError("source packets disagree on field or tag length")
     if fld.q != net.q:
         raise ValueError(f"packet symbols mod {fld.q} but network kernels mod {net.q}")

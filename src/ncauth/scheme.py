@@ -250,11 +250,11 @@ def combine(packets, coeffs) -> TaggedPacket:
         raise ValueError("cannot combine zero packets")
     if len(packets) != len(coeffs):
         raise ValueError(f"{len(packets)} packets but {len(coeffs)} coefficients")
-    fld = packets[0].field
-    width = len(packets[0].flat)
-    if any(p.field is not fld or len(p.flat) != width for p in packets):
+    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
+    fld, width = fields[0], len(flats[0])
+    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
         raise ValueError("packets disagree on field or tag length")
-    return TaggedPacket._from_reduced(fld, mix(fld.q, [p.flat for p in packets], coeffs))
+    return TaggedPacket._from_reduced(fld, mix(fld.q, flats, coeffs))
 
 
 class ForgerySpec(namedtuple("ForgerySpec", "q coeffs")):

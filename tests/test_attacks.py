@@ -255,6 +255,16 @@ def test_build_recovery_system_input_checks():
     one_coeff_tag = CoalitionView(("v0",), ((1,),), (TaggedPacket(params.field, (1, 1, 0)),))
     with pytest.raises(ValueError, match="tag length disagrees with k"):
         build_recovery_system(params, one_coeff_tag, vkeys, messages)
+    # a packet or key over another field of the same shape is refused, not misread
+    other = Field(3, 1)
+    foreign = TaggedPacket(other, packets[0].flat)
+    with pytest.raises(ValueError, match="element belongs to a different field"):
+        build_recovery_system(params, CoalitionView(("v0",), ((1,),), (foreign,)), vkeys, messages)
+    o_params = SystemParams(other, k=2, M=1, V=1, n=1, public_points=(1,))
+    _, o_vkeys = keygen(o_params, seed=5)
+    for keys in (o_vkeys, [vkeys[0]._replace(evals=o_vkeys[0].evals)]):
+        with pytest.raises(ValueError, match="element belongs to a different field"):
+            build_recovery_system(params, view, keys, messages)
 
 
 def test_counts_agree_on_random_instances():

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, solve
 from ncauth.field import Packing
+from ncauth.linalg import rank_and_consistency
 from support import (
     ORACLE_FIELDS,
     element_strategy,
@@ -29,7 +30,8 @@ def test_rref_hand_example_f2():
     assert red == Matrix(F, [[1, 1], [0, 0]])
     assert pivots == (0,)
     assert m.rank() == 1
-    # echelon clears below each pivot only: an echelon form is left as it is
+    # a row whose leading column has no pivot yet is inserted as it is,
+    # so echelon leaves an echelon form alone
     upper = Matrix(F, [[1, 1], [0, 1]])
     assert upper.echelon() == (upper, (0, 1))
     assert upper.rref() == (identity(F, 2), (0, 1))
@@ -135,11 +137,8 @@ def test_rref_matches_reference_elimination(m):
     assert_echelon_agrees(m, pivots)
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
-def test_rref_matches_reference_at_benchmark_shapes(q, l):
-    """40 x 42 reductions, above the widest recovery-system solve (36 x 37), full rank and deficient."""
-    fld = Field(q, l)
-    rng = random.Random(1000 * q + l)
+def benchmark_shapes(fld, rng):
+    """40 x 42 matrices, full rank and deficient: above the widest recovery-system solve (36 x 37)."""
     full = random_matrix(fld, 40, 42, rng)
     # rank at most 25: a product through 25 dimensions
     low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
@@ -148,8 +147,42 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
     for r in rows:
         r[0] = r[7] = r[41] = fld.zero
     holes = Matrix(fld, rows + rows[:19] + [[fld.zero] * 42], cols=42)
+    return full, low, holes
+
+
+def assert_row_order_free(m, order):
+    """m's rows taken in `order` give m's pivots, echelon pivots and rref."""
+    red, pivots = m.rref()
+    rows = m.data
+    other = Matrix(m.field, [rows[i] for i in order], cols=m.cols)
+    assert other.echelon()[1] == m.echelon()[1] == pivots
+    assert other.rref() == (red, pivots)
+    assert_echelon_agrees(other, pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rref_and_pivots_do_not_depend_on_row_order(data):
+    m = data.draw(oracle_matrices())
+    assert_row_order_free(m, data.draw(st.permutations(range(m.rows))))
+
+
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+def test_row_order_free_at_benchmark_shapes(q, l):
+    rng = random.Random(1000 * q + l + 1)
+    for m in benchmark_shapes(Field(q, l), rng):
+        order = list(range(m.rows))
+        assert_row_order_free(m, order[::-1])
+        for _ in range(2):
+            rng.shuffle(order)
+            assert_row_order_free(m, order)
+
+
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+def test_rref_matches_reference_at_benchmark_shapes(q, l):
+    """40 x 42 reductions, full rank and deficient, against the reference elimination."""
     ranks = []
-    for m in (full, low, holes):
+    for m in benchmark_shapes(Field(q, l), random.Random(1000 * q + l)):
         red, pivots = m.rref()
         assert (red, pivots) == reference_rref(m)
         assert_echelon_agrees(m, pivots)
@@ -270,6 +303,20 @@ def test_solve_rank_and_particular_solution(system):
         pivots = coeff.rref()[1]
         zero_row = (coeff.field.zero,) * rhs.cols
         assert all(row == zero_row for j, row in enumerate(x.data) if j not in pivots)
+
+
+F7 = Field(7, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+@example((Matrix(F7, [[0, 0]]), Matrix(F7, [[1]])))  # the only pivot is in the rhs column
+@example((Matrix(F7, [[1, 2], [2, 4]]), Matrix(F7, [[3], [5]])))  # a pivot past a dependent row
+@example((Matrix(F7, [[1, 2], [2, 4]]), Matrix(F7, [[3], [6]])))  # consistent and deficient
+def test_rank_and_consistency_agrees_with_solve(system):
+    coeff, rhs = system
+    rank, x = solve(coeff, rhs)
+    assert rank_and_consistency(coeff, rhs) == (rank, x is not None)
 
 
 def test_vandermonde_structure_and_rank():
