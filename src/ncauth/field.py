@@ -519,11 +519,13 @@ class Packing:
     2^(w-1) - q to every slot sets a slot's top bit exactly where it reached
     q, and q is subtracted there.  Over F_2 a slot is one bit and a sum or
     difference is an XOR (``_BinaryPacking``, chosen whenever q = 2).
-    Multiplying by an element of F_{q^l} is F_q-linear, so it is a sum of
-    base-field multiples of the vector times powers of x (``times_x``).
+    Multiplying by an element a of F_{q^l} is F_q-linear: a u is the sum of
+    c_t x^t u over the coordinates c_t of a.  ``x_powers`` builds the chain
+    x^t u by one masked fold per power, and ``add_mul`` adds a u to a vector
+    by one packed add or subtract per nonzero coordinate.
     """
 
-    __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_top", "_fold")
+    __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_folds")
 
     def __new__(cls, field: Field, size: int):
         return object.__new__(_BinaryPacking if field.q == 2 else cls)
@@ -537,11 +539,14 @@ class Packing:
         self.w = w
         self.ew = ew
         self._emask = (1 << ew) - 1
-        # every entry's coordinate l-1, and all its other coordinates
-        self._top = (((1 << w) - 1) << (w * (l - 1))) * (ones // self._emask)
-        self._low = ones ^ self._top
-        # x^l = sum of fold_j x^j modulo the field's modulus
-        self._fold = [(j, (-c) % q) for j, c in enumerate(field.modulus[:l]) if c]
+        self._unit0 = ones // self._emask  # 1 in slot 0 of every entry
+        top = w * (l - 1)  # where each entry's top coordinate, l-1, starts
+        self._low = ones ^ (((1 << w) - 1) << top) * self._unit0  # every other coordinate
+        # x_powers' fold terms: (top + b, the code of 2^b x^l) for each bit b
+        # of q where that code, reduced modulo the modulus, is nonzero
+        fold = [(-c) % q for c in field.modulus[:l]]  # x^l
+        folds = ((top + b, field.code([(c << b) % q for c in fold])) for b in range(q.bit_length()))
+        self._folds = tuple(f for f in folds if f[1])
         self.add, self.sub = self._adder(ones // ((1 << w) - 1))
 
     def _adder(self, unit: int):
@@ -605,29 +610,43 @@ class Packing:
                 acc = add(acc, v)
         return acc
 
-    def times_x(self, v: int) -> int:
-        """x * v: every coordinate moves up one slot and the top one folds back."""
-        w, add = self.w, self.add
-        top = (v & self._top) >> (w * (self.field.l - 1))
-        out = (v & self._low) << w
-        for j, c in self._fold:
-            out = add(out, self.scale(c, top) << (w * j))
-        return out
-
     def x_powers(self, v: int) -> list[int]:
-        """[v, x v, ..., x^(l-1) v]."""
+        """[v, x v, ..., x^(l-1) v], each power by one masked fold of the last.
+
+        x v moves every coordinate of v up one slot, and each entry's top
+        coordinate t comes back as t x^l, the sum over the bits b of t of
+        2^b x^l.  Bit b of every t, moved to slot 0 of its entry (masked by
+        ``_unit0``), times the code of 2^b x^l writes that code into exactly
+        the entries whose t has bit b set: a reduced packed vector, added
+        whole.  Over F_2 the one term is b = 0 and the sum an XOR.
+        """
+        w, low, unit0, folds, add = self.w, self._low, self._unit0, self._folds, self.add
         out = [v]
         for _ in range(self.field.l - 1):
-            out.append(self.times_x(out[-1]))
+            u = (v & low) << w
+            for s, g in folds:
+                u = add(u, (v >> s & unit0) * g)
+            out.append(u)
+            v = u
         return out
 
     def add_mul(self, v: int, entry: int, powers) -> int:
-        """v + a * u, for a given as its packed entry, where powers = x_powers(u)."""
-        w, slot, add, scale = self.w, (1 << self.w) - 1, self.add, self.scale
+        """v + a * u, for a given as its packed entry, where powers = x_powers(u).
+
+        Each nonzero coordinate c of a costs one packed add or subtract of
+        its power p: c = 1 adds p, c > q/2 subtracts (q - c) p (p itself
+        when c = q - 1), and any other c adds c p.  Over F_3 every
+        coordinate is 1 or q - 1, so nothing is scaled.
+        """
+        q, w, add, sub, scale = self.field.q, self.w, self.add, self.sub, self.scale
+        slot, half = (1 << w) - 1, q // 2
         for p in powers:
             c = entry & slot
             if c:
-                v = add(v, scale(c, p))
+                if c > half:
+                    v = sub(v, p if c == q - 1 else scale(q - c, p))
+                else:
+                    v = add(v, p if c == 1 else scale(c, p))
             entry >>= w
         return v
 
@@ -635,23 +654,13 @@ class Packing:
 class _BinaryPacking(Packing):
     """q = 2: one bit per coordinate, so a sum is an XOR."""
 
-    __slots__ = ("_fold_bits",)
-
-    def __init__(self, field: Field, size: int):
-        super().__init__(field, size)
-        # the fold of x^l as one multiplier: each entry's top bit, moved to
-        # slot 0, times fold_bits < 2^l stays inside its own entry
-        self._fold_bits = sum(1 << j for j, _ in self._fold)
+    __slots__ = ()
 
     def _adder(self, unit: int):
         return operator.xor, operator.xor
 
     def scale(self, c: int, v: int) -> int:
         return v  # c = 1, the only nonzero scalar
-
-    def times_x(self, v: int) -> int:
-        l = self.field.l
-        return (v & self._low) << 1 ^ ((v & self._top) >> (l - 1)) * self._fold_bits
 
     def add_mul(self, v: int, entry: int, powers) -> int:
         for p in powers:

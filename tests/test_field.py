@@ -447,13 +447,62 @@ def test_packing_ops_match_element_arithmetic(args):
     assert pk.unpack(pk.sub(pu, pv)) == tuple(s - t for s, t in zip(u, v))
     assert [pk.element(pk.sub(0, e)) for e in entries] == [fld.zero - e for e in u]
     assert pk.unpack(pk.scale(c, pu)) == tuple(fld(c) * e for e in u)
-    assert pk.unpack(pk.times_x(pu)) == tuple(x * e for e in u)
     powers = pk.x_powers(pu)
     x_pows = [fld(support.reference_pow(fld, x.coeffs, t)) for t in range(fld.l)]
     assert [pk.unpack(p) for p in powers] == [tuple(xt * e for e in u) for xt in x_pows]
     assert pk.unpack(pk.add_mul(pv, pk.coerce(a), powers)) == tuple(
         t + a * s for s, t in zip(u, v)
     )
+
+
+# Odd q with l <= 2, and GF(3^5): between them every multiplier coordinate c
+# takes 1, q - 1, 1 < c <= q/2 and (q >= 5) q/2 < c < q - 1.
+ODD_KERNEL_FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (3, 5)]
+
+
+@pytest.mark.parametrize("q,l", ODD_KERNEL_FIELDS)
+def test_add_mul_every_multiplier(q, l, monkeypatch):
+    """add_mul(v, a, x_powers(u)) is v + a u entrywise for every a, scaling by at most q/2."""
+    fld = Field(q, l)
+    rng = random.Random(31 * q + l)
+    size = 6
+    pk = packing(fld, size)
+    scaled = []
+    scale = Packing.scale
+
+    def counted(self, c, v):
+        scaled.append(c)
+        return scale(self, c, v)
+
+    monkeypatch.setattr(Packing, "scale", counted)
+    for a in elements(fld):
+        u = [fld.random_element(rng) for _ in range(size)]
+        v = [fld.random_element(rng) for _ in range(size)]
+        powers = pk.x_powers(pk.pack([e.code for e in u]))
+        got = pk.add_mul(pk.pack([e.code for e in v]), a.code, powers)
+        assert pk.unpack(got) == tuple(t + a * s for s, t in zip(u, v))
+    # c = 1 and c = q - 1 add or subtract the power itself: over F_3 nothing is scaled
+    assert set(scaled) == set(range(2, q // 2 + 1))
+
+
+@pytest.mark.parametrize("q,l", [(3, 5), (5, 2), (7, 2), (2, 8)])
+def test_x_powers_fold_every_top_coordinate(q, l):
+    """x_powers(u)[t] is x^t u entrywise, where u's entries take every top coordinate below q.
+
+    Over q >= 5 a top coordinate such as 3 has two bits set, so two masked
+    products of the fold land in one entry.
+    """
+    fld = Field(q, l)
+    rng = random.Random(37 * q + l)
+    u = [fld([rng.randrange(q) for _ in range(l - 1)] + [d]) for d in range(q) for _ in range(3)]
+    pk = packing(fld, len(u))
+    x = fld([0, 1] + [0] * (l - 2))
+    powers = pk.x_powers(pk.pack([e.code for e in u]))
+    assert len(powers) == l
+    xt = fld.one
+    for p in powers:
+        assert pk.unpack(p) == tuple(xt * e for e in u)
+        xt = xt * x
 
 
 @pytest.mark.parametrize("l", [1, 3, 8, 16])
