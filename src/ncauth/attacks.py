@@ -15,7 +15,6 @@ Two ways to beat the tagged-packet code without touching the secrets:
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from itertools import repeat
 
 from .field import Field, GuardError, packing
@@ -61,22 +60,14 @@ def solve_target_coeffs(messages, target) -> ForgerySpec | None:
     return ForgerySpec(fld.q, x.packed)  # over F_q a one-entry packed row is its symbol
 
 
-# RecoveryMeta, RecoveryResult and SweepRow stay dataclasses: the benchmark
-# digests every sweep row with ``dataclasses.asdict`` and its contract test
-# reads ``dataclasses.fields(SweepRow)``.  Every other record is a namedtuple.
-@dataclass(frozen=True)
-class RecoveryMeta:
-    """Shape summary of one coalition instance."""
+RecoveryMeta = namedtuple("RecoveryMeta", "q l k M K n r0 h_total condition_held")
+RecoveryMeta.__doc__ = """Shape summary of one coalition instance.
 
-    q: int
-    l: int
-    k: int
-    M: int
-    K: int  # keys pooled by the seated members
-    n: int
-    r0: int  # rank of the stacked per-member H_i x (message power matrix)
-    h_total: int  # total incoming edges across the coalition
-    condition_held: bool  # whether h_total stays within the tag dimension M
+`K` counts the keys pooled by the seated members, `r0` is the rank of the
+stacked per-member H_i times the message power matrix, `h_total` counts the
+incoming edges across the coalition, and `condition_held` is whether
+`h_total` stays within the tag dimension M.
+"""
 
 
 RecoverySystem = namedtuple("RecoverySystem", "coeff rhs meta")
@@ -224,24 +215,17 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     return sum(map(table.get, sums(rhs, columns[half:]), repeat(0)))
 
 
-@dataclass(frozen=True)
-class RecoveryResult(RecoveryMeta):
-    """One coalition instance: its system's shape, its key count and rank three ways, compared.
+RecoveryResult = namedtuple(
+    "RecoveryResult",
+    [*RecoveryMeta._fields, "candidates", "consistent", "rank", "predicted_rank", "rank_match",
+     "gauss", "predicted", "brute", "skipped", "count_match"],
+)
+RecoveryResult.__doc__ = """One coalition instance: its shape, its key count and rank three ways, compared.
 
-    `brute` is None, and `count_match` None, when the enumeration's guard
-    refused the system.
-    """
-
-    candidates: int  # (q^l)^unknowns secret vectors in all
-    consistent: bool
-    rank: int
-    predicted_rank: int
-    rank_match: bool
-    gauss: int
-    predicted: int
-    brute: int | None
-    skipped: bool
-    count_match: bool | None
+The fields are `RecoveryMeta`'s, then the counts.  `candidates` is the
+(q^l)^unknowns secret vectors in all.  `brute` is None, and `count_match`
+None, when the enumeration's guard refused the system.
+"""
 
 
 def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> RecoveryResult:
@@ -258,7 +242,7 @@ def analyze_recovery(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) -> 
     except GuardError:
         brute = None
     return RecoveryResult(
-        **vars(meta),
+        *meta,
         candidates=system.coeff.field.order ** system.coeff.cols,
         consistent=consistent,
         rank=rank,

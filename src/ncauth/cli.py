@@ -11,11 +11,11 @@ byte-reproduces its report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .attacks import (
     BRUTE_FORCE_GUARD,
@@ -50,12 +50,14 @@ _SCENARIO_KEYS = {"version", "seed", "params", "topology", "verifiers", "message
 _PARAM_KEYS = {"q", "l", "k", "M", "V", "n", "public_points", "allow_excess_messages"}
 _TOPOLOGY_KEYS = {"version", "q", "source", "nodes", "edges", "kernels", "verifiers", "sinks"}
 _EDGE_KEYS = ("id", "tail", "head")
-# attack.type -> (the subcommand that runs it, its document keys)
+# attack.type -> (the subcommand that runs it, its help, its document keys)
 _ATTACKS = {
-    "none": ("simulate", {"type"}),
-    "forge": ("forge", {"type", "coeffs", "target"}),
-    "pollute": ("pollute", {"type", "node", "edge", "coeffs"}),
-    "recover": ("recover", {"type"}),
+    "none": ("simulate", "run a scenario without any attack", {"type"}),
+    "forge": ("forge", "run a scenario with a forgery attack", {"type", "coeffs", "target"}),
+    "pollute": (
+        "pollute", "run a scenario with an in-network substitution", {"type", "node", "edge", "coeffs"}
+    ),
+    "recover": ("recover", "run a coalition key-recovery analysis", {"type"}),
 }
 _BUILTIN_TOPOLOGIES = {"butterfly": butterfly, "line": line, "diamond": diamond}
 
@@ -267,7 +269,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     kind = adoc.get("type", "none")
     if not isinstance(kind, str) or kind not in _ATTACKS:
         raise ConfigError("attack.type", f"unknown attack {kind!r}")
-    unknown = set(adoc) - _ATTACKS[kind][1]
+    unknown = set(adoc) - _ATTACKS[kind][2]
     if unknown:
         raise ConfigError("attack", f"unknown fields {sorted(unknown)} for type {kind!r}")
     attack = None
@@ -305,10 +307,15 @@ def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GU
     return _run(load_scenario(doc, seed=seed), guard)
 
 
+def _keys(sc: Scenario):
+    """The scenario's source key and verifier keys, drawn from its `keys` substream."""
+    return keygen(sc.params, _substream(sc.seed, "keys").getrandbits(64))
+
+
 def _run(sc: Scenario, guard: int) -> dict:
     params, net, kind = sc.params, sc.network, sc.attack_type
     field = params.field
-    skey, vkeys = keygen(params, _substream(sc.seed, "keys").getrandbits(64))
+    skey, vkeys = _keys(sc)
     packets = [tag(skey, s) for s in sc.messages]
     flow = simulate(net, packets, [sc.attack] if kind == "pollute" else [])
 
@@ -415,7 +422,7 @@ def _recover(params, flow, vkeys, coalition, messages, guard):
 def keygen_report(doc: dict, seed: int | None = None) -> dict:
     """Generate and dump one key generation (lab tool: secrets included)."""
     sc = load_scenario(doc, seed=seed)
-    skey, vkeys = keygen(sc.params, _substream(sc.seed, "keys").getrandbits(64))
+    skey, vkeys = _keys(sc)
     return {
         "report_version": REPORT_VERSION,
         "seed": sc.seed,
@@ -444,12 +451,16 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
 # sweep over coalition-count instances
 
 
-@dataclass(frozen=True)
-class SweepRow(RecoveryResult):
-    """One sweep instance: its recovery result, the members' edge counts and its index."""
-
-    edge_counts: tuple[int, ...]
-    seed: int
+# The one dataclass: the benchmark digests every sweep row with dataclasses.asdict.
+SweepRow = dataclasses.make_dataclass(
+    "SweepRow",
+    [*RecoveryResult._fields, "edge_counts", "seed"],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One sweep instance: its recovery result, the members' edge counts and its index.",
+    },
+)
 
 
 SweepResult = namedtuple("SweepResult", "rows summary")
@@ -531,7 +542,7 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
     res = _recover(params, flow, vkeys, coalition, messages, guard)
-    return SweepRow(**vars(res), edge_counts=edge_counts, seed=idx)
+    return SweepRow(*res, edge_counts, idx)
 
 
 def render_sweep(result: SweepResult) -> str:
@@ -625,12 +636,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     scenario_command("keygen", "generate and dump keys for a scenario")
-    scenario_command("simulate", "run a scenario without any attack")
-    scenario_command("forge", "run a scenario with a forgery attack")
-    scenario_command("pollute", "run a scenario with an in-network substitution")
-    recover = scenario_command("recover", "run a coalition key-recovery analysis")
-    recover.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD,
-                         help="brute-force candidate budget")
+    for kind, (name, help_text, _) in _ATTACKS.items():
+        p = scenario_command(name, help_text)
+        p.set_defaults(attack_type=kind)
+        if kind == "recover":
+            p.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD,
+                           help="brute-force candidate budget")
 
     sweep = sub.add_parser("lemma-sweep", help="sweep instances and check key-count formulas")
     sweep.add_argument("--q", type=_int_list, default=(2, 3))
@@ -671,9 +682,11 @@ def _dispatch(args) -> str:
     if args.command == "keygen":
         return _dump(keygen_report(doc, seed=args.seed))
     sc = load_scenario(doc, seed=args.seed)
-    expected = next(t for t, (command, _) in _ATTACKS.items() if command == args.command)
-    if sc.attack_type != expected:
-        raise ConfigError("attack.type", f"subcommand {args.command!r} expects {expected!r}, got {sc.attack_type!r}")
+    if sc.attack_type != args.attack_type:
+        raise ConfigError(
+            "attack.type",
+            f"subcommand {args.command!r} expects {args.attack_type!r}, got {sc.attack_type!r}",
+        )
     return _dump(_run(sc, getattr(args, "guard", BRUTE_FORCE_GUARD)))  # only recover takes --guard
 
 

@@ -352,9 +352,6 @@ class _PrimeField(Field):
 
     __slots__ = ()
 
-    def coeffs(self, code):
-        return (code,)
-
     def add(self, a, b):
         return (a + b) % self.q
 
@@ -658,9 +655,6 @@ class _BinaryPacking(Packing):
 
     def _adder(self, unit: int):
         return operator.xor, operator.xor
-
-    def scale(self, c: int, v: int) -> int:
-        return v  # c = 1, the only nonzero scalar
 
     def add_mul(self, v: int, entry: int, powers) -> int:
         for p in powers:

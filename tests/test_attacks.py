@@ -1,6 +1,5 @@
 """Forgery construction/steering and coalition recovery counting."""
 
-import dataclasses
 import itertools
 import random
 
@@ -361,7 +360,7 @@ def test_analyze_recovery_compares_three_counts():
     params, skey, vkeys, messages, packets, view = hand_instance()
     system = build_recovery_system(params, view, vkeys, messages)
     res = analyze_recovery(system)
-    meta = vars(system.meta)
+    meta = system.meta._asdict()
     assert {name: getattr(res, name) for name in meta} == meta  # the shape fields, flat
     assert res.candidates == 16
     assert (res.consistent, res.rank, res.predicted_rank) == (True, 3, 3)
@@ -371,7 +370,7 @@ def test_analyze_recovery_compares_three_counts():
     assert refused.brute is None and refused.skipped and refused.count_match is None
     assert (refused.consistent, refused.gauss, refused.rank) == (True, 2, 3)
     # r0 = 0 predicts rank 2 and count 4 against the system's 3 and 2
-    wrong = system._replace(meta=dataclasses.replace(system.meta, r0=0))
+    wrong = system._replace(meta=system.meta._replace(r0=0))
     off = analyze_recovery(wrong)
     assert (off.predicted_rank, off.predicted) == (2, 4) and (off.rank, off.gauss) == (3, 2)
     assert not off.rank_match and off.count_match is False

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncauth import Field, SourceKey, tag
 from ncauth.cli import (
     ConfigError,
     keygen_report,
@@ -538,6 +539,17 @@ def test_keygen_report_is_deterministic():
     assert all(len(row) == 3 for row in a["source_key"])  # k columns
     assert len(a["verifier_keys"]) == 6
     assert all(len(vk["evals"]) == 3 for vk in a["verifier_keys"])
+
+
+def test_keygen_report_holds_the_key_the_scenario_tags_with():
+    path = Path(__file__).resolve().parent.parent / "configs" / "forge_target.json"
+    doc = json.loads(path.read_text())
+    keys, report = keygen_report(doc), run_scenario(doc)
+    field = Field(keys["params"]["q"], keys["params"]["l"])
+    assert list(field.modulus) == keys["modulus"]
+    skey = SourceKey(tuple(tuple(map(field, poly)) for poly in keys["source_key"]))
+    atk = report["attack"]
+    assert list(tag(skey, field(atk["payload"])).flat) == atk["packet"]
 
 
 def test_lemma_sweep_small():

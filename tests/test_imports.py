@@ -48,12 +48,13 @@ def test_modules_import_only_earlier_layers(path):
     assert package <= set(earlier)
 
 
-# Sweep rows stay dataclasses because the benchmark digests each one with
-# dataclasses.asdict; every other record is a namedtuple.  A frozen dataclass
-# costs about 0.5 ms to create in a fresh Python 3.11 interpreter against
-# 0.07 ms for a namedtuple (medians of 21 fresh runs), and `import ncauth`
-# pays that for every record at each command-line start.
-DIGESTED_DATACLASSES = {"RecoveryMeta", "RecoveryResult", "SweepRow"}
+# The sweep row stays a dataclass because the benchmark digests each one with
+# dataclasses.asdict; every other record, the recovery records it is built
+# from included, is a namedtuple.  A frozen dataclass costs about 0.5 ms to
+# create in a fresh Python 3.11 interpreter against 0.07 ms for a namedtuple
+# (medians of 21 fresh runs), and `import ncauth` pays that for every record
+# at each command-line start.
+DIGESTED_DATACLASSES = {"SweepRow"}
 
 
 def test_only_the_digested_sweep_records_are_dataclasses():
@@ -66,3 +67,8 @@ def test_only_the_digested_sweep_records_are_dataclasses():
                 if "__dataclass_fields__" in vars(cls):  # declared here, not inherited
                     found.add(cls_name)
     assert found == DIGESTED_DATACLASSES
+
+
+def test_only_the_sweep_row_module_imports_dataclasses():
+    importers = {path.name for path in SOURCES if "dataclasses" in imported_modules(path)}
+    assert importers == {"cli.py"}

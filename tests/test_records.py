@@ -1,5 +1,9 @@
 """Value semantics of the records the program passes around: equal fields, equal records."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from ncauth import (
@@ -11,13 +15,16 @@ from ncauth import (
     ForgerySpec,
     Intervention,
     InterventionRecord,
+    RecoveryResult,
     RecoverySystem,
     Scenario,
     SourceKey,
     SweepResult,
+    SweepRow,
     SystemParams,
     TaggedPacket,
     VerifierKey,
+    analyze_recovery,
     build_recovery_system,
     butterfly,
     coalition_view,
@@ -53,6 +60,10 @@ BUILDERS = {
     "DecodeResult": lambda: decode(VIEW),
     "CoalitionView": lambda: coalition_view(FLOW, ["m"]),
     "RecoverySystem": lambda: build_recovery_system(PARAMS, VIEW, VKEYS[2:3], MESSAGES),
+    "RecoveryMeta": lambda: build_recovery_system(PARAMS, VIEW, VKEYS[2:3], MESSAGES).meta,
+    "RecoveryResult": lambda: analyze_recovery(
+        build_recovery_system(PARAMS, VIEW, VKEYS[2:3], MESSAGES)
+    ),
     "Scenario": lambda: Scenario({"seed": 0}, 0, PARAMS, NET, tuple(MESSAGES), (), "none", None),
     "SweepResult": lambda: lemma_sweep([2], [1], [2], [1], [1], reps=1),
 }
@@ -61,7 +72,7 @@ UNHASHABLE = {"FlowState", "RecoverySystem", "Scenario", "SweepResult"}
 
 
 def test_every_record_is_covered():
-    assert len(BUILDERS) == 14
+    assert len(BUILDERS) == 16
     assert {type(build()).__name__ for build in BUILDERS.values()} == set(BUILDERS)
 
 
@@ -82,6 +93,18 @@ def test_records_are_immutable_values(name):
     text = repr(a)
     assert text.startswith(f"{name}(")
     assert all(f"{field}=" in text for field in a._fields)
+
+
+def test_sweep_row_is_the_recovery_result_plus_two_columns():
+    row = lemma_sweep([2], [1], [2], [1], [1], reps=1).rows[0]
+    names = tuple(f.name for f in dataclasses.fields(SweepRow))
+    assert names == RecoveryResult._fields + ("edge_counts", "seed")  # the digest's order
+    assert SweepRow.__module__ == "ncauth.cli"
+    assert copy.copy(row) == copy.deepcopy(row) == pickle.loads(pickle.dumps(row)) == row
+    assert hash(pickle.loads(pickle.dumps(row))) == hash(row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.seed = 1
+    assert row.seed == 0
 
 
 def test_packet_views_are_cached_and_read_only():
