@@ -106,7 +106,7 @@ def build_recovery_system(
     # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
     # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.
     pk = packing(fld, M + 1)
-    add, scale = pk.add, pk.scale
+    add_mul, q = pk.add_mul, fld.q
     block = pk.ew * (M + 1)
     powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
 
@@ -114,9 +114,7 @@ def build_recovery_system(
     for h in view.h_rows:
         acc = 0
         for w, srow in zip(h, powers_matrix):
-            w %= fld.q  # a kernel entry is an F_q scalar; scale takes 0 < w < q
-            if w:
-                acc = add(acc, scale(w, srow))
+            acc = add_mul(acc, w % q, (srow,))  # an F_q scalar: coordinate 0 only
         mixed_rows.append(acc)
 
     crows, crhs = [], []

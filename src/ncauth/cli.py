@@ -203,9 +203,9 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     m_count = _require(pdoc, "M", int, "params")
     v_count = _require(pdoc, "V", int, "params")
     n_count = _require(pdoc, "n", int, "params")
-    allow_excess = pdoc.get("allow_excess_messages", False)
-    if not isinstance(allow_excess, bool):
-        raise ConfigError("params.allow_excess_messages", "expected bool")
+    allow_excess = False
+    if "allow_excess_messages" in pdoc:
+        allow_excess = _require(pdoc, "allow_excess_messages", bool, "params")
 
     if "public_points" in pdoc:
         pts = tuple(

@@ -423,6 +423,21 @@ class _TableField(_PolyField):
         return self.exp[self.log[a] * self.qpow[i] % self.n] if a else 0
 
 
+def _checked(op: str):
+    """The Fel operator that runs its field's code operation `op` on two of its elements."""
+
+    def method(self, other):
+        if not isinstance(other, Fel):
+            return NotImplemented  # so Python raises TypeError
+        f = self.field
+        if other.field is not f:
+            raise ValueError("mixed-field arithmetic")
+        return _fel(f, getattr(f, op)(self.code, other.code))
+
+    method.__name__ = f"__{op}__"
+    return method
+
+
 class Fel:
     """An element of F_{q^l}, held as its int code; ``Field.__call__`` makes one."""
 
@@ -440,29 +455,9 @@ class Fel:
         """The l coordinates, low degree first."""
         return self.field.coeffs(self.code)
 
-    def __add__(self, other):
-        if not isinstance(other, Fel):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            raise ValueError("mixed-field arithmetic")
-        return _fel(f, f.add(self.code, other.code))
-
-    def __sub__(self, other):
-        if not isinstance(other, Fel):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            raise ValueError("mixed-field arithmetic")
-        return _fel(f, f.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        if not isinstance(other, Fel):
-            return NotImplemented
-        f = self.field
-        if other.field is not f:
-            raise ValueError("mixed-field arithmetic")
-        return _fel(f, f.mul(self.code, other.code))
+    __add__ = _checked("add")
+    __sub__ = _checked("sub")
+    __mul__ = _checked("mul")
 
     def inv(self):
         if not self.code:
@@ -564,12 +559,6 @@ class Packing:
             return s - ((s + adj & high) >> shift) * q
 
         return add, sub
-
-    def coerce(self, value) -> int:
-        """The packed entry of `value`, coerced as ``Field.__call__`` coerces it: its code."""
-        if type(value) is int:
-            return value % self.field.q  # a base-field scalar: coordinate 0 only
-        return self.field(value).code
 
     def pack(self, entries) -> int:
         """The packed vector of a sequence of `size` packed entries."""

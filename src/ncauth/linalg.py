@@ -41,11 +41,10 @@ class Matrix:
         elif cols is None:
             raise ValueError("column count required for an empty matrix")
         pk = packing(field, cols)
-        coerce = pk.coerce
         self.field = field
         self.rows = len(rows)
         self.cols = cols
-        self.packed = tuple([pk.pack([coerce(x) for x in row]) for row in rows])
+        self.packed = tuple([pk.pack([field(x).code for x in row]) for row in rows])
 
     @classmethod
     def _from_packed(cls, field: Field, packed, cols: int) -> "Matrix":

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ncauth").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ncauth").glob("*.py"))
+PYTHON_FLOOR = (3, 10)  # the oldest Python pyproject.toml declares
 # each module may import only those before it; __init__ and __main__ are the package's front
 LAYERS = ("field", "linalg", "scheme", "netsim", "attacks", "cli")
 
@@ -29,6 +31,13 @@ def imported_modules(path):
 def test_imports_are_stdlib_or_ncauth(path):
     tops = {name.partition(".")[0] for name in imported_modules(path)}
     assert tops - sys.stdlib_module_names - {"ncauth"} == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sources_parse_at_the_declared_python_floor(path):
+    # syntax newer than the floor (except*, type aliases, PEP 695 generics) fails here
+    assert 'requires-python = ">=%d.%d"' % PYTHON_FLOOR in (ROOT / "pyproject.toml").read_text()
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
 
 
 def test_sources_found():

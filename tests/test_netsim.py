@@ -68,6 +68,8 @@ def test_line_and_diamond_kernels():
     assert all(v == (1,) for v in gk.values())
     gk2 = honest_kernels(diamond(5))
     assert gk2["e3"] == (1, 0) and gk2["e4"] == (0, 1)
+    with pytest.raises(ValueError, match="line needs at least one hop"):
+        line(3, hops=0)
 
 
 def test_zero_kernel_propagates_zero():
