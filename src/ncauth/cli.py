@@ -79,13 +79,26 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
+def _named(where, make, *args):
+    """make(*args), its ValueError refused as a ConfigError that names `where`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from exc
+
+
+def _known(doc, keys, where, suffix=""):
+    """Refuse the fields of `doc` outside `keys`, sorted, naming `where`."""
+    unknown = set(doc) - keys
+    if unknown:
+        raise ConfigError(where, f"unknown fields {sorted(unknown)}{suffix}")
+
+
 def _check_document(doc, where, keys, version_field, version):
     """An object with no unknown fields and the integer `version`."""
     if not isinstance(doc, dict):
         raise ConfigError(where, "document must be an object")
-    unknown = set(doc) - keys
-    if unknown:
-        raise ConfigError(where, f"unknown fields {sorted(unknown)}")
+    _known(doc, keys, where)
     found = doc.get("version")
     if not _is(found, int) or found != version:  # True and 1.0 equal 1
         raise ConfigError(version_field, f"expected {version}, got {found!r}")
@@ -115,10 +128,7 @@ def _require_sum_one(adoc, q: int, count: int) -> ForgerySpec:
     coeffs = _require_list(adoc, "coeffs", int, "attack")
     if len(coeffs) != count:
         raise ConfigError("attack.coeffs", f"expected {count} coefficients")
-    try:
-        return ForgerySpec(q, coeffs)
-    except ValueError as exc:
-        raise ConfigError("attack.coeffs", str(exc)) from exc
+    return _named("attack.coeffs", ForgerySpec, q, coeffs)
 
 
 def network_from_dict(doc: dict) -> Network:
@@ -139,18 +149,7 @@ def network_from_dict(doc: dict) -> Network:
             raise ConfigError(f"topology.kernels.{node}", "expected a list of rows")
     verifiers = _require(doc, "verifiers", dict, "topology") if "verifiers" in doc else {}
     sinks = _require_list(doc, "sinks", str, "topology") if "sinks" in doc else ()
-    try:
-        return Network(q, source, nodes, edges, kernels, verifiers, sinks)
-    except ValueError as exc:
-        raise ConfigError("topology", str(exc)) from exc
-
-
-def _coerce_element(field: Field, value, where: str) -> Fel:
-    """An element given as a base-field integer or a list of its l coordinates."""
-    try:
-        return field(value)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from exc
+    return _named("topology", Network, q, source, nodes, edges, kernels, verifiers, sinks)
 
 
 def _sample_points(field: Field, count: int, rng: random.Random, where: str):
@@ -190,15 +189,10 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         raise ConfigError("seed", "must be an integer")
 
     pdoc = _require(doc, "params", dict)
-    unknown = set(pdoc) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError("params", f"unknown fields {sorted(unknown)}")
+    _known(pdoc, _PARAM_KEYS, "params")
     q = _require(pdoc, "q", int, "params")
     l = _require(pdoc, "l", int, "params")
-    try:
-        field = Field(q, l)
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from exc
+    field = _named("params", Field, q, l)
     k = _require(pdoc, "k", int, "params")
     m_count = _require(pdoc, "M", int, "params")
     v_count = _require(pdoc, "V", int, "params")
@@ -209,15 +203,12 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
 
     if "public_points" in pdoc:
         pts = tuple(
-            _coerce_element(field, p, f"params.public_points[{i}]")
+            _named(f"params.public_points[{i}]", field, p)
             for i, p in enumerate(_require(pdoc, "public_points", list, "params"))
         )
     else:
         pts = _sample_points(field, v_count, _substream(eff_seed, "points"), "params.V")
-    try:
-        params = SystemParams(field, k, m_count, v_count, n_count, pts, allow_excess)
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from exc
+    params = _named("params", SystemParams, field, k, m_count, v_count, n_count, pts, allow_excess)
 
     top = doc.get("topology")
     if isinstance(top, str):
@@ -235,10 +226,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         for node, idx in vmap.items():
             if not _is(idx, int):
                 raise ConfigError(f"verifiers.{node}", "seat must be an integer")
-        try:
-            net = net.with_verifiers(vmap)
-        except ValueError as exc:
-            raise ConfigError("verifiers", str(exc)) from exc
+        net = _named("verifiers", net.with_verifiers, vmap)
     for node, idx in net.verifiers.items():
         if idx >= params.V:
             raise ConfigError("verifiers", f"node {node!r} wants seat {idx} but V={params.V}")
@@ -249,9 +237,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         raw_msgs = _require(doc, "messages", list)
         if len(raw_msgs) != params.n:
             raise ConfigError("messages", f"expected {params.n} payloads, got {len(raw_msgs)}")
-        messages = tuple(
-            _coerce_element(field, s, f"messages[{i}]") for i, s in enumerate(raw_msgs)
-        )
+        messages = tuple(_named(f"messages[{i}]", field, s) for i, s in enumerate(raw_msgs))
     else:
         rng = _substream(eff_seed, "messages")
         messages = tuple(field.random_element(rng) for _ in range(params.n))
@@ -269,9 +255,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
     kind = adoc.get("type", "none")
     if not isinstance(kind, str) or kind not in _ATTACKS:
         raise ConfigError("attack.type", f"unknown attack {kind!r}")
-    unknown = set(adoc) - _ATTACKS[kind][2]
-    if unknown:
-        raise ConfigError("attack", f"unknown fields {sorted(unknown)} for type {kind!r}")
+    _known(adoc, _ATTACKS[kind][2], "attack", f" for type {kind!r}")
     attack = None
     if kind == "forge":
         if "coeffs" in adoc and "target" in adoc:
@@ -279,7 +263,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         if "coeffs" in adoc:
             attack = _require_sum_one(adoc, q, params.n)
         elif "target" in adoc:
-            attack = _coerce_element(field, adoc["target"], "attack.target")
+            attack = _named("attack.target", field, adoc["target"])
         else:
             attack = ForgerySpec(q, _sum_one_coeffs(q, params.n, _substream(eff_seed, "forge")))
     elif kind == "pollute":
@@ -297,8 +281,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
         if not adversaries:
             raise ConfigError("adversaries", "recover needs at least one adversary node")
 
-    echo = dict(doc)
-    echo["seed"] = eff_seed
+    echo = {**doc, "seed": eff_seed}
     return Scenario(echo, eff_seed, params, net, messages, adversaries, kind, attack)
 
 

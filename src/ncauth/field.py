@@ -15,8 +15,8 @@ that view doubles as the fixed F_q-linear identification of F_q^l with
 F_{q^l}.  The code is also the element's packed entry (``Packing``), so
 elements and packed vectors share one integer form.  Arithmetic on codes
 takes one of three paths, fixed by (q, l) and held by the field as its
-class.  For 1 < l a sum or difference is the packed sum or difference of
-one entry (``Packing``) on every path, and the paths differ in the
+class.  For every field a sum or difference is the packed sum or
+difference of one entry (``Packing``), and the paths differ in the
 product, inverse and Frobenius map:
 
 * l = 1: integers mod q.
@@ -258,7 +258,7 @@ _FIELDS: dict[tuple[int, int], Field] = {}
 class Field:
     """F_{q^l}: one object per (q, l), whose class is its arithmetic on codes."""
 
-    __slots__ = ("q", "l", "order", "modulus", "w", "shifts", "zero", "one")
+    __slots__ = ("q", "l", "order", "modulus", "w", "shifts", "zero", "one", "add", "sub")
 
     def __new__(cls, q: int, l: int):
         # A float or bool hashes equal to an int: only ints may hit the cache.
@@ -292,6 +292,8 @@ class Field:
         self.shifts = tuple(w * t for t in range(l))  # where each coordinate of a code starts
         self.zero = _fel(self, 0)
         self.one = _fel(self, 1)
+        pk = packing(self, 1)
+        self.add, self.sub = pk.add, pk.sub
 
     def __reduce__(self):
         # copies and unpickled fields are the one object of their (q, l)
@@ -352,12 +354,6 @@ class _PrimeField(Field):
 
     __slots__ = ()
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
     def mul(self, a, b):
         return a * b % self.q
 
@@ -369,18 +365,13 @@ class _PrimeField(Field):
 
 
 class _PolyField(Field):
-    """1 < l: one-entry packed sums, and polynomials in x modulo the field's modulus.
+    """1 < l: polynomials in x modulo the field's modulus.
 
     The polynomial product, inverse and Frobenius map, on the coordinates,
     serve every order above TABLE_ORDER.
     """
 
-    __slots__ = ("add", "sub")
-
-    def _setup(self, q: int, l: int):
-        super()._setup(q, l)
-        pk = packing(self, 1)
-        self.add, self.sub = pk.add, pk.sub
+    __slots__ = ()
 
     def mul(self, a, b):
         q = self.q
@@ -504,7 +495,7 @@ class Packing:
     Coordinate t of entry j sits in slot j*l + t, ``Field.w`` bits wide, so
     an element's packed entry is its code.  ``add`` and ``sub`` are the one
     packed sum and difference; with one entry they are the element sum and
-    difference of every field with 1 < l.  For odd q a slot is
+    difference of every field.  For odd q a slot is
     q.bit_length() + 1 bits: two reduced vectors add without a carry between
     slots (each slot stays below 2q < 2^w), and so does u + q - v, and the
     result reduces every slot from [0, 2q) to [0, q) at once: adding

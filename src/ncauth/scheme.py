@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import cached_property
 
 from .field import Fel, Field, _fel
 from .linalg import Matrix
@@ -106,11 +105,11 @@ class TaggedPacket(namedtuple("TaggedPacket", "field flat")):
 
     One header symbol, the payload's l coordinates, then the l coordinates of
     each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
-    views of that vector, built once per packet from its reduced symbols, and
+    views of that vector, built from its reduced symbols on each read, and
     every F_q-linear operation on packets is a `mix` of their flat vectors.
     """
 
-    # no __slots__: the cached `m` and `tag` views live in the instance __dict__
+    __slots__ = ()
 
     def __new__(cls, field, flat):
         flat = tuple(flat)
@@ -133,18 +132,15 @@ class TaggedPacket(namedtuple("TaggedPacket", "field flat")):
         """The packet of a valid-length tuple of symbols already in [0, q), taken unchecked."""
         return tuple.__new__(cls, (field, flat))
 
-    def __setattr__(self, name, value):  # cached_property writes __dict__ directly
-        raise AttributeError(f"cannot assign {name!r}: a packet is immutable")
-
     @property
     def c(self) -> int:
         return self.flat[0]
 
-    @cached_property
+    @property
     def m(self) -> Fel:
         return _fel(self.field, self.field.code(self.flat[1 : 1 + self.field.l]))
 
-    @cached_property
+    @property
     def tag(self) -> tuple[Fel, ...]:
         fld, flat, l = self.field, self.flat, self.field.l
         return tuple(_fel(fld, fld.code(flat[i : i + l])) for i in range(1 + l, len(flat), l))

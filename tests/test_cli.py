@@ -410,6 +410,15 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
         pytest.param(
             lambda d: d.update(attack={"type": "recover"}), "adversaries", id="<lambda>-adversaries1"
         ),
+        pytest.param(
+            lambda d: d.update(verifiers={"u1": 0, "u2": 0}), "verifiers", id="verifiers-shared-seat"
+        ),
+        pytest.param(
+            lambda d: d["params"].update(public_points=[[1, 0, 0]] * 6),
+            "params",
+            id="params-equal-points",
+        ),
+        pytest.param(lambda d: d["params"].update(k=1), "params", id="params-k-below-2"),
         *BAD_CONTAINERS,
         *BAD_VALUES,
     ],
@@ -421,6 +430,26 @@ def test_config_errors_name_the_offending_field(mutate, field):
     with pytest.raises(ConfigError) as err:
         load_scenario(doc)
     assert str(err.value).startswith(field + ":"), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d.update(bogus=1), "scenario: unknown fields ['bogus']"),
+        (lambda d: d["params"].update(extra=1), "params: unknown fields ['extra']"),
+        (
+            lambda d: d.update(attack={"type": "forge", "node": "m"}),
+            "attack: unknown fields ['node'] for type 'forge'",
+        ),
+    ],
+    ids=["scenario", "params", "attack"],
+)
+def test_unknown_fields_are_listed(mutate, message):
+    doc = butterfly_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError) as err:
+        load_scenario(doc)
+    assert str(err.value) == message
 
 
 def test_point_shortage_names_the_nonzero_point_count():

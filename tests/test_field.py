@@ -203,7 +203,10 @@ def test_arithmetic_matches_reference(args):
         assert a.frob(i).coeffs == support.reference_pow(fld, x, q**i)
 
 
-@pytest.mark.parametrize("q,l", [(65521, 2), (257, 2), (251, 2), (3, 10), (3, 5), (2, 16)])
+@pytest.mark.parametrize(
+    "q,l",
+    [(65521, 2), (257, 2), (251, 2), (3, 10), (3, 5), (2, 16), (2, 1), (3, 1), (65521, 1)],
+)
 def test_sum_and_difference_at_slot_extremes(q, l):
     # a carry-free packed slot is tightest where coordinates reach q - 1,
     # which random draws seldom combine: every coordinate from these four
@@ -215,6 +218,14 @@ def test_sum_and_difference_at_slot_extremes(q, l):
         a, b = F(list(x)), F(list(y))
         assert (a + b).coeffs == tuple((u + v) % q for u, v in zip(x, y))
         assert (a - b).coeffs == tuple((u - v) % q for u, v in zip(x, y))
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (3, 1), (65521, 1), (2, 8), (3, 5), (257, 2)])
+def test_every_field_sums_by_one_packed_entry(q, l):
+    # one sum and difference on every path, prime fields included
+    F = Field(q, l)
+    pk = packing(F, 1)
+    assert F.add is pk.add and F.sub is pk.sub
 
 
 @pytest.mark.parametrize(

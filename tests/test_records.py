@@ -107,14 +107,16 @@ def test_sweep_row_is_the_recovery_result_plus_two_columns():
     assert row.seed == 0
 
 
-def test_packet_views_are_cached_and_read_only():
+def test_packet_views_are_read_only():
     flat = PACKETS[1].flat
     checked, unchecked = TaggedPacket(F, flat), TaggedPacket._from_reduced(F, flat)
     assert checked == unchecked
     assert (checked.m, checked.tag) == (unchecked.m, unchecked.tag) == (MESSAGES[1], PACKETS[1].tag)
-    assert checked.m is checked.m  # built once
+    assert not hasattr(checked, "__dict__")
     with pytest.raises(AttributeError):
         checked.m = MESSAGES[0]
+    with pytest.raises(AttributeError):
+        checked.note = "a new attribute"
     assert checked.m == MESSAGES[1]
 
 
