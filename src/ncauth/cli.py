@@ -295,9 +295,25 @@ def _keys(sc: Scenario):
     return keygen(sc.params, _substream(sc.seed, "keys").getrandbits(64))
 
 
+def _plain(value):
+    """The one JSON form of a report value.
+
+    An element becomes its coordinate list, a record the object of its
+    fields, and a tuple or list a list, recursively.  Anything else passes
+    through.  Sequences are tested first, so ints never reach ``hasattr``,
+    and the int entries of a flat packet skip the call.
+    """
+    if isinstance(value, (list, tuple)):
+        if hasattr(value, "_asdict"):
+            return {name: _plain(v) for name, v in value._asdict().items()}
+        return [v if type(v) is int else _plain(v) for v in value]
+    if isinstance(value, Fel):
+        return list(value.coeffs)
+    return value
+
+
 def _run(sc: Scenario, guard: int) -> dict:
     params, net, kind = sc.params, sc.network, sc.attack_type
-    field = params.field
     skey, vkeys = _keys(sc)
     packets = [tag(skey, s) for s in sc.messages]
     flow = simulate(net, packets, [sc.attack] if kind == "pollute" else [])
@@ -318,7 +334,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             "ok": res.ok,
             "rank": res.rank,
             "reason": res.reason,
-            "payloads": [list(p.coeffs) for p in res.payloads] if res.ok else None,
+            "payloads": _plain(res.payloads) if res.ok else None,
             "diverged": (res.payloads != sc.messages) if res.ok else None,
         }
 
@@ -327,9 +343,9 @@ def _run(sc: Scenario, guard: int) -> dict:
         "flat_layout": FLAT_LAYOUT,
         "seed": sc.seed,
         "scenario": sc.raw,
-        "modulus": list(field.modulus),
-        "public_points": [list(p.coeffs) for p in params.public_points],
-        "messages": [list(s.coeffs) for s in sc.messages],
+        "modulus": _plain(params.field.modulus),
+        "public_points": _plain(params.public_points),
+        "messages": _plain(sc.messages),
         "accepts": accepts,
         "non_informative": non_informative,
         "decodes": decodes,
@@ -340,7 +356,7 @@ def _run(sc: Scenario, guard: int) -> dict:
     if kind == "forge":
         spec = sc.attack
         if isinstance(spec, Fel):
-            out["target"] = list(spec.coeffs)
+            out["target"] = _plain(spec)
             spec = solve_target_coeffs(sc.messages, spec)
         out["reachable"] = spec is not None
         if spec is not None:
@@ -348,7 +364,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             accepts_vec = [verify(vk, forged) for vk in vkeys]
             out.update(
                 coeffs=list(spec.coeffs),
-                payload=list(forged.m.coeffs),
+                payload=_plain(forged.m),
                 packet=list(forged.flat),
                 verifier_accepts=accepts_vec,
                 accepted_by_all=all(accepts_vec),
@@ -362,17 +378,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             node=sc.attack.node,
             edge=sc.attack.edge,
             coeffs=list(sc.attack.coeffs),
-            records=[
-                {
-                    "node": r.node,
-                    "edge": r.edge,
-                    "coeffs": list(r.coeffs),
-                    "honest": list(r.honest),
-                    "injected": list(r.injected),
-                    "changed": r.changed,
-                }
-                for r in flow.log
-            ],
+            records=[{**_plain(r), "changed": r.changed} for r in flow.log],
             any_divergence=any(d["ok"] and d["diverged"] for d in decodes.values()),
         )
     elif kind == "recover":
@@ -409,7 +415,7 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
     return {
         "report_version": REPORT_VERSION,
         "seed": sc.seed,
-        "modulus": list(sc.params.field.modulus),
+        "modulus": _plain(sc.params.field.modulus),
         "params": {
             "q": sc.params.field.q,
             "l": sc.params.field.l,
@@ -418,15 +424,8 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
             "V": sc.params.V,
             "n": sc.params.n,
         },
-        "source_key": [[list(c.coeffs) for c in poly] for poly in skey.polys],
-        "verifier_keys": [
-            {
-                "index": vk.index,
-                "point": list(vk.point.coeffs),
-                "evals": [list(e.coeffs) for e in vk.evals],
-            }
-            for vk in vkeys
-        ],
+        "source_key": _plain(skey.polys),
+        "verifier_keys": _plain(vkeys),
     }
 
 
@@ -528,27 +527,26 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     return SweepRow(*res, edge_counts, idx)
 
 
+# Each sweep TSV column, in order: its header and the SweepRow field it shows.
+_SWEEP_COLUMNS = {
+    "q": "q", "l": "l", "k": "k", "M": "M", "K": "K", "n": "n", "edges": "edge_counts",
+    "h_total": "h_total", "r0": "r0", "rank": "rank", "pred_rank": "predicted_rank",
+    "rank_ok": "rank_match", "consistent": "consistent", "predicted": "predicted", "gauss": "gauss",
+    "brute": "brute", "count_ok": "count_match", "h_le_M": "condition_held", "skipped": "skipped",
+}
+
+
+def _cell(value) -> str:
+    """A TSV cell: None and an empty tuple print '-', a tuple prints comma-joined."""
+    if isinstance(value, tuple):
+        value = ",".join(map(str, value))
+    return "-" if value is None or value == "" else str(value)
+
+
 def render_sweep(result: SweepResult) -> str:
-    cols = [
-        "q", "l", "k", "M", "K", "n", "edges", "h_total", "r0", "rank", "pred_rank",
-        "rank_ok", "consistent", "predicted", "gauss", "brute", "count_ok", "h_le_M", "skipped",
-    ]
-    lines = ["\t".join(cols)]
+    lines = ["\t".join(_SWEEP_COLUMNS)]
     for r in result.rows:
-        lines.append(
-            "\t".join(
-                str(v)
-                for v in (
-                    r.q, r.l, r.k, r.M, r.K, r.n,
-                    ",".join(map(str, r.edge_counts)) or "-",
-                    r.h_total, r.r0, r.rank, r.predicted_rank, r.rank_match, r.consistent,
-                    r.predicted, r.gauss,
-                    "-" if r.brute is None else r.brute,
-                    "-" if r.count_match is None else r.count_match,
-                    r.condition_held, r.skipped,
-                )
-            )
-        )
+        lines.append("\t".join(_cell(getattr(r, name)) for name in _SWEEP_COLUMNS.values()))
     s = result.summary
     lines.append(
         f"# rows={s['rows']} checked={s['checked']} skipped={s['skipped']} "

@@ -36,9 +36,9 @@ subtracting or scaling it is a few big-int operations whatever its length.
 Over F_2 a slot is one bit and a sum is an XOR; for odd q a slot has room
 for a carry-free sum, reduced in every slot at once.  ``Packing.add`` and
 ``Packing.sub`` are the one packed sum and difference.  ``packing`` hands
-out one shared instance per (field, size).  Matrices hold their rows in
-it, and row reduction, the recovery rows and the exhaustive key count work
-in it.
+out one shared instance per (field, size), never evicted.  Matrices hold
+their rows in it, and row reduction, the recovery rows and the exhaustive
+key count work in it.
 """
 
 from __future__ import annotations
@@ -644,7 +644,7 @@ class _BinaryPacking(Packing):
         return v
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def packing(field: Field, size: int) -> Packing:
     """The Packing of `size` entries over `field`, shared by every caller."""
     return Packing(field, size)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from ncauth import Field, SourceKey, tag
 from ncauth.cli import (
     ConfigError,
+    SweepResult,
+    SweepRow,
     keygen_report,
     lemma_sweep,
     load_scenario,
@@ -41,6 +44,8 @@ def butterfly_doc(**attack):
 
 
 POLLUTE = {"type": "pollute", "node": "m", "edge": "e4", "coeffs": [0, 1]}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUMMARY = {"rows": 1, "checked": 1, "skipped": 0, "mismatches": 0, "h_exceeds_bound": 0}
 
 
 def forge_coeffs(*coeffs):
@@ -560,6 +565,29 @@ def test_unsafe_flag_allows_excess_messages():
     assert sc.raw["params"]["allow_excess_messages"] is True
 
 
+def test_reports_are_plain_json():
+    # the benchmark compares report values with lists: a tuple left in a report would differ
+    for path in sorted(CONFIGS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for report in (run_scenario(doc), keygen_report(doc)):
+            assert json.loads(json.dumps(report)) == report, path.name
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    config = str(CONFIGS / "line_recover.json")
+    outputs = set()
+    for hash_seed in ("1", "12345"):
+        res = subprocess.run(
+            [sys.executable, "-m", "ncauth", "recover", "--config", config],
+            capture_output=True, text=True, timeout=120, check=False,
+            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.add(res.stdout)
+    assert len(outputs) == 1
+
+
 def test_keygen_report_is_deterministic():
     a = keygen_report(butterfly_doc())
     b = keygen_report(butterfly_doc())
@@ -589,6 +617,24 @@ def test_lemma_sweep_small():
     text = render_sweep(result)
     assert text.splitlines()[0].startswith("q\tl\tk")
     assert "mismatches=0" in text.splitlines()[-1]
+
+
+def test_sweep_columns_show_their_fields():
+    def shown(**values):
+        row = SweepRow(**{**{f.name: f.name for f in dataclasses.fields(SweepRow)}, **values})
+        header, cells, _ = render_sweep(SweepResult((row,), SUMMARY)).splitlines()
+        return dict(zip(header.split("\t"), cells.split("\t")))
+
+    assert list(shown().items()) == list({  # in column order
+        "q": "q", "l": "l", "k": "k", "M": "M", "K": "K", "n": "n", "edges": "edge_counts",
+        "h_total": "h_total", "r0": "r0", "rank": "rank", "pred_rank": "predicted_rank",
+        "rank_ok": "rank_match", "consistent": "consistent", "predicted": "predicted",
+        "gauss": "gauss", "brute": "brute", "count_ok": "count_match",
+        "h_le_M": "condition_held", "skipped": "skipped",
+    }.items())
+    assert shown(edge_counts=(3, 0, 1))["edges"] == "3,0,1"
+    assert shown(edge_counts=())["edges"] == "-"
+    assert shown(brute=None)["brute"] == "-"
 
 
 def test_lemma_sweep_empty_ranges(capsys):

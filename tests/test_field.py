@@ -228,6 +228,14 @@ def test_every_field_sums_by_one_packed_entry(q, l):
     assert F.add is pk.add and F.sub is pk.sub
 
 
+def test_packing_keeps_one_instance_per_size():
+    # more sizes than a bounded cache holds: the field's own packing stays the one handed out
+    F = Field(3, 1)
+    for size in range(1, 301):
+        packing(F, size)
+    assert F.add is packing(F, 1).add
+
+
 @pytest.mark.parametrize(
     "q,l,tables",
     [(7, 1, False), (65521, 1, False), (2, 2, True), (3, 10, True), (251, 2, True),

@@ -1,53 +1,22 @@
 """Golden reports: the command line's output, pinned byte for byte.
 
-Each case runs `ncauth.cli.main` and compares its standard output with a
-file under `tests/golden/`.  A deliberate report change regenerates them:
+Each case in `golden_cases.CASES` runs `ncauth.cli.main` and compares its
+standard output with a file under `tests/golden/`.  A deliberate report
+change regenerates them:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
+import os
+import shutil
+import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from ncauth.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# config file -> the subcommand that runs it
-CONFIG_COMMANDS = {
-    "butterfly_honest": "simulate",
-    "butterfly_pollute": "pollute",
-    "forge_target": "forge",
-    "inline_topology": "simulate",
-    "line_recover": "recover",
-}
-
-CASES = {
-    **{
-        f"{name}.{cmd}.json": [cmd, "--config", str(ROOT / "configs" / f"{name}.json")]
-        for name, cmd in CONFIG_COMMANDS.items()
-    },
-    "butterfly_honest.keygen.json": [
-        "keygen", "--config", str(ROOT / "configs" / "butterfly_honest.json")
-    ],
-    "demo.seed0.txt": ["demo", "--seed", "0"],
-    "lemma_sweep.default.tsv": ["lemma-sweep"],
-}
-
-
-def run_cli(argv) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(argv)
-    assert rc == 0, argv
-    return buf.getvalue()
+from golden_cases import CASES, CONFIG_COMMANDS, GOLDEN, ROOT, drifted, run_cli
 
 
 def test_every_config_has_a_case():
@@ -58,6 +27,24 @@ def test_every_config_has_a_case():
 def test_output_matches_golden(name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert run_cli(CASES[name]) == expected
+
+
+def test_drift_is_named(tmp_path):
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "demo.seed0.txt"
+    path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert drifted(tmp_path) == ["demo.seed0.txt"]
+
+
+def test_golden_check_runs_without_pytest():
+    # the stdlib check under this interpreter, with only src/ on the path
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "golden_cases.py")],
+        capture_output=True, text=True, timeout=120, check=False,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith(f"{len(CASES)}/{len(CASES)} goldens match\n")
 
 
 if __name__ == "__main__":

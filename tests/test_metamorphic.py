@@ -12,10 +12,21 @@ rank, consistency and every key count unchanged.
 
 Scaling.  A nonzero F_q multiple of a valid packet is valid, and a sum-one
 forgery of sum-one forgeries is the forgery of the originals whose
-coefficients compose the two.  Only the public API is used.
+coefficients compose the two.
+
+Names and document order.  Renaming every node and edge of an inline
+topology by a bijection, and reordering its nodes, edges, kernels,
+verifier seats and sinks and the scenario's adversaries, gives the report
+renamed, with the coalition in its new document order.  Each node keeps
+the relative order of its in-edges and of its out-edges: the source's
+out-edges fix the message indices, and a node's in-edges its kernel rows.
+Only the public API is used.
 """
 
+import copy
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +45,11 @@ from ncauth import (
     butterfly,
     coalition_view,
     combine,
+    diamond,
     fan,
     forge,
     keygen,
+    run_scenario,
     simulate,
     tag,
     verify,
@@ -183,3 +196,125 @@ def test_multiples_stay_valid_and_forgeries_compose(ql, k, M, seed):
     twice = forge([forge(packets, a) for a in inner], outer)
     assert twice == forge(packets, composed)
     assert all(verify(v, twice) for v in vkeys)
+
+
+def inline(net):
+    """A builtin topology written out as an inline topology document."""
+    return {
+        "version": 1,
+        "q": net.q,
+        "source": net.source,
+        "nodes": list(net.nodes),
+        "edges": [e._asdict() for e in net.edges],
+        "kernels": {node: [list(r) for r in rows] for node, rows in net.kernels.items()},
+        "verifiers": dict(net.verifiers),
+        "sinks": list(net.sinks),
+    }
+
+
+CONFIG = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "inline_topology.json").read_text()
+)
+BUTTERFLY = {
+    "version": 1,
+    "seed": 5,
+    "params": {"q": 2, "l": 3, "k": 3, "M": 2, "V": 6, "n": 2},
+    "topology": inline(butterfly(2)),
+}
+DIAMOND = {
+    "version": 1,
+    "seed": 8,
+    "params": {"q": 3, "l": 2, "k": 2, "M": 2, "V": 3, "n": 2},
+    "topology": inline(diamond(3)),
+}
+NAMED_DOCS = {
+    "inline": CONFIG,
+    "inline-pollute": {**CONFIG, "attack": {"type": "pollute", "node": "b", "edge": "e5",
+                                            "coeffs": [3, 3]}},
+    "inline-recover": {**CONFIG, "adversaries": ["a", "b"], "attack": {"type": "recover"}},
+    "inline-forge": {**CONFIG, "adversaries": ["a"], "attack": {"type": "forge"}},
+    "butterfly-pollute": {**BUTTERFLY, "attack": {"type": "pollute", "node": "m", "edge": "e4",
+                                                  "coeffs": [0, 1]}},
+    "butterfly-recover": {**BUTTERFLY, "adversaries": ["m", "t1"],
+                          "attack": {"type": "recover"}},
+    "diamond-forge": {**DIAMOND, "adversaries": ["a", "b"],
+                      "attack": {"type": "forge", "target": [1, 2]}},
+    "diamond-recover": {**DIAMOND, "adversaries": ["s", "a"], "attack": {"type": "recover"}},
+}
+
+
+def edge_order(edges, rng):
+    """A random order of `edges` that keeps each node's in-edges and out-edges in order."""
+    pending, order = list(edges), []
+    while pending:
+        ready = [
+            e for e in pending
+            if next(d for d in pending if d["tail"] == e["tail"]) is e
+            and next(d for d in pending if d["head"] == e["head"]) is e
+        ]
+        order.append(ready[rng.randrange(len(ready))])
+        pending.remove(order[-1])
+    return order
+
+
+def rename_and_reorder(doc, rng):
+    """The document renamed and reordered, and its node and edge renamings."""
+    top = doc["topology"]
+
+    def bijection(names, prefix):
+        return dict(zip(names, rng.sample([f"{prefix}{i}" for i in range(len(names))], len(names))))
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    nodes = bijection(top["nodes"], "v")
+    edges = bijection([e["id"] for e in top["edges"]], "d")
+    new = {
+        **doc,
+        "topology": {
+            **top,
+            "source": nodes[top["source"]],
+            "nodes": shuffled(nodes[v] for v in top["nodes"]),
+            "edges": [
+                {"id": edges[e["id"]], "tail": nodes[e["tail"]], "head": nodes[e["head"]]}
+                for e in edge_order(top["edges"], rng)
+            ],
+            "kernels": {nodes[v]: rows for v, rows in shuffled(top["kernels"].items())},
+            "verifiers": {nodes[v]: seat for v, seat in shuffled(top["verifiers"].items())},
+            "sinks": shuffled(nodes[v] for v in top["sinks"]),
+        },
+    }
+    if "adversaries" in doc:
+        new["adversaries"] = shuffled(nodes[v] for v in doc["adversaries"])
+    if doc.get("attack", {}).get("type") == "pollute":
+        new["attack"] = {**doc["attack"], "node": nodes[doc["attack"]["node"]],
+                         "edge": edges[doc["attack"]["edge"]]}
+    return new, nodes, edges
+
+
+def renamed_report(report, doc, nodes, edges):
+    """`report` with every name mapped and the echo and coalition taken from `doc`."""
+    out = copy.deepcopy(report)
+    out["scenario"] = {**doc, "seed": report["seed"]}
+    out["accepts"] = {
+        nodes[v]: {edges[e]: ok for e, ok in row.items()} for v, row in report["accepts"].items()
+    }
+    out["non_informative"] = sorted([nodes[v], edges[e]] for v, e in report["non_informative"])
+    out["decodes"] = {nodes[s]: d for s, d in report["decodes"].items()}
+    attack = out["attack"]
+    if attack["type"] == "pollute":
+        for rec in [attack, *attack["records"]]:
+            rec["node"], rec["edge"] = nodes[rec["node"]], edges[rec["edge"]]
+    if "coalition" in attack:
+        attack["coalition"] = doc["adversaries"]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NAMED_DOCS)), st.integers(0, 2**32))
+def test_renaming_and_reordering_a_topology_renames_the_report(name, seed):
+    doc = NAMED_DOCS[name]
+    new, nodes, edges = rename_and_reorder(doc, random.Random(seed))
+    assert run_scenario(new) == renamed_report(run_scenario(doc), new, nodes, edges)
