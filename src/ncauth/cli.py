@@ -5,14 +5,13 @@ optional attack into one experiment.  One set of helpers parses it and its
 inline topology, naming the offending field; names must be strings.  All
 randomness is derived from the scenario seed through named substreams, and
 reports are emitted as sorted-key JSON, so rerunning a scenario
-byte-reproduces its report.
+byte-reproduces its report.  ``argparse`` and ``json`` serve only the
+command line, which imports them on first use: ``import ncauth`` loads neither.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import random
 import sys
 from collections import namedtuple
@@ -570,10 +569,13 @@ def _demo_doc(seed: int) -> dict:
 
 
 def _dump(report: dict) -> str:
+    import json
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _load_config(path: str) -> dict:
+    import json  # bound before the try, so that its except clause can name JSONDecodeError
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -585,24 +587,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config", f"unreadable JSON: {exc}") from exc
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _guard(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # refused below, with the negative values
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    def int_list(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(v) for v in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+    def guard(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = -1  # refused below, with the negative values
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="ncauth",
         description="Authentication-tagged network coding lab: simulate, attack, count keys.",
@@ -621,18 +623,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = scenario_command(name, help_text)
         p.set_defaults(attack_type=kind)
         if kind == "recover":
-            p.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD,
+            p.add_argument("--guard", type=guard, default=BRUTE_FORCE_GUARD,
                            help="brute-force candidate budget")
 
     sweep = sub.add_parser("lemma-sweep", help="sweep instances and check key-count formulas")
-    sweep.add_argument("--q", type=_int_list, default=(2, 3))
-    sweep.add_argument("--l", type=_int_list, default=(1, 2))
-    sweep.add_argument("--k", type=_int_list, default=(2, 3))
-    sweep.add_argument("--M", type=_int_list, default=(1, 2))
-    sweep.add_argument("--K", type=_int_list, default=(1, 2))
+    sweep.add_argument("--q", type=int_list, default=(2, 3))
+    sweep.add_argument("--l", type=int_list, default=(1, 2))
+    sweep.add_argument("--k", type=int_list, default=(2, 3))
+    sweep.add_argument("--M", type=int_list, default=(1, 2))
+    sweep.add_argument("--K", type=int_list, default=(1, 2))
     sweep.add_argument("--reps", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD)
+    sweep.add_argument("--guard", type=guard, default=BRUTE_FORCE_GUARD)
     sweep.add_argument("--family", choices=("fan", "line"), default="fan")
     sweep.add_argument("--out", default=None)
 
@@ -650,6 +652,7 @@ def _dispatch(args) -> str:
         )
         return render_sweep(result)
     if args.command == "demo":
+        import json
         report = run_scenario(_demo_doc(args.seed))
         decoded = {s: d["diverged"] for s, d in report["decodes"].items()}
         all_ok = all(all(v.values()) for v in report["accepts"].values())

@@ -827,8 +827,17 @@ def test_main_guard_must_be_nonnegative(tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--guard", bad])
         assert exc.value.code == 2
-        assert "--guard" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"ncauth {command}: error: argument --guard: expected an integer of at least 0, got {bad!r}"
+        )
     assert main(argv + ["--guard", "0"]) == 0
+
+
+def test_main_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ncauth")
 
 
 def test_main_keygen(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +82,21 @@ def test_only_the_digested_sweep_records_are_dataclasses():
 def test_only_the_sweep_row_module_imports_dataclasses():
     importers = {path.name for path in SOURCES if "dataclasses" in imported_modules(path)}
     assert importers == {"cli.py"}
+
+
+def test_import_ncauth_leaves_the_command_line_modules_unloaded():
+    # argparse and json serve only the command line, which imports them on
+    # first use; the modules `site` loads at start-up are taken out first.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import ncauth\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = set(res.stdout.split())
+    assert "ncauth.cli" in loaded
+    assert loaded & {"argparse", "json"} == set()
