@@ -6,7 +6,8 @@ on each outgoing edge, the F_q-linear combination of its incoming traffic
 given by the matching column of its local kernel matrix.  The honest
 global kernels follow the same recursion over unit vectors, mixed in the
 same pass, so absent interference the flat value on edge e is exactly f_e
-applied to the stacked source packets.
+applied to the stacked source packets.  Inside a run both are plain flat
+vectors mixed by `mix`; each edge's flat is wrapped into a packet once.
 
 Adversarial substitutions model a relay that replaces its own view of one
 incoming edge by a coefficient-sum-one combination of all its inputs;
@@ -28,7 +29,7 @@ from graphlib import CycleError
 
 from .field import Field, packing
 from .linalg import Matrix, solve
-from .scheme import ForgerySpec, TaggedPacket, VerifierKey, combine, mix, verify
+from .scheme import ForgerySpec, TaggedPacket, VerifierKey, _agree, mix, verify
 
 
 Edge = namedtuple("Edge", "id tail head")
@@ -50,22 +51,20 @@ class Network:
         if self.source not in self.nodes:
             raise ValueError(f"unknown source node {self.source!r}")
 
-        parsed = []
-        for e in edges:
-            e = Edge(*e) if not isinstance(e, Edge) else e
+        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        for e in self.edges:
             if e.tail not in self.nodes or e.head not in self.nodes:
                 raise ValueError(f"edge {e.id!r} references unknown node")
-            parsed.append(e)
-        self.edges = tuple(parsed)
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
 
-        self._in: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._out: dict[str, list[str]] = {n: [] for n in self.nodes}
+        ins, outs = {n: [] for n in self.nodes}, {n: [] for n in self.nodes}
         for e in self.edges:
-            self._out[e.tail].append(e.id)
-            self._in[e.head].append(e.id)
+            outs[e.tail].append(e.id)
+            ins[e.head].append(e.id)
+        self._in = {n: tuple(v) for n, v in ins.items()}
+        self._out = {n: tuple(v) for n, v in outs.items()}
 
         if self._in[self.source]:
             raise ValueError("source must not have incoming edges")
@@ -115,6 +114,8 @@ class Network:
         self.verifiers = verifiers
 
         self.sinks = tuple(sinks)
+        if len(set(self.sinks)) != len(self.sinks):
+            raise ValueError("duplicate sink nodes")
         for s in self.sinks:
             if s not in self.nodes:
                 raise ValueError(f"unknown sink node {s!r}")
@@ -125,10 +126,10 @@ class Network:
         return len(self._out[self.source])
 
     def in_edges(self, node: str) -> tuple[str, ...]:
-        return tuple(self._in[node])
+        return self._in[node]
 
     def out_edges(self, node: str) -> tuple[str, ...]:
-        return tuple(self._out[node])
+        return self._out[node]
 
     def with_verifiers(self, verifiers) -> "Network":
         return Network(
@@ -162,14 +163,15 @@ the edge's `InterventionRecord` in `log`.
 
 
 def simulate(net: Network, packets, interventions=()) -> FlowState:
-    """Run the coding network on `packets`, applying any substitutions."""
+    """Run the coding network on `packets`, applying any substitutions.
+
+    The packets are checked once, on entry; the run mixes their flats with
+    `mix`, beside the kernels, and wraps each edge's flat once, at the end.
+    """
     packets = list(packets)
     if len(packets) != net.n:
         raise ValueError(f"need {net.n} source packets, got {len(packets)}")
-    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
-    fld, width = fields[0], len(flats[0])
-    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
-        raise ValueError("source packets disagree on field or tag length")
+    fld, sources = _agree(packets)
     if fld.q != net.q:
         raise ValueError(f"packet symbols mod {fld.q} but network kernels mod {net.q}")
 
@@ -188,36 +190,27 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         by_node.setdefault(iv.node, []).append(iv)
 
     n, q = net.n, net.q
-    values: dict[str, TaggedPacket] = {}
-    kernels: dict[str, tuple[int, ...]] = {}
+    zero = ((0,) * len(sources[0]), (0,) * n)  # what a non-source node without inputs sends
+    flats = dict(zip(net.out_edges(net.source), sources))
+    kernels = {e: tuple(int(t == i) for t in range(n)) for i, e in enumerate(flats)}
     log: list[InterventionRecord] = []
-
-    for i, (e, p) in enumerate(zip(net.out_edges(net.source), packets)):
-        values[e] = p
-        kernels[e] = tuple(int(t == i) for t in range(n))
     for node in net.topo_order:
         if node == net.source:
             continue
         ins = net.in_edges(node)
-        honest = [values[d] for d in ins]
-        for iv in by_node.get(node, ()):
-            injected = combine(honest, iv.coeffs)
-            idx = ins.index(iv.edge)
-            log.append(
-                InterventionRecord(node, iv.edge, tuple(iv.coeffs), honest[idx].flat, injected.flat)
-            )
-            values[iv.edge] = injected
-        current = [values[d] for d in ins]
+        honest = [flats[d] for d in ins]
+        for iv in by_node.get(node, ()):  # every substitute mixes the inputs as they arrived
+            sent, sub = honest[ins.index(iv.edge)], mix(q, honest, iv.coeffs)
+            log.append(InterventionRecord(node, iv.edge, tuple(iv.coeffs), sent, sub))
+            flats[iv.edge] = sub
+        current = [flats[d] for d in ins] if node in by_node else honest
+        in_kernels = [kernels[d] for d in ins]
         kern = net.kernels.get(node, ())
         for c, e in enumerate(net.out_edges(node)):
-            if current:
-                col = [kern[r][c] for r in range(len(ins))]
-                values[e] = combine(current, col)
-                kernels[e] = mix(q, [kernels[d] for d in ins], col)
-            else:
-                values[e] = TaggedPacket._from_reduced(fld, (0,) * width)
-                kernels[e] = (0,) * n
-    return FlowState(net, kernels, values, tuple(log))
+            col = [row[c] for row in kern]
+            flats[e], kernels[e] = (mix(q, current, col), mix(q, in_kernels, col)) if ins else zero
+    wrapped = {e: TaggedPacket._from_reduced(fld, v) for e, v in flats.items()}
+    return FlowState(net, kernels, wrapped, tuple(log))
 
 
 DecodeResult = namedtuple("DecodeResult", "ok rank packets payloads reason", defaults=(None,))

@@ -236,6 +236,15 @@ def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:
     return residual(vkey, packet).is_zero()
 
 
+def _agree(packets) -> tuple[Field, tuple[tuple[int, ...], ...]]:
+    """The one field and the flats of a nonempty packet list, refused unless all match."""
+    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
+    fld, width = fields[0], len(flats[0])
+    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
+        raise ValueError("packets disagree on field or tag length")
+    return fld, flats
+
+
 def combine(packets, coeffs) -> TaggedPacket:
     """F_q-linear combination of packets with integer coefficients mod q."""
     packets = list(packets)
@@ -246,10 +255,7 @@ def combine(packets, coeffs) -> TaggedPacket:
         raise ValueError("cannot combine zero packets")
     if len(packets) != len(coeffs):
         raise ValueError(f"{len(packets)} packets but {len(coeffs)} coefficients")
-    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
-    fld, width = fields[0], len(flats[0])
-    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
-        raise ValueError("packets disagree on field or tag length")
+    fld, flats = _agree(packets)
     return TaggedPacket._from_reduced(fld, mix(fld.q, flats, coeffs))
 
 

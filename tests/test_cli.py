@@ -120,6 +120,7 @@ BAD_CONTAINERS = [
             ("verifiers", {"a": True}, "verifiers-bool", "topology"),
             ("nodes", None, "nodes-null", "topology.nodes"),
             ("sinks", None, "sinks-null", "topology.sinks"),
+            ("sinks", ["t", "t"], "sinks-repeated", "topology"),
             ("kernels", [1], "kernels-list", "topology.kernels"),
             ("verifiers", [1], "verifiers-list", "topology.verifiers"),
             ("kernels", {"a": 5}, "kernel-int", "topology.kernels.a"),

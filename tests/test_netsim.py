@@ -87,6 +87,19 @@ def test_zero_kernel_propagates_zero():
     net = Network(2, "s", ("s", "a", "t"), [("e1", "s", "t"), ("e2", "a", "t")], {})
     flow = simulate(net, [TaggedPacket(Field(2, 1), (1, 1, 0))])
     assert flow.kernels["e2"] == (0,) and flow.packets["e2"].flat == (0, 0, 0)
+    # at out-degree 2, both out-edges carry the zero packet (source width) and the zero kernel
+    net = Network(
+        2,
+        "s",
+        ("s", "a", "t"),
+        [("e1", "s", "t"), ("e2", "s", "t"), ("e3", "a", "t"), ("e4", "a", "t")],
+        {},
+    )
+    source = TaggedPacket(Field(2, 1), (1, 1, 0, 1, 1))
+    flow = simulate(net, [source, source])
+    for e in ("e3", "e4"):
+        assert flow.kernels[e] == (0, 0) and flow.packets[e].flat == (0,) * 5
+    assert flow.packets["e1"] == flow.packets["e2"] == source
 
 
 def test_cycle_rejected():
@@ -184,6 +197,7 @@ def test_network_validation_errors():
         ("must be 1x1", dict(nodes=("s", "a", "t"), edges=edges, kernels={"a": [[1, 1]]})),
         ("verifier seat on unknown node", dict(verifiers={"x": 0})),
         ("unknown sink", dict(sinks=("x",))),
+        ("duplicate sink nodes", dict(sinks=("t", "t"))),
     ]
     for match, override in refused:
         args = dict(q=2, source="s", nodes=("s", "t"), edges=one_hop, kernels={}) | override
@@ -346,6 +360,42 @@ def test_interventions_affect_only_the_intervened_view():
     assert flow.packets["e3"] == packets[0]  # u1's other output is upstream, untouched
 
 
+@pytest.mark.parametrize(
+    "interventions",
+    [
+        [Intervention("m", "e4", (0, 1)), Intervention("m", "e5", (2, 2))],
+        [Intervention("m", "e4", (0, 1)), Intervention("m", "e4", (2, 2))],
+        [Intervention("m", "e4", (2, 2)), Intervention("w", "e7", (1,))],
+    ],
+    ids=["two-edges-at-one-node", "one-edge-twice", "node-and-downstream-node"],
+)
+def test_multiple_interventions(interventions):
+    # oracle: replay the butterfly's m and w by hand with combine, from the honest flow
+    rng = random.Random(33)
+    net = butterfly(3)
+    params, skey, vkeys, messages, packets = scheme_for(net, rng)
+    honest = simulate(net, packets).packets
+    expect, records = dict(honest), []
+    for node, mixes in (("m", [("e7", ("e4", "e5"))]), ("w", [("e8", ("e7",)), ("e9", ("e7",))])):
+        ins = net.in_edges(node)
+        arrived = [expect[d] for d in ins]  # every substitute at a node mixes these
+        for iv in (iv for iv in interventions if iv.node == node):
+            injected = combine(arrived, iv.coeffs)
+            sent = arrived[ins.index(iv.edge)].flat  # what the tail emitted
+            records.append((node, iv.edge, iv.coeffs, sent, injected.flat))
+            expect[iv.edge] = injected
+        for out, used in mixes:
+            expect[out] = combine([expect[d] for d in used], [1] * len(used))
+
+    flow = simulate(net, packets, interventions)
+    assert [tuple(r) for r in flow.log] == records
+    assert flow.packets == expect
+    assert all(r.changed for r in flow.log if r.node == "m")
+    for r in flow.log:  # at m the record holds the honest value, at w the polluted e7
+        assert r.honest == (honest if r.node == "m" else flow.packets)[r.edge].flat
+    assert flow.packets["e7"] != honest["e7"]
+
+
 def test_substitution_taints_exactly_the_downstream_closure():
     # an edge is tainted when its packet is not its honest kernel applied to the sources
     rng = random.Random(14)
@@ -370,7 +420,12 @@ def test_fan_topology_shape():
     assert net.in_edges("r1") == ()
     assert net.in_edges("r2") == ("o2_0",)
     assert net.verifiers == {"r0": 0, "r1": 1, "r2": 2}
-    assert all(len(v) == 2 for v in honest_kernels(net).values())
+    gk = honest_kernels(net)
+    assert all(len(v) == 2 for v in gk.values())
+    # the hub mixes the unit message edges, so its c-th out-edge's global kernel is column c
+    columns = [(2, 1), (1, 2), (2, 2)]
+    assert [tuple(row[c] for row in net.kernels["hub"]) for c in range(3)] == columns
+    assert [gk[e] for e in net.out_edges("hub")] == columns
 
 
 @pytest.mark.parametrize("edge_counts", [(1.9, 0.5), (True, 1), (2, "1"), (2, None)])
