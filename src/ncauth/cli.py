@@ -38,12 +38,11 @@ from .netsim import (
     line,
     simulate,
 )
-from .scheme import ForgerySpec, SystemParams, keygen, tag, verify
+from .scheme import FLAT_LAYOUT, ForgerySpec, SystemParams, keygen, tag, verify
 
 SCHEMA_VERSION = 1
 TOPOLOGY_VERSION = 1
 REPORT_VERSION = 1
-FLAT_LAYOUT = "v1:header|payload|tag"
 
 _SCENARIO_KEYS = {"version", "seed", "params", "topology", "verifiers", "messages", "adversaries", "attack"}
 _PARAM_KEYS = {"q", "l", "k", "M", "V", "n", "public_points", "allow_excess_messages"}

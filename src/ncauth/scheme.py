@@ -31,8 +31,18 @@ def poly_eval(field: Field, coeffs, x: int) -> int:
     return acc
 
 
+class _Checked:
+    """Listed before a namedtuple base: its ``_make``, so its ``_replace``, runs the constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class SystemParams(
-    namedtuple("SystemParams", "field k M V n public_points allow_excess_messages")
+    _Checked, namedtuple("SystemParams", "field k M V n public_points allow_excess_messages")
 ):
     """Scheme-wide public parameters.
 
@@ -65,10 +75,6 @@ class SystemParams(
             raise ValueError("public points must be nonzero")
         return tuple.__new__(cls, (field, k, M, V, n, pts, allow_excess_messages))
 
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks what the constructor checks
-        return cls(*iterable)
-
 
 class SourceKey(namedtuple("SourceKey", "polys")):
     """The secret: polys[t] holds the k coefficients of P_t, low degree first.
@@ -100,7 +106,10 @@ VerifierKey.__doc__ = """Private key of verifier `index`: the secret polynomials
 """
 
 
-class TaggedPacket(namedtuple("TaggedPacket", "field flat")):
+FLAT_LAYOUT = "v1:header|payload|tag"  # the report's name for TaggedPacket's flat layout
+
+
+class TaggedPacket(_Checked, namedtuple("TaggedPacket", "field flat")):
     """A packet as its v1 flat vector over F_q: header | payload | tag.
 
     One header symbol, the payload's l coordinates, then the l coordinates of
@@ -122,10 +131,6 @@ class TaggedPacket(namedtuple("TaggedPacket", "field flat")):
         if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= q:
             raise ValueError(f"flat packet symbols must be ints in [0, {q})")
         return tuple.__new__(cls, (field, flat))
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks what the constructor checks
-        return cls(*iterable)
 
     @classmethod
     def _from_reduced(cls, field: Field, flat: tuple[int, ...]) -> "TaggedPacket":
@@ -166,20 +171,15 @@ def mix(q: int, vectors, coeffs) -> tuple[int, ...]:
     return tuple([s % q for s in acc])
 
 
-def _weights(field: Field, M: int, s: int) -> list[int]:
-    """Codes of (1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial."""
-    frob = field.frob
-    w = [1, s]
+def _weights(one, s, frob, M: int) -> list:
+    """The Moore row (1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial.
+
+    One body for both forms: codes with ``Field.frob`` in tags and checks,
+    elements with ``Fel.frob`` in the recovery system's ``moore_matrix``.
+    """
+    w = [one, s]
     while len(w) <= M:
         w.append(frob(w[-1], 1))
-    return w[: M + 1]
-
-
-def _tag_weights(M: int, s: Fel) -> list[Fel]:
-    """The elements of ``_weights``: a Moore row, built at the recovery system's API edge."""
-    w = [s.field.one, s]
-    while len(w) <= M:
-        w.append(w[-1].frob(1))
     return w[: M + 1]
 
 
@@ -203,7 +203,7 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     fld = key.field
     s = fld(s)
     add, mul = fld.add, fld.mul
-    weights = _weights(fld, key.M, s.code)
+    weights = _weights(1, s.code, fld.frob, key.M)
     flat = [1, *s.coeffs]
     for j in range(key.k):
         acc = 0
@@ -223,7 +223,7 @@ def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     if vkey.point.field is not fld:
         raise ValueError("mixed-field arithmetic")
     l, code, add, mul = fld.l, fld.code, fld.add, fld.mul
-    weights = _weights(fld, len(vkey.evals) - 1, code(flat[1 : 1 + l]))
+    weights = _weights(1, code(flat[1 : 1 + l]), fld.frob, len(vkey.evals) - 1)
     weights[0] = flat[0]
     rhs = 0
     for w, e in zip(weights, vkey.evals):
@@ -259,7 +259,7 @@ def combine(packets, coeffs) -> TaggedPacket:
     return TaggedPacket._from_reduced(fld, mix(fld.q, flats, coeffs))
 
 
-class ForgerySpec(namedtuple("ForgerySpec", "q coeffs")):
+class ForgerySpec(_Checked, namedtuple("ForgerySpec", "q coeffs")):
     """Coefficients a_1..a_n over F_q with sum(a_i) = 1.
 
     The one check of the rule both attacks rest on: a forger mixes source
@@ -280,11 +280,10 @@ class ForgerySpec(namedtuple("ForgerySpec", "q coeffs")):
             raise ValueError("coefficients must sum to 1 mod q")
         return tuple.__new__(cls, (q, coeffs))
 
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks what the constructor checks
-        return cls(*iterable)
-
 
 def moore_matrix(field: Field, messages, M: int) -> Matrix:
-    """n x (M+1) matrix with row j = (1, s_j, s_j^q, ..., s_j^(q^(M-1)))."""
-    return Matrix(field, [_tag_weights(M, field(s)) for s in messages], cols=M + 1)
+    """n x (M+1) matrix with row j = (1, s_j, s_j^q, ..., s_j^(q^(M-1))).
+
+    ``Fel.frob`` is read on each call, never bound earlier: a patch on the class counts its maps.
+    """
+    return Matrix(field, [_weights(field.one, field(s), Fel.frob, M) for s in messages], cols=M + 1)

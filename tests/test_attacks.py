@@ -49,7 +49,7 @@ from support import (
 
 def test_forgery_spec_validation():
     ForgerySpec(3, (2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one coefficient"):
         ForgerySpec(3, ())
     with pytest.raises(ValueError):
         ForgerySpec(3, (3, 1))

@@ -129,6 +129,13 @@ BAD_CONTAINERS = [
             ("q", 2**61 - 1, "q-huge-prime", "topology"),
         ]
     ),
+    pytest.param(  # b -> s gives the source an in-edge; b needs no kernel
+        lambda d: d.update(topology=inline_topology(
+            nodes=["s", "a", "t", "b"],
+            edges=[*inline_topology()["edges"], {"id": "e4", "tail": "b", "head": "s"}],
+        )),
+        "topology", id="topology-source-in-edge",
+    ),
 ]
 
 POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]]  # five of butterfly's six seats
@@ -355,6 +362,10 @@ def test_scenarios_over_wide_slots_and_the_polynomial_path(q, l):
         pytest.param(lambda d: d.update(topology=7), "topology", id="<lambda>-topology1"),
         pytest.param(lambda d: d["params"].update(n=1), "params.n", id="<lambda>-params.n"),
         pytest.param(lambda d: d.update(verifiers={"u1": 9}), "verifiers", id="<lambda>-verifiers"),
+        pytest.param(lambda d: d.update(verifiers={"u1": 6}), "verifiers", id="verifier-seat-V"),
+        pytest.param(
+            lambda d: d.update(verifiers={"m": -1}), "verifiers", id="verifier-seat-negative"
+        ),
         pytest.param(
             lambda d: d.update(verifiers={"ghost": 0}), "verifiers", id="verifier-unknown-node"
         ),

@@ -28,7 +28,7 @@ from ncauth import (
     simulate,
     tag,
 )
-from ncauth.cli import network_from_dict
+from ncauth.cli import network_from_dict, run_scenario
 from ncauth.scheme import mix
 from support import make_instance, matmul
 
@@ -195,7 +195,10 @@ def test_network_validation_errors():
         ("at least one outgoing", dict(edges=[])),
         ("kernel for unknown node", dict(kernels={"x": [[1]]})),
         ("must be 1x1", dict(nodes=("s", "a", "t"), edges=edges, kernels={"a": [[1, 1]]})),
+        ("source must not have incoming",
+         dict(nodes=("s", "t", "a"), edges=[*one_hop, ("e2", "a", "s")])),
         ("verifier seat on unknown node", dict(verifiers={"x": 0})),
+        ("nonnegative int", dict(verifiers={"t": -1})),
         ("unknown sink", dict(sinks=("x",))),
         ("duplicate sink nodes", dict(sinks=("t", "t"))),
     ]
@@ -203,6 +206,22 @@ def test_network_validation_errors():
         args = dict(q=2, source="s", nodes=("s", "t"), edges=one_hop, kernels={}) | override
         with pytest.raises(ValueError, match=match):
             Network(**args)
+
+
+def test_seat_override_keeps_the_rest_of_the_network():
+    for net in (butterfly(2), diamond(3), line(5, hops=3)):
+        seats = dict(zip(net.verifiers, reversed(net.verifiers.values())))
+        moved = net.with_verifiers(seats)
+        assert moved.verifiers == seats
+        for attr in ("q", "source", "nodes", "edges", "kernels", "sinks", "topo_order"):
+            assert getattr(moved, attr) == getattr(net, attr), attr
+    # a top-level `verifiers` that restates butterfly's seats changes no decode or check
+    doc = {"version": 1, "seed": 11, "topology": "butterfly",
+           "params": {"q": 2, "l": 3, "k": 3, "M": 2, "V": 6, "n": 2}}
+    plain = run_scenario(doc)
+    seated = run_scenario({**doc, "verifiers": dict(butterfly(2).verifiers)})
+    assert seated["decodes"] == plain["decodes"] and len(plain["decodes"]) == 2
+    assert seated["accepts"] == plain["accepts"]
 
 
 def test_honest_flow_matches_global_kernels():

@@ -166,7 +166,7 @@ def test_combine_identity_and_validation():
     assert z.is_zero() or z.m.is_zero()  # zero coefficients kill the payload
     with pytest.raises(ValueError):
         combine(packets, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot combine zero packets"):
         combine([], [])
     other = make_instance(rng, 3, 1, 3, 2, n=1)[4][0]  # one more tag coefficient
     with pytest.raises(ValueError, match="disagree on field or tag length"):
