@@ -58,7 +58,7 @@ from .cli import (
     ConfigError,
     Scenario,
     SweepResult,
-    SweepRow,
+    _sweep_row,
     keygen_report,
     lemma_sweep,
     load_scenario,
@@ -68,3 +68,9 @@ from .cli import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # PEP 562: SweepRow is built on first access, as in ncauth.cli
+    if name != "SweepRow":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _sweep_row()

@@ -6,12 +6,13 @@ inline topology, naming the offending field; names must be strings.  All
 randomness is derived from the scenario seed through named substreams, and
 reports are emitted as sorted-key JSON, so rerunning a scenario
 byte-reproduces its report.  ``argparse`` and ``json`` serve only the
-command line, which imports them on first use: ``import ncauth`` loads neither.
+command line, and ``dataclasses`` only the sweep row; each is imported on
+first use, so ``import ncauth`` loads none of them.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import random
 import sys
 from collections import namedtuple
@@ -432,15 +433,27 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
 
 
 # The one dataclass: the benchmark digests every sweep row with dataclasses.asdict.
-SweepRow = dataclasses.make_dataclass(
-    "SweepRow",
-    [*RecoveryResult._fields, "edge_counts", "seed"],
-    frozen=True,
-    namespace={
-        "__module__": __name__,
-        "__doc__": "One sweep instance: its recovery result, the members' edge counts and its index.",
-    },
-)
+# It is built on first use, so that `import ncauth` does not load dataclasses.
+@functools.cache
+def _sweep_row():
+    import dataclasses
+
+    return dataclasses.make_dataclass(
+        "SweepRow",
+        [*RecoveryResult._fields, "edge_counts", "seed"],
+        frozen=True,
+        namespace={
+            "__module__": __name__,
+            "__doc__": "One sweep instance: its recovery result, the members' edge counts and its index.",
+        },
+    )
+
+
+def __getattr__(name):  # PEP 562: the module's SweepRow, built on first access
+    if name != "SweepRow":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = row = _sweep_row()
+    return row
 
 
 SweepResult = namedtuple("SweepResult", "rows summary")
@@ -522,7 +535,7 @@ def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, 
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
     res = _recover(params, flow, vkeys, coalition, messages, guard)
-    return SweepRow(*res, edge_counts, idx)
+    return _sweep_row()(*res, edge_counts, idx)
 
 
 # Each sweep TSV column, in order: its header and the SweepRow field it shows.

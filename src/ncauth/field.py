@@ -158,29 +158,28 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_irreducible(poly: tuple[int, ...], q: int) -> bool:
-    """Rabin's test (1980) for a monic poly of degree n over F_q.
+    """Ben-Or's test (1981) for a monic poly of degree n over F_q.
 
-    poly is irreducible iff x^(q^n) = x modulo poly and, for every prime p
-    dividing n, x^(q^(n/p)) - x is coprime to poly.  The coprimality checks
-    run as soon as their power is reached, so most reducible candidates
-    stop early.
+    poly is irreducible iff x^(q^i) - x is coprime to poly for every
+    i <= n/2: a reducible poly has a factor of degree at most n/2, and
+    x^(q^i) - x is the product of the monic irreducibles whose degree
+    divides i.  A reducible candidate stops at its smallest factor degree.
     """
     n = len(poly) - 1
-    x = _poly_rem([0, 1], poly, q)
-    checks = {n // p for p in _prime_factors(n)}
-    h = x  # x^(q^i) modulo poly
-    for i in range(1, n + 1):
+    x = h = [0, 1]  # h is x^(q^i) modulo poly; x is reduced whenever n >= 2
+    for _ in range(n // 2):
         h = _poly_powmod(h, q, poly, q)
-        if i in checks and len(_poly_gcd(poly, _poly_sub(h, x, q), q)) > 1:
+        if len(_poly_gcd(poly, _poly_sub(h, x, q), q)) > 1:
             return False
-    return h == x
+    return True
 
 
 def _smallest_irreducible(q: int, l: int) -> tuple[int, ...]:
-    # For l > 1 a constant term of 0 means x divides the candidate, so the
-    # first q^(l-1) candidates in order are skipped without a test.
-    first = range(1, q) if l > 1 else range(q)
-    for low in itertools.product(first, *[range(q)] * (l - 1)):
+    if l == 1:
+        return (0, 1)  # x
+    # A constant term of 0 means x divides the candidate, so the first
+    # q^(l-1) candidates in order are skipped without a test.
+    for low in itertools.product(range(1, q), *[range(q)] * (l - 1)):
         cand = low + (1,)
         if _is_irreducible(cand, q):
             return cand

@@ -72,10 +72,53 @@ def test_modulus_matches_factorization_oracle(q, l):
     assert Field(q, l).modulus == brute_smallest_irreducible(q, l)
 
 
+# Every modulus a field has been built with, low degree first: the codes of
+# its elements, and so every report, depend on it.
+FROZEN_MODULI = {
+    (2, 1): (0, 1),  # degree 1: plain F_q
+    (65521, 1): (0, 1),
+    (2, 2): (1, 1, 1),  # x^2 + x + 1
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (2, 3): (1, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (5, 2): (1, 1, 1),
+    (5, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (251, 2): (1, 0, 1),
+    (257, 2): (1, 1, 1),
+    (65521, 2): (1, 15, 1),
+}
+
+
 def test_modulus_frozen_values():
-    assert Field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
-    assert Field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
-    assert Field(2, 1).modulus == (0, 1)  # degree 1: plain F_q
+    for (q, l), modulus in FROZEN_MODULI.items():
+        assert Field(q, l).modulus == modulus, (q, l)
+
+
+def has_monic_divisor(poly, q):
+    """Oracle: the monic poly (low degree first) has a monic divisor of degree 1..n/2."""
+    n = len(poly) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(q), repeat=d):
+            div = (*low, 1)
+            rem = list(poly)
+            for i in range(n, d - 1, -1):  # long division: clear the x^i term
+                c = rem[i]
+                for j in range(d + 1):
+                    rem[i - d + j] = (rem[i - d + j] - c * div[j]) % q
+            if not any(rem[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (5, 3)])
+def test_is_irreducible_matches_trial_division(q, top):
+    for n in range(1, top + 1):
+        for low in itertools.product(range(q), repeat=n):
+            poly = (*low, 1)
+            assert _is_irreducible(poly, q) is not has_monic_divisor(poly, q), poly
 
 
 def test_large_prime_quadratic_modulus():

@@ -1,6 +1,7 @@
 """The package imports only the standard library and itself, layer by layer."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ncauth
+import ncauth.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ncauth").glob("*.py"))
@@ -62,12 +66,14 @@ def test_modules_import_only_earlier_layers(path):
 # dataclasses.asdict; every other record, the recovery records it is built
 # from included, is a namedtuple.  A frozen dataclass costs about 0.5 ms to
 # create in a fresh Python 3.11 interpreter against 0.07 ms for a namedtuple
-# (medians of 21 fresh runs), and `import ncauth` pays that for every record
-# at each command-line start.
+# (medians of 21 fresh runs), and `import ncauth` would pay that for every
+# record at each command-line start.  The sweep row itself, with the
+# dataclasses module, is built at its first use (`cli._sweep_row`).
 DIGESTED_DATACLASSES = {"SweepRow"}
 
 
 def test_only_the_digested_sweep_records_are_dataclasses():
+    ncauth.cli.SweepRow  # built on first access, whatever ran before
     found = set()
     for path in SOURCES:
         name = "ncauth" if path.stem == "__init__" else f"ncauth.{path.stem}"
@@ -84,9 +90,23 @@ def test_only_the_sweep_row_module_imports_dataclasses():
     assert importers == {"cli.py"}
 
 
+def test_sweep_row_is_built_once_on_first_access():
+    row = ncauth.lemma_sweep([2], [1], [2], [1], [1], reps=1).rows[0]
+    assert ncauth.SweepRow is ncauth.cli.SweepRow is ncauth.SweepRow is ncauth.cli.SweepRow
+    assert type(row) is ncauth.SweepRow
+    assert dataclasses.is_dataclass(row)
+    names = [*ncauth.RecoveryResult._fields, "edge_counts", "seed"]
+    assert [f.name for f in dataclasses.fields(row)] == list(dataclasses.asdict(row)) == names
+    for module in (ncauth, ncauth.cli):
+        with pytest.raises(AttributeError):
+            module.nope
+
+
 def test_import_ncauth_leaves_the_command_line_modules_unloaded():
     # argparse and json serve only the command line, which imports them on
-    # first use; the modules `site` loads at start-up are taken out first.
+    # first use, and dataclasses (with the inspect, ast, dis and tokenize it
+    # loads) only the sweep row, built at its first use; the modules `site`
+    # loads at start-up are taken out first.
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -100,3 +120,4 @@ def test_import_ncauth_leaves_the_command_line_modules_unloaded():
     loaded = set(res.stdout.split())
     assert "ncauth.cli" in loaded
     assert loaded & {"argparse", "json"} == set()
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
