@@ -20,7 +20,7 @@ from itertools import repeat
 from .field import Field, GuardError, packing
 from .linalg import Matrix, rank_and_consistency, solve
 from .netsim import CoalitionView
-from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, moore_matrix
+from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, mix, moore_matrix
 
 BRUTE_FORCE_GUARD = 1 << 24
 
@@ -106,16 +106,10 @@ def build_recovery_system(
     # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
     # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.
     pk = packing(fld, M + 1)
-    add_mul, q = pk.add_mul, fld.q
     block = pk.ew * (M + 1)
     powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
-
-    mixed_rows = []  # H_i rows times the message power matrix, coalition order
-    for h in view.h_rows:
-        acc = 0
-        for w, srow in zip(h, powers_matrix):
-            acc = add_mul(acc, w % q, (srow,))  # an F_q scalar: coordinate 0 only
-        mixed_rows.append(acc)
+    # H_i rows times the message power matrix, coalition order
+    mixed_rows = [mix(pk, powers_matrix, h) for h in view.h_rows]
 
     crows, crhs = [], []
     for j in range(k):

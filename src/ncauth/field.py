@@ -36,9 +36,9 @@ subtracting or scaling it is a few big-int operations whatever its length.
 Over F_2 a slot is one bit and a sum is an XOR; for odd q a slot has room
 for a carry-free sum, reduced in every slot at once.  ``Packing.add`` and
 ``Packing.sub`` are the one packed sum and difference.  ``packing`` hands
-out one shared instance per (field, size), never evicted.  Matrices hold
-their rows in it, and row reduction, the recovery rows and the exhaustive
-key count work in it.
+out one shared instance per (field, size), never evicted.  Packets and
+matrix rows are held in it, and row reduction, packet mixing, the
+recovery rows and the exhaustive key count work in it.
 """
 
 from __future__ import annotations

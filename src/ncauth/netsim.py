@@ -6,8 +6,9 @@ on each outgoing edge, the F_q-linear combination of its incoming traffic
 given by the matching column of its local kernel matrix.  The honest
 global kernels follow the same recursion over unit vectors, mixed in the
 same pass, so absent interference the flat value on edge e is exactly f_e
-applied to the stacked source packets.  Inside a run both are plain flat
-vectors mixed by `mix`; each edge's flat is wrapped into a packet once.
+applied to the stacked source packets.  Inside a run both are packed F_q
+vectors mixed by `mix`; at the end each edge's vector is wrapped into a
+packet and its kernel unpacked into a tuple, once.
 
 Adversarial substitutions model a relay that replaces its own view of one
 incoming edge by a coefficient-sum-one combination of all its inputs;
@@ -165,13 +166,14 @@ the edge's `InterventionRecord` in `log`.
 def simulate(net: Network, packets, interventions=()) -> FlowState:
     """Run the coding network on `packets`, applying any substitutions.
 
-    The packets are checked once, on entry; the run mixes their flats with
-    `mix`, beside the kernels, and wraps each edge's flat once, at the end.
+    The packets are checked once, on entry.  The run mixes their packed
+    vectors with `mix`, beside the packed kernels, and at the end wraps each
+    edge's vector into a packet and unpacks its kernel into a tuple, once.
     """
     packets = list(packets)
     if len(packets) != net.n:
         raise ValueError(f"need {net.n} source packets, got {len(packets)}")
-    fld, sources = _agree(packets)
+    fld, pk, sources = _agree(packets)
     if fld.q != net.q:
         raise ValueError(f"packet symbols mod {fld.q} but network kernels mod {net.q}")
 
@@ -189,27 +191,28 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         ForgerySpec(net.q, iv.coeffs)  # a substitution mixes with sum-one coefficients
         by_node.setdefault(iv.node, []).append(iv)
 
-    n, q = net.n, net.q
-    zero = ((0,) * len(sources[0]), (0,) * n)  # what a non-source node without inputs sends
-    flats = dict(zip(net.out_edges(net.source), sources))
-    kernels = {e: tuple(int(t == i) for t in range(n)) for i, e in enumerate(flats)}
+    kpk = packing(pk.field, net.n)  # kernels: n symbols over the same F_q
+    vectors = dict(zip(net.out_edges(net.source), sources))
+    kernels = {e: 1 << kpk.ew * i for i, e in enumerate(vectors)}
     log: list[InterventionRecord] = []
     for node in net.topo_order:
         if node == net.source:
             continue
         ins = net.in_edges(node)
-        honest = [flats[d] for d in ins]
+        honest = [vectors[d] for d in ins]
         for iv in by_node.get(node, ()):  # every substitute mixes the inputs as they arrived
-            sent, sub = honest[ins.index(iv.edge)], mix(q, honest, iv.coeffs)
-            log.append(InterventionRecord(node, iv.edge, tuple(iv.coeffs), sent, sub))
-            flats[iv.edge] = sub
-        current = [flats[d] for d in ins] if node in by_node else honest
+            sent, sub = honest[ins.index(iv.edge)], mix(pk, honest, iv.coeffs)
+            symbols = [tuple(pk.entries(v)) for v in (sent, sub)]  # records keep the symbols
+            log.append(InterventionRecord(node, iv.edge, tuple(iv.coeffs), *symbols))
+            vectors[iv.edge] = sub
+        current = [vectors[d] for d in ins] if node in by_node else honest
         in_kernels = [kernels[d] for d in ins]
         kern = net.kernels.get(node, ())
         for c, e in enumerate(net.out_edges(node)):
             col = [row[c] for row in kern]
-            flats[e], kernels[e] = (mix(q, current, col), mix(q, in_kernels, col)) if ins else zero
-    wrapped = {e: TaggedPacket._from_reduced(fld, v) for e, v in flats.items()}
+            vectors[e], kernels[e] = mix(pk, current, col), mix(kpk, in_kernels, col)
+    wrapped = {e: TaggedPacket._from_reduced(fld, v, pk.size) for e, v in vectors.items()}
+    kernels = {e: tuple(kpk.entries(v)) for e, v in kernels.items()}
     return FlowState(net, kernels, wrapped, tuple(log))
 
 
@@ -231,26 +234,25 @@ def decode(view: CoalitionView) -> DecodeResult:
 
     One solve of F X = Y, the observed kernel rows F beside the observed flat
     packets Y, gives the rank (pivots among F's n columns), consistency and,
-    at full rank, the source packets.  Packets are F_q symbols, packed as
-    they are: over F_q a packed entry is the symbol itself.  A sink decodes
+    at full rank, the source packets.  Packets are F_q vectors in the
+    packed layout of a ``Matrix`` row, so their rows are taken as they are
+    and the solved rows become packets without unpacking.  A sink decodes
     `coalition_view(flow, [sink])`; a coalition decodes its own view the
     same way.
     """
     if not view.h_rows:
         return DecodeResult(False, 0, None, None, "sink has no incoming edges")
     n = len(view.h_rows[0])
-    fld = view.packets[0].field
-    width = len(view.packets[0].flat)
+    fld, size = view.packets[0].field, view.packets[0].size
     base = Field(fld.q, 1)
-    packet_pk = packing(base, width)
     coeff = Matrix(base, view.h_rows, cols=n)  # reduces kernel entries mod q
-    observed = Matrix._from_packed(base, [packet_pk.pack(p.flat) for p in view.packets], width)
+    observed = Matrix._from_packed(base, [p.packed for p in view.packets], size)
     rank, x = solve(coeff, observed)
     if rank < n:
         return DecodeResult(False, rank, None, None, "insufficient rank")
     if x is None:
         return DecodeResult(False, rank, None, None, "observations are inconsistent")
-    pkts = tuple(TaggedPacket._from_reduced(fld, tuple(packet_pk.entries(v))) for v in x.packed)
+    pkts = tuple(TaggedPacket._from_reduced(fld, v, size) for v in x.packed)
     return DecodeResult(True, rank, pkts, tuple(p.m for p in pkts))
 
 

@@ -10,7 +10,8 @@ A payload s in F_{q^l} ships as the packet [1, s, T] whose tag polynomial
 is checked by verifier i against T(x_i).  The q-power weights are
 F_q-linear in s and the header tracks the combination sum, so every
 F_q-linear mix of valid packets satisfies the same per-verifier equation;
-the attack tooling lives off exactly that.
+the attack tooling lives off exactly that.  A packet is its F_q vector
+packed into one int, and every such mix is one `mix` of packed vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .field import Fel, Field, _fel
+from .field import Fel, Field, Packing, _fel, packing
 from .linalg import Matrix
 
 
@@ -109,66 +110,77 @@ VerifierKey.__doc__ = """Private key of verifier `index`: the secret polynomials
 FLAT_LAYOUT = "v1:header|payload|tag"  # the report's name for TaggedPacket's flat layout
 
 
-class TaggedPacket(_Checked, namedtuple("TaggedPacket", "field flat")):
-    """A packet as its v1 flat vector over F_q: header | payload | tag.
+class TaggedPacket(_Checked, namedtuple("TaggedPacket", "field packed size")):
+    """A packet as its v1 flat vector over F_q, header | payload | tag, packed into one int.
 
     One header symbol, the payload's l coordinates, then the l coordinates of
-    each of the k >= 1 tag coefficients.  `c`, `m` and `tag` are read-only
-    views of that vector, built from its reduced symbols on each read, and
-    every F_q-linear operation on packets is a `mix` of their flat vectors.
+    each of the k >= 1 tag coefficients: `size` symbols, w = ``Field.w`` bits
+    apart (``Packing``), so the payload and each tag coefficient is a slice
+    whose value is its code.  `c`, `m`, `tag` and the tuple `flat` are
+    read-only views, and every F_q-linear operation on packets is a `mix`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, field, flat):
-        flat = tuple(flat)
-        q, l = field.q, field.l
-        if len(flat) < 1 + 2 * l or (len(flat) - 1) % l:
+    def __new__(cls, field, packed, size):
+        q, l, w = field.q, field.l, field.w
+        if type(size) is not int or size < 1 + 2 * l or (size - 1) % l:
             raise ValueError(
-                f"flat packet must have 1 + {l}(1 + k) symbols with k >= 1, got {len(flat)}"
+                f"flat packet must have 1 + {l}(1 + k) symbols with k >= 1, got {size!r}"
             )
         # bool is excluded: its type is a subclass of int, not int
-        if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= q:
+        if type(packed) is not int or packed < 0 or packed >> w * size:
+            raise ValueError(f"packed packet must be an int in [0, 2^{w * size})")
+        if max(packing(Field(q, 1), size).entries(packed)) >= q:
             raise ValueError(f"flat packet symbols must be ints in [0, {q})")
-        return tuple.__new__(cls, (field, flat))
+        return tuple.__new__(cls, (field, packed, size))
 
     @classmethod
-    def _from_reduced(cls, field: Field, flat: tuple[int, ...]) -> "TaggedPacket":
-        """The packet of a valid-length tuple of symbols already in [0, q), taken unchecked."""
-        return tuple.__new__(cls, (field, flat))
+    def _from_reduced(cls, field: Field, packed: int, size: int) -> "TaggedPacket":
+        """The packet of a packed vector of `size` symbols already in [0, q), taken unchecked."""
+        return tuple.__new__(cls, (field, packed, size))
+
+    def _codes(self) -> list[int]:
+        """The codes of m and of each tag coefficient: the (w l)-bit slices above the header."""
+        fld = self.field
+        return packing(fld, (self.size - 1) // fld.l).entries(self.packed >> fld.w)
+
+    @property
+    def flat(self) -> tuple[int, ...]:
+        return tuple(packing(Field(self.field.q, 1), self.size).entries(self.packed))
 
     @property
     def c(self) -> int:
-        return self.flat[0]
+        return self.packed & (1 << self.field.w) - 1
 
     @property
     def m(self) -> Fel:
-        return _fel(self.field, self.field.code(self.flat[1 : 1 + self.field.l]))
+        return _fel(self.field, self._codes()[0])
 
     @property
     def tag(self) -> tuple[Fel, ...]:
-        fld, flat, l = self.field, self.flat, self.field.l
-        return tuple(_fel(fld, fld.code(flat[i : i + l])) for i in range(1 + l, len(flat), l))
+        fld = self.field
+        return tuple([_fel(fld, code) for code in self._codes()[1:]])
 
     def is_zero(self) -> bool:
-        return not any(self.flat)
+        return not self.packed
 
 
-def mix(q: int, vectors, coeffs) -> tuple[int, ...]:
-    """sum_i coeffs[i] * vectors[i] over F_q, for a nonempty list of equal-length vectors.
+def mix(pk: Packing, vectors, coeffs) -> int:
+    """sum_i coeffs[i] * vectors[i] for packed vectors of `pk` and int coefficients mod q.
 
     Every F_q-linear combination in the lab is this one: relay outputs,
-    substitutions and forgeries mix flat packets, and the simulator mixes
-    global kernel vectors in the same pass.
+    substitutions and forgeries mix packets, the simulator mixes global
+    kernels in the same pass, and the recovery system mixes message powers.
+    Each nonzero coefficient, a base-field scalar, is one `Packing.add_mul`.
     """
-    acc = None
+    q, add_mul = pk.field.q, pk.add_mul
+    acc = 0
     for a, v in zip(coeffs, vectors):
         a %= q
         if a:
-            acc = [a * x for x in v] if acc is None else [s + a * x for s, x in zip(acc, v)]
-    if acc is None:
-        return (0,) * len(vectors[0])
-    return tuple([s % q for s in acc])
+            acc = add_mul(acc, a, (v,))
+    return acc
 
 
 def _weights(one, s, frob, M: int) -> list:
@@ -204,31 +216,32 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     s = fld(s)
     add, mul = fld.add, fld.mul
     weights = _weights(1, s.code, fld.frob, key.M)
-    flat = [1, *s.coeffs]
+    codes = [s.code]
     for j in range(key.k):
         acc = 0
         for w, poly in zip(weights, key.polys):
             acc = add(acc, mul(w, poly[j].code))
-        flat += fld.coeffs(acc)
-    return TaggedPacket._from_reduced(fld, tuple(flat))
+        codes.append(acc)
+    packed = packing(fld, key.k + 1).pack(codes) << fld.w | 1  # the header, 1, in slot 0
+    return TaggedPacket._from_reduced(fld, packed, 1 + fld.l * (1 + key.k))
 
 
 def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes.
 
-    Computed on codes read straight from the packet's flat vector: the header
-    c, a base-field scalar, is its own code.
+    Computed on codes sliced from the packed packet: the header c, a
+    base-field scalar, is its own code.
     """
-    fld, flat = packet.field, packet.flat
+    fld = packet.field
     if vkey.point.field is not fld:
         raise ValueError("mixed-field arithmetic")
-    l, code, add, mul = fld.l, fld.code, fld.add, fld.mul
-    weights = _weights(1, code(flat[1 : 1 + l]), fld.frob, len(vkey.evals) - 1)
-    weights[0] = flat[0]
+    add, mul = fld.add, fld.mul
+    m, *tags = packet._codes()
+    weights = _weights(1, m, fld.frob, len(vkey.evals) - 1)
+    weights[0] = packet.c
     rhs = 0
     for w, e in zip(weights, vkey.evals):
         rhs = add(rhs, mul(w, e.code))
-    tags = [code(flat[i : i + l]) for i in range(1 + l, len(flat), l)]
     return _fel(fld, fld.sub(poly_eval(fld, tags, vkey.point.code), rhs))
 
 
@@ -236,13 +249,13 @@ def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:
     return residual(vkey, packet).is_zero()
 
 
-def _agree(packets) -> tuple[Field, tuple[tuple[int, ...], ...]]:
-    """The one field and the flats of a nonempty packet list, refused unless all match."""
-    fields, flats = zip(*packets)  # one unpacking per packet, no attribute reads
-    fld, width = fields[0], len(flats[0])
-    if any(f is not fld for f in fields) or any(len(v) != width for v in flats):
+def _agree(packets) -> tuple[Field, Packing, tuple[int, ...]]:
+    """The one field, F_q packing and packed vectors of a nonempty packet list, or a refusal."""
+    fields, vectors, sizes = zip(*packets)  # one unpacking per packet, no attribute reads
+    fld, size = fields[0], sizes[0]
+    if any(f is not fld for f in fields) or any(n != size for n in sizes):
         raise ValueError("packets disagree on field or tag length")
-    return fld, flats
+    return fld, packing(Field(fld.q, 1), size), vectors
 
 
 def combine(packets, coeffs) -> TaggedPacket:
@@ -255,8 +268,8 @@ def combine(packets, coeffs) -> TaggedPacket:
         raise ValueError("cannot combine zero packets")
     if len(packets) != len(coeffs):
         raise ValueError(f"{len(packets)} packets but {len(coeffs)} coefficients")
-    fld, flats = _agree(packets)
-    return TaggedPacket._from_reduced(fld, mix(fld.q, flats, coeffs))
+    fld, pk, vectors = _agree(packets)
+    return TaggedPacket._from_reduced(fld, mix(pk, vectors, coeffs), pk.size)
 
 
 class ForgerySpec(_Checked, namedtuple("ForgerySpec", "q coeffs")):

@@ -188,6 +188,40 @@ def reference_evals(key, x):
     return tuple(out)
 
 
+def packet(field, flat):
+    """The checked packet of a list of F_q symbols, header first: symbol i times 2^(w i), summed."""
+    flat = list(flat)
+    return TaggedPacket(field, sum(s << field.w * i for i, s in enumerate(flat)), len(flat))
+
+
+def reference_mix(q, flats, coeffs):
+    """sum_i coeffs[i] * flats[i] over F_q, symbol by symbol: the oracle of the packed `mix`."""
+    return tuple(sum(a * v[j] for a, v in zip(coeffs, flats)) % q for j in range(len(flats[0])))
+
+
+def reference_r0(view, messages, M):
+    """The closed-form rank r0 of a coalition's mixed rows, from F_q ranks alone.
+
+    Row j of H U, for U the n x (1+l) matrix of the coordinates of (1, s_i),
+    is the header c_j and the coordinates of z_j = sum_i h_ji s_i, and the
+    mixed row is (c_j, z_j, z_j^q, ..., z_j^(q^(M-1))).  A Moore matrix of
+    r F_q-independent elements with M columns has rank min(r, M), and a
+    nonzero header adds one rank of its own: with eta = 1 when some c_j is
+    nonzero, r0 = eta + min(rank(H U) - eta, M).  The F_q rank is taken by
+    `reference_rref`.
+    """
+    if not view.h_rows:
+        return 0
+    fld = messages[0].field
+    q = fld.q
+    u = [(1, *s.coeffs) for s in messages]
+    hu = [[sum(h * row[c] for h, row in zip(hrow, u)) % q for c in range(1 + fld.l)]
+          for hrow in view.h_rows]
+    eta = int(any(row[0] for row in hu))
+    rank = len(reference_rref(Matrix(Field(q, 1), hu, cols=1 + fld.l))[1])
+    return eta + min(rank - eta, M)
+
+
 def reference_tag(key, s):
     """The source packet of payload s, each tag coefficient summed on elements."""
     fld = key.field
@@ -199,7 +233,7 @@ def reference_tag(key, s):
         for w, poly in zip(weights, key.polys):
             acc = acc + w * poly[j]
         flat += acc.coeffs
-    return TaggedPacket(fld, flat)
+    return packet(fld, flat)
 
 
 def reference_residual(vkey, packet):

@@ -13,7 +13,6 @@ from ncauth import (
     Field,
     ForgerySpec,
     Matrix,
-    TaggedPacket,
     combine,
     forge,
     lemma_sweep,
@@ -22,7 +21,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import forgery_instances, make_instance, reference_pow
+from support import forgery_instances, make_instance, packet, reference_pow
 
 FIELD_POOL = (
     (2, 1), (3, 1), (5, 1), (7, 1),
@@ -216,7 +215,7 @@ def _random_packet(rng, fld, k):
     parts = (rng.randrange(fld.q), fld.random_element(rng),
              tuple(fld.random_element(rng) for _ in range(k)))
     c, m, tags = parts
-    return parts, TaggedPacket(fld, (c, *m.coeffs, *(x for t in tags for x in t.coeffs)))
+    return parts, packet(fld, (c, *m.coeffs, *(x for t in tags for x in t.coeffs)))
 
 
 def _suite_residual_linearity(rng):
@@ -251,7 +250,7 @@ def _suite_flat_roundtrip(rng):
     fld = params.field
     parts, pkt = _random_packet(rng, fld, params.k)
     assert (pkt.c, pkt.m, pkt.tag) == parts
-    assert TaggedPacket(fld, list(pkt.flat)) == pkt
+    assert packet(fld, pkt.flat) == pkt
 
 
 def test_criterion_8_invariant_suites():

@@ -16,7 +16,6 @@ from ncauth import (
     Matrix,
     RecoverySystem,
     SystemParams,
-    TaggedPacket,
     analyze_recovery,
     brute_force_count,
     build_recovery_system,
@@ -40,8 +39,10 @@ from support import (
     identity,
     make_instance,
     matmul,
+    packet,
     random_matrix,
     reference_brute_force_count,
+    reference_r0,
     sample_points,
     transpose,
 )
@@ -251,12 +252,12 @@ def test_build_recovery_system_input_checks():
     short = CoalitionView(("v0",), ((1,),), ())
     with pytest.raises(ValueError):
         build_recovery_system(params, short, vkeys, messages)
-    one_coeff_tag = CoalitionView(("v0",), ((1,),), (TaggedPacket(params.field, (1, 1, 0)),))
+    one_coeff_tag = CoalitionView(("v0",), ((1,),), (packet(params.field, (1, 1, 0)),))
     with pytest.raises(ValueError, match="tag length disagrees with k"):
         build_recovery_system(params, one_coeff_tag, vkeys, messages)
     # a packet or key over another field of the same shape is refused, not misread
     other = Field(3, 1)
-    foreign = TaggedPacket(other, packets[0].flat)
+    foreign = packet(other, packets[0].flat)
     with pytest.raises(ValueError, match="element belongs to a different field"):
         build_recovery_system(params, CoalitionView(("v0",), ((1,),), (foreign,)), vkeys, messages)
     o_params = SystemParams(other, k=2, M=1, V=1, n=1, public_points=(1,))
@@ -422,6 +423,46 @@ def test_brute_force_matches_reference_enumeration(case):
         assert count >= 1
     elif mode == "contradictory":
         assert count == 0
+
+
+# (q, l) for the r0 closed form: l up to 4, so that M < l comes up at every M
+R0_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+@st.composite
+def r0_cases(draw):
+    """Params, a fan or line coalition's view with up to 3 keys, and its payloads.
+
+    Fan payloads may repeat and may number M + 1 or M + 2 (under
+    allow_excess_messages): only n >= M + 2 makes the min in r0's closed form bind.
+    """
+    q, l = draw(st.sampled_from(R0_FIELDS))
+    fld, M = Field(q, l), draw(st.integers(1, 5) | st.integers(1, l))  # M < l often
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    members = draw(st.integers(1, min(3, fld.order - 1)))
+    if draw(st.booleans()):
+        n, net, coalition = 1, line(q, hops=members), [f"v{i}" for i in range(1, members + 1)]
+    else:
+        n = draw(st.one_of(st.just(M + 2), st.integers(1, M + 2)))
+        net = fan(q, n, draw(st.lists(st.integers(0, 3), min_size=members, max_size=members)), rng)
+        coalition = [f"r{i}" for i in range(members)]
+    messages = [fld.random_element(rng) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        messages[-1] = messages[0]
+    points = sample_points(fld, members, rng)
+    params = SystemParams(fld, 2, M, members, n, points, allow_excess_messages=n > M)
+    skey, vkeys = keygen(params, rng.getrandbits(64))
+    flow = simulate(net, [tag(skey, s) for s in messages])
+    keys = vkeys[: draw(st.integers(0, members))]
+    return params, coalition_view(flow, coalition), keys, messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(r0_cases())
+def test_r0_matches_its_closed_form(case):
+    params, view, keys, messages = case
+    system = build_recovery_system(params, view, keys, messages)
+    assert system.meta.r0 == reference_r0(view, messages, params.M)
 
 
 def test_brute_force_wide_prime_coordinates():

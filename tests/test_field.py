@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from ncauth import Fel, Field, GuardError, Matrix, SystemParams, TaggedPacket, keygen, tag
+from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
 from ncauth.field import TABLE_ORDER, Packing, _is_irreducible, _TableField, is_prime, packing
 from support import ORACLE_FIELDS, element_strategy, elements
 
@@ -445,7 +445,7 @@ def test_field_call_is_the_one_element_constructor():
     rng = random.Random(7)
     for q, l in [(3, 2), (2, 8), (5, 1)]:
         fld = Field(q, l)
-        pkt = TaggedPacket(fld, [1] + [rng.randrange(q) for _ in range(3 * l)])
+        pkt = support.packet(fld, [1] + [rng.randrange(q) for _ in range(3 * l)])
         flat = pkt.flat
         assert pkt.m == fld(flat[1 : 1 + l])
         assert pkt.tag == (fld(flat[1 + l : 1 + 2 * l]), fld(flat[1 + 2 * l :]))

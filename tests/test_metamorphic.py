@@ -38,7 +38,6 @@ from ncauth import (
     Matrix,
     SourceKey,
     SystemParams,
-    TaggedPacket,
     VerifierKey,
     analyze_recovery,
     build_recovery_system,
@@ -54,7 +53,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import sample_points
+from support import packet, sample_points
 
 VERDICT_FIELDS = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
 # GF(2^2) too, whose 3 nonzero points seat only three butterfly nodes; every
@@ -79,7 +78,7 @@ def sigma_vkey(vkey):
 def sigma_packet(p):
     """The packet with sigma applied to its payload and each tag coefficient; c is in F_q."""
     coords = [x for t in (p.m, *p.tag) for x in sigma(t).coeffs]
-    return TaggedPacket(p.field, (p.c, *coords))
+    return packet(p.field, (p.c, *coords))
 
 
 def instance(q, l, k, M, V, n, seed):
@@ -111,7 +110,7 @@ def test_conjugation_maps_tags_and_keeps_verdicts(ql, k, M, seed):
     mixed = combine(packets, [rng.randrange(q) for _ in packets])
     flat = list(mixed.flat)
     flat[-1] = (flat[-1] + 1) % q  # one tag symbol off: a corrupted packet
-    corrupted = TaggedPacket(mixed.field, flat)
+    corrupted = packet(mixed.field, flat)
     for p in [*packets, mixed, corrupted]:
         p_s = sigma_packet(p)
         verdicts = [verify(v, p) for v in vkeys]

@@ -15,7 +15,6 @@ from ncauth import (
     Intervention,
     Matrix,
     Network,
-    TaggedPacket,
     accept_map,
     butterfly,
     coalition_view,
@@ -29,8 +28,9 @@ from ncauth import (
     tag,
 )
 from ncauth.cli import network_from_dict, run_scenario
+from ncauth.field import packing
 from ncauth.scheme import mix
-from support import make_instance, matmul
+from support import make_instance, matmul, packet
 
 BUTTERFLY_KERNELS = {
     "e1": (1, 0),
@@ -56,7 +56,7 @@ def scheme_for(net, rng, l=3, k=3, M=2):
 
 def honest_kernels(net):
     """The global kernels `simulate` reports for `net`, on placeholder packets."""
-    return simulate(net, [TaggedPacket(Field(net.q, 1), (1, 0, 0))] * net.n).kernels
+    return simulate(net, [packet(Field(net.q, 1), (1, 0, 0))] * net.n).kernels
 
 
 def test_butterfly_global_kernels_hand_computed():
@@ -85,7 +85,7 @@ def test_zero_kernel_propagates_zero():
     assert honest_kernels(net)["e2"] == (0,)
     # a node with out-edges and no in-edges, other than the source, emits zeros
     net = Network(2, "s", ("s", "a", "t"), [("e1", "s", "t"), ("e2", "a", "t")], {})
-    flow = simulate(net, [TaggedPacket(Field(2, 1), (1, 1, 0))])
+    flow = simulate(net, [packet(Field(2, 1), (1, 1, 0))])
     assert flow.kernels["e2"] == (0,) and flow.packets["e2"].flat == (0, 0, 0)
     # at out-degree 2, both out-edges carry the zero packet (source width) and the zero kernel
     net = Network(
@@ -95,7 +95,7 @@ def test_zero_kernel_propagates_zero():
         [("e1", "s", "t"), ("e2", "s", "t"), ("e3", "a", "t"), ("e4", "a", "t")],
         {},
     )
-    source = TaggedPacket(Field(2, 1), (1, 1, 0, 1, 1))
+    source = packet(Field(2, 1), (1, 1, 0, 1, 1))
     flow = simulate(net, [source, source])
     for e in ("e3", "e4"):
         assert flow.kernels[e] == (0, 0) and flow.packets[e].flat == (0,) * 5
@@ -421,11 +421,11 @@ def test_substitution_taints_exactly_the_downstream_closure():
     net = butterfly(2)
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     assert packets[0] != packets[1]
-    sources = [p.flat for p in packets]
+    pk, sources = packing(Field(2, 1), packets[0].size), [p.packed for p in packets]
 
     def tainted(coeffs):
         flow = simulate(net, packets, [Intervention("m", "e4", coeffs)])
-        return {e for e, p in flow.packets.items() if p.flat != mix(2, sources, flow.kernels[e])}
+        return {e for e, p in flow.packets.items() if p.packed != mix(pk, sources, flow.kernels[e])}
 
     assert tainted((0, 1)) == {"e4", "e7", "e8", "e9"}
     assert tainted((1, 0)) == set()
@@ -495,7 +495,7 @@ def test_simulate_input_validation():
     wrong_field = make_instance(rng, 3, 1, 2, 2, V=1, n=2)[4]
     with pytest.raises(ValueError):
         simulate(net, wrong_field)
-    mixed = [TaggedPacket(Field(2, 1), (1, 0, 0)), TaggedPacket(Field(2, 1), (1, 0, 0, 0))]
+    mixed = [packet(Field(2, 1), (1, 0, 0)), packet(Field(2, 1), (1, 0, 0, 0))]
     with pytest.raises(ValueError, match="disagree on field or tag length"):
         simulate(net, mixed)
     with pytest.raises(ValueError, match="needs 2 coefficients, got 1"):

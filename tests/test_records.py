@@ -34,6 +34,7 @@ from ncauth import (
     simulate,
     tag,
 )
+from support import packet
 
 F = Field(3, 2)
 POINTS = ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2))
@@ -51,7 +52,7 @@ BUILDERS = {
     "SystemParams": lambda: SystemParams(F, 2, 2, 6, 2, POINTS),
     "SourceKey": lambda: SourceKey(tuple(SKEY.polys)),
     "VerifierKey": lambda: VerifierKey(0, VKEYS[0].point, tuple(VKEYS[0].evals)),
-    "TaggedPacket": lambda: TaggedPacket(F, list(PACKETS[0].flat)),
+    "TaggedPacket": lambda: packet(F, PACKETS[0].flat),
     "ForgerySpec": lambda: ForgerySpec(3, (2, 2)),
     "Edge": lambda: Edge("e1", "s", "u1"),
     "Intervention": lambda: Intervention("m", "e4", (2, 2)),
@@ -108,13 +109,15 @@ def test_sweep_row_is_the_recovery_result_plus_two_columns():
 
 
 def test_packet_views_are_read_only():
-    flat = PACKETS[1].flat
-    checked, unchecked = TaggedPacket(F, flat), TaggedPacket._from_reduced(F, flat)
+    p = PACKETS[1]
+    checked, unchecked = packet(F, p.flat), TaggedPacket._from_reduced(F, p.packed, p.size)
     assert checked == unchecked
     assert (checked.m, checked.tag) == (unchecked.m, unchecked.tag) == (MESSAGES[1], PACKETS[1].tag)
     assert not hasattr(checked, "__dict__")
     with pytest.raises(AttributeError):
         checked.m = MESSAGES[0]
+    with pytest.raises(AttributeError):
+        checked.flat = p.flat
     with pytest.raises(AttributeError):
         checked.note = "a new attribute"
     assert checked.m == MESSAGES[1]
@@ -124,7 +127,7 @@ def test_packet_views_are_read_only():
     "record, change, message",
     [
         (PARAMS, {"k": 1}, "k must be at least 2"),
-        (PACKETS[0], {"flat": (1, 0)}, "flat packet must have"),
+        (PACKETS[0], {"size": 2}, "flat packet must have"),
         (ForgerySpec(3, (2, 2)), {"coeffs": (1, 1)}, "must sum to 1 mod q"),
     ],
     ids=["SystemParams", "TaggedPacket", "ForgerySpec"],

@@ -25,10 +25,14 @@ from ncauth import (
     tag,
     verify,
 )
+from ncauth.field import packing
+from ncauth.scheme import mix
 from support import (
     make_instance,
     matmul,
+    packet,
     reference_evals,
+    reference_mix,
     reference_residual,
     reference_tag,
     sample_points,
@@ -118,7 +122,7 @@ def test_zero_packet_verifies_but_flags_zero():
     F = Field(3, 2)
     rng = random.Random(5)
     params, skey, vkeys, _, _ = make_instance(rng, 3, 2, 2, 2)
-    z = TaggedPacket(F, (0,) * (1 + F.l * (1 + params.k)))
+    z = packet(F, (0,) * (1 + F.l * (1 + params.k)))
     assert z.is_zero() and z.c == 0 and z.m.is_zero() and all(t.is_zero() for t in z.tag)
     assert all(verify(vk, z) for vk in vkeys)
 
@@ -135,7 +139,7 @@ def test_single_symbol_corruption_mostly_rejected():
             pos = rng.randrange(len(flat))
             delta = rng.randrange(1, q)
             flat[pos] = (flat[pos] + delta) % q
-            corrupted = TaggedPacket(F, flat)
+            corrupted = packet(F, flat)
             trials += 1
             rejected += 0 if verify(vkeys[0], corrupted) else 1
         bound = 1 - 1 / F.order
@@ -219,12 +223,84 @@ def test_flat_roundtrip_and_length_check():
         flat = p.flat
         assert len(flat) == 1 + F.l + params.k * F.l
         assert flat == (p.c, *p.m.coeffs, *(c for t in p.tag for c in t.coeffs))
-        assert TaggedPacket(F, list(flat)) == p
+        assert packet(F, flat) == p
     flat = packets[0].flat
-    for bad in (flat[:-1], flat[: 1 + F.l], flat[:1] + (3,) + flat[2:],
-                flat[:1] + (-1,) + flat[2:], (True,) + flat[1:], flat[:1] + (1.0,) + flat[2:]):
+    for bad in (flat[:-1], flat[: 1 + F.l], flat[:1] + (3,) + flat[2:], flat[:1] + (-1,) + flat[2:]):
         with pytest.raises(ValueError):
-            TaggedPacket(F, bad)
+            packet(F, bad)
+    # a True or 1.0 symbol has no packed form: the packed vector itself is refused
+    for bad in (True, float(packets[0].packed)):
+        with pytest.raises(ValueError, match="must be an int"):
+            TaggedPacket(F, bad, len(flat))
+
+
+# (q, l) for the packed layout: one-bit slots, and small and wide odd-q slots
+LAYOUT_FIELDS = [(q, l) for q in (2, 3, 5, 257) for l in (1, 2, 3)]
+
+
+@st.composite
+def symbol_packets(draw):
+    """A field and 1 to 3 lists of F_q symbols of one packet length, k <= 3."""
+    q, l = draw(st.sampled_from(LAYOUT_FIELDS))
+    size = 1 + l * (1 + draw(st.integers(1, 3)))
+    symbol = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    flat = st.lists(symbol, min_size=size, max_size=size)
+    return Field(q, l), draw(st.lists(flat, min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbol_packets())
+def test_packed_layout_round_trips(case):
+    fld, flats = case
+    l = fld.l
+    for flat in flats:
+        p = packet(fld, flat)
+        assert p.flat == tuple(flat) and p.size == len(flat)
+        assert TaggedPacket(fld, p.packed, p.size) == TaggedPacket._make(p) == p
+        assert p.c == flat[0] and p.m == fld(flat[1 : 1 + l])
+        assert p.tag == tuple(fld(flat[i : i + l]) for i in range(1 + l, len(flat), l))
+        assert p.is_zero() is not any(flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbol_packets(), st.data())
+def test_mix_matches_the_symbol_oracle(case, data):
+    fld, flats = case
+    q, w = fld.q, fld.w
+    special = st.sampled_from([0, q - 1, q, q + 1, 3 * q, -1])  # zero, and coefficients >= q
+    coeff = st.one_of(special, st.integers(0, 4 * q))
+    coeffs = data.draw(st.lists(coeff, min_size=len(flats), max_size=len(flats)))
+    pk = packing(Field(q, 1), len(flats[0]))
+    vectors = [packet(fld, f).packed for f in flats]
+    mixed = mix(pk, vectors, coeffs)
+    assert TaggedPacket(fld, mixed, pk.size).flat == reference_mix(q, flats, coeffs)
+    # the same vectors above the header, as entries of F_{q^l}: the recovery rows' packing
+    wide = packing(fld, (pk.size - 1) // fld.l)
+    assert mix(wide, [v >> w for v in vectors], coeffs) == mixed >> w
+    assert mix(pk, vectors, [q * a for a in coeffs]) == 0  # every coefficient reduces to 0
+
+
+@pytest.mark.parametrize(
+    "q, l, packed, size, message",
+    [
+        (3, 2, 0, 4, "flat packet must have"),  # not 1 + l(1 + k)
+        (3, 2, 0, 3, "flat packet must have"),  # k = 0
+        (3, 2, 0, 5.0, "flat packet must have"),
+        (3, 2, 3, 5, r"symbols must be ints in \[0, 3\)"),  # header slot = q
+        (3, 2, 7 << 12, 5, r"symbols must be ints in \[0, 3\)"),  # last slot all ones
+        (3, 2, 1 << 15, 5, r"must be an int in \[0, 2\^15\)"),  # a bit past the width
+        (2, 1, 1 << 3, 3, r"must be an int in \[0, 2\^3\)"),
+        (3, 2, -1, 5, "must be an int in"),
+        (3, 2, True, 5, "must be an int in"),
+        (3, 2, 1.0, 5, "must be an int in"),
+        (3, 2, "1", 5, "must be an int in"),
+    ],
+    ids=["count", "no-tag", "float-size", "slot", "top-slot", "width", "width-f2", "negative",
+         "bool", "float", "str"],
+)
+def test_packed_packet_refusals(q, l, packed, size, message):
+    with pytest.raises(ValueError, match=message):
+        TaggedPacket(Field(q, l), packed, size)
 
 
 def test_moore_matrix_examples_and_rank():
@@ -259,7 +335,7 @@ def test_tag_coefficients_affine_identity():
 def test_header_out_of_range_rejected():
     F = Field(2, 1)
     with pytest.raises(ValueError):
-        TaggedPacket(F, (2, 1, 1))
+        packet(F, (2, 1, 1))
 
 
 def test_verify_refuses_a_packet_over_another_field():
@@ -291,12 +367,12 @@ def test_scheme_on_codes_matches_element_reference(case):
     assert packets == [reference_tag(skey, s) for s in messages]
     mixed = combine(packets, [rng.randrange(q) for _ in packets])
     forged = forge(packets, ForgerySpec(q, sum_one_coeffs(q, len(packets), rng)))
-    noise = TaggedPacket(fld, [rng.randrange(q) for _ in range(1 + l * (1 + k))])
+    noise = packet(fld, [rng.randrange(q) for _ in range(1 + l * (1 + k))])
     # one tag coordinate moved: the residual is a nonzero multiple of a power of x_i
     flat = list(packets[0].flat)
     pos = 1 + l * (1 + rng.randrange(k)) + rng.randrange(l)
     flat[pos] = (flat[pos] + rng.randrange(1, q)) % q
-    corrupt = TaggedPacket(fld, flat)
+    corrupt = packet(fld, flat)
     for vk in vkeys:
         for p in (*packets, mixed, forged, noise, corrupt):
             want = reference_residual(vk, p)
