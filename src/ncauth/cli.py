@@ -570,16 +570,6 @@ def render_sweep(result: SweepResult) -> str:
 # command line
 
 
-def _demo_doc(seed: int) -> dict:
-    return {
-        "version": 1,
-        "seed": seed,
-        "params": {"q": 2, "l": 3, "k": 3, "M": 2, "V": 6, "n": 2},
-        "topology": "butterfly",
-        "attack": {"type": "pollute", "node": "m", "edge": "e4", "coeffs": [0, 1]},
-    }
-
-
 def _dump(report: dict) -> str:
     import json
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -649,10 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--guard", type=guard, default=BRUTE_FORCE_GUARD)
     sweep.add_argument("--family", choices=("fan", "line"), default="fan")
     sweep.add_argument("--out", default=None)
-
-    demo = sub.add_parser("demo", help="run the built-in butterfly pollution demo")
-    demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--out", default=None)
     return parser
 
 
@@ -663,17 +649,6 @@ def _dispatch(args) -> str:
             reps=args.reps, seed=args.seed, guard=args.guard, family=args.family,
         )
         return render_sweep(result)
-    if args.command == "demo":
-        import json
-        report = run_scenario(_demo_doc(args.seed))
-        decoded = {s: d["diverged"] for s, d in report["decodes"].items()}
-        all_ok = all(all(v.values()) for v in report["accepts"].values())
-        lines = [
-            "butterfly pollution demo",
-            f"all verifier checks passed: {all_ok}",
-            f"sink decode diverged: {json.dumps(decoded, sort_keys=True)}",
-        ]
-        return "\n".join(lines) + "\n" + _dump(report)
     doc = _load_config(args.config)
     if args.command == "keygen":
         return _dump(keygen_report(doc, seed=args.seed))
@@ -688,16 +663,15 @@ def _dispatch(args) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
     try:
         text = _dispatch(args)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not out:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

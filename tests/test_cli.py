@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -712,7 +713,7 @@ def test_main_out_file(tmp_path, capsys):
 
 def test_main_unwritable_out_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.txt"
-    assert main(["demo", "--out", str(out)]) == 2
+    assert main(["pollute", "--config", str(CONFIGS / "butterfly_pollute.json"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
@@ -852,6 +853,16 @@ def test_main_help(capsys):
     assert capsys.readouterr().out.startswith("usage: ncauth")
 
 
+def test_command_surface(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err  # the usage line, then the error
+    commands = re.search(r"\{(.*?)\}", err).group(1).split(",")
+    assert commands == ["keygen", "simulate", "forge", "pollute", "recover", "lemma-sweep"]
+    assert "invalid choice: 'demo'" in err
+
+
 def test_main_keygen(tmp_path, capsys):
     cfg = write_config(tmp_path, butterfly_doc())
     assert main(["keygen", "--config", cfg]) == 0
@@ -863,25 +874,13 @@ def test_python_m_ncauth_runs_the_cli():
     # a plain checkout runs the command line as a module, with only src/ on the path
     root = Path(__file__).resolve().parent.parent
     res = subprocess.run(
-        [sys.executable, "-m", "ncauth", "demo", "--seed", "0"],
+        [sys.executable, "-m", "ncauth", "pollute", "--config", str(CONFIGS / "butterfly_pollute.json")],
         capture_output=True, text=True, timeout=120, check=False,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == (root / "tests" / "golden" / "demo.seed0.txt").read_text(encoding="utf-8")
-
-
-def test_main_demo_default_seed_is_zero(capsys):
-    golden = Path(__file__).resolve().parent / "golden" / "demo.seed0.txt"
-    assert main(["demo"]) == 0
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
-
-
-def test_main_demo(capsys):
-    assert main(["demo", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("butterfly pollution demo")
-    assert "all verifier checks passed: True" in out
+    golden = root / "tests" / "golden" / "butterfly_pollute.pollute.json"
+    assert res.stdout == golden.read_text(encoding="utf-8")
 
 
 def test_main_lemma_sweep(capsys):
