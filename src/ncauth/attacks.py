@@ -91,11 +91,12 @@ def build_recovery_system(
     k, M = params.k, params.M
     keys = list(keys)
     messages = [fld(s) for s in messages]
-    if view.h_rows and any(len(h) != len(messages) for h in view.h_rows):
+    h = view.h
+    if h.cols != len(messages):
         raise ValueError("observation width disagrees with the message count")
-    if len(view.packets) != view.h_total:
+    if len(view.packets) != h.rows:
         raise ValueError("one observed packet per coalition edge required")
-    if any(p.field is not fld for p in view.packets) or any(
+    if h.field.q != fld.q or any(p.field is not fld for p in view.packets) or any(
         e.field is not fld for key in keys for e in (key.point, *key.evals)
     ):
         raise ValueError("element belongs to a different field")
@@ -109,7 +110,8 @@ def build_recovery_system(
     block = pk.ew * (M + 1)
     powers_matrix = moore_matrix(fld, messages, M).packed  # n packed rows of M+1 entries
     # H_i rows times the message power matrix, coalition order
-    mixed_rows = [mix(pk, powers_matrix, h) for h in view.h_rows]
+    hpk = packing(h.field, h.cols)
+    mixed_rows = [mix(pk, powers_matrix, hpk.entries(v)) for v in h.packed]
 
     crows, crhs = [], []
     for j in range(k):
@@ -136,8 +138,8 @@ def build_recovery_system(
         K=len(keys),
         n=len(messages),
         r0=r0,
-        h_total=view.h_total,
-        condition_held=view.h_total <= M,
+        h_total=h.rows,
+        condition_held=h.rows <= M,
     )
     return RecoverySystem(
         Matrix._from_packed(fld, crows, k * (M + 1)), Matrix._from_packed(fld, crhs, 1), meta

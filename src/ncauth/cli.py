@@ -39,7 +39,7 @@ from .netsim import (
     line,
     simulate,
 )
-from .scheme import FLAT_LAYOUT, ForgerySpec, SystemParams, keygen, tag, verify
+from .scheme import FLAT_LAYOUT, ForgerySpec, SystemParams, TaggedPacket, keygen, tag, verify
 
 SCHEMA_VERSION = 1
 TOPOLOGY_VERSION = 1
@@ -297,15 +297,17 @@ def _keys(sc: Scenario):
 def _plain(value):
     """The one JSON form of a report value.
 
-    An element becomes its coordinate list, a record the object of its
-    fields, and a tuple or list a list, recursively.  Anything else passes
-    through.  Sequences are tested first, so ints never reach ``hasattr``,
-    and the int entries of a flat packet skip the call.
+    An element becomes its coordinate list, a packet its flat symbols, any
+    other record (a packet is one too) the object of its fields, and a tuple
+    or list a list, recursively.  Anything else passes through.  Sequences
+    are tested first, so ints never reach ``hasattr``.
     """
     if isinstance(value, (list, tuple)):
+        if isinstance(value, TaggedPacket):
+            return list(value.flat)
         if hasattr(value, "_asdict"):
             return {name: _plain(v) for name, v in value._asdict().items()}
-        return [v if type(v) is int else _plain(v) for v in value]
+        return [_plain(v) for v in value]
     if isinstance(value, Fel):
         return list(value.coeffs)
     return value
@@ -364,7 +366,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             out.update(
                 coeffs=list(spec.coeffs),
                 payload=_plain(forged.m),
-                packet=list(forged.flat),
+                packet=_plain(forged),
                 verifier_accepts=accepts_vec,
                 accepted_by_all=all(accepts_vec),
                 matches_direct_tag=forged == tag(skey, forged.m),

@@ -67,6 +67,9 @@ class Matrix:
             and self.packed == other.packed
         )
 
+    def __hash__(self):
+        return hash((self.cols, self.packed))
+
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 

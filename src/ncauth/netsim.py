@@ -6,16 +6,16 @@ on each outgoing edge, the F_q-linear combination of its incoming traffic
 given by the matching column of its local kernel matrix.  The honest
 global kernels follow the same recursion over unit vectors, mixed in the
 same pass, so absent interference the flat value on edge e is exactly f_e
-applied to the stacked source packets.  Inside a run both are packed F_q
-vectors mixed by `mix`; at the end each edge's vector is wrapped into a
-packet and its kernel unpacked into a tuple, once.
+applied to the stacked source packets.  Both are packed F_q vectors mixed
+by `mix`, and both stay packed: at the end each edge's vector is wrapped
+into a packet and its kernel kept as the packed int it was mixed as.
 
 Adversarial substitutions model a relay that replaces its own view of one
 incoming edge by a coefficient-sum-one combination of all its inputs;
 downstream nodes process the altered value, upstream traffic is
 untouched.  A flow holds one packet per edge, the one delivered to
 the edge's head: on a substituted edge that is the substitute, and the
-value its tail emitted is kept in the intervention record.
+packet its tail emitted is kept in the intervention record.
 
 Decoding works on what any set of nodes observed on their in-edges (a
 `CoalitionView`): a sink decodes its one-node view, and a coalition of
@@ -145,7 +145,7 @@ Intervention.__doc__ = "Replace `node`'s view of incoming `edge` by a sum-one mi
 class InterventionRecord(
     namedtuple("InterventionRecord", "node edge coeffs honest injected")
 ):
-    """An applied `Intervention` and the flat values its tail emitted and its head received."""
+    """An applied `Intervention` and the packets its tail emitted and its head received."""
 
     __slots__ = ()
 
@@ -157,9 +157,9 @@ class InterventionRecord(
 FlowState = namedtuple("FlowState", "network kernels packets log")
 FlowState.__doc__ = """One run: per edge, its honest global kernel and its delivered packet.
 
-`packets[e]` is the packet delivered to e's head.  A substituted edge's
-packet is the substitute; what its tail emitted is the `honest` value of
-the edge's `InterventionRecord` in `log`.
+`kernels[e]` is e's global kernel, n F_q symbols packed, and `packets[e]`
+the packet delivered to e's head.  A substituted edge's packet is the
+substitute; the one its tail emitted is its record's `honest` in `log`.
 """
 
 
@@ -167,8 +167,8 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     """Run the coding network on `packets`, applying any substitutions.
 
     The packets are checked once, on entry.  The run mixes their packed
-    vectors with `mix`, beside the packed kernels, and at the end wraps each
-    edge's vector into a packet and unpacks its kernel into a tuple, once.
+    vectors with `mix`, beside the packed kernels, and wraps each edge's
+    vector and each substitution's two vectors into packets, unpacking none.
     """
     packets = list(packets)
     if len(packets) != net.n:
@@ -195,6 +195,8 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
     vectors = dict(zip(net.out_edges(net.source), sources))
     kernels = {e: 1 << kpk.ew * i for i, e in enumerate(vectors)}
     log: list[InterventionRecord] = []
+    def wrap(v):
+        return TaggedPacket._from_reduced(fld, v, pk.size)
     for node in net.topo_order:
         if node == net.source:
             continue
@@ -202,8 +204,7 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         honest = [vectors[d] for d in ins]
         for iv in by_node.get(node, ()):  # every substitute mixes the inputs as they arrived
             sent, sub = honest[ins.index(iv.edge)], mix(pk, honest, iv.coeffs)
-            symbols = [tuple(pk.entries(v)) for v in (sent, sub)]  # records keep the symbols
-            log.append(InterventionRecord(node, iv.edge, tuple(iv.coeffs), *symbols))
+            log.append(InterventionRecord(node, iv.edge, tuple(iv.coeffs), wrap(sent), wrap(sub)))
             vectors[iv.edge] = sub
         current = [vectors[d] for d in ins] if node in by_node else honest
         in_kernels = [kernels[d] for d in ins]
@@ -211,44 +212,37 @@ def simulate(net: Network, packets, interventions=()) -> FlowState:
         for c, e in enumerate(net.out_edges(node)):
             col = [row[c] for row in kern]
             vectors[e], kernels[e] = mix(pk, current, col), mix(kpk, in_kernels, col)
-    wrapped = {e: TaggedPacket._from_reduced(fld, v, pk.size) for e, v in vectors.items()}
-    kernels = {e: tuple(kpk.entries(v)) for e, v in kernels.items()}
-    return FlowState(net, kernels, wrapped, tuple(log))
+    return FlowState(net, kernels, {e: wrap(v) for e, v in vectors.items()}, tuple(log))
 
 
 DecodeResult = namedtuple("DecodeResult", "ok rank packets payloads reason", defaults=(None,))
 
 
-class CoalitionView(namedtuple("CoalitionView", "nodes h_rows packets")):
-    """What a set of nodes observed on their in-edges: kernels and packets, stacked."""
+CoalitionView = namedtuple("CoalitionView", "nodes h packets")
+CoalitionView.__doc__ = """What a set of nodes observed on their in-edges, stacked in edge order.
 
-    __slots__ = ()
-
-    @property
-    def h_total(self) -> int:
-        return len(self.h_rows)
+`h` is the F_q ``Matrix`` of the observed global kernels, one row per
+in-edge and n columns, beside the `packets` delivered on those edges.
+"""
 
 
 def decode(view: CoalitionView) -> DecodeResult:
     """Solve a view's observations for the source packets; failure is reported, not raised.
 
-    One solve of F X = Y, the observed kernel rows F beside the observed flat
+    One solve of F X = Y, the view's kernel matrix F beside the observed flat
     packets Y, gives the rank (pivots among F's n columns), consistency and,
-    at full rank, the source packets.  Packets are F_q vectors in the
-    packed layout of a ``Matrix`` row, so their rows are taken as they are
-    and the solved rows become packets without unpacking.  A sink decodes
-    `coalition_view(flow, [sink])`; a coalition decodes its own view the
-    same way.
+    at full rank, the source packets.  F is solved as it is, and packets
+    are F_q vectors in the packed layout of a ``Matrix`` row, so their rows
+    are taken as they are and the solved rows become packets without
+    unpacking.  A sink decodes `coalition_view(flow, [sink])`; a coalition
+    decodes its own view the same way.
     """
-    if not view.h_rows:
+    h = view.h
+    if not h.rows:
         return DecodeResult(False, 0, None, None, "sink has no incoming edges")
-    n = len(view.h_rows[0])
     fld, size = view.packets[0].field, view.packets[0].size
-    base = Field(fld.q, 1)
-    coeff = Matrix(base, view.h_rows, cols=n)  # reduces kernel entries mod q
-    observed = Matrix._from_packed(base, [p.packed for p in view.packets], size)
-    rank, x = solve(coeff, observed)
-    if rank < n:
+    rank, x = solve(h, Matrix._from_packed(h.field, [p.packed for p in view.packets], size))
+    if rank < h.cols:
         return DecodeResult(False, rank, None, None, "insufficient rank")
     if x is None:
         return DecodeResult(False, rank, None, None, "observations are inconsistent")
@@ -263,14 +257,12 @@ def coalition_view(flow: FlowState, coalition) -> CoalitionView:
     if len(set(coalition)) != len(coalition):
         raise ValueError("duplicate coalition node")
     net = flow.network
-    rows, pkts = [], []
     for node in coalition:
         if node not in net.nodes:
             raise ValueError(f"unknown coalition node {node!r}")
-        for e in net.in_edges(node):
-            rows.append(flow.kernels[e])
-            pkts.append(flow.packets[e])
-    return CoalitionView(coalition, tuple(rows), tuple(pkts))
+    edges = [e for node in coalition for e in net.in_edges(node)]
+    h = Matrix._from_packed(Field(net.q, 1), [flow.kernels[e] for e in edges], net.n)
+    return CoalitionView(coalition, h, tuple(flow.packets[e] for e in edges))
 
 
 def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):

@@ -170,8 +170,8 @@ def mix(pk: Packing, vectors, coeffs) -> int:
     """sum_i coeffs[i] * vectors[i] for packed vectors of `pk` and int coefficients mod q.
 
     Every F_q-linear combination in the lab is this one: relay outputs,
-    substitutions and forgeries mix packets, the simulator mixes global
-    kernels in the same pass, and the recovery system mixes message powers.
+    substitutions and forgeries mix packets, the simulator mixes packed global
+    kernels, and the recovery system mixes message powers by a view's kernel rows.
     Each nonzero coefficient, a base-field scalar, is one `Packing.add_mul`.
     """
     q, add_mul = pk.field.q, pk.add_mul

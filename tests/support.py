@@ -7,8 +7,18 @@ import random
 
 from hypothesis import strategies as st
 
-from ncauth import Field, GuardError, Matrix, SystemParams, TaggedPacket, keygen, tag
+from ncauth import (
+    CoalitionView,
+    Field,
+    GuardError,
+    Matrix,
+    SystemParams,
+    TaggedPacket,
+    keygen,
+    tag,
+)
 from ncauth.cli import _sample_points, _sum_one_coeffs as sum_one_coeffs
+from ncauth.field import packing
 
 ENUMERATION_GUARD = 1 << 20
 # (q, l) pairs the arithmetic oracles cover: small, one-byte-plus and the
@@ -194,6 +204,16 @@ def packet(field, flat):
     return TaggedPacket(field, sum(s << field.w * i for i, s in enumerate(flat)), len(flat))
 
 
+def view_of(nodes, q, n, rows, packets):
+    """A coalition view from kernel rows of ints, reduced mod q by the F_q `Matrix` of n columns."""
+    return CoalitionView(tuple(nodes), Matrix(Field(q, 1), rows, cols=n), tuple(packets))
+
+
+def symbols(q, n, packed):
+    """The n F_q symbols of a packed kernel, or of a row of a view's kernel matrix, lowest first."""
+    return tuple(packing(Field(q, 1), n).entries(packed))
+
+
 def reference_mix(q, flats, coeffs):
     """sum_i coeffs[i] * flats[i] over F_q, symbol by symbol: the oracle of the packed `mix`."""
     return tuple(sum(a * v[j] for a, v in zip(coeffs, flats)) % q for j in range(len(flats[0])))
@@ -210,13 +230,14 @@ def reference_r0(view, messages, M):
     nonzero, r0 = eta + min(rank(H U) - eta, M).  The F_q rank is taken by
     `reference_rref`.
     """
-    if not view.h_rows:
+    if not view.h.rows:
         return 0
     fld = messages[0].field
     q = fld.q
     u = [(1, *s.coeffs) for s in messages]
-    hu = [[sum(h * row[c] for h, row in zip(hrow, u)) % q for c in range(1 + fld.l)]
-          for hrow in view.h_rows]
+    hu = [[sum(h * row[c] for h, row in zip(symbols(q, view.h.cols, v), u)) % q
+           for c in range(1 + fld.l)]
+          for v in view.h.packed]
     eta = int(any(row[0] for row in hu))
     rank = len(reference_rref(Matrix(Field(q, 1), hu, cols=1 + fld.l))[1])
     return eta + min(rank - eta, M)

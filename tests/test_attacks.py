@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncauth import (
-    CoalitionView,
     Field,
     ForgerySpec,
     GuardError,
@@ -45,6 +44,7 @@ from support import (
     reference_r0,
     sample_points,
     transpose,
+    view_of,
 )
 
 
@@ -135,7 +135,7 @@ def hand_instance():
     skey, vkeys = keygen(params, seed=5)
     messages = [fld.one]
     packets = [tag(skey, messages[0])]
-    view = CoalitionView(("v0",), ((1,),), (packets[0],))
+    view = view_of(("v0",), 2, 1, [(1,)], packets[:1])
     return params, skey, vkeys, messages, packets, view
 
 
@@ -172,7 +172,7 @@ def test_recovery_hand_example_matrix():
 
 def test_recovery_without_observations_counts_keyspace():
     params, skey, vkeys, messages, packets, _ = hand_instance()
-    view = CoalitionView(("v0",), (), ())
+    view = view_of(("v0",), 2, 1, (), ())
     system = build_recovery_system(params, view, vkeys, messages)
     assert system.meta.r0 == 0
     assert predicted_rank(system.meta) == 2
@@ -181,16 +181,22 @@ def test_recovery_without_observations_counts_keyspace():
     assert brute_force_count(system) == 4
 
 
+def test_an_empty_view_must_span_the_payloads():
+    # no rows to measure, yet the width of a 0 x n view is still n
+    params, skey, vkeys, messages, packets, _ = hand_instance()
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="observation width disagrees"):
+            build_recovery_system(params, view_of(("v0",), 2, n, (), ()), vkeys, messages)
+    empty = view_of(("v0",), 2, 1, (), ())
+    assert build_recovery_system(params, empty, vkeys, messages).meta.h_total == 0
+
+
 def test_true_key_satisfies_the_system():
     rng = random.Random(77)
     for _ in range(5):
         params, skey, vkeys, messages, packets = make_instance(rng, 3, 1, 3, 2, V=2)
         coeffs = [rng.randrange(3) for _ in messages]
-        view = CoalitionView(
-            ("a", "b"),
-            (tuple(coeffs),),
-            (combine(packets, coeffs),),
-        )
+        view = view_of(("a", "b"), 3, len(messages), [coeffs], [combine(packets, coeffs)])
         system = build_recovery_system(params, view, vkeys[:2], messages)
         secret = _column_major_secret(skey)
         for row, (want,) in zip(system.coeff.data, system.rhs.data, strict=True):
@@ -209,14 +215,14 @@ def test_full_mixing_rank_pins_the_key():
     skey, vkeys = keygen(params, seed=3)
     messages = [fld(1), fld(2)]
     packets = [tag(skey, s) for s in messages]
-    view = CoalitionView(("v0",), ((1, 0), (0, 1)), tuple(packets))
+    view = view_of(("v0",), 3, 2, ((1, 0), (0, 1)), packets)
     system = build_recovery_system(params, view, vkeys, messages)
     assert system.meta.r0 == 2
     assert predicted_count(system.meta) == 1
     assert gauss_count(system) == (True, 1, 4)
     assert brute_force_count(system) == 1
     # a hand-built view's kernel entries mean their residues mod q
-    unreduced = CoalitionView(("v0",), ((4, -3), (3, -2)), tuple(packets))
+    unreduced = view_of(("v0",), 3, 2, ((4, -3), (3, -2)), packets)
     assert build_recovery_system(params, unreduced, vkeys, messages) == system
 
 
@@ -249,17 +255,21 @@ def test_build_recovery_system_input_checks():
     assert keyless.predicted == keyless.gauss == keyless.brute == 4  # q^(l(M+1-r0)k)
     with pytest.raises(ValueError):
         build_recovery_system(params, view, vkeys, messages + messages)
-    short = CoalitionView(("v0",), ((1,),), ())
+    short = view_of(("v0",), 2, 1, [(1,)], ())
     with pytest.raises(ValueError):
         build_recovery_system(params, short, vkeys, messages)
-    one_coeff_tag = CoalitionView(("v0",), ((1,),), (packet(params.field, (1, 1, 0)),))
+    one_coeff_tag = view_of(("v0",), 2, 1, [(1,)], [packet(params.field, (1, 1, 0))])
     with pytest.raises(ValueError, match="tag length disagrees with k"):
         build_recovery_system(params, one_coeff_tag, vkeys, messages)
-    # a packet or key over another field of the same shape is refused, not misread
+    # a packet, kernel matrix or key over another field of the same shape is refused, not misread
     other = Field(3, 1)
     foreign = packet(other, packets[0].flat)
-    with pytest.raises(ValueError, match="element belongs to a different field"):
-        build_recovery_system(params, CoalitionView(("v0",), ((1,),), (foreign,)), vkeys, messages)
+    for foreign_view in (
+        view_of(("v0",), 2, 1, [(1,)], [foreign]),
+        view_of(("v0",), 3, 1, [(1,)], packets[:1]),
+    ):
+        with pytest.raises(ValueError, match="element belongs to a different field"):
+            build_recovery_system(params, foreign_view, vkeys, messages)
     o_params = SystemParams(other, k=2, M=1, V=1, n=1, public_points=(1,))
     _, o_vkeys = keygen(o_params, seed=5)
     for keys in (o_vkeys, [vkeys[0]._replace(evals=o_vkeys[0].evals)]):
@@ -300,7 +310,7 @@ def test_counts_agree_on_random_instances():
                 h = tuple(rng.randrange(q) for _ in messages)
                 rows.append(h)
                 pkts.append(combine(packets, h))
-        view = CoalitionView(tuple(f"v{i}" for i in range(K)), tuple(rows), tuple(pkts))
+        view = view_of([f"v{i}" for i in range(K)], q, len(messages), rows, pkts)
         system = build_recovery_system(params, view, vkeys[:K], messages)
         ok, cnt, rank = gauss_count(system)
         assert ok, (q, l, k, M)
@@ -344,7 +354,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
         _, h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
         true_rows.append(tuple(x.coeffs[0] for (x,) in h.data))
-    fixed = CoalitionView(view.nodes, tuple(true_rows), view.packets)
+    fixed = view_of(view.nodes, 2, view.h.cols, true_rows, view.packets)
     system2 = build_recovery_system(params, fixed, vkeys[:1], messages)
     ok2, cnt2, _ = gauss_count(system2)
     assert ok2 and cnt2 == predicted_count(system2.meta)
@@ -493,7 +503,7 @@ def test_brute_force_at_the_largest_checked_shapes(q, l, k, M, K):
     rng = random.Random(24 + K)
     params, skey, vkeys, messages, packets = make_instance(rng, q, l, k, M, V=1, n=M)
     h_rows = ((1,) + (0,) * (M - 1), tuple(rng.randrange(q) for _ in range(M)))
-    view = CoalitionView(("v0",), h_rows, tuple(combine(packets, h) for h in h_rows))
+    view = view_of(("v0",), q, M, h_rows, [combine(packets, h) for h in h_rows])
     system = build_recovery_system(params, view, vkeys[:K], messages)
     assert l * system.coeff.cols == (18 if q == 2 else 12)
     consistent, gcount, _ = gauss_count(system)
@@ -553,7 +563,7 @@ def test_h_condition_boundaries():
     packet = tag(skey, messages[0])
 
     def held(h_total):
-        view = CoalitionView(("v0",), ((1,),) * h_total, (packet,) * h_total)
+        view = view_of(("v0",), 2, 1, [(1,)] * h_total, [packet] * h_total)
         return build_recovery_system(params, view, vkeys, messages).meta.condition_held
 
     assert held(3) is True

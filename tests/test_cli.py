@@ -313,6 +313,18 @@ def test_recover_coalition_of_k_interpolates_the_secret():
     assert atk["rank_match"] is True and atk["count_match"] is True
 
 
+def test_recover_from_the_source_sees_no_rows():
+    # the source has no in-edges: its view is a 0 x n kernel matrix and pins nothing
+    doc = butterfly_doc(type="recover")
+    doc["adversaries"] = ["s"]
+    atk = run_scenario(doc, guard=1 << 27)["attack"]
+    assert (atk["K"], atk["h_total"], atk["r0"], atk["rank"], atk["predicted_rank"]) == (0,) * 5
+    everything = 2 ** (3 * (2 + 1) * 3)  # q^(l(M+1)k): every secret matrix
+    assert atk["counts"] == {"predicted": everything, "gauss": everything, "brute": everything}
+    assert atk["consistent"] is atk["rank_match"] is atk["count_match"] is True
+    assert atk["condition_held"] is True
+
+
 def test_recover_guard_marks_brute_skipped():
     report = run_scenario(recover_doc(), guard=2)
     atk = report["attack"]

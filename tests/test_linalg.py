@@ -65,6 +65,21 @@ def test_rref_identity_and_zero():
             assert b == a and b.data == a.data
 
 
+def test_equal_matrices_hash_alike():
+    # a matrix is a value: however it was made, equal matrices hash the same
+    rng = random.Random(19)
+    for q, l in [(2, 1), (3, 1), (2, 8), (3, 5)]:
+        G = Field(q, l)
+        a = random_matrix(G, 3, 4, rng)
+        copies = [Matrix(G, a.data), Matrix._from_packed(G, a.packed, 4)]
+        copies.append(solve(identity(G, 3), a)[1])
+        assert all(b == a and hash(b) == hash(a) for b in copies)
+        assert {a, *copies} == {a}
+    F = Field(2, 1)
+    assert hash(Matrix(F, [], cols=2)) == hash(Matrix(F, [], cols=2))
+    assert Matrix(F, [], cols=2) != Matrix(F, [], cols=3)
+
+
 def test_rref_idempotent_randomized():
     rng = random.Random(13)
     for q, l in [(2, 1), (3, 1), (2, 2)]:

@@ -53,7 +53,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import packet, sample_points
+from support import packet, sample_points, symbols, view_of
 
 VERDICT_FIELDS = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
 # GF(2^2) too, whose 3 nonzero points seat only three butterfly nodes; every
@@ -165,10 +165,10 @@ def test_mixing_a_view_keeps_ranks_and_key_counts(ql, on_fan, seed):
     (params, skey, vkeys, messages), _, _ = instance(q, l, 2, 2, len(seats), n, seed)
     view = coalition_view(simulate(net, [tag(skey, s) for s in messages]), coalition)
     keys = [vkeys[seats[node]] for node in coalition if node in seats]
-    t = invertible(q, view.h_total, rng)
-    columns = list(zip(*view.h_rows))
-    h_rows = tuple(tuple(sum(a * h for a, h in zip(row, col)) % q for col in columns) for row in t)
-    mixed = view._replace(h_rows=h_rows, packets=tuple(combine(view.packets, row) for row in t))
+    t = invertible(q, view.h.rows, rng)
+    columns = list(zip(*[symbols(q, n, v) for v in view.h.packed]))
+    h_rows = [[sum(a * h for a, h in zip(row, col)) % q for col in columns] for row in t]
+    mixed = view_of(view.nodes, q, n, h_rows, [combine(view.packets, row) for row in t])
     assert counts(params, mixed, keys, messages) == counts(params, view, keys, messages)
 
 

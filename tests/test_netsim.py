@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncauth import (
-    CoalitionView,
     CycleError,
     Field,
     Intervention,
@@ -30,7 +29,7 @@ from ncauth import (
 from ncauth.cli import network_from_dict, run_scenario
 from ncauth.field import packing
 from ncauth.scheme import mix
-from support import make_instance, matmul, packet
+from support import make_instance, matmul, packet, symbols, view_of
 
 BUTTERFLY_KERNELS = {
     "e1": (1, 0),
@@ -55,8 +54,9 @@ def scheme_for(net, rng, l=3, k=3, M=2):
 
 
 def honest_kernels(net):
-    """The global kernels `simulate` reports for `net`, on placeholder packets."""
-    return simulate(net, [packet(Field(net.q, 1), (1, 0, 0))] * net.n).kernels
+    """The global kernels `simulate` reports for `net`, on placeholder packets, as symbols."""
+    flow = simulate(net, [packet(Field(net.q, 1), (1, 0, 0))] * net.n)
+    return {e: symbols(net.q, net.n, v) for e, v in flow.kernels.items()}
 
 
 def test_butterfly_global_kernels_hand_computed():
@@ -86,7 +86,7 @@ def test_zero_kernel_propagates_zero():
     # a node with out-edges and no in-edges, other than the source, emits zeros
     net = Network(2, "s", ("s", "a", "t"), [("e1", "s", "t"), ("e2", "a", "t")], {})
     flow = simulate(net, [packet(Field(2, 1), (1, 1, 0))])
-    assert flow.kernels["e2"] == (0,) and flow.packets["e2"].flat == (0, 0, 0)
+    assert flow.kernels["e2"] == 0 and flow.packets["e2"].flat == (0, 0, 0)
     # at out-degree 2, both out-edges carry the zero packet (source width) and the zero kernel
     net = Network(
         2,
@@ -98,7 +98,7 @@ def test_zero_kernel_propagates_zero():
     source = packet(Field(2, 1), (1, 1, 0, 1, 1))
     flow = simulate(net, [source, source])
     for e in ("e3", "e4"):
-        assert flow.kernels[e] == (0, 0) and flow.packets[e].flat == (0,) * 5
+        assert flow.kernels[e] == 0 and flow.packets[e].flat == (0,) * 5
     assert flow.packets["e1"] == flow.packets["e2"] == source
 
 
@@ -233,7 +233,7 @@ def test_honest_flow_matches_global_kernels():
         base = Field(net.q, 1)
         x = Matrix(base, [p.flat for p in packets], cols=len(packets[0].flat))
         for e, f in flow.kernels.items():
-            fe = Matrix(base, [f], cols=net.n)
+            fe = Matrix(base, [symbols(net.q, net.n, f)], cols=net.n)
             expect = matmul(fe, x).data[0]
             assert tuple(v.coeffs[0] for v in expect) == flow.packets[e].flat
 
@@ -332,22 +332,33 @@ def test_coalition_view_rows_and_packets():
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     flow = simulate(net, packets)
     view = coalition_view(flow, ("m", "t1"))
-    assert view.h_total == 4
-    assert view.h_rows == (
-        BUTTERFLY_KERNELS["e4"],
-        BUTTERFLY_KERNELS["e5"],
-        BUTTERFLY_KERNELS["e3"],
-        BUTTERFLY_KERNELS["e8"],
-    )
+    rows = [BUTTERFLY_KERNELS[e] for e in ("e4", "e5", "e3", "e8")]
+    assert (view.h.rows, view.h.cols) == (4, 2)
+    assert [symbols(2, 2, v) for v in view.h.packed] == rows
+    assert view.h == Matrix(Field(2, 1), rows)
     assert view.packets[0] == flow.packets["e4"]
-    assert Matrix(Field(2, 1), view.h_rows).rank() == decode(view).rank == 2
+    assert Matrix(Field(2, 1), rows).rank() == decode(view).rank == 2
     # a hand-built view's kernel entries mean their residues mod q: -1 is 1 and 2 is 0
-    shifted = tuple(tuple(a - 2 if a else 2 for a in h) for h in view.h_rows)
-    assert decode(CoalitionView(view.nodes, shifted, view.packets)) == decode(view)
+    shifted = [tuple(a - 2 if a else 2 for a in h) for h in rows]
+    assert decode(view_of(view.nodes, 2, 2, shifted, view.packets)) == decode(view)
     with pytest.raises(ValueError):
         coalition_view(flow, ())
     with pytest.raises(ValueError):
         coalition_view(flow, ("m", "m"))
+
+
+def test_a_view_built_twice_hashes_alike():
+    rng = random.Random(22)
+    net = butterfly(2)
+    params, skey, vkeys, messages, packets = scheme_for(net, rng)
+    flow = simulate(net, packets)
+    for nodes in (["m"], ["t1", "m"], ["s"]):
+        a, b = coalition_view(flow, nodes), coalition_view(simulate(net, packets), nodes)
+        assert a == b and hash(a) == hash(b)
+        assert {a, b} == {a}
+    source = coalition_view(flow, ["s"])  # no in-edges: a 0 x n kernel matrix
+    assert (source.h.rows, source.h.cols, source.packets) == (0, 2, ())
+    assert decode(source).reason == "sink has no incoming edges"
 
 
 def test_decode_rank_is_the_rank_of_the_observed_kernels():
@@ -362,7 +373,8 @@ def test_decode_rank_is_the_rank_of_the_observed_kernels():
         nodes = rng.sample(candidates, rng.randint(1, len(candidates)))
         view = coalition_view(flow, nodes)
         res = decode(view)
-        assert res.rank == Matrix(Field(q, 1), view.h_rows, cols=n).rank()
+        rows = [symbols(q, n, v) for v in view.h.packed]
+        assert res.rank == Matrix(Field(q, 1), rows, cols=n).rank()
         assert res.ok == (res.rank == n)
         if res.ok:
             assert res.payloads == tuple(messages)
@@ -373,8 +385,8 @@ def test_interventions_affect_only_the_intervened_view():
     net = butterfly(2)
     params, skey, vkeys, messages, packets = scheme_for(net, rng)
     flow = simulate(net, packets, [Intervention("m", "e4", (0, 1))])
-    # e4's packet is the one delivered to m; the value u1 emitted on it is in the record
-    assert flow.log[0].honest == packets[0].flat
+    # e4's packet is the one delivered to m; the packet u1 emitted on it is in the record
+    assert flow.log[0].honest == packets[0]
     assert flow.packets["e4"] == flow.packets["e5"] == packets[1]
     assert flow.packets["e3"] == packets[0]  # u1's other output is upstream, untouched
 
@@ -400,8 +412,8 @@ def test_multiple_interventions(interventions):
         arrived = [expect[d] for d in ins]  # every substitute at a node mixes these
         for iv in (iv for iv in interventions if iv.node == node):
             injected = combine(arrived, iv.coeffs)
-            sent = arrived[ins.index(iv.edge)].flat  # what the tail emitted
-            records.append((node, iv.edge, iv.coeffs, sent, injected.flat))
+            sent = arrived[ins.index(iv.edge)]  # what the tail emitted
+            records.append((node, iv.edge, iv.coeffs, sent, injected))
             expect[iv.edge] = injected
         for out, used in mixes:
             expect[out] = combine([expect[d] for d in used], [1] * len(used))
@@ -411,7 +423,7 @@ def test_multiple_interventions(interventions):
     assert flow.packets == expect
     assert all(r.changed for r in flow.log if r.node == "m")
     for r in flow.log:  # at m the record holds the honest value, at w the polluted e7
-        assert r.honest == (honest if r.node == "m" else flow.packets)[r.edge].flat
+        assert r.honest == (honest if r.node == "m" else flow.packets)[r.edge]
     assert flow.packets["e7"] != honest["e7"]
 
 
@@ -425,7 +437,8 @@ def test_substitution_taints_exactly_the_downstream_closure():
 
     def tainted(coeffs):
         flow = simulate(net, packets, [Intervention("m", "e4", coeffs)])
-        return {e for e, p in flow.packets.items() if p.packed != mix(pk, sources, flow.kernels[e])}
+        honest = {e: mix(pk, sources, symbols(2, 2, f)) for e, f in flow.kernels.items()}
+        return {e for e, p in flow.packets.items() if p.packed != honest[e]}
 
     assert tainted((0, 1)) == {"e4", "e7", "e8", "e9"}
     assert tainted((1, 0)) == set()

@@ -56,7 +56,9 @@ BUILDERS = {
     "ForgerySpec": lambda: ForgerySpec(3, (2, 2)),
     "Edge": lambda: Edge("e1", "s", "u1"),
     "Intervention": lambda: Intervention("m", "e4", (2, 2)),
-    "InterventionRecord": lambda: InterventionRecord("m", "e4", (2, 2), (1, 0), (0, 1)),
+    "InterventionRecord": lambda: InterventionRecord(
+        "m", "e4", (2, 2), packet(F, PACKETS[0].flat), packet(F, PACKETS[1].flat)
+    ),
     "FlowState": lambda: FlowState(NET, dict(FLOW.kernels), dict(FLOW.packets), ()),
     "DecodeResult": lambda: decode(VIEW),
     "CoalitionView": lambda: coalition_view(FLOW, ["m"]),
@@ -68,8 +70,8 @@ BUILDERS = {
     "Scenario": lambda: Scenario({"seed": 0}, 0, PARAMS, NET, tuple(MESSAGES), (), "none", None),
     "SweepResult": lambda: lemma_sweep([2], [1], [2], [1], [1], reps=1),
 }
-# records holding a dict or a Matrix, as their dataclasses did, hash nothing
-UNHASHABLE = {"FlowState", "RecoverySystem", "Scenario", "SweepResult"}
+# records holding a dict, as their dataclasses did, hash nothing
+UNHASHABLE = {"FlowState", "Scenario", "SweepResult"}
 
 
 def test_every_record_is_covered():
