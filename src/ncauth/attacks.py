@@ -49,11 +49,8 @@ def solve_target_coeffs(messages, target) -> ForgerySpec | None:
         raise ValueError("no payloads to combine")
     base = Field(fld.q, 1)
     n = len(messages)
-    rows = [[1] * n]
-    rhs = [[1]]
-    for c in range(fld.l):
-        rows.append([s.coeffs[c] for s in messages])
-        rhs.append([target.coeffs[c]])
+    rows = [[1] * n, *zip(*[s.coeffs for s in messages])]  # sum, then one row per coordinate
+    rhs = [[1], *([c] for c in target.coeffs)]
     _, x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
     if x is None:
         return None

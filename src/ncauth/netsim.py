@@ -20,6 +20,12 @@ packet its tail emitted is kept in the intervention record.
 Decoding works on what any set of nodes observed on their in-edges (a
 `CoalitionView`): a sink decodes its one-node view, and a coalition of
 relays decodes its pooled view with the same routine.
+
+A `Network` is read-only: its sequences are tuples and its `kernels` and
+`verifiers` read-only mappings, and `with_verifiers` builds a new one.  So
+the built-in topologies (`butterfly`, `diamond`, `line`) are each built on
+first use and shared, one network per (q, shape), as a ``Field`` is one
+object per (q, l); `fan` draws its kernels, so it builds a new one per call.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from graphlib import CycleError
+from types import MappingProxyType
 
 from .field import Field, packing
 from .linalg import Matrix, solve
@@ -37,9 +44,10 @@ Edge = namedtuple("Edge", "id tail head")
 
 
 class Network:
-    """A validated coding topology: DAG, local kernels, verifier seats, sinks.
+    """A validated, read-only coding topology: DAG, local kernels, verifier seats, sinks.
 
     `topo_order` is one deterministic Kahn pass; a cycle raises ``graphlib.CycleError``.
+    `kernels` and `verifiers` are read-only mappings, so a network can be shared.
     """
 
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
@@ -84,9 +92,8 @@ class Network:
             raise CycleError(f"nodes on or after a cycle: {[n for n in self.nodes if waiting[n]]}")
         self.topo_order = tuple(order)
 
-        self.kernels: dict[str, tuple[tuple[int, ...], ...]] = {}
-        kernels = dict(kernels or {})
-        for node, rows in kernels.items():
+        checked: dict[str, tuple[tuple[int, ...], ...]] = {}
+        for node, rows in dict(kernels or {}).items():
             if node not in self.nodes:
                 raise ValueError(f"kernel for unknown node {node!r}")
             rows = tuple(tuple(r) for r in rows)
@@ -97,12 +104,13 @@ class Network:
                 )
             if any(type(v) is not int or not 0 <= v < self.q for r in rows for v in r):
                 raise ValueError(f"kernel entries of {node!r} must be integers in [0, {self.q})")
-            self.kernels[node] = rows
+            checked[node] = rows
         for node in self.nodes:
             if node == self.source or not self._out[node]:
                 continue
-            if self._in[node] and node not in self.kernels:
+            if self._in[node] and node not in checked:
                 raise ValueError(f"missing kernel for relay node {node!r}")
+        self.kernels = MappingProxyType(checked)
 
         verifiers = dict(verifiers or {})
         for node, idx in verifiers.items():
@@ -112,7 +120,7 @@ class Network:
                 raise ValueError(f"verifier index of {node!r} must be a nonnegative int")
         if len(set(verifiers.values())) != len(verifiers):
             raise ValueError("two nodes share one verifier index")
-        self.verifiers = verifiers
+        self.verifiers = MappingProxyType(verifiers)
 
         self.sinks = tuple(sinks)
         if len(set(self.sinks)) != len(self.sinks):
@@ -133,8 +141,16 @@ class Network:
         return self._out[node]
 
     def with_verifiers(self, verifiers) -> "Network":
+        """A new network with these seats; this one is left as it is."""
         return Network(
             self.q, self.source, self.nodes, self.edges, self.kernels, verifiers, self.sinks
+        )
+
+    def __reduce__(self):
+        # copies and unpickled networks are rebuilt, and checked again, from their parts
+        return Network, (
+            self.q, self.source, self.nodes, self.edges,
+            dict(self.kernels), dict(self.verifiers), self.sinks,
         )
 
 
@@ -279,8 +295,53 @@ def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
 # built-in topologies
 
 
+_SHARED: dict[tuple, Network] = {}  # (builder, q, *shape) -> its network; never evicted
+
+
+def _shared(build, q, *shape) -> Network:
+    """The one network `build(q, *shape)` gives, built on first use.
+
+    A float or bool hashes like an int, so only exact ints are keys, as in
+    ``Field``; any other argument goes to `build`, which refuses it.
+    """
+    if any(type(v) is not int for v in (q, *shape)):
+        return build(q, *shape)
+    key = (build, q, *shape)
+    net = _SHARED.get(key)
+    if net is None:
+        net = _SHARED[key] = build(q, *shape)
+    return net
+
+
 def butterfly(q: int) -> Network:
-    """The two-message crossover network; its middle edge mixes both messages."""
+    """The two-message crossover network; its middle edge mixes both messages.
+
+    One shared, read-only network per q, built on first use.
+    """
+    return _shared(_butterfly, q)
+
+
+def line(q: int, hops: int = 2) -> Network:
+    """One message relayed along a chain of `hops` unit-weight nodes.
+
+    One shared, read-only network per (q, hops), built on first use.
+    """
+    if type(hops) is not int:
+        raise ValueError(f"hops must be an int, got {hops!r}")
+    if hops < 1:
+        raise ValueError("line needs at least one hop")
+    return _shared(_line, q, hops)
+
+
+def diamond(q: int) -> Network:
+    """Two disjoint unit-weight paths meeting at one sink.
+
+    One shared, read-only network per q, built on first use.
+    """
+    return _shared(_diamond, q)
+
+
+def _butterfly(q):
     edges = [
         ("e1", "s", "u1"),
         ("e2", "s", "u2"),
@@ -304,10 +365,7 @@ def butterfly(q: int) -> Network:
     )
 
 
-def line(q: int, hops: int = 2) -> Network:
-    """One message relayed along a chain of `hops` unit-weight nodes."""
-    if hops < 1:
-        raise ValueError("line needs at least one hop")
+def _line(q, hops):
     nodes = ["s"] + [f"v{i}" for i in range(1, hops + 1)]
     edges = [(f"e{i}", nodes[i], nodes[i + 1]) for i in range(hops)]
     kernels = {f"v{i}": [[1]] for i in range(1, hops)}
@@ -315,8 +373,7 @@ def line(q: int, hops: int = 2) -> Network:
     return Network(q, "s", nodes, edges, kernels, verifiers, (nodes[-1],))
 
 
-def diamond(q: int) -> Network:
-    """Two disjoint unit-weight paths meeting at one sink."""
+def _diamond(q):
     edges = [("e1", "s", "a"), ("e2", "s", "b"), ("e3", "a", "t"), ("e4", "b", "t")]
     kernels = {"a": [[1]], "b": [[1]]}
     verifiers = {"a": 0, "b": 1, "t": 2}
@@ -327,7 +384,8 @@ def fan(q: int, n: int, edge_counts, rng: random.Random) -> Network:
     """Source feeds one mixing hub; member node i taps edge_counts[i] hub outputs.
 
     Hub kernel entries are drawn uniformly from rng, so member i observes
-    edge_counts[i] random combinations of the n messages.
+    edge_counts[i] random combinations of the n messages.  Each call builds
+    a new network: its kernels are drawn, so it is never shared.
     """
     edge_counts = tuple(edge_counts)
     if not edge_counts or any(type(c) is not int or c < 0 for c in edge_counts):

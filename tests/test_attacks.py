@@ -120,6 +120,33 @@ def test_solve_target_spanning_messages_reach_everything():
         assert mixed == target
 
 
+def reference_target_coeffs(messages, target):
+    """Forgery steering one coordinate row at a time, read through each element."""
+    fld, n = target.field, len(messages)
+    base = Field(fld.q, 1)
+    rows = [[1] * n] + [[s.coeffs[c] for s in messages] for c in range(fld.l)]
+    rhs = [[1]] + [[target.coeffs[c]] for c in range(fld.l)]
+    _, x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
+    return None if x is None else ForgerySpec(fld.q, tuple(r[0].coeffs[0] for r in x.data))
+
+
+@pytest.mark.parametrize("q, l", [(2, 16), (3, 5)])
+def test_solve_target_steers_over_wide_fields(q, l):
+    fld = Field(q, l)
+    rng = random.Random(40 + q)
+    # payloads whose last coordinate is 0: every sum-one mix of them keeps it 0
+    messages = [fld(fld.random_element(rng).coeffs[:-1] + (0,)) for _ in range(4)]
+    coeffs = [rng.randrange(q) for _ in range(3)]
+    coeffs.append((1 - sum(coeffs)) % q)
+    target = sum((fld(a) * s for a, s in zip(coeffs, messages)), fld.zero)
+    spec = solve_target_coeffs(messages, target)
+    assert spec == reference_target_coeffs(messages, target)
+    assert sum((fld(a) * s for a, s in zip(spec.coeffs, messages)), fld.zero) == target
+    outside = target + fld((0,) * (l - 1) + (1,))
+    assert solve_target_coeffs(messages, outside) is None
+    assert reference_target_coeffs(messages, outside) is None
+
+
 def _column_major_secret(skey):
     vec = []
     for j in range(skey.k):

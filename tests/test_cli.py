@@ -723,6 +723,19 @@ def test_main_out_file(tmp_path, capsys):
     assert report["attack"]["type"] == "pollute"
 
 
+def test_a_pollution_run_leaves_the_shared_butterfly_honest(capsys):
+    # both configs get the one shared butterfly; polluting it first changes
+    # not a byte of the honest report that follows in the same process
+    polluted, honest = (json.loads((CONFIGS / f"{name}.json").read_text())
+                        for name in ("butterfly_pollute", "butterfly_honest"))
+    assert load_scenario(polluted).network is load_scenario(honest).network
+    assert main(["pollute", "--config", str(CONFIGS / "butterfly_pollute.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["attack"]["type"] == "pollute"
+    assert main(["simulate", "--config", str(CONFIGS / "butterfly_honest.json")]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "butterfly_honest.simulate.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_main_unwritable_out_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.txt"
     assert main(["pollute", "--config", str(CONFIGS / "butterfly_pollute.json"), "--out", str(out)]) == 2

@@ -1,6 +1,8 @@
 """Topology validation, kernel recursion, simulation, decode, coalition view."""
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -465,6 +467,75 @@ def test_fan_refuses_non_integer_edge_counts(edge_counts):
     # (1.9, 0.5) used to become one edge for r0 and none for r1
     with pytest.raises(ValueError, match="integers"):
         fan(3, 2, edge_counts, random.Random(5))
+
+
+def test_builtin_networks_are_built_once_per_shape():
+    assert butterfly(2) is butterfly(2) and diamond(5) is diamond(5)
+    assert line(3, 2) is line(3, hops=2) is line(3)
+    assert butterfly(2) is not butterfly(3) and line(3, 2) is not line(3, 3)
+    # drawn or inline networks are built anew on every call
+    assert fan(3, 2, (1, 1), random.Random(5)) is not fan(3, 2, (1, 1), random.Random(5))
+    doc = {"version": 1, "q": 2, "source": "s", "nodes": ["s", "t"],
+           "edges": [{"id": "e1", "tail": "s", "head": "t"}], "kernels": {}}
+    assert network_from_dict(doc) is not network_from_dict(doc)
+
+
+NON_INT_SHAPES = {
+    "butterfly(2.0)": (butterfly, (2.0,), "q must be prime, got 2.0"),
+    "butterfly(True)": (butterfly, (True,), "q must be prime, got True"),
+    "diamond(5.0)": (diamond, (5.0,), "q must be prime, got 5.0"),
+    "line(2.0, 2)": (line, (2.0, 2), "q must be prime, got 2.0"),
+    "line(2, True)": (line, (2, True), "hops must be an int, got True"),
+    "line(2, 2.0)": (line, (2, 2.0), "hops must be an int, got 2.0"),
+    "line(2, '2')": (line, (2, "2"), "hops must be an int, got '2'"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_INT_SHAPES))
+def test_builtin_networks_refuse_non_int_shapes(call):
+    butterfly(2), diamond(5), line(2, 2), line(2, 1)  # fill the shared networks first
+    # a float or bool hashes like the int it equals, yet never gets a shared network
+    factory, args, match = NON_INT_SHAPES[call]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        factory(*args)
+
+
+def test_shared_networks_are_read_only():
+    net = butterfly(2)
+    with pytest.raises(TypeError):
+        net.kernels["m"] = ((1,), (0,))
+    with pytest.raises(TypeError):
+        net.verifiers["t1"] = 9
+    with pytest.raises(TypeError):
+        del net.verifiers["t1"]
+    assert all(type(rows) is tuple and all(type(r) is tuple for r in rows)
+               for rows in net.kernels.values())
+    assert all(type(getattr(net, a)) is tuple for a in ("nodes", "edges", "sinks", "topo_order"))
+    assert honest_kernels(butterfly(2)) == BUTTERFLY_KERNELS
+
+
+def test_with_verifiers_leaves_the_shared_network_alone():
+    net = butterfly(2)
+    seats = dict(net.verifiers)
+    moved = net.with_verifiers({"t1": 0, "t2": 1})
+    assert moved is not net and dict(moved.verifiers) == {"t1": 0, "t2": 1}
+    assert butterfly(2) is net and dict(net.verifiers) == seats
+    with pytest.raises(TypeError):
+        moved.verifiers["t1"] = 2
+
+
+def test_copied_networks_simulate_the_same_flow():
+    rng = random.Random(40)
+    for net in (butterfly(3), line(3, 3), diamond(3), fan(3, 2, (2, 1), rng)):
+        packets = scheme_for(net, rng)[4]
+        flow = simulate(net, packets)
+        for dup in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert dup is not net
+            assert dict(dup.kernels) == dict(net.kernels) and dict(dup.verifiers) == dict(net.verifiers)
+            for attr in ("q", "source", "nodes", "edges", "sinks", "topo_order"):
+                assert getattr(dup, attr) == getattr(net, attr), attr
+            again = simulate(dup, packets)
+            assert again.kernels == flow.kernels and again.packets == flow.packets
 
 
 def test_topology_document_roundtrip():
