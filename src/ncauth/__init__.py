@@ -58,7 +58,6 @@ from .cli import (
     ConfigError,
     Scenario,
     SweepResult,
-    _sweep_row,
     keygen_report,
     lemma_sweep,
     load_scenario,
@@ -70,7 +69,7 @@ from .cli import (
 __version__ = "0.1.0"
 
 
-def __getattr__(name):  # PEP 562: SweepRow is built on first access, as in ncauth.cli
+def __getattr__(name):  # PEP 562: SweepRow is ncauth.cli's, built there on first access
     if name != "SweepRow":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _sweep_row()
+    return cli.SweepRow

@@ -567,13 +567,6 @@ class Packing:
         ew, emask = self.ew, self._emask
         return [v >> (ew * j) & emask for j in range(self.size)]
 
-    def element(self, entry: int) -> Fel:
-        """The element a packed entry holds: the entry is its code."""
-        return _fel(self.field, entry)
-
-    def unpack(self, v: int) -> tuple[Fel, ...]:
-        return tuple(map(self.element, self.entries(v)))
-
     def scale(self, c: int, v: int) -> int:
         """c * v for a base-field scalar 0 < c < q, by doubling and adding."""
         if c == 1:

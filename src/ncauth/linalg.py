@@ -1,14 +1,14 @@
 """Dense exact matrices over a Field, and the one solve of a linear system.
 
 Everything is desk-scale.  A matrix is its rows, each packed into one int
-in the ``field.Packing`` layout, and nothing else; elements are built only
-when ``data``, the one reader, reads them.  Row reduction is one loop of
-row insertion, as a network-coding decoder reduces packets on arrival:
-each row is reduced by the pivot rows before it, keyed by leading column,
-and becomes one if still nonzero.  ``Matrix.echelon`` returns the pivot
-rows in column order; ``Matrix.rref`` scales and back-clears them.  A
-multiple of a pivot row costs a few big-int operations per coordinate of
-the multiplier, whatever the width of the row.
+in the ``field.Packing`` layout, and nothing else; it has no element
+reader, and the only element it builds is a pivot's, to invert it.  Row
+reduction is one loop of row insertion, as a network-coding decoder
+reduces packets on arrival: each row is reduced by the pivot rows before
+it, keyed by leading column, and becomes one if still nonzero.
+``Matrix.echelon`` returns the pivot rows in column order; ``Matrix.rref``
+scales and back-clears them.  A multiple of a pivot row costs a few big-int
+operations per coordinate of the multiplier, whatever the width of the row.
 
 ``solve`` and ``rank_and_consistency`` are the only routines that reduce an
 augmented system [A | B].  One solve gives the rank of A and a particular
@@ -20,7 +20,7 @@ stop at the echelon form.
 
 from __future__ import annotations
 
-from .field import Fel, Field, packing
+from .field import Field, _fel, packing
 
 
 class Matrix:
@@ -54,10 +54,6 @@ class Matrix:
         self.packed = tuple(packed)
         self.rows = len(self.packed)
         return self
-
-    @property
-    def data(self) -> tuple[tuple[Fel, ...], ...]:
-        return tuple(map(packing(self.field, self.cols).unpack, self.packed))
 
     def __eq__(self, other):
         return (
@@ -94,7 +90,7 @@ class Matrix:
                 f = v >> ew * c & emask
                 hit = table.get(c)
                 if hit is None:
-                    table[c] = (sub(0, pk.element(f).inv().code), pk.x_powers(v))
+                    table[c] = (sub(0, _fel(fld, f).inv().code), pk.x_powers(v))
                     break
                 v = add_mul(v, mul(f, hit[0]), hit[1])
         pivots = sorted(table)

@@ -21,15 +21,18 @@ Decoding works on what any set of nodes observed on their in-edges (a
 `CoalitionView`): a sink decodes its one-node view, and a coalition of
 relays decodes its pooled view with the same routine.
 
-A `Network` is read-only: its sequences are tuples and its `kernels` and
-`verifiers` read-only mappings, and `with_verifiers` builds a new one.  So
-the built-in topologies (`butterfly`, `diamond`, `line`) are each built on
-first use and shared, one network per (q, shape), as a ``Field`` is one
-object per (q, l); `fan` draws its kernels, so it builds a new one per call.
+A `Network` is read-only by construction: no attribute can be set after
+``__init__``, its sequences are tuples, its `kernels` and `verifiers`
+read-only mappings, and `with_verifiers` builds a new one.  So the built-in
+topologies (`butterfly`, `diamond`, `line`) are each built on first use and
+shared, one network per (q, shape) cached by ``functools.lru_cache(typed=True)``,
+as a ``Field`` is one object per (q, l); `fan` draws its kernels, so it
+builds a new one per call.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import namedtuple
 from graphlib import CycleError
@@ -47,87 +50,96 @@ class Network:
     """A validated, read-only coding topology: DAG, local kernels, verifier seats, sinks.
 
     `topo_order` is one deterministic Kahn pass; a cycle raises ``graphlib.CycleError``.
-    `kernels` and `verifiers` are read-only mappings, so a network can be shared.
+    No attribute can be set after construction, and `kernels` and `verifiers`
+    are read-only mappings, so a network can be shared.
     """
+
+    __slots__ = ("q", "source", "nodes", "edges", "kernels", "verifiers", "sinks", "topo_order",
+                 "_in", "_out")
 
     def __init__(self, q, source, nodes, edges, kernels, verifiers=None, sinks=()):
         Field(q, 1)  # kernels live in F_q: q must be a prime up to the field bound
-        self.q = q
-        self.nodes = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
+        nodes = tuple(nodes)
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node names")
-        self.source = source
-        if self.source not in self.nodes:
-            raise ValueError(f"unknown source node {self.source!r}")
+        if source not in nodes:
+            raise ValueError(f"unknown source node {source!r}")
 
-        self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
-        for e in self.edges:
-            if e.tail not in self.nodes or e.head not in self.nodes:
+        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        for e in edges:
+            if e.tail not in nodes or e.head not in nodes:
                 raise ValueError(f"edge {e.id!r} references unknown node")
-        ids = [e.id for e in self.edges]
+        ids = [e.id for e in edges]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
 
-        ins, outs = {n: [] for n in self.nodes}, {n: [] for n in self.nodes}
-        for e in self.edges:
+        ins, outs = {n: [] for n in nodes}, {n: [] for n in nodes}
+        for e in edges:
             outs[e.tail].append(e.id)
             ins[e.head].append(e.id)
-        self._in = {n: tuple(v) for n, v in ins.items()}
-        self._out = {n: tuple(v) for n, v in outs.items()}
+        ins = {n: tuple(v) for n, v in ins.items()}
+        outs = {n: tuple(v) for n, v in outs.items()}
 
-        if self._in[self.source]:
+        if ins[source]:
             raise ValueError("source must not have incoming edges")
-        if not self._out[self.source]:
+        if not outs[source]:
             raise ValueError("source needs at least one outgoing message edge")
 
-        waiting = {n: len(ins) for n, ins in self._in.items()}
-        head = {e.id: e.head for e in self.edges}
-        order = [n for n in self.nodes if not waiting[n]]
+        waiting = {n: len(v) for n, v in ins.items()}
+        head = {e.id: e.head for e in edges}
+        order = [n for n in nodes if not waiting[n]]
         for node in order:  # Kahn (1962): grows as nodes become ready, from document order
-            for h in map(head.get, self._out[node]):
+            for h in map(head.get, outs[node]):
                 waiting[h] -= 1
                 if not waiting[h]:
                     order.append(h)
-        if len(order) < len(self.nodes):
-            raise CycleError(f"nodes on or after a cycle: {[n for n in self.nodes if waiting[n]]}")
-        self.topo_order = tuple(order)
+        if len(order) < len(nodes):
+            raise CycleError(f"nodes on or after a cycle: {[n for n in nodes if waiting[n]]}")
 
         checked: dict[str, tuple[tuple[int, ...], ...]] = {}
         for node, rows in dict(kernels or {}).items():
-            if node not in self.nodes:
+            if node not in nodes:
                 raise ValueError(f"kernel for unknown node {node!r}")
             rows = tuple(tuple(r) for r in rows)
-            want_r, want_c = len(self._in[node]), len(self._out[node])
+            want_r, want_c = len(ins[node]), len(outs[node])
             if len(rows) != want_r or any(len(r) != want_c for r in rows):
                 raise ValueError(
                     f"kernel of {node!r} must be {want_r}x{want_c} (in-degree x out-degree)"
                 )
-            if any(type(v) is not int or not 0 <= v < self.q for r in rows for v in r):
-                raise ValueError(f"kernel entries of {node!r} must be integers in [0, {self.q})")
+            if any(type(v) is not int or not 0 <= v < q for r in rows for v in r):
+                raise ValueError(f"kernel entries of {node!r} must be integers in [0, {q})")
             checked[node] = rows
-        for node in self.nodes:
-            if node == self.source or not self._out[node]:
+        for node in nodes:
+            if node == source or not outs[node]:
                 continue
-            if self._in[node] and node not in checked:
+            if ins[node] and node not in checked:
                 raise ValueError(f"missing kernel for relay node {node!r}")
-        self.kernels = MappingProxyType(checked)
 
         verifiers = dict(verifiers or {})
         for node, idx in verifiers.items():
-            if node not in self.nodes:
+            if node not in nodes:
                 raise ValueError(f"verifier seat on unknown node {node!r}")
             if type(idx) is not int or idx < 0:
                 raise ValueError(f"verifier index of {node!r} must be a nonnegative int")
         if len(set(verifiers.values())) != len(verifiers):
             raise ValueError("two nodes share one verifier index")
-        self.verifiers = MappingProxyType(verifiers)
 
-        self.sinks = tuple(sinks)
-        if len(set(self.sinks)) != len(self.sinks):
+        sinks = tuple(sinks)
+        if len(set(sinks)) != len(sinks):
             raise ValueError("duplicate sink nodes")
-        for s in self.sinks:
-            if s not in self.nodes:
+        for s in sinks:
+            if s not in nodes:
                 raise ValueError(f"unknown sink node {s!r}")
+
+        values = (q, source, nodes, edges, MappingProxyType(checked), MappingProxyType(verifiers),
+                  sinks, tuple(order), ins, outs)
+        for name, value in zip(Network.__slots__, values):  # each slot is set once, here
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Network is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -295,30 +307,12 @@ def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
 # built-in topologies
 
 
-_SHARED: dict[tuple, Network] = {}  # (builder, q, *shape) -> its network; never evicted
-
-
-def _shared(build, q, *shape) -> Network:
-    """The one network `build(q, *shape)` gives, built on first use.
-
-    A float or bool hashes like an int, so only exact ints are keys, as in
-    ``Field``; any other argument goes to `build`, which refuses it.
-    """
-    if any(type(v) is not int for v in (q, *shape)):
-        return build(q, *shape)
-    key = (build, q, *shape)
-    net = _SHARED.get(key)
-    if net is None:
-        net = _SHARED[key] = build(q, *shape)
-    return net
-
-
 def butterfly(q: int) -> Network:
     """The two-message crossover network; its middle edge mixes both messages.
 
     One shared, read-only network per q, built on first use.
     """
-    return _shared(_butterfly, q)
+    return _butterfly(q)
 
 
 def line(q: int, hops: int = 2) -> Network:
@@ -330,7 +324,7 @@ def line(q: int, hops: int = 2) -> Network:
         raise ValueError(f"hops must be an int, got {hops!r}")
     if hops < 1:
         raise ValueError("line needs at least one hop")
-    return _shared(_line, q, hops)
+    return _line(q, hops)
 
 
 def diamond(q: int) -> Network:
@@ -338,9 +332,13 @@ def diamond(q: int) -> Network:
 
     One shared, read-only network per q, built on first use.
     """
-    return _shared(_diamond, q)
+    return _diamond(q)
 
 
+# Each built-in is built once per shape and never evicted.  Typed keys keep a
+# float or bool, which hashes like the int it equals, from an int's network:
+# it reaches `Network`, which refuses it.
+@functools.lru_cache(maxsize=None, typed=True)
 def _butterfly(q):
     edges = [
         ("e1", "s", "u1"),
@@ -365,6 +363,7 @@ def _butterfly(q):
     )
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _line(q, hops):
     nodes = ["s"] + [f"v{i}" for i in range(1, hops + 1)]
     edges = [(f"e{i}", nodes[i], nodes[i + 1]) for i in range(hops)]
@@ -373,6 +372,7 @@ def _line(q, hops):
     return Network(q, "s", nodes, edges, kernels, verifiers, (nodes[-1],))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _diamond(q):
     edges = [("e1", "s", "a"), ("e2", "s", "b"), ("e3", "a", "t"), ("e4", "b", "t")]
     kernels = {"a": [[1]], "b": [[1]]}

@@ -18,7 +18,7 @@ from ncauth import (
     tag,
 )
 from ncauth.cli import _sample_points, _sum_one_coeffs as sum_one_coeffs
-from ncauth.field import packing
+from ncauth.field import _fel, packing
 
 ENUMERATION_GUARD = 1 << 20
 # (q, l) pairs the arithmetic oracles cover: small, one-byte-plus and the
@@ -119,8 +119,18 @@ def identity(field, n):
     return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
+def rows_of(m):
+    """A matrix's entries as field elements, one tuple per row.
+
+    A ``Matrix`` holds packed rows only, with no reader of its elements:
+    each packed entry is its element's code.
+    """
+    pk = packing(m.field, m.cols)
+    return tuple(tuple(_fel(m.field, e) for e in pk.entries(v)) for v in m.packed)
+
+
 def transpose(m):
-    data = m.data
+    data = rows_of(m)
     return Matrix(m.field, [[row[j] for row in data] for j in range(m.cols)], cols=m.rows)
 
 
@@ -130,10 +140,10 @@ def matmul(a, b):
         raise ValueError("mixed-field product")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    zero, bdata = a.field.zero, b.data
+    zero, bdata = a.field.zero, rows_of(b)
     rows = [
         [sum((x * bdata[t][j] for t, x in enumerate(row) if x), zero) for j in range(b.cols)]
-        for row in a.data
+        for row in rows_of(a)
     ]
     return Matrix(a.field, rows, cols=b.cols)
 
@@ -145,7 +155,7 @@ def vstack(mats):
     field, cols = mats[0].field, mats[0].cols
     if any(m.field != field or m.cols != cols for m in mats):
         raise ValueError("vstack needs equal widths over one field")
-    return Matrix(field, [row for m in mats for row in m.data], cols=cols)
+    return Matrix(field, [row for m in mats for row in rows_of(m)], cols=cols)
 
 
 def hstack(mats):
@@ -156,7 +166,7 @@ def hstack(mats):
     if any(m.field != field or m.rows != height for m in mats):
         raise ValueError("hstack needs equal heights over one field")
     cols = sum(m.cols for m in mats)
-    return Matrix(field, [sum((m.data[i] for m in mats), ()) for i in range(height)], cols=cols)
+    return Matrix(field, [sum(row, ()) for row in zip(*map(rows_of, mats))], cols=cols)
 
 
 def vandermonde(field, points, height):
@@ -314,7 +324,7 @@ def reference_brute_force_count(system):
     fld = system.coeff.field
     rows = [
         (tuple((c, v) for c, v in enumerate(row) if v), want)
-        for row, (want,) in zip(system.coeff.data, system.rhs.data)
+        for row, (want,) in zip(rows_of(system.coeff), rows_of(system.rhs))
     ]
     zero = fld.zero
     count = 0
@@ -333,7 +343,7 @@ def reference_rref(matrix):
     element products and differences.
     """
     fld = matrix.field
-    m = [list(r) for r in matrix.data]
+    m = [list(r) for r in rows_of(matrix)]
     pivots = []
     r = 0
     for c in range(matrix.cols):

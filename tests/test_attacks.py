@@ -42,6 +42,7 @@ from support import (
     random_matrix,
     reference_brute_force_count,
     reference_r0,
+    rows_of,
     sample_points,
     transpose,
     view_of,
@@ -127,7 +128,7 @@ def reference_target_coeffs(messages, target):
     rows = [[1] * n] + [[s.coeffs[c] for s in messages] for c in range(fld.l)]
     rhs = [[1]] + [[target.coeffs[c]] for c in range(fld.l)]
     _, x = solve(Matrix(base, rows, cols=n), Matrix(base, rhs, cols=1))
-    return None if x is None else ForgerySpec(fld.q, tuple(r[0].coeffs[0] for r in x.data))
+    return None if x is None else ForgerySpec(fld.q, tuple(r[0].coeffs[0] for r in rows_of(x)))
 
 
 @pytest.mark.parametrize("q, l", [(2, 16), (3, 5)])
@@ -173,7 +174,7 @@ def test_recovery_hand_example_matrix():
     assert (meta.r0, meta.h_total, meta.K) == (1, 1, 1)
 
     def ints(m):
-        return [[v.coeffs[0] for v in row] for row in m.data]
+        return [[v.coeffs[0] for v in row] for row in rows_of(m)]
 
     # two observation rows (one per secret column), then the member's key rows
     assert ints(system.coeff) == [
@@ -226,7 +227,7 @@ def test_true_key_satisfies_the_system():
         view = view_of(("a", "b"), 3, len(messages), [coeffs], [combine(packets, coeffs)])
         system = build_recovery_system(params, view, vkeys[:2], messages)
         secret = _column_major_secret(skey)
-        for row, (want,) in zip(system.coeff.data, system.rhs.data, strict=True):
+        for row, (want,) in zip(rows_of(system.coeff), rows_of(system.rhs), strict=True):
             acc = params.field.zero
             for c, v in enumerate(row):
                 acc = acc + v * secret[c]
@@ -380,7 +381,7 @@ def test_pollution_invalidates_stale_kernel_bookkeeping():
     for pkt in view.packets:
         _, h = solve(x_t, Matrix(base, [[v] for v in pkt.flat], cols=1))
         assert h is not None
-        true_rows.append(tuple(x.coeffs[0] for (x,) in h.data))
+        true_rows.append(tuple(x.coeffs[0] for (x,) in rows_of(h)))
     fixed = view_of(view.nodes, 2, view.h.cols, true_rows, view.packets)
     system2 = build_recovery_system(params, fixed, vkeys[:1], messages)
     ok2, cnt2, _ = gauss_count(system2)
@@ -537,8 +538,9 @@ def test_brute_force_at_the_largest_checked_shapes(q, l, k, M, K):
     assert consistent and brute_force_count(system) == gcount == predicted_count(system.meta) > 1
 
     fld = params.field
-    coeff = Matrix(fld, [*system.coeff.data, system.coeff.data[0]], cols=system.coeff.cols)
-    rhs = Matrix(fld, [*system.rhs.data, [system.rhs.data[0][0] + fld.one]], cols=1)
+    coeff_rows, rhs_rows = rows_of(system.coeff), rows_of(system.rhs)
+    coeff = Matrix(fld, [*coeff_rows, coeff_rows[0]], cols=system.coeff.cols)
+    rhs = Matrix(fld, [*rhs_rows, [rhs_rows[0][0] + fld.one]], cols=1)
     contradictory = RecoverySystem(coeff, rhs, system.meta)
     assert brute_force_count(contradictory) == gauss_count(contradictory)[1] == 0
 
@@ -559,7 +561,7 @@ def test_gauss_count_identity_and_degenerate():
     # unknowns, and rhs (0, 0, 1) puts the one pivot beyond coeff's columns in the rhs
     rng = random.Random(5)
     for G in (Field(2, 8), Field(3, 5)):
-        a, b = random_matrix(G, 2, 4, rng).data
+        a, b = rows_of(random_matrix(G, 2, 4, rng))
         coeff = Matrix(G, [a, b, [x + y for x, y in zip(a, b)]], cols=4)
         x = random_matrix(G, 4, 1, rng)
         assert count(coeff, matmul(coeff, x)) == (True, G.order**2, 2)

@@ -17,6 +17,7 @@ from support import (
     matmul,
     random_matrix,
     reference_rref,
+    rows_of,
     transpose,
     vandermonde,
     vstack,
@@ -59,10 +60,10 @@ def test_rref_identity_and_zero():
             solve(eye, eye)[1],
         ]
         for m in made:
-            assert m == eye and m.data == eye.data
+            assert m == eye and rows_of(m) == rows_of(eye)
         a = random_matrix(G, 3, 4, rng)
-        for b in (Matrix(G, [[x.coeffs for x in row] for row in a.data]), solve(eye, a)[1]):
-            assert b == a and b.data == a.data
+        for b in (Matrix(G, [[x.coeffs for x in row] for row in rows_of(a)]), solve(eye, a)[1]):
+            assert b == a and rows_of(b) == rows_of(a)
 
 
 def test_equal_matrices_hash_alike():
@@ -71,7 +72,7 @@ def test_equal_matrices_hash_alike():
     for q, l in [(2, 1), (3, 1), (2, 8), (3, 5)]:
         G = Field(q, l)
         a = random_matrix(G, 3, 4, rng)
-        copies = [Matrix(G, a.data), Matrix._from_packed(G, a.packed, 4)]
+        copies = [Matrix(G, rows_of(a)), Matrix._from_packed(G, a.packed, 4)]
         copies.append(solve(identity(G, 3), a)[1])
         assert all(b == a and hash(b) == hash(a) for b in copies)
         assert {a, *copies} == {a}
@@ -132,7 +133,7 @@ def assert_echelon_agrees(m, pivots):
     """m's forward pass has `pivots`, is a row echelon form and reduces to m's rref."""
     ech, ech_pivots = m.echelon()
     assert ech_pivots == pivots
-    rows = ech.data
+    rows = rows_of(ech)
     for i, row in enumerate(rows):
         if i >= len(pivots):
             assert not any(row)  # zero rows come last
@@ -158,7 +159,7 @@ def benchmark_shapes(fld, rng):
     # rank at most 25: a product through 25 dimensions
     low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
     # zero columns, repeated rows and a zero row among random ones
-    rows = [list(r) for r in random_matrix(fld, 20, 42, rng).data]
+    rows = [list(r) for r in rows_of(random_matrix(fld, 20, 42, rng))]
     for r in rows:
         r[0] = r[7] = r[41] = fld.zero
     holes = Matrix(fld, rows + rows[:19] + [[fld.zero] * 42], cols=42)
@@ -168,7 +169,7 @@ def benchmark_shapes(fld, rng):
 def assert_row_order_free(m, order):
     """m's rows taken in `order` give m's pivots, echelon pivots and rref."""
     red, pivots = m.rref()
-    rows = m.data
+    rows = rows_of(m)
     other = Matrix(m.field, [rows[i] for i in order], cols=m.cols)
     assert other.echelon()[1] == m.echelon()[1] == pivots
     assert other.rref() == (red, pivots)
@@ -317,7 +318,7 @@ def test_solve_rank_and_particular_solution(system):
         assert matmul(coeff, x) == rhs
         pivots = coeff.rref()[1]
         zero_row = (coeff.field.zero,) * rhs.cols
-        assert all(row == zero_row for j, row in enumerate(x.data) if j not in pivots)
+        assert all(row == zero_row for j, row in enumerate(rows_of(x)) if j not in pivots)
 
 
 F7 = Field(7, 1)
@@ -338,7 +339,7 @@ def test_vandermonde_structure_and_rank():
     F = Field(2, 2)
     w = F((0, 1))
     v = vandermonde(F, [F.one, w], 3)
-    assert list(zip(*v.data)) == [(F.one, F.one, F.one), (F.one, w, w * w)]
+    assert list(zip(*rows_of(v))) == [(F.one, F.one, F.one), (F.one, w, w * w)]
     rng = random.Random(3)
     for q, l in [(3, 1), (2, 2), (5, 1)]:
         G = Field(q, l)

@@ -31,7 +31,7 @@ from ncauth import (
 from ncauth.cli import network_from_dict, run_scenario
 from ncauth.field import packing
 from ncauth.scheme import mix
-from support import make_instance, matmul, packet, symbols, view_of
+from support import make_instance, matmul, packet, rows_of, symbols, view_of
 
 BUTTERFLY_KERNELS = {
     "e1": (1, 0),
@@ -236,7 +236,7 @@ def test_honest_flow_matches_global_kernels():
         x = Matrix(base, [p.flat for p in packets], cols=len(packets[0].flat))
         for e, f in flow.kernels.items():
             fe = Matrix(base, [symbols(net.q, net.n, f)], cols=net.n)
-            expect = matmul(fe, x).data[0]
+            expect = rows_of(matmul(fe, x))[0]
             assert tuple(v.coeffs[0] for v in expect) == flow.packets[e].flat
 
 
@@ -511,6 +511,17 @@ def test_shared_networks_are_read_only():
     assert all(type(rows) is tuple and all(type(r) is tuple for r in rows)
                for rows in net.kernels.values())
     assert all(type(getattr(net, a)) is tuple for a in ("nodes", "edges", "sinks", "topo_order"))
+    # no attribute, old or new, can be set or deleted on any network
+    names = ("q", "source", "nodes", "edges", "kernels", "verifiers", "sinks", "topo_order", "new")
+    built = (net, fan(3, 2, (2, 1), random.Random(41)), net.with_verifiers({"t1": 0}),
+             pickle.loads(pickle.dumps(net)))
+    for other in built:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(other, name, ("t1",))
+            with pytest.raises(AttributeError):
+                delattr(other, name)
+    assert butterfly(2).sinks == ("t1", "t2") and butterfly(2).source == "s"
     assert honest_kernels(butterfly(2)) == BUTTERFLY_KERNELS
 
 

@@ -35,6 +35,7 @@ from support import (
     reference_mix,
     reference_residual,
     reference_tag,
+    rows_of,
     sample_points,
     sum_one_coeffs,
     vandermonde,
@@ -83,13 +84,13 @@ def test_keygen_evals_match_matrix_route():
         params, skey, vkeys, _, _ = make_instance(rng, q, l, k, M)
         vand = vandermonde(params.field, [vk.point for vk in vkeys], k)
         expected = matmul(Matrix(params.field, skey.polys), vand)
-        assert list(zip(*expected.data)) == [vk.evals for vk in vkeys]
+        assert list(zip(*rows_of(expected))) == [vk.evals for vk in vkeys]
 
 
 def test_keygen_hand_example():
     # F_2, k=2, M=1, key rows P_0 = 1+x, P_1 = x; at point 1: P_0(1)=0, P_1(1)=1
     F = Field(2, 1)
-    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]).data)
+    key = SourceKey(rows_of(Matrix(F, [[1, 1], [0, 1]])))
     params = SystemParams(F, 2, 1, 1, 1, (F.one,))
     from ncauth.scheme import poly_eval
 
@@ -99,14 +100,14 @@ def test_keygen_hand_example():
 
 def test_tag_hand_examples():
     F = Field(2, 1)
-    key = SourceKey(Matrix(F, [[1, 1], [0, 1]]).data)  # P_0 = 1+x, P_1 = x
+    key = SourceKey(rows_of(Matrix(F, [[1, 1], [0, 1]])))  # P_0 = 1+x, P_1 = x
     p = tag(key, F.one)  # T = P_0 + 1*P_1 = 1 + 2x = 1
     assert p.c == 1 and p.m == F.one
     assert p.tag == (F.one, F.zero)
     p0 = tag(key, F.zero)  # payload zero: tag is P_0 itself
     assert p0.tag == (F.one, F.one)
 
-    zero_key = SourceKey(Matrix(F, [[0, 0], [0, 0]]).data)
+    zero_key = SourceKey(rows_of(Matrix(F, [[0, 0], [0, 0]])))
     assert all(t.is_zero() for t in tag(zero_key, F.one).tag)
 
 
@@ -307,7 +308,7 @@ def test_moore_matrix_examples_and_rank():
     F = Field(2, 1)
     m = moore_matrix(F, [F.zero], 1)
     assert m.rows == 1 and m.cols == 2
-    assert m.data[0] == (F.one, F.zero)
+    assert rows_of(m)[0] == (F.one, F.zero)
     m2 = moore_matrix(F, [F.zero, F.one], 1)
     assert m2.rank() == 2
     rng = random.Random(19)
