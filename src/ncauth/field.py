@@ -504,13 +504,18 @@ class Packing:
     Multiplying by an element a of F_{q^l} is F_q-linear: a u is the sum of
     c_t x^t u over the coordinates c_t of a.  ``x_powers`` builds the chain
     x^t u by one masked fold per power, and ``add_mul`` adds a u to a vector
-    by one packed add or subtract per nonzero coordinate.
+    by one packed add or subtract per nonzero coordinate.  Elimination alone
+    takes a pivot row's multiples through ``pivot_form`` and
+    ``add_pivot_mul``: the chain and ``add_mul`` themselves, except where
+    the entries tile bytes (``_BytePacking``).
     """
 
     __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_folds")
 
     def __new__(cls, field: Field, size: int):
-        return object.__new__(_BinaryPacking if field.q == 2 else cls)
+        if field.q != 2:
+            return object.__new__(cls)
+        return object.__new__(_BytePacking if field.l in (2, 4, 8) else _BinaryPacking)
 
     def __init__(self, field: Field, size: int):
         q, l, w = field.q, field.l, field.w
@@ -619,6 +624,10 @@ class Packing:
             entry >>= w
         return v
 
+    # the pivot rows of ``Matrix._eliminate``: a form, and a multiple taken from it
+    pivot_form = x_powers
+    add_pivot_mul = add_mul
+
 
 class _BinaryPacking(Packing):
     """q = 2: one bit per coordinate, so a sum is an XOR."""
@@ -634,6 +643,49 @@ class _BinaryPacking(Packing):
                 v ^= p
             entry >>= 1
         return v
+
+    add_pivot_mul = add_mul
+
+
+_from_bytes = int.from_bytes  # bound once: its lookup was a fifth of a byte-path multiple
+
+
+class _BytePacking(_BinaryPacking):
+    """q = 2 and l in (2, 4, 8): the entries tile bytes, so a row times a is one byte substitution.
+
+    A pivot's form is its row's bytes, low byte first, with the field's
+    tables (``_byte_tables``), where T[a] takes a byte to its entries times
+    a; a multiple a u is ``bytes.translate`` of u's bytes through T[a],
+    XORed in.  The tables are built on the first pivot over the field, not
+    with the packing.  ``x_powers`` and ``add_mul`` stay as over F_2.
+    """
+
+    __slots__ = ()
+
+    def pivot_form(self, v: int):
+        return v.to_bytes((v.bit_length() + 7) // 8, "little"), _byte_tables(self.field)
+
+    def add_pivot_mul(self, v: int, entry: int, form) -> int:
+        row, tables = form
+        return v ^ _from_bytes(row.translate(tables[entry]), "little")
+
+
+@functools.cache
+def _byte_tables(field: Field) -> tuple[bytes, ...]:
+    """T[a] for every code a of F_{2^l}, l in (2, 4, 8): each byte's entries times a.
+
+    T[g], for the field's primitive element g, is built entry by entry, and
+    every other power by composition: T[g^(i+1)] is T[g^i] then T[g].
+    """
+    pk = packing(field, 8 // field.l)  # the entries of one byte
+    exp, mul = field.exp, field.mul
+    times_g = bytes([pk.pack([mul(exp[1], e) for e in pk.entries(b)]) for b in range(256)])
+    tables = [bytes(256)] * (field.n + 1)
+    t = bytes(range(256))
+    for i in range(field.n):
+        tables[exp[i]] = t
+        t = t.translate(times_g)
+    return tuple(tables)
 
 
 @functools.cache

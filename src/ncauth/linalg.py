@@ -7,8 +7,11 @@ reduction is one loop of row insertion, as a network-coding decoder
 reduces packets on arrival: each row is reduced by the pivot rows before
 it, keyed by leading column, and becomes one if still nonzero.
 ``Matrix.echelon`` returns the pivot rows in column order; ``Matrix.rref``
-scales and back-clears them.  A multiple of a pivot row costs a few big-int
-operations per coordinate of the multiplier, whatever the width of the row.
+scales and back-clears them.  Each multiple of a pivot row is taken from
+the pivot's form (``Packing.pivot_form``): from its x-power chain, a few
+big-int operations per coordinate of the multiplier whatever the width of
+the row, or, over GF(2^2), GF(2^4) and GF(2^8), whose entries tile bytes,
+one byte substitution of the whole row.
 
 ``solve`` and ``rank_and_consistency`` are the only routines that reduce an
 augmented system [A | B].  One solve gives the rank of A and a particular
@@ -74,27 +77,28 @@ class Matrix:
 
         A row with f at its leading column (that of its lowest set bit) gains
         -f/p times the pivot row there, whose leading entry is p, until it is
-        zero or is inserted as that column's pivot row with one x-power chain.
-        With `above`, each pivot row is scaled by its chain and then cleared
-        at each higher pivot column, in ascending order, by that pivot's
-        chain: a pivot row is zero left of its column.
+        zero or is inserted as that column's pivot row with its form
+        (``Packing.pivot_form``), from which each multiple is taken.  With
+        `above`, each pivot row is scaled through its form and then cleared
+        at each higher pivot column, in ascending order, through that
+        pivot's form: a pivot row is zero left of its column.
         """
         fld = self.field
         pk = packing(fld, self.cols)
         ew, emask = pk.ew, (1 << pk.ew) - 1
-        add_mul, mul, sub = pk.add_mul, fld.mul, fld.sub
-        table: dict[int, tuple[int, list[int]]] = {}  # lead column -> (-1/p, chain)
+        form, add_mul, mul, sub = pk.pivot_form, pk.add_pivot_mul, fld.mul, fld.sub
+        table: dict[int, tuple] = {}  # lead column -> (-1/p, form, row)
         for v in self.packed:
             while v:
                 c = ((v & -v).bit_length() - 1) // ew
                 f = v >> ew * c & emask
                 hit = table.get(c)
                 if hit is None:
-                    table[c] = (sub(0, _fel(fld, f).inv().code), pk.x_powers(v))
+                    table[c] = (sub(0, _fel(fld, f).inv().code), form(v), v)
                     break
                 v = add_mul(v, mul(f, hit[0]), hit[1])
         pivots = sorted(table)
-        m = [table[p][1][0] for p in pivots]
+        m = [table[p][2] for p in pivots]
         if above:
             for i, p in enumerate(pivots):
                 v = add_mul(0, sub(0, table[p][0]), table[p][1])

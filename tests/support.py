@@ -22,8 +22,10 @@ from ncauth.field import _fel, packing
 
 ENUMERATION_GUARD = 1 << 20
 # (q, l) pairs the arithmetic oracles cover: small, one-byte-plus and the
-# largest supported primes at low degree, and the benchmark's binary fields
-ORACLE_FIELDS = [(q, l) for q in (2, 3, 5, 257, 65521) for l in (1, 2, 3)] + [(2, 8), (2, 16)]
+# largest supported primes at low degree, the benchmark's binary fields, and
+# GF(2^4), so that every entry width that tiles a byte (2, 4 and 8 bits) comes up
+ORACLE_FIELDS = [(q, l) for q in (2, 3, 5, 257, 65521) for l in (1, 2, 3)]
+ORACLE_FIELDS += [(2, 4), (2, 8), (2, 16)]
 
 
 def element_strategy(field):

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 import support
 from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
-from ncauth.field import TABLE_ORDER, Packing, _is_irreducible, _TableField, is_prime, packing
+from ncauth.field import (
+    TABLE_ORDER,
+    Packing,
+    _BinaryPacking,
+    _byte_tables,
+    _BytePacking,
+    _is_irreducible,
+    _TableField,
+    is_prime,
+    packing,
+)
 from support import ORACLE_FIELDS, element_strategy, elements
 
 # The oracle fields plus both sides of the table bound: GF(3^10) and GF(251^2)
@@ -481,9 +491,10 @@ def test_code_is_the_packed_entry(q, l):
     assert pk.entries(v) == [x.code for x in els]
 
 
-# The binary fields up to the largest table field, and odd q on both table
+# The binary fields up to the largest table field (GF(2^2), GF(2^4) and
+# GF(2^8), whose entries tile a byte, among them), and odd q on both table
 # paths and the prime path at the bound: every packed layout in use.
-PACKING_FIELDS = [(2, 1), (2, 3), (2, 8), (2, 16), (3, 5), (257, 2), (65521, 1)]
+PACKING_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (2, 16), (3, 5), (257, 2), (65521, 1)]
 
 
 @st.composite
@@ -521,6 +532,8 @@ def test_packing_ops_match_element_arithmetic(args):
     x_pows = [fld(support.reference_pow(fld, x.coeffs, t)) for t in range(fld.l)]
     assert [pk.entries(p) for p in powers] == [codes(xt * e for e in u) for xt in x_pows]
     assert pk.entries(pk.add_mul(pv, a.code, powers)) == codes(t + a * s for s, t in zip(u, v))
+    # elimination's multiple, taken from the pivot form, is add_mul's
+    assert pk.add_pivot_mul(pv, a.code, pk.pivot_form(pu)) == pk.add_mul(pv, a.code, powers)
 
 
 # Odd q with l <= 2, and GF(3^5): between them every multiplier coordinate c
@@ -573,12 +586,25 @@ def test_x_powers_fold_every_top_coordinate(q, l):
         xt = xt * x
 
 
-@pytest.mark.parametrize("l", [1, 3, 8, 16])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 8, 16])
 @pytest.mark.parametrize("size", [1, 5, 42])
 def test_binary_packing_is_one_bit_per_coordinate(l, size):
     fld = Field(2, l)
     assert fld.w == 1
     ones = fld([1] * l)  # every coordinate set: the widest element
+    kind = _BytePacking if l in (2, 4, 8) else _BinaryPacking  # entries that tile a byte
     for pk in (packing(fld, size), Packing(fld, size)):
+        assert type(pk) is kind
         assert pk.ew == l
         assert pk.pack([ones.code] * size) == (1 << (size * l)) - 1
+
+
+@pytest.mark.parametrize("l", [2, 4, 8])
+def test_byte_tables_multiply_every_entry_of_every_byte(l):
+    """T[a] takes each of the 256 bytes to its entries times a, for every code a."""
+    fld = Field(2, l)
+    pk = packing(fld, 8 // l)
+    tables = _byte_tables(fld)
+    assert len(tables) == fld.order
+    for a, table in enumerate(tables):
+        assert list(table) == [pk.pack([fld.mul(a, e) for e in pk.entries(b)]) for b in range(256)]

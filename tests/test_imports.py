@@ -121,3 +121,23 @@ def test_import_ncauth_leaves_the_command_line_modules_unloaded():
     assert "ncauth.cli" in loaded
     assert loaded & {"argparse", "json"} == set()
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_byte_tables_wait_for_the_first_elimination():
+    # The GF(2^8) multiplication tables (64 KiB) serve elimination only, so
+    # building a field or a packing, as the benchmark's set-up does, must
+    # not build them; the first rank over the field does.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import ncauth\n"
+        "from ncauth.field import _byte_tables, packing\n"
+        "F = ncauth.Field(2, 8)\n"
+        "packing(F, 5)\n"
+        "print(_byte_tables.cache_info().currsize)\n"
+        "ncauth.Matrix(F, [[F([0, 1] + [0] * 6)] * 5]).rank()\n"
+        "print(_byte_tables.cache_info().currsize)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert res.stdout.split() == ["0", "1"]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, solve
-from ncauth.field import Packing
+from ncauth.field import Packing, _BytePacking
 from ncauth.linalg import rank_and_consistency
 from support import (
     ORACLE_FIELDS,
@@ -183,7 +183,7 @@ def test_rref_and_pivots_do_not_depend_on_row_order(data):
     assert_row_order_free(m, data.draw(st.permutations(range(m.rows))))
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 2), (2, 4)])
 def test_row_order_free_at_benchmark_shapes(q, l):
     rng = random.Random(1000 * q + l + 1)
     for m in benchmark_shapes(Field(q, l), rng):
@@ -194,7 +194,7 @@ def test_row_order_free_at_benchmark_shapes(q, l):
             assert_row_order_free(m, order)
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 2), (2, 4)])
 def test_rref_matches_reference_at_benchmark_shapes(q, l):
     """40 x 42 reductions, full rank and deficient, against the reference elimination."""
     ranks = []
@@ -206,21 +206,28 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
     assert ranks[0] == 40 and ranks[1] <= 25 and ranks[2] <= 20
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 1), (3, 1)])
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 1), (3, 1), (2, 4)])
 def test_elimination_x_power_chains(q, l, monkeypatch):
-    """One x-power chain per pivot, whether elimination clears below it only or all other rows."""
+    """One pivot form per pivot, whether elimination clears below it only or all other rows.
+
+    The form is an x-power chain, or over GF(2^2), GF(2^4) and GF(2^8) the
+    row's bytes (``_BytePacking``); each packing class's own is counted.
+    """
     fld = Field(q, l)
     rng = random.Random(7 * q + l)
     full = random_matrix(fld, 40, 42, rng)
     low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
     calls = []
-    x_powers = Packing.x_powers
 
-    def counted(self, v):
-        calls.append(v)
-        return x_powers(self, v)
+    def counting(form):
+        def counted(self, v):
+            calls.append(v)
+            return form(self, v)
 
-    monkeypatch.setattr(Packing, "x_powers", counted)
+        return counted
+
+    for cls in (Packing, _BytePacking):
+        monkeypatch.setattr(cls, "pivot_form", counting(vars(cls)["pivot_form"]))
     for m in (full, low):
         calls.clear()
         r = m.rank()
