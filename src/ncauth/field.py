@@ -326,6 +326,7 @@ class Field:
         Each draw is the one ``randrange`` makes, getrandbits(q.bit_length())
         until a value below q comes up, without its per-call argument checks:
         the same stream, so the same keys and payloads from the same seed.
+        This loop defines the stream; ``_random_codes`` reads it in blocks.
         """
         q, code = self.q, 0
         bits, getrandbits = q.bit_length(), rng.getrandbits
@@ -335,6 +336,33 @@ class Field:
                 r = getrandbits(bits)
             code |= r << s
         return _fel(self, code)
+
+    def _random_codes(self, rng: random.Random, count: int) -> list[int]:
+        """The codes of the next `count` ``random_element`` draws from `rng`, read in blocks.
+
+        A block reads words past the last code returned, so `rng` must be
+        one nobody reads afterwards: ``scheme.keygen``'s own is the one.
+        For q <= 13 a block is N Mersenne Twister words from one
+        getrandbits(32 N), which CPython fills from the least significant
+        word, and a draw of q.bit_length() <= 4 bits is its word's top
+        byte shifted down.  One ``bytes.translate`` (``_draw_table``)
+        drops the draws >= q and writes the kept ones as base-2^w digits:
+        reversed, they read as the ``Packing`` of all the coordinates.
+        Above 13, 2^w is past int's largest base, 36, and the draws are
+        ``random_element``'s own.
+        """
+        q, w = self.q, self.w
+        if w > 5:
+            return [self.random_element(rng).code for _ in range(count)]
+        table, delete = _draw_table(q)
+        bits = q.bit_length()
+        need = count * self.l
+        digits = b""
+        while len(digits) < need:
+            words = ((need - len(digits)) << bits) // q + 16  # the expected words, and a margin
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            digits += raw[3::4].translate(table, delete)
+        return packing(self, count).entries(int(digits[need - 1 :: -1], 1 << w))
 
     def code(self, coeffs) -> int:
         """The code of l reduced coordinates, low degree first."""
@@ -686,6 +714,19 @@ def _byte_tables(field: Field) -> tuple[bytes, ...]:
         tables[exp[i]] = t
         t = t.translate(times_g)
     return tuple(tables)
+
+
+@functools.cache
+def _draw_table(q: int) -> tuple[bytes, bytes]:
+    """(table, delete) of ``Field._random_codes`` over F_q, q <= 13, built on the first key.
+
+    A top byte B holds the draw r = B >> (8 - q.bit_length()): the table
+    takes B to r's digit, and delete holds every B whose r >= q.
+    """
+    shift = 8 - q.bit_length()
+    draws = [byte >> shift for byte in range(256)]
+    table = bytes([b"0123456789abcdef"[r] for r in draws])
+    return table, bytes([byte for byte, r in enumerate(draws) if r >= q])
 
 
 @functools.cache

@@ -196,13 +196,15 @@ def _weights(one, s, frob, M: int) -> list:
 
 
 def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey]]:
-    """Draw the secret coefficient matrix and derive every verifier's key."""
-    rng = random.Random(seed)
-    fld = params.field
-    key = SourceKey(
-        tuple(tuple(fld.random_element(rng) for _ in range(params.k)) for _ in range(params.M + 1))
-    )
-    polys = [[c.code for c in poly] for poly in key.polys]
+    """Draw the secret coefficient matrix and derive every verifier's key.
+
+    The (M+1) k coefficients, row by row, are the ``Field.random_element``
+    draws of ``random.Random(seed)``, read in blocks: nothing else reads it.
+    """
+    fld, k = params.field, params.k
+    codes = fld._random_codes(random.Random(seed), (params.M + 1) * k)
+    polys = [codes[i : i + k] for i in range(0, len(codes), k)]
+    key = SourceKey(tuple([tuple([_fel(fld, c) for c in poly]) for poly in polys]))
     vkeys = []
     for i, x in enumerate(params.public_points):
         evals = tuple(_fel(fld, poly_eval(fld, poly, x.code)) for poly in polys)

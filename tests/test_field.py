@@ -169,14 +169,47 @@ def test_copies_of_a_field_are_the_field(q, l):
 
 
 @pytest.mark.parametrize("l", [1, 2, 5])
-@pytest.mark.parametrize("q", [2, 3, 5, 251, 257, 65521])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 251, 257, 65521])
 def test_random_element_draws_the_randrange_stream(q, l):
-    # keys, payloads, reports and digests all rest on this stream
+    # keys, payloads, reports and digests all rest on this stream; 7, 11,
+    # 13 and 17 (w = 4, 5, 5, 6) are the edge of the block read
     F = Field(q, l)
     ours, theirs = random.Random(f"stream/{q}/{l}"), random.Random(f"stream/{q}/{l}")
     drawn = [F.random_element(ours) for _ in range(300)]
     assert drawn == [F([theirs.randrange(q) for _ in range(l)]) for _ in range(300)]
     assert ours.getstate() == theirs.getstate()
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 251, 257, 65521])
+def test_block_draws_are_random_element_draws(q):
+    # q <= 13 reads blocks of Mersenne Twister words, q >= 17 falls back to
+    # random_element itself; both must give random_element's codes
+    refills = 0
+    for l in (1, 2, 3, 5):
+        F = Field(q, l)
+        for count in range(1, 65):
+            for seed in range(4):
+                ours = CountingRandom(seed * 1000 + count)
+                theirs = random.Random(seed * 1000 + count)
+                codes = F._random_codes(ours, count)
+                assert codes == [F.random_element(theirs).code for _ in range(count)]
+                if q > 13:
+                    assert ours.getstate() == theirs.getstate()
+                else:
+                    refills += ours.calls - 1
+    # q.bit_length() bits hold more than q values, so every q rejects some
+    # draws, and some first blocks run short
+    assert (refills > 0) == (q <= 13)
 
 
 def test_bad_parameters_rejected():

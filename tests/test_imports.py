@@ -141,3 +141,25 @@ def test_byte_tables_wait_for_the_first_elimination():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
     assert res.stdout.split() == ["0", "1"]
+
+
+def test_draw_tables_wait_for_the_first_key():
+    # A key's block draws translate through one table per q, built on the
+    # first keygen over that q: not at import, and not with the field,
+    # which the benchmark's set-up builds.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import ncauth\n"
+        "from ncauth.field import _draw_table\n"
+        "F = ncauth.Field(2, 8)\n"
+        "print(_draw_table.cache_info().currsize)\n"
+        "params = ncauth.SystemParams(F, 3, 2, 1, 1, (F.one,))\n"
+        "ncauth.keygen(params, 1)\n"
+        "print(_draw_table.cache_info().currsize)\n"
+        "ncauth.keygen(params, 2)\n"
+        "print(_draw_table.cache_info().currsize)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert res.stdout.split() == ["0", "1", "1"]

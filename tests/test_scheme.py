@@ -77,6 +77,48 @@ def test_keygen_deterministic():
     assert k1 != k3
 
 
+# (q, l, k, M, seed) -> the secret codes, row by row, and verifier 1's eval
+# codes at the points x and 1 + x, as drawn by one random_element call per
+# key coefficient
+KEY_STREAM = {
+    (2, 3, 3, 2, 5): ([[3, 1, 4], [5, 0, 6], [2, 4, 0]], [3, 1, 3]),
+    (2, 8, 4, 3, 11): (
+        [[39, 99, 128, 51], [183, 104, 224, 217], [2, 147, 205, 8], [59, 112, 37, 88]],
+        [97, 221, 229, 48],
+    ),
+    (2, 16, 3, 2, 29): (
+        [[54390, 46949, 62807], [35530, 24960, 50208], [30138, 10979, 21317]],
+        [54737, 44264, 48335],
+    ),
+    (3, 5, 4, 2, 3): (
+        [[4240, 1162, 8770, 8832], [1098, 5136, 130, 4162], [8849, 5257, 8, 5185]],
+        [5257, 576, 8273],
+    ),
+    (5, 2, 2, 4, 17): ([[52, 34], [18, 36], [0, 49], [35, 36], [19, 4]], [4, 4, 19, 16, 2]),
+    (257, 2, 3, 3, 101): (
+        [
+            [187491, 24815, 115821],
+            [254099, 172140, 37088],
+            [100482, 46162, 191715],
+            [246882, 125094, 221390],
+        ],
+        [165065, 30771, 225517, 143543],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_STREAM))
+def test_keygen_draws_a_frozen_stream(case):
+    # every key, golden and digest rests on this draw order
+    q, l, k, M, seed = case
+    F = Field(q, l)
+    points = (F([0, 1] + [0] * (l - 2)), F([1, 1] + [0] * (l - 2)))
+    skey, vkeys = keygen(SystemParams(F, k, M, 2, 1, points), seed)
+    polys, evals = KEY_STREAM[case]
+    assert [[c.code for c in poly] for poly in skey.polys] == polys
+    assert [e.code for e in vkeys[1].evals] == evals
+
+
 def test_keygen_evals_match_matrix_route():
     # independent route: evals columns must equal key-matrix @ Vandermonde
     rng = random.Random(17)
