@@ -38,7 +38,9 @@ for a carry-free sum, reduced in every slot at once.  ``Packing.add`` and
 ``Packing.sub`` are the one packed sum and difference.  ``packing`` hands
 out one shared instance per (field, size), never evicted.  Packets and
 matrix rows are held in it, and row reduction, packet mixing, the
-recovery rows and the exhaustive key count work in it.
+recovery rows and the exhaustive key count work in it.  Mixing scales by
+base-field scalars only; row reduction alone multiplies a row by an
+element of F_{q^l} (``Packing.add_mul``).
 """
 
 from __future__ import annotations
@@ -528,22 +530,19 @@ class Packing:
     result reduces every slot from [0, 2q) to [0, q) at once: adding
     2^(w-1) - q to every slot sets a slot's top bit exactly where it reached
     q, and q is subtracted there.  Over F_2 a slot is one bit and a sum or
-    difference is an XOR (``_BinaryPacking``, chosen whenever q = 2).
+    difference is an XOR.  ``scale`` multiplies by a base-field scalar.
     Multiplying by an element a of F_{q^l} is F_q-linear: a u is the sum of
     c_t x^t u over the coordinates c_t of a.  ``x_powers`` builds the chain
-    x^t u by one masked fold per power, and ``add_mul`` adds a u to a vector
-    by one packed add or subtract per nonzero coordinate.  Elimination alone
-    takes a pivot row's multiples through ``pivot_form`` and
-    ``add_pivot_mul``: the chain and ``add_mul`` themselves, except where
-    the entries tile bytes (``_BytePacking``).
+    x^t u by one masked fold per power.  Elimination is the one caller of
+    a row multiple: it takes each pivot row's ``pivot_form`` (the chain) and
+    ``add_mul`` adds a u from it by one packed add or subtract per nonzero
+    coordinate, except where the entries tile bytes (``_BytePacking``).
     """
 
     __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_folds")
 
     def __new__(cls, field: Field, size: int):
-        if field.q != 2:
-            return object.__new__(cls)
-        return object.__new__(_BytePacking if field.l in (2, 4, 8) else _BinaryPacking)
+        return object.__new__(_BytePacking if field.q == 2 and field.l in (2, 4, 8) else cls)
 
     def __init__(self, field: Field, size: int):
         q, l, w = field.q, field.l, field.w
@@ -565,8 +564,10 @@ class Packing:
         self.add, self.sub = self._adder(ones // ((1 << w) - 1))
 
     def _adder(self, unit: int):
-        """(add, sub), closures over their constants; `unit` has 1 in every slot."""
+        """(add, sub): XORs over F_2, else closures; `unit` has 1 in every slot."""
         q, shift = self.field.q, self.w - 1
+        if q == 2:
+            return operator.xor, operator.xor
         adj = ((1 << shift) - q) * unit
         high = (1 << shift) * unit
         qs = q * unit
@@ -602,8 +603,6 @@ class Packing:
 
     def scale(self, c: int, v: int) -> int:
         """c * v for a base-field scalar 0 < c < q, by doubling and adding."""
-        if c == 1:
-            return v
         add = self.add
         acc = v
         for bit in bin(c)[3:]:
@@ -638,7 +637,7 @@ class Packing:
         Each nonzero coordinate c of a costs one packed add or subtract of
         its power p: c = 1 adds p, c > q/2 subtracts (q - c) p (p itself
         when c = q - 1), and any other c adds c p.  Over F_3 every
-        coordinate is 1 or q - 1, so nothing is scaled.
+        coordinate is 1 or q - 1, so nothing is scaled; over F_2 each is an XOR.
         """
         q, w, add, sub, scale = self.field.q, self.w, self.add, self.sub, self.scale
         slot, half = (1 << w) - 1, q // 2
@@ -652,40 +651,21 @@ class Packing:
             entry >>= w
         return v
 
-    # the pivot rows of ``Matrix._eliminate``: a form, and a multiple taken from it
+    # a pivot row of ``Matrix._eliminate``: its form, from which ``add_mul`` takes each multiple
     pivot_form = x_powers
-    add_pivot_mul = add_mul
-
-
-class _BinaryPacking(Packing):
-    """q = 2: one bit per coordinate, so a sum is an XOR."""
-
-    __slots__ = ()
-
-    def _adder(self, unit: int):
-        return operator.xor, operator.xor
-
-    def add_mul(self, v: int, entry: int, powers) -> int:
-        for p in powers:
-            if entry & 1:
-                v ^= p
-            entry >>= 1
-        return v
-
-    add_pivot_mul = add_mul
 
 
 _from_bytes = int.from_bytes  # bound once: its lookup was a fifth of a byte-path multiple
 
 
-class _BytePacking(_BinaryPacking):
+class _BytePacking(Packing):
     """q = 2 and l in (2, 4, 8): the entries tile bytes, so a row times a is one byte substitution.
 
     A pivot's form is its row's bytes, low byte first, with the field's
     tables (``_byte_tables``), where T[a] takes a byte to its entries times
     a; a multiple a u is ``bytes.translate`` of u's bytes through T[a],
     XORed in.  The tables are built on the first pivot over the field, not
-    with the packing.  ``x_powers`` and ``add_mul`` stay as over F_2.
+    with the packing.  ``x_powers`` stays the chain, for brute force.
     """
 
     __slots__ = ()
@@ -693,7 +673,7 @@ class _BytePacking(_BinaryPacking):
     def pivot_form(self, v: int):
         return v.to_bytes((v.bit_length() + 7) // 8, "little"), _byte_tables(self.field)
 
-    def add_pivot_mul(self, v: int, entry: int, form) -> int:
+    def add_mul(self, v: int, entry: int, form) -> int:
         row, tables = form
         return v ^ _from_bytes(row.translate(tables[entry]), "little")
 

@@ -86,7 +86,7 @@ class Matrix:
         fld = self.field
         pk = packing(fld, self.cols)
         ew, emask = pk.ew, (1 << pk.ew) - 1
-        form, add_mul, mul, sub = pk.pivot_form, pk.add_pivot_mul, fld.mul, fld.sub
+        form, add_mul, mul, sub = pk.pivot_form, pk.add_mul, fld.mul, fld.sub
         table: dict[int, tuple] = {}  # lead column -> (-1/p, form, row)
         for v in self.packed:
             while v:

@@ -57,6 +57,9 @@ class SystemParams(
     __slots__ = ()
 
     def __new__(cls, field, k, M, V, n, public_points, allow_excess_messages=False):
+        for name, size in (("k", k), ("M", M), ("V", V), ("n", n)):
+            if type(size) is not int:  # bool and float are refused, not converted
+                raise ValueError(f"{name} must be an int, got {size!r}")
         if k < 2:
             raise ValueError(f"k must be at least 2, got {k}")
         if M < 1:
@@ -172,14 +175,19 @@ def mix(pk: Packing, vectors, coeffs) -> int:
     Every F_q-linear combination in the lab is this one: relay outputs,
     substitutions and forgeries mix packets, the simulator mixes packed global
     kernels, and the recovery system mixes message powers by a view's kernel rows.
-    Each nonzero coefficient, a base-field scalar, is one `Packing.add_mul`.
+    Each nonzero coefficient a, a base-field scalar, is one packed add of v
+    (a = 1), subtract of v (a = q - 1) or add of `Packing.scale(a, v)`.
     """
-    q, add_mul = pk.field.q, pk.add_mul
+    q, add, sub, scale = pk.field.q, pk.add, pk.sub, pk.scale
     acc = 0
     for a, v in zip(coeffs, vectors):
         a %= q
-        if a:
-            acc = add_mul(acc, a, (v,))
+        if a == 1:
+            acc = add(acc, v)
+        elif a == q - 1:
+            acc = sub(acc, v)
+        elif a:
+            acc = add(acc, scale(a, v))
     return acc
 
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, Matrix, solve
-from ncauth.field import Packing, _BytePacking
+from ncauth import Field, Matrix, butterfly, combine, simulate, solve
+from ncauth.field import Packing, _BytePacking, packing
 from ncauth.linalg import rank_and_consistency
+from ncauth.scheme import mix
 from support import (
     ORACLE_FIELDS,
     element_strategy,
     hstack,
     identity,
+    make_instance,
     matmul,
     random_matrix,
     reference_rref,
@@ -206,18 +208,20 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
     assert ranks[0] == 40 and ranks[1] <= 25 and ranks[2] <= 20
 
 
-@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 1), (3, 1), (2, 4)])
+@pytest.mark.parametrize("q,l", [(2, 8), (3, 5), (2, 1), (3, 1), (2, 4), (5, 2)])
 def test_elimination_x_power_chains(q, l, monkeypatch):
     """One pivot form per pivot, whether elimination clears below it only or all other rows.
 
     The form is an x-power chain, or over GF(2^2), GF(2^4) and GF(2^8) the
     row's bytes (``_BytePacking``); each packing class's own is counted.
+    Row multiples (``add_mul``) are elimination's alone: mixing packets,
+    kernels and flows by base-field scalars takes none.
     """
     fld = Field(q, l)
     rng = random.Random(7 * q + l)
     full = random_matrix(fld, 40, 42, rng)
     low = matmul(random_matrix(fld, 40, 25, rng), random_matrix(fld, 25, 42, rng))
-    calls = []
+    calls, multiples = [], []
 
     def counting(form):
         def counted(self, v):
@@ -226,8 +230,16 @@ def test_elimination_x_power_chains(q, l, monkeypatch):
 
         return counted
 
+    def counting_multiples(add_mul):
+        def counted(self, v, entry, form):
+            multiples.append(entry)
+            return add_mul(self, v, entry, form)
+
+        return counted
+
     for cls in (Packing, _BytePacking):
         monkeypatch.setattr(cls, "pivot_form", counting(vars(cls)["pivot_form"]))
+        monkeypatch.setattr(cls, "add_mul", counting_multiples(vars(cls)["add_mul"]))
     for m in (full, low):
         calls.clear()
         r = m.rank()
@@ -235,6 +247,17 @@ def test_elimination_x_power_chains(q, l, monkeypatch):
         calls.clear()
         assert len(m.rref()[1]) == r and len(calls) == r
     assert (full.rank(), low.rank()) == (40, 25)
+    assert multiples
+    multiples.clear()
+    *_, packets = make_instance(rng, q, l, k=2, M=2, V=1, n=2)
+    coeffs = [[a, b] for a in range(q) for b in range(q)]
+    assert [combine(packets, c).packed for c in coeffs] == [
+        mix(packing(Field(q, 1), packets[0].size), [p.packed for p in packets], c) for c in coeffs
+    ]
+    simulate(butterfly(q), packets)
+    assert not multiples
+    full.rank()
+    assert multiples
 
 
 def test_rank_properties_randomized():

@@ -14,6 +14,10 @@ Scaling.  A nonzero F_q multiple of a valid packet is valid, and a sum-one
 forgery of sum-one forgeries is the forgery of the originals whose
 coefficients compose the two.
 
+Re-keying.  What a coalition can learn depends on the instance, not on
+the key it was signed under: keying the same parameters, topology and
+payloads from another seed leaves every recovery record unchanged.
+
 Names and document order.  Renaming every node and edge of an inline
 topology by a bijection, and reordering its nodes, edges, kernels,
 verifier seats and sinks and the scenario's adversaries, gives the report
@@ -48,6 +52,7 @@ from ncauth import (
     fan,
     forge,
     keygen,
+    line,
     run_scenario,
     simulate,
     tag,
@@ -170,6 +175,49 @@ def test_mixing_a_view_keeps_ranks_and_key_counts(ql, on_fan, seed):
     h_rows = [[sum(a * h for a, h in zip(row, col)) % q for col in columns] for row in t]
     mixed = view_of(view.nodes, q, n, h_rows, [combine(view.packets, row) for row in t])
     assert counts(params, mixed, keys, messages) == counts(params, view, keys, messages)
+
+
+# GF(2) seats one verifier, GF(3) two and GF(4) and GF(9) three, so K >= k = 2
+# comes up on all but GF(2); six unknowns, few enough for brute_force_count.
+REKEY_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("family", ["fan", "line"])
+@pytest.mark.parametrize("ql", REKEY_FIELDS, ids=lambda ql: f"GF({ql[0]}^{ql[1]})")
+def test_rekeying_keeps_the_recovery_result(ql, family):
+    q, l = ql
+    fld = Field(q, l)
+    k, M = 2, 2
+    rng = random.Random(41 * q + 7 * l + (family == "line"))
+    rhs_moved = False
+    # every coalition size up to 3, and every count K of seated members in it
+    for members in (1, 2, 3):
+        for K in range(min(members, fld.order - 1) + 1):
+            if family == "line":
+                n, net = 1, line(q, hops=members)
+                coalition = tuple(f"v{i}" for i in range(1, members + 1))
+            else:
+                n = rng.randint(1, M)
+                net = fan(q, n, [rng.randint(0, 2) for _ in range(members)], rng)
+                coalition = tuple(f"r{i}" for i in range(members))
+            # K members, drawn at random, are seated; the others hold no key
+            seats = {node: i for i, node in enumerate(rng.sample(coalition, K))}
+            net = net.with_verifiers(seats)
+            V = max(1, len(seats))
+            params = SystemParams(fld, k, M, V, n, sample_points(fld, V, rng))
+            messages = [fld.random_element(rng) for _ in range(n)]
+            results, rhs = [], []
+            for seed in (rng.getrandbits(64), rng.getrandbits(64)):
+                skey, vkeys = keygen(params, seed)
+                view = coalition_view(simulate(net, [tag(skey, s) for s in messages]), coalition)
+                keys = [vkeys[seats[node]] for node in coalition if node in seats]
+                system = build_recovery_system(params, view, keys, messages)
+                results.append(analyze_recovery(system))
+                rhs.append(system.rhs)
+            assert results[0] == results[1]
+            assert results[0].K == K and results[0].brute is not None
+            rhs_moved |= rhs[0] != rhs[1]
+    assert rhs_moved  # the keys differ, so the systems do
 
 
 def sum_one(q, count, rng):

@@ -1,6 +1,7 @@
 """Key generation, tagging, verification and packet combination."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,15 @@ def test_params_validation():
         SystemParams(F, 2, 2, 2, 2, (F(0), F(2)))  # zero point
     with pytest.raises(ValueError):
         SystemParams(F, 2, 2, 3, 2, pts)  # V mismatch
+
+
+@pytest.mark.parametrize("name", ["k", "M", "V", "n"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_params_refuse_sizes_that_are_not_ints(name, bad):
+    F = Field(5, 1)
+    sizes = {"k": 2, "M": 2, "V": 2, "n": 2, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        SystemParams(F, sizes["k"], sizes["M"], sizes["V"], sizes["n"], (F(1), F(2)))
 
 
 def test_keygen_deterministic():
