@@ -481,6 +481,12 @@ def lemma_sweep(
     """
     if family not in ("fan", "line"):
         raise ValueError(f"unknown topology family {family!r}")
+    # a bool or float is refused, not converted: True would sweep seed 1's rows
+    for name, values in (("q", qs), ("l", ls), ("k", ks), ("M", Ms), ("K", Ks),
+                         ("reps", [reps]), ("seed", [seed])):
+        for v in values:
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an int, got {v!r}")
     for name, sizes, least in (("k", ks, 2), ("M", Ms, 1), ("K", Ks, 1)):
         if sizes and min(sizes) < least:
             raise ValueError(f"{name} must be at least {least}, got {min(sizes)}")

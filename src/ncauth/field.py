@@ -28,7 +28,8 @@ product, inverse and Frobenius map:
   inverts it.  A product is exp[log a + log b], an inverse exp[n - log a]
   and the Frobenius map a^(q^i) exp[log a * q^i mod n].
 * larger orders: polynomial arithmetic on the coordinates modulo the
-  modulus, with an extended-Euclid inverse.
+  modulus.  An inverse is Fermat's a^(q^l - 2), one modular power, as
+  over the integers mod q.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, its entries' codes side by side, so that adding,
@@ -118,31 +119,6 @@ def _poly_gcd(a, b, q: int) -> list[int]:
     while b:
         a, b = b, _poly_rem(a, b, q)
     return a
-
-
-def _poly_inverse(a, mod, q: int) -> list[int]:
-    """Inverse of a nonzero a modulo an irreducible mod of degree l.
-
-    Extended Euclid, one leading term at a time: r0 = s0 * a and r1 = s1 * a
-    modulo mod throughout, and every s has degree below l.
-    """
-    l = len(mod) - 1
-    r0, r1 = list(mod), _trim(list(a))
-    s0, s1 = [0] * l, [1] + [0] * (l - 1)
-    while len(r1) > 1:
-        d = len(r0) - len(r1)
-        if d < 0:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        c = r0[-1] * pow(r1[-1], q - 2, q) % q
-        for i, v in enumerate(r1):  # r0 -= c x^d r1
-            r0[i + d] = (r0[i + d] - c * v) % q
-        for i, v in enumerate(s1):  # s0 -= c x^d s1
-            if v:
-                s0[i + d] = (s0[i + d] - c * v) % q
-        _trim(r0)
-    c = pow(r1[0], q - 2, q)  # r1 is a nonzero constant: a * s1 = c
-    return [v * c % q for v in s1]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -397,7 +373,9 @@ class _PolyField(Field):
     """1 < l: polynomials in x modulo the field's modulus.
 
     The polynomial product, inverse and Frobenius map, on the coordinates,
-    serve every order above TABLE_ORDER.
+    serve every order above TABLE_ORDER.  The inverse and the Frobenius
+    map are powers: a^(q^l - 2) (Fermat, as ``_PrimeField.inv``) and
+    a^(q^i), each one ``_poly_powmod``.
     """
 
     __slots__ = ()
@@ -407,7 +385,7 @@ class _PolyField(Field):
         return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
 
     def inv(self, a):
-        return self.code(_poly_inverse(self.coeffs(a), self.modulus, self.q))
+        return self.code(_poly_powmod(self.coeffs(a), self.order - 2, self.modulus, self.q))
 
     def frob(self, a, i):
         return self.code(_poly_powmod(self.coeffs(a), self.q**i, self.modulus, self.q))

@@ -298,6 +298,8 @@ def accept_map(flow: FlowState, keys_by_node: dict[str, VerifierKey]):
     net = flow.network
     out: dict[str, dict[str, bool]] = {}
     for node in sorted(keys_by_node):
+        if node not in net.nodes:
+            raise ValueError(f"unknown node {node!r}")
         vkey = keys_by_node[node]
         out[node] = {e: verify(vkey, flow.packets[e]) for e in net.in_edges(node)}
     return out
@@ -387,6 +389,8 @@ def fan(q: int, n: int, edge_counts, rng: random.Random) -> Network:
     edge_counts[i] random combinations of the n messages.  Each call builds
     a new network: its kernels are drawn, so it is never shared.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     edge_counts = tuple(edge_counts)
     if not edge_counts or any(type(c) is not int or c < 0 for c in edge_counts):
         raise ValueError("edge_counts must be nonnegative integers and nonempty")

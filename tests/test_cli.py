@@ -673,6 +673,18 @@ def test_lemma_sweep_empty_ranges(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == empty
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "1", None])
+@pytest.mark.parametrize("arg", ["qs", "ls", "ks", "Ms", "Ks", "reps", "seed"])
+def test_lemma_sweep_refuses_non_int_arguments(arg, bad):
+    # seed=True used to sweep seed 1's rows, and Ms=[1.5] failed one way
+    # under Python 3.11 and another under 3.12
+    args = {"qs": (2,), "ls": (1,), "ks": (2,), "Ms": (1,), "Ks": (1,), "reps": 1, "seed": 0}
+    args[arg] = bad if arg in ("reps", "seed") else (bad,)
+    name = arg if arg in ("reps", "seed") else arg[0]
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        lemma_sweep(**args)
+
+
 def test_lemma_sweep_skips_out_of_scope_combinations():
     # K=2 needs at least two nonzero points, so F_2 yields nothing
     result = lemma_sweep((2,), (1,), (2,), (1,), (2,), reps=3, seed=0)

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 import support
 from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
 from ncauth.field import (
+    MAX_DEGREE,
     TABLE_ORDER,
     Packing,
     _byte_tables,
     _BytePacking,
     _is_irreducible,
+    _PolyField,
     _TableField,
     is_prime,
     packing,
@@ -365,6 +367,20 @@ def test_log_tables_exhaustive(q, l):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Field(5, 1).zero.inv()
+
+
+@pytest.mark.parametrize("q,l", [(3, MAX_DEGREE), (65521, MAX_DEGREE)])
+def test_inverse_at_the_bounds_of_the_polynomial_path(q, l):
+    # the largest degree, and there the largest prime: a^(q^l - 2) is one
+    # power of a 256-bit exponent over GF(65521^16)
+    F = Field(q, l)
+    assert type(F) is _PolyField
+    rng = random.Random(q * l)
+    x_poly = F([0, 1] + [0] * (l - 2))
+    for x in [F.random_element(rng) for _ in range(6)] + [F.one, F.zero - F.one, x_poly]:
+        assert x and x * x.inv() == F.one
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inv()
 
 
 def test_field_axioms_randomized():

@@ -284,6 +284,15 @@ def test_polluted_butterfly_accepts_everywhere_but_decodes_wrong():
     assert diverged > 0
 
 
+def test_accept_map_refuses_a_node_outside_the_network():
+    net = butterfly(2)
+    params, skey, vkeys, messages, packets = scheme_for(net, random.Random(11))
+    flow = simulate(net, packets)
+    # used to raise a bare KeyError from Network.in_edges
+    with pytest.raises(ValueError, match="unknown node 'nope'"):
+        accept_map(flow, {"t1": vkeys[4], "nope": vkeys[0]})
+
+
 def test_decode_honest_and_rank_deficient():
     rng = random.Random(3)
     net = diamond(3)
@@ -467,6 +476,13 @@ def test_fan_refuses_non_integer_edge_counts(edge_counts):
     # (1.9, 0.5) used to become one edge for r0 and none for r1
     with pytest.raises(ValueError, match="integers"):
         fan(3, 2, edge_counts, random.Random(5))
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "1", None])
+def test_fan_refuses_a_non_int_message_count(n):
+    # True used to build one message edge, and 2.0 failed with a TypeError
+    with pytest.raises(ValueError, match="n must be an int"):
+        fan(2, n, (1, 1), random.Random(5))
 
 
 def test_builtin_networks_are_built_once_per_shape():
