@@ -286,7 +286,16 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
 
 def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GUARD) -> dict:
     """Execute one scenario end to end and return its report document."""
+    _check_guard(guard)
     return _run(load_scenario(doc, seed=seed), guard)
+
+
+def _check_guard(guard) -> None:
+    """Refuse what ``--guard`` refuses: a negative guard, or one that is not an int (a bool or float)."""
+    if type(guard) is not int:
+        raise ValueError(f"guard must be an int, got {guard!r}")
+    if guard < 0:
+        raise ValueError(f"guard must be nonnegative, got {guard}")
 
 
 def _keys(sc: Scenario):
@@ -487,6 +496,7 @@ def lemma_sweep(
         for v in values:
             if type(v) is not int:
                 raise ValueError(f"{name} must be an int, got {v!r}")
+    _check_guard(guard)
     for name, sizes, least in (("k", ks, 2), ("M", Ms, 1), ("K", Ks, 1)):
         if sizes and min(sizes) < least:
             raise ValueError(f"{name} must be at least {least}, got {min(sizes)}")

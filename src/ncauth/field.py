@@ -41,7 +41,10 @@ out one shared instance per (field, size), never evicted.  Packets and
 matrix rows are held in it, and row reduction, packet mixing, the
 recovery rows and the exhaustive key count work in it.  Mixing scales by
 base-field scalars only; row reduction alone multiplies a row by an
-element of F_{q^l} (``Packing.add_mul``).
+element of F_{q^l} (``Packing.add_mul``), and two layouts do it their own
+way: over F_3 with the chain's and the multiples' reductions inline
+(``_TernaryPacking``), and over GF(2^2), GF(2^4) and GF(2^8), whose
+entries tile bytes, by byte substitution (``_BytePacking``).
 """
 
 from __future__ import annotations
@@ -514,13 +517,20 @@ class Packing:
     x^t u by one masked fold per power.  Elimination is the one caller of
     a row multiple: it takes each pivot row's ``pivot_form`` (the chain) and
     ``add_mul`` adds a u from it by one packed add or subtract per nonzero
-    coordinate, except where the entries tile bytes (``_BytePacking``).
+    coordinate.  Two subclasses, which ``Packing`` hands out by field,
+    override just those two methods: over F_3 the same chain and sums with
+    every reduction inline (``_TernaryPacking``), and where the entries
+    tile bytes a byte substitution (``_BytePacking``).
     """
 
     __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_folds")
 
     def __new__(cls, field: Field, size: int):
-        return object.__new__(_BytePacking if field.q == 2 and field.l in (2, 4, 8) else cls)
+        if field.q == 3:
+            cls = _TernaryPacking
+        elif field.q == 2 and field.l in (2, 4, 8):
+            cls = _BytePacking
+        return object.__new__(cls)
 
     def __init__(self, field: Field, size: int):
         q, l, w = field.q, field.l, field.w
@@ -654,6 +664,56 @@ class _BytePacking(Packing):
     def add_mul(self, v: int, entry: int, form) -> int:
         row, tables = form
         return v ^ _from_bytes(row.translate(tables[entry]), "little")
+
+
+class _TernaryPacking(Packing):
+    """q = 3: elimination's chain and multiples reduce inline, with no call per term.
+
+    A slot is 3 bits, and a sum's reduction is s - ((s + 1 & 4) >> 2) * 3
+    in every slot at once: it takes a slot in [3, 7) down by 3.  A pivot's
+    form is its x-power chain, each power built from the last by one
+    masked product: the entries' top coordinates t <= 2, each in its
+    entry's slot 0, times the code g of x^l write t g into every entry,
+    whose slots stay below 7 with the low coordinates shifted up.  Two
+    reduction steps then bring every slot into [0, 3): over GF(3^4),
+    x^4 = 2 + 2 x^2 + 2 x^3 and a slot reaches 6, which one step leaves at
+    3.  A multiple adds each nonzero coordinate's power, v + p for 1 and
+    v + 3 - p for 2, and reduces once.  ``x_powers`` stays the chain of
+    every field, for brute force.
+    """
+
+    __slots__ = ("_reduce", "_fold")
+
+    def __init__(self, field: Field, size: int):
+        super().__init__(field, size)
+        unit = ((1 << (self.ew * size)) - 1) // 7  # 1 in every slot
+        self._reduce = (unit, 4 * unit, 3 * unit)  # the reduction's adj and high; 3 in every slot
+        # each entry's whole slot 0, the code g of x^l, and where each top coordinate starts
+        g = field.code([-c % 3 for c in field.modulus[: field.l]])
+        self._fold = (7 * self._unit0, g, 3 * (field.l - 1))
+
+    def pivot_form(self, v: int) -> list[int]:
+        adj, high, _ = self._reduce
+        slot0, g, top = self._fold
+        low = self._low
+        out = [v]
+        for _ in range(self.field.l - 1):
+            s = ((v & low) << 3) + (v >> top & slot0) * g
+            s -= ((s + adj & high) >> 2) * 3
+            s -= ((s + adj & high) >> 2) * 3
+            out.append(s)
+            v = s
+        return out
+
+    def add_mul(self, v: int, entry: int, powers) -> int:
+        adj, high, qs = self._reduce
+        for p in powers:
+            c = entry & 3
+            if c:
+                s = v + p if c == 1 else v + qs - p
+                v = s - ((s + adj & high) >> 2) * 3
+            entry >>= 3
+        return v
 
 
 @functools.cache

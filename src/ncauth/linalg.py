@@ -10,8 +10,9 @@ it, keyed by leading column, and becomes one if still nonzero.
 scales and back-clears them.  Each multiple of a pivot row is taken from
 the pivot's form (``Packing.pivot_form``): from its x-power chain, a few
 big-int operations per coordinate of the multiplier whatever the width of
-the row, or, over GF(2^2), GF(2^4) and GF(2^8), whose entries tile bytes,
-one byte substitution of the whole row.
+the row (over F_3 with each reduction inline, ``_TernaryPacking``), or,
+over GF(2^2), GF(2^4) and GF(2^8), whose entries tile bytes, one byte
+substitution of the whole row.
 
 ``solve`` and ``rank_and_consistency`` are the only routines that reduce an
 augmented system [A | B].  One solve gives the rank of A and a particular

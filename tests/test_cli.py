@@ -685,6 +685,16 @@ def test_lemma_sweep_refuses_non_int_arguments(arg, bad):
         lemma_sweep(**args)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "9", None, -1])
+def test_guard_refused_unless_a_nonnegative_int(bad):
+    # True and 2.5 used to skip the one row as over budget, and "9" raised TypeError
+    message = "guard must be nonnegative, got -1" if bad == -1 else f"guard must be an int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lemma_sweep((2,), (1,), (2,), (1,), (1,), reps=1, guard=bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scenario(butterfly_doc(), guard=bad)
+
+
 def test_lemma_sweep_skips_out_of_scope_combinations():
     # K=2 needs at least two nonzero points, so F_2 yields nothing
     result = lemma_sweep((2,), (1,), (2,), (1,), (2,), reps=3, seed=0)

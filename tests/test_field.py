@@ -22,6 +22,7 @@ from ncauth.field import (
     _is_irreducible,
     _PolyField,
     _TableField,
+    _TernaryPacking,
     is_prime,
     packing,
 )
@@ -540,9 +541,14 @@ def test_code_is_the_packed_entry(q, l):
 
 
 # The binary fields up to the largest table field (GF(2^2), GF(2^4) and
-# GF(2^8), whose entries tile a byte, among them), and odd q on both table
-# paths and the prime path at the bound: every packed layout in use.
-PACKING_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (2, 16), (3, 5), (257, 2), (65521, 1)]
+# GF(2^8), whose entries tile a byte, among them), F_3 on the prime path and
+# at both bounds of the ternary chain's reduction (GF(3^4) and GF(3^5)), and
+# odd q on both table paths and the prime path at the bound: every packed
+# layout in use.
+PACKING_FIELDS = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 8), (2, 16),
+    (3, 1), (3, 2), (3, 4), (3, 5), (257, 2), (65521, 1),
+]
 
 
 @st.composite
@@ -614,24 +620,32 @@ def test_add_mul_every_multiplier(q, l, monkeypatch):
     assert set(scaled) == set(range(2, q // 2 + 1))
 
 
-@pytest.mark.parametrize("q,l", [(3, 5), (5, 2), (7, 2), (2, 8)])
+@pytest.mark.parametrize("q,l", [(3, 4), (3, 5), (5, 2), (7, 2), (2, 8)])
 def test_x_powers_fold_every_top_coordinate(q, l):
     """x_powers(u)[t] is x^t u entrywise, where u's entries take every top coordinate below q.
 
     Over q >= 5 a top coordinate such as 3 has two bits set, so two masked
-    products of the fold land in one entry.
+    products of the fold land in one entry.  Over F_3 the pivot form is the
+    same chain, built by ``_TernaryPacking``: over GF(3^4), where
+    x^4 = 2 + 2 x^2 + 2 x^3, a slot reaches 6 before its reduction, and
+    the all-2 row reaches it in every entry.
     """
     fld = Field(q, l)
     rng = random.Random(37 * q + l)
     u = [fld([rng.randrange(q) for _ in range(l - 1)] + [d]) for d in range(q) for _ in range(3)]
     pk = packing(fld, len(u))
     x = fld([0, 1] + [0] * (l - 2))
-    powers = pk.x_powers(pk.pack([e.code for e in u]))
+    row = pk.pack([e.code for e in u])
+    powers = pk.x_powers(row)
     assert len(powers) == l
     xt = fld.one
     for p in powers:
         assert pk.entries(p) == [(xt * e).code for e in u]
         xt = xt * x
+    if q == 3:
+        twos = pk.pack([fld([2] * l).code] * len(u))
+        for r in (row, twos):
+            assert pk.pivot_form(r) == pk.x_powers(r)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 8, 16])
@@ -645,6 +659,17 @@ def test_binary_packing_is_one_bit_per_coordinate(l, size):
         assert type(pk) is kind
         assert pk.ew == l
         assert pk.pack([ones.code] * size) == (1 << (size * l)) - 1
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 5])
+def test_ternary_packing_is_chosen_for_q3(l):
+    """Every F_3 field eliminates through ``_TernaryPacking``; brute force keeps the base chain."""
+    fld = Field(3, l)
+    for pk in (packing(fld, 7), Packing(fld, 7)):
+        assert type(pk) is _TernaryPacking
+    assert type(packing(Field(5, l), 7)) is Packing
+    own = vars(_TernaryPacking)
+    assert "pivot_form" in own and "add_mul" in own and "x_powers" not in own
 
 
 @pytest.mark.parametrize("l", [2, 4, 8])

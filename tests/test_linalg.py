@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, butterfly, combine, simulate, solve
-from ncauth.field import Packing, _BytePacking, packing
+from ncauth.field import Packing, _BytePacking, _TernaryPacking, packing
 from ncauth.linalg import rank_and_consistency
 from ncauth.scheme import mix
 from support import (
@@ -212,8 +212,9 @@ def test_rref_matches_reference_at_benchmark_shapes(q, l):
 def test_elimination_x_power_chains(q, l, monkeypatch):
     """One pivot form per pivot, whether elimination clears below it only or all other rows.
 
-    The form is an x-power chain, or over GF(2^2), GF(2^4) and GF(2^8) the
-    row's bytes (``_BytePacking``); each packing class's own is counted.
+    The form is an x-power chain, built inline over F_3 (``_TernaryPacking``),
+    or over GF(2^2), GF(2^4) and GF(2^8) the row's bytes (``_BytePacking``);
+    each packing class's own is counted.
     Row multiples (``add_mul``) are elimination's alone: mixing packets,
     kernels and flows by base-field scalars takes none.
     """
@@ -237,7 +238,7 @@ def test_elimination_x_power_chains(q, l, monkeypatch):
 
         return counted
 
-    for cls in (Packing, _BytePacking):
+    for cls in (Packing, _BytePacking, _TernaryPacking):
         monkeypatch.setattr(cls, "pivot_form", counting(vars(cls)["pivot_form"]))
         monkeypatch.setattr(cls, "add_mul", counting_multiples(vars(cls)["add_mul"]))
     for m in (full, low):

@@ -1,5 +1,6 @@
 """Key generation, tagging, verification and packet combination."""
 
+import itertools
 import random
 import re
 
@@ -266,6 +267,36 @@ def test_residual_is_linear_in_the_packet():
         lhs = residual(vk, mixed)
         rhs = F(a) * residual(vk, packets[0]) + F(b) * residual(vk, packets[1])
         assert lhs == rhs
+
+
+# (q, l, k, M, n), each small enough to enumerate every flat vector: at most 2^7
+NULL_SPACE_CASES = [(2, 2, 2, 1, 1), (3, 1, 2, 2, 2), (2, 1, 3, 2, 2), (2, 2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("q,l,k,M,n", NULL_SPACE_CASES)
+def test_each_verifier_accepts_a_subspace_of_codimension_l(q, l, k, M, n):
+    """A verifier accepts an F_q-subspace of codimension exactly l that holds the source span.
+
+    Its residual is F_q-linear in the flat vector (c, m, T), and T_0 alone
+    reaches every value of F_{q^l}: the accept set is the residual's
+    kernel, q^(size - l) vectors, and every source packet is in it.
+    """
+    fld = Field(q, l)
+    size = 1 + l * (1 + k)
+    pk = packing(Field(q, 1), size)
+    flats = [pk.pack(symbols) for symbols in itertools.product(range(q), repeat=size)]
+    rng = random.Random(1000 * q + 100 * l + 10 * k + M)
+    V = min(3, fld.order - 1)
+    params = SystemParams(fld, k, M, V, n, sample_points(fld, V, rng))
+    messages = [fld.random_element(rng) for _ in range(n)]
+    for seed in range(5):
+        skey, vkeys = keygen(params, seed)
+        sources = {tag(skey, s).packed for s in messages}
+        for vk in vkeys:
+            accepted = {v for v in flats if verify(vk, TaggedPacket(fld, v, size))}
+            assert len(accepted) == q ** (size - l)
+            assert sources <= accepted
+            assert all(pk.add(a, b) in accepted for a in accepted for b in accepted)
 
 
 def test_flat_roundtrip_and_length_check():
