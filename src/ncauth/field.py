@@ -17,19 +17,28 @@ elements and packed vectors share one integer form.  Arithmetic on codes
 takes one of three paths, fixed by (q, l) and held by the field as its
 class.  For every field a sum or difference is the packed sum or
 difference of one entry (``Packing``), and the paths differ in the
-product, inverse and Frobenius map:
+product, inverse and Frobenius map, and in the two evaluations the
+scheme's keys, tags and checks are made of: ``horner``, a polynomial
+sum_j c_j x^j at a point, and ``qpoly``, the linearized polynomial
+sum_t c_t s^(q^t) at s, each from codes to a code.
 
-* l = 1: integers mod q.
+* l = 1: integers mod q.  Horner steps on ints, and since s^q = s the
+  linearized polynomial is s (sum_t c_t) mod q.
 * 1 < l and q^l <= 2^16 (``TABLE_ORDER``): log and antilog tables over a
   primitive element g, built by the field on first use.  The build takes
   n = q^l - 1 steps g^i -> g^(i+1), each two table lookups on the code
   and one packed sum (``_log_tables``).  exp[i] is the code of g^i, stored
   twice over so that a sum of two logs needs no reduction, and log
   inverts it.  A product is exp[log a + log b], an inverse exp[n - log a]
-  and the Frobenius map a^(q^i) exp[log a * q^i mod n].
+  and the Frobenius map a^(q^i) exp[log a * q^i mod n].  Both evaluations
+  run on logs: Horner reads log x once, and the weight s^(q^t) has log
+  q^t log s mod n, an int product, so ``qpoly`` makes no Frobenius map.
 * larger orders: polynomial arithmetic on the coordinates modulo the
   modulus.  An inverse is Fermat's a^(q^l - 2), one modular power, as
-  over the integers mod q.
+  over the integers mod q.  The Frobenius map is linear on the
+  coordinates: each times the image of its power of x, images built once
+  per power.  The evaluations are ``Field``'s generic bodies: a product
+  per term, and a Frobenius map per weight after s.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, its entries' codes side by side, so that adding,
@@ -356,9 +365,31 @@ class Field:
         mask = (1 << self.w) - 1
         return tuple([code >> s & mask for s in self.shifts])
 
+    # The two evaluations of the scheme, on codes.  These generic bodies,
+    # one product per term, serve the polynomial path; the prime and table
+    # paths override both.
+
+    def horner(self, coeffs, x: int) -> int:
+        """sum_j c_j x^j: the polynomial with coefficients `coeffs`, low to high, at x."""
+        add, mul = self.add, self.mul
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), c)
+        return acc
+
+    def qpoly(self, coeffs, s: int) -> int:
+        """sum_t c_t s^(q^t): the linearized polynomial with coefficients `coeffs` at s."""
+        add, mul, frob = self.add, self.mul, self.frob
+        acc, w = 0, s
+        for t, c in enumerate(coeffs):
+            if t:
+                w = frob(w, 1)
+            acc = add(acc, mul(c, w))
+        return acc
+
 
 class _PrimeField(Field):
-    """l = 1: the code is the element of F_q itself."""
+    """l = 1: the code is the element of F_q itself, and s^q = s."""
 
     __slots__ = ()
 
@@ -371,14 +402,26 @@ class _PrimeField(Field):
     def frob(self, a, i):
         return a
 
+    def horner(self, coeffs, x):
+        q = self.q
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % q
+        return acc
+
+    def qpoly(self, coeffs, s):
+        return s * sum(coeffs) % self.q
+
 
 class _PolyField(Field):
     """1 < l: polynomials in x modulo the field's modulus.
 
     The polynomial product, inverse and Frobenius map, on the coordinates,
-    serve every order above TABLE_ORDER.  The inverse and the Frobenius
-    map are powers: a^(q^l - 2) (Fermat, as ``_PrimeField.inv``) and
-    a^(q^i), each one ``_poly_powmod``.
+    serve every order above TABLE_ORDER.  The inverse is a power,
+    a^(q^l - 2) (Fermat, as ``_PrimeField.inv``), one ``_poly_powmod``.
+    The Frobenius map a -> a^(q^i) is F_q-linear: the sum of each
+    coordinate c_t times the image of x^t (``_frobenius_images``), so the
+    weights of ``Field.qpoly`` cost no power each.
     """
 
     __slots__ = ()
@@ -391,7 +434,12 @@ class _PolyField(Field):
         return self.code(_poly_powmod(self.coeffs(a), self.order - 2, self.modulus, self.q))
 
     def frob(self, a, i):
-        return self.code(_poly_powmod(self.coeffs(a), self.q**i, self.modulus, self.q))
+        q, out = self.q, [0] * self.l
+        for c, image in zip(self.coeffs(a), _frobenius_images(self, i)):
+            if c:
+                for u, v in enumerate(image):
+                    out[u] += c * v
+        return self.code([v % q for v in out])
 
 
 class _TableField(_PolyField):
@@ -422,6 +470,28 @@ class _TableField(_PolyField):
 
     def frob(self, a, i):
         return self.exp[self.log[a] * self.qpow[i] % self.n] if a else 0
+
+    def horner(self, coeffs, x):
+        if not x:
+            return coeffs[0] if coeffs else 0
+        exp, log, add = self.exp, self.log, self.add
+        lx = log[x]
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(exp[log[acc] + lx], c) if acc else c
+        return acc
+
+    def qpoly(self, coeffs, s):
+        if not s:
+            return 0
+        exp, log, add, q, n = self.exp, self.log, self.add, self.q, self.n
+        ls = log[s]
+        acc = 0
+        for c in coeffs:
+            if c:
+                acc = add(acc, exp[log[c] + ls])
+            ls = ls * q % n
+        return acc
 
 
 def _checked(op: str):
@@ -732,6 +802,18 @@ def _byte_tables(field: Field) -> tuple[bytes, ...]:
         tables[exp[i]] = t
         t = t.translate(times_g)
     return tuple(tables)
+
+
+@functools.cache
+def _frobenius_images(field: Field, i: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of (x^t)^(q^i) for t < l, built once per (field, i) on first use."""
+    q, l, mod = field.q, field.l, field.modulus
+    xi = _poly_powmod([0, 1], q**i, mod, q)
+    images, p = [], [1]
+    for _ in range(l):
+        images.append(tuple(p) + (0,) * (l - len(p)))
+        p = _poly_rem(_poly_mul(p, xi, q), mod, q)
+    return tuple(images)
 
 
 @functools.cache

@@ -12,6 +12,13 @@ F_q-linear in s and the header tracks the combination sum, so every
 F_q-linear mix of valid packets satisfies the same per-verifier equation;
 the attack tooling lives off exactly that.  A packet is its F_q vector
 packed into one int, and every such mix is one `mix` of packed vectors.
+
+Keys, tags and checks run on codes through the field's two evaluations:
+``Field.horner``, a polynomial at a point (a key value P_t(x_i), and the
+tag polynomial at x_i), and ``Field.qpoly``, the linearized polynomial
+sum_t c_t s^(q^t) in the payload (a tag coefficient's and a check's
+weighted sum).  So neither builds the Moore row (1, s, ..., s^(q^(M-1)));
+``moore_matrix`` alone does, on elements, for the recovery system.
 """
 
 from __future__ import annotations
@@ -25,11 +32,7 @@ from .linalg import Matrix
 
 def poly_eval(field: Field, coeffs, x: int) -> int:
     """The code of a polynomial at x, given codes: coefficients low to high, and x (Horner)."""
-    add, mul = field.add, field.mul
-    acc = 0
-    for c in reversed(coeffs):
-        acc = add(mul(acc, x), c)
-    return acc
+    return field.horner(coeffs, x)
 
 
 class _Checked:
@@ -191,18 +194,6 @@ def mix(pk: Packing, vectors, coeffs) -> int:
     return acc
 
 
-def _weights(one, s, frob, M: int) -> list:
-    """The Moore row (1, s, s^q, ..., s^(q^(M-1))): the multiplier of each secret polynomial.
-
-    One body for both forms: codes with ``Field.frob`` in tags and checks,
-    elements with ``Fel.frob`` in the recovery system's ``moore_matrix``.
-    """
-    w = [one, s]
-    while len(w) <= M:
-        w.append(frob(w[-1], 1))
-    return w[: M + 1]
-
-
 def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey]]:
     """Draw the secret coefficient matrix and derive every verifier's key.
 
@@ -221,17 +212,16 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
 
 
 def tag(key: SourceKey, s: Fel) -> TaggedPacket:
-    """Authenticate payload s as a fresh source packet (header 1)."""
+    """Authenticate payload s as a fresh source packet (header 1).
+
+    Tag coefficient j is P_0[j] + qpoly((P_1[j], ..., P_M[j]), s).
+    """
     fld = key.field
-    s = fld(s)
-    add, mul = fld.add, fld.mul
-    weights = _weights(1, s.code, fld.frob, key.M)
-    codes = [s.code]
-    for j in range(key.k):
-        acc = 0
-        for w, poly in zip(weights, key.polys):
-            acc = add(acc, mul(w, poly[j].code))
-        codes.append(acc)
+    s = fld(s).code
+    add, qpoly = fld.add, fld.qpoly
+    codes = [s]
+    for col in zip(*[[c.code for c in poly] for poly in key.polys]):  # x^j's coefficients
+        codes.append(add(col[0], qpoly(col[1:], s)))
     packed = packing(fld, key.k + 1).pack(codes) << fld.w | 1  # the header, 1, in slot 0
     return TaggedPacket._from_reduced(fld, packed, 1 + fld.l * (1 + key.k))
 
@@ -240,18 +230,15 @@ def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes.
 
     Computed on codes sliced from the packed packet: the header c, a
-    base-field scalar, is its own code.
+    base-field scalar, is its own code.  The tag polynomial at x_i is one
+    Horner evaluation, and the weighted sum c e_0 + qpoly((e_1, ..., e_M), m).
     """
     fld = packet.field
     if vkey.point.field is not fld:
         raise ValueError("mixed-field arithmetic")
-    add, mul = fld.add, fld.mul
     m, *tags = packet._codes()
-    weights = _weights(1, m, fld.frob, len(vkey.evals) - 1)
-    weights[0] = packet.c
-    rhs = 0
-    for w, e in zip(weights, vkey.evals):
-        rhs = add(rhs, mul(w, e.code))
+    e0, *es = [e.code for e in vkey.evals]
+    rhs = fld.add(fld.mul(packet.c, e0), fld.qpoly(es, m))
     return _fel(fld, fld.sub(poly_eval(fld, tags, vkey.point.code), rhs))
 
 
@@ -307,6 +294,13 @@ class ForgerySpec(_Checked, namedtuple("ForgerySpec", "q coeffs")):
 def moore_matrix(field: Field, messages, M: int) -> Matrix:
     """n x (M+1) matrix with row j = (1, s_j, s_j^q, ..., s_j^(q^(M-1))).
 
+    The one body that builds Moore rows; tags and checks weigh by ``Field.qpoly``.
     ``Fel.frob`` is read on each call, never bound earlier: a patch on the class counts its maps.
     """
-    return Matrix(field, [_weights(field.one, field(s), Fel.frob, M) for s in messages], cols=M + 1)
+    rows = []
+    for s in messages:
+        row = [field.one, field(s)]
+        while len(row) <= M:
+            row.append(row[-1].frob(1))
+        rows.append(row[: M + 1])
+    return Matrix(field, rows, cols=M + 1)

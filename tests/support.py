@@ -364,3 +364,46 @@ def reference_rref(matrix):
         if r == matrix.rows:
             break
     return Matrix(fld, m, cols=matrix.cols), tuple(pivots)
+
+
+def max_flow(net, nodes):
+    """The max-flow from the source to a node set, unit capacity per edge.
+
+    The set is contracted to one sink: edges leaving a member are dropped,
+    and edges into a member end at the sink.  Each breadth-first augmenting
+    path in the residual graph adds one unit (Edmonds and Karp 1972).  By
+    Ahlswede, Cai, Li and Yeung (2000) it bounds the rank of the global
+    kernels the set observes, whatever the local kernels.
+    """
+    members, sink = set(nodes), ("sink",)  # no node name is a tuple
+    cap = {}  # cap[u][v]: residual capacity of u -> v, parallel edges summed
+    for e in net.edges:
+        if e.tail in members:
+            continue
+        head = sink if e.head in members else e.head
+        cap.setdefault(e.tail, {}).setdefault(head, 0)
+        cap[e.tail][head] += 1
+        cap.setdefault(head, {}).setdefault(e.tail, 0)
+    flow = 0
+    while True:
+        parent = {net.source: None}
+        queue = [net.source]
+        for u in queue:  # grows as it is read: breadth first
+            for v, c in cap.get(u, {}).items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            cap[u][v] -= 1
+            cap[v][u] += 1
+            v = u
+        flow += 1
+
+
+def count_lower_bound(q, l, k, M, K, mincut):
+    """q^(l (M+1-r) (k-min(K, k))) for r = min(mincut, 1+l, M+1), the most r0 can be."""
+    return q ** (l * (M + 1 - min(mincut, 1 + l, M + 1)) * (k - min(K, k)))

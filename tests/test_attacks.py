@@ -18,12 +18,16 @@ from ncauth import (
     analyze_recovery,
     brute_force_count,
     build_recovery_system,
+    butterfly,
     coalition_view,
     combine,
+    decode,
+    diamond,
     fan,
     forge,
     gauss_count,
     keygen,
+    lemma_sweep,
     line,
     predicted_count,
     predicted_rank,
@@ -34,10 +38,12 @@ from ncauth import (
     verify,
 )
 from support import (
+    count_lower_bound,
     elements,
     identity,
     make_instance,
     matmul,
+    max_flow,
     packet,
     random_matrix,
     reference_brute_force_count,
@@ -597,3 +603,76 @@ def test_h_condition_boundaries():
 
     assert held(3) is True
     assert held(4) is False
+
+
+# ---------------------------------------------------------------------------
+# max-flow bounds: what a coalition can learn is read off the graph
+
+
+def _coalitions(net):
+    """Every set of 1-3 non-source nodes, in node order."""
+    others = [v for v in net.nodes if v != net.source]
+    return [c for size in (1, 2, 3) for c in itertools.combinations(others, size)]
+
+
+def test_max_flow_matches_networkx():
+    import networkx as nx  # a test oracle only: the package stays stdlib
+    rng = random.Random(25)
+    nets = [butterfly(2), diamond(3), line(2, 3)]
+    nets += [fan(2, rng.randint(1, 3), [rng.randint(0, 3) for _ in range(3)], rng) for _ in range(8)]
+    compared = 0
+    for net in nets:
+        for coalition in _coalitions(net):
+            g = nx.DiGraph()
+            for e in net.edges:  # the coalition contracted to one node, its out-edges dropped
+                if e.tail in coalition:
+                    continue
+                head = "\0sink" if e.head in coalition else e.head
+                cap = g.get_edge_data(e.tail, head, {"capacity": 0})["capacity"]
+                g.add_edge(e.tail, head, capacity=cap + 1)
+            want = nx.maximum_flow_value(g, net.source, "\0sink") if "\0sink" in g else 0
+            assert max_flow(net, coalition) == want, (net.nodes, coalition)
+            compared += 1
+    assert compared > 100
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_coalition_knowledge_is_bounded_by_its_max_flow(q, l):
+    """Decode rank <= min(n, mincut), r0 <= min(mincut, 1+l, M+1), and the count bound.
+
+    Every coalition of 1-3 non-source nodes of the built-ins, with no keys
+    and with as many as the field seats.  Random codes may fall short of
+    the bounds, so none is asserted to be met.
+    """
+    k, M = 3, 2
+    rng = random.Random(q * 10 + l)
+    for net in (butterfly(q), diamond(q), line(q, 3)):
+        for coalition in _coalitions(net):
+            mincut = max_flow(net, coalition)
+            assert mincut <= net.n
+            seated = min(len(coalition), q**l - 1)
+            params, skey, vkeys, messages, packets = make_instance(
+                rng, q, l, k, M, V=seated, n=net.n
+            )
+            view = coalition_view(simulate(net, packets), coalition)
+            assert decode(view).rank <= min(net.n, mincut)
+            for K in (0, seated):
+                res = analyze_recovery(build_recovery_system(params, view, vkeys[:K], messages))
+                assert res.r0 <= min(mincut, 1 + l, M + 1), (net.nodes, coalition)
+                bound = count_lower_bound(q, l, k, M, K, mincut)
+                assert res.gauss >= bound and res.predicted >= bound
+                assert res.brute is None or res.brute >= bound
+
+
+def test_sweep_fan_rows_obey_max_flow_bounds():
+    # the acceptance sweep's rows; a fan's max-flow does not depend on its drawn kernels
+    result = lemma_sweep(qs=(2, 3), ls=(1, 2), ks=(2, 3), Ms=(1, 2), Ks=(1, 2, 3), reps=3, seed=7)
+    assert len(result.rows) > 100
+    for row in result.rows:
+        net = fan(row.q, row.n, row.edge_counts, random.Random(0))
+        mincut = max_flow(net, [f"r{i}" for i in range(row.K)])
+        assert mincut <= min(row.n, sum(row.edge_counts))
+        assert row.r0 <= min(mincut, 1 + row.l, row.M + 1), row
+        bound = count_lower_bound(row.q, row.l, row.k, row.M, row.K, mincut)
+        assert row.gauss >= bound and row.predicted >= bound
+        assert row.brute is None or row.brute >= bound

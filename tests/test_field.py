@@ -291,6 +291,56 @@ def test_arithmetic_matches_reference(args):
         assert a.frob(i).coeffs == support.reference_pow(fld, x, q**i)
 
 
+# Every class of evaluation kernel: the prime path, binary and odd log
+# tables (GF(251^2) at the largest odd table prime) and the polynomial path.
+EVAL_FIELDS = [
+    (2, 1), (5, 1), (257, 1),
+    (2, 2), (2, 8), (2, 16),
+    (3, 2), (3, 5), (5, 2), (251, 2),
+    (257, 2), (65521, 2),
+]
+
+
+@st.composite
+def evaluation_operands(draw):
+    """Coefficients, up to 2 l + 3 of them (so q-power weights wrap past l), and a point."""
+    q, l = draw(st.sampled_from(EVAL_FIELDS))
+    fld = Field(q, l)
+    elem = element_strategy(fld)
+    coeffs = draw(st.one_of(
+        st.lists(elem, max_size=2 * l + 3),
+        st.lists(st.just(fld.zero), max_size=3),
+        st.lists(elem, min_size=l + 1, max_size=2 * l + 3),
+    ))
+    return coeffs, draw(elem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_operands())
+def test_evaluation_kernels_match_element_arithmetic(args):
+    coeffs, x = args
+    fld = x.field
+
+    def check(coeffs, x):
+        codes = [c.code for c in coeffs]
+        at_x = fld.zero
+        for c in reversed(coeffs):  # Horner on elements
+            at_x = at_x * x + c
+        assert fld.horner(codes, x.code) == at_x.code
+        assert fld.horner(tuple(codes), x.code) == at_x.code
+        linearized = fld.zero
+        for t, c in enumerate(coeffs):  # frob takes t mod l, as the weights' logs wrap
+            linearized = linearized + c * x.frob(t)
+        assert fld.qpoly(codes, x.code) == linearized.code
+        assert fld.qpoly(tuple(codes), x.code) == linearized.code
+
+    check(coeffs, x)
+    check(coeffs, fld.zero)  # x = 0 and s = 0
+    check([], x)
+    check([fld.zero] * len(coeffs), x)
+    check([fld.zero, *coeffs], x)  # a zero constant term, and the weights moved up one power
+
+
 @pytest.mark.parametrize(
     "q,l",
     [(65521, 2), (257, 2), (251, 2), (3, 10), (3, 5), (2, 16), (2, 1), (3, 1), (65521, 1)],

@@ -44,8 +44,9 @@ from support import (
 )
 
 # One field per arithmetic class: integers mod q, log tables over F_2 and
-# over odd q, and polynomials (257^2 is above the table bound).
-SCHEME_FIELDS = [(5, 1), (2, 8), (3, 5), (257, 2)]
+# over odd q, and polynomials (257^2 is above the table bound); and q = 2 on
+# the prime path, and GF(2^16), the widest table field.
+SCHEME_FIELDS = [(2, 1), (5, 1), (2, 8), (2, 16), (3, 5), (257, 2)]
 
 
 def test_params_validation():
