@@ -100,6 +100,8 @@ def build_recovery_system(
     tags = [p.tag for p in view.packets]
     if any(len(t) != k for t in tags):
         raise ValueError("observed tag length disagrees with k")
+    if any(len(key.evals) != M + 1 for key in keys):
+        raise ValueError(f"a verifier key must hold M + 1 = {M + 1} values")
 
     # Rows are built packed (``field.Packing``): unknown j(M+1)+t is entry
     # j(M+1)+t, so a row confined to secret column j is shifted by j blocks.

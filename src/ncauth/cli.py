@@ -434,7 +434,7 @@ def keygen_report(doc: dict, seed: int | None = None) -> dict:
             "V": sc.params.V,
             "n": sc.params.n,
         },
-        "source_key": _plain(skey.polys),
+        "source_key": _plain([[skey.field.coeffs(c) for c in poly] for poly in skey.polys]),
         "verifier_keys": _plain(vkeys),
     }
 

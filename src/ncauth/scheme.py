@@ -18,7 +18,8 @@ Keys, tags and checks run on codes through the field's two evaluations:
 tag polynomial at x_i), and ``Field.qpoly``, the linearized polynomial
 sum_t c_t s^(q^t) in the payload (a tag coefficient's and a check's
 weighted sum).  So neither builds the Moore row (1, s, ..., s^(q^(M-1)));
-``moore_matrix`` alone does, on elements, for the recovery system.
+``moore_matrix`` alone does, on elements, for the recovery system.  The
+secret key and a check's residual are codes too; a verifier key is elements.
 """
 
 from __future__ import annotations
@@ -83,19 +84,15 @@ class SystemParams(
         return tuple.__new__(cls, (field, k, M, V, n, pts, allow_excess_messages))
 
 
-class SourceKey(namedtuple("SourceKey", "polys")):
-    """The secret: polys[t] holds the k coefficients of P_t, low degree first.
+class SourceKey(namedtuple("SourceKey", "field polys")):
+    """The secret: polys[t] holds the k coefficient codes of P_t, low degree first.
 
     Row by row this is the (M+1) x k secret coefficient matrix.  The key is
     only ever evaluated and combined, never reduced, so it is kept as the
-    polynomials' elements rather than as a packed ``Matrix``.
+    codes the field's evaluations read rather than as a packed ``Matrix``.
     """
 
     __slots__ = ()
-
-    @property
-    def field(self) -> Field:
-        return self.polys[0][0].field
 
     @property
     def k(self) -> int:
@@ -202,13 +199,12 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     """
     fld, k = params.field, params.k
     codes = fld._random_codes(random.Random(seed), (params.M + 1) * k)
-    polys = [codes[i : i + k] for i in range(0, len(codes), k)]
-    key = SourceKey(tuple([tuple([_fel(fld, c) for c in poly]) for poly in polys]))
+    polys = tuple([tuple(codes[i : i + k]) for i in range(0, len(codes), k)])
     vkeys = []
     for i, x in enumerate(params.public_points):
-        evals = tuple(_fel(fld, poly_eval(fld, poly, x.code)) for poly in polys)
+        evals = tuple([_fel(fld, poly_eval(fld, poly, x.code)) for poly in polys])
         vkeys.append(VerifierKey(i, x, evals))
-    return key, vkeys
+    return SourceKey(fld, polys), vkeys
 
 
 def tag(key: SourceKey, s: Fel) -> TaggedPacket:
@@ -220,14 +216,14 @@ def tag(key: SourceKey, s: Fel) -> TaggedPacket:
     s = fld(s).code
     add, qpoly = fld.add, fld.qpoly
     codes = [s]
-    for col in zip(*[[c.code for c in poly] for poly in key.polys]):  # x^j's coefficients
+    for col in zip(*key.polys):  # x^j's coefficients
         codes.append(add(col[0], qpoly(col[1:], s)))
-    packed = packing(fld, key.k + 1).pack(codes) << fld.w | 1  # the header, 1, in slot 0
-    return TaggedPacket._from_reduced(fld, packed, 1 + fld.l * (1 + key.k))
+    packed = packing(fld, len(codes)).pack(codes) << fld.w | 1  # the header, 1, in slot 0
+    return TaggedPacket._from_reduced(fld, packed, 1 + fld.l * len(codes))
 
 
-def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
-    """T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i); zero iff the check passes.
+def residual(vkey: VerifierKey, packet: TaggedPacket) -> int:
+    """The code of T(x_i) - c*P_0(x_i) - sum_t m^(q^(t-1)) P_t(x_i): 0 iff the check passes.
 
     Computed on codes sliced from the packed packet: the header c, a
     base-field scalar, is its own code.  The tag polynomial at x_i is one
@@ -239,11 +235,11 @@ def residual(vkey: VerifierKey, packet: TaggedPacket) -> Fel:
     m, *tags = packet._codes()
     e0, *es = [e.code for e in vkey.evals]
     rhs = fld.add(fld.mul(packet.c, e0), fld.qpoly(es, m))
-    return _fel(fld, fld.sub(poly_eval(fld, tags, vkey.point.code), rhs))
+    return fld.sub(poly_eval(fld, tags, vkey.point.code), rhs)
 
 
 def verify(vkey: VerifierKey, packet: TaggedPacket) -> bool:
-    return residual(vkey, packet).is_zero()
+    return not residual(vkey, packet)
 
 
 def _agree(packets) -> tuple[Field, Packing, tuple[int, ...]]:

@@ -12,6 +12,7 @@ from ncauth import (
     Field,
     GuardError,
     Matrix,
+    SourceKey,
     SystemParams,
     TaggedPacket,
     keygen,
@@ -131,6 +132,27 @@ def rows_of(m):
     return tuple(tuple(_fel(m.field, e) for e in pk.entries(v)) for v in m.packed)
 
 
+def element(field, code):
+    """The element of `field` whose code is `code`, which must be reduced.
+
+    A secret key's coefficients and a check's residual are codes: this is
+    how a test reads one as an element.  A coordinate at or above q, or a
+    bit above the l coordinates, is refused, not reduced.
+    """
+    if type(code) is int:
+        x = field(list(field.coeffs(code)))
+        if x.code == code:
+            return x
+    raise ValueError(f"{code!r} is not a reduced code of {field}")
+
+
+def source_key(rows):
+    """The `SourceKey` of element rows: row t holds P_t's k coefficients, low degree first."""
+    rows = [tuple(row) for row in rows]
+    fld = rows[0][0].field
+    return SourceKey(fld, tuple(tuple(fld(c).code for c in row) for row in rows))
+
+
 def transpose(m):
     data = rows_of(m)
     return Matrix(m.field, [[row[j] for row in data] for j in range(m.cols)], cols=m.rows)
@@ -205,7 +227,7 @@ def reference_evals(key, x):
     for poly in key.polys:
         acc = x.field.zero
         for c in reversed(poly):
-            acc = acc * x + c
+            acc = acc * x + element(x.field, c)
         out.append(acc)
     return tuple(out)
 
@@ -264,7 +286,7 @@ def reference_tag(key, s):
     for j in range(key.k):
         acc = fld.zero
         for w, poly in zip(weights, key.polys):
-            acc = acc + w * poly[j]
+            acc = acc + w * element(fld, poly[j])
         flat += acc.coeffs
     return packet(fld, flat)
 

@@ -21,7 +21,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import forgery_instances, make_instance, packet, reference_pow
+from support import element, forgery_instances, make_instance, packet, reference_pow
 
 FIELD_POOL = (
     (2, 1), (3, 1), (5, 1), (7, 1),
@@ -225,9 +225,9 @@ def _suite_residual_linearity(rng):
     # arbitrary, not necessarily valid, packets: linearity is structural
     pkts = [_random_packet(rng, fld, params.k)[1] for _ in range(rng.randint(1, 3))]
     coeffs = [rng.randrange(fld.q) for _ in pkts]
-    lhs = residual(vk, combine(pkts, coeffs))
+    lhs = element(fld, residual(vk, combine(pkts, coeffs)))
     rhs = sum(
-        (fld(a) * residual(vk, p) for a, p in zip(coeffs, pkts)), fld.zero
+        (fld(a) * element(fld, residual(vk, p)) for a, p in zip(coeffs, pkts)), fld.zero
     )
     assert lhs == rhs
 

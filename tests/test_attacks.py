@@ -37,8 +37,10 @@ from ncauth import (
     tag,
     verify,
 )
+from ncauth.cli import network_from_dict
 from support import (
     count_lower_bound,
+    element,
     elements,
     identity,
     make_instance,
@@ -158,7 +160,7 @@ def _column_major_secret(skey):
     vec = []
     for j in range(skey.k):
         for t in range(skey.M + 1):
-            vec.append(skey.polys[t][j])
+            vec.append(element(skey.field, skey.polys[t][j]))
     return vec
 
 
@@ -308,6 +310,11 @@ def test_build_recovery_system_input_checks():
     _, o_vkeys = keygen(o_params, seed=5)
     for keys in (o_vkeys, [vkeys[0]._replace(evals=o_vkeys[0].evals)]):
         with pytest.raises(ValueError, match="element belongs to a different field"):
+            build_recovery_system(params, view, keys, messages)
+    # keys of another M over the same field, or cut short, are refused, not read as this secret's
+    _, wide = keygen(params._replace(M=3, n=1), seed=5)
+    for keys in (wide, [vkeys[0]._replace(evals=vkeys[0].evals[:1])]):
+        with pytest.raises(ValueError, match=r"must hold M \+ 1 = 2 values"):
             build_recovery_system(params, view, keys, messages)
 
 
@@ -662,6 +669,71 @@ def test_coalition_knowledge_is_bounded_by_its_max_flow(q, l):
                 bound = count_lower_bound(q, l, k, M, K, mincut)
                 assert res.gauss >= bound and res.predicted >= bound
                 assert res.brute is None or res.brute >= bound
+
+
+@st.composite
+def layered_topologies(draw, q):
+    """An inline topology document over F_q: 1-3 source edges, then 2-4 layers of 1-3 nodes.
+
+    Every source edge ends in the first layer, and each first-layer node
+    gets one.  A node of a later layer takes 1-3 edges from nodes of earlier
+    layers, parallel edges allowed.  Every relay's kernel entries are drawn
+    from [0, q), zero included, so relays may lose rank.
+    """
+    n = draw(st.integers(1, 3))
+    layers = [[f"a{i}" for i in range(draw(st.integers(1, n)))]]
+    for d in range(1, draw(st.integers(2, 4))):
+        layers.append([f"{'abcd'[d]}{i}" for i in range(draw(st.integers(1, 3)))])
+    ends = [layers[0][i] if i < len(layers[0]) else draw(st.sampled_from(layers[0]))
+            for i in range(n)]
+    pairs = [("s", head) for head in ends]
+    for d in range(1, len(layers)):
+        earlier = [v for layer in layers[:d] for v in layer]
+        for head in layers[d]:
+            pairs += [(draw(st.sampled_from(earlier)), head) for _ in range(draw(st.integers(1, 3)))]
+    nodes = ["s"] + [v for layer in layers for v in layer]
+    degree = {v: ([t for t, _ in pairs].count(v), [h for _, h in pairs].count(v)) for v in nodes}
+    entry = st.integers(0, q - 1)
+    kernels = {
+        v: [[draw(entry) for _ in range(outs)] for _ in range(ins)]
+        for v, (outs, ins) in degree.items() if v != "s" and outs
+    }
+    edges = [{"id": f"e{i}", "tail": t, "head": h} for i, (t, h) in enumerate(pairs)]
+    return {"version": 1, "q": q, "source": "s", "nodes": nodes, "edges": edges,
+            "kernels": kernels, "sinks": layers[-1]}
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (2, 2), (3, 1)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_drawn_dags_obey_max_flow_bounds(q, l, data):
+    """The max-flow bounds on drawn layered DAGs, for every coalition of 1-2 non-source nodes.
+
+    Decode rank <= min(n, mincut), r0 <= min(mincut, 1+l, M+1), and the
+    count lower bound, with no keys and with as many as the field seats.
+    Random kernels may fall short of every bound, so none is asserted to be met.
+    """
+    net = network_from_dict(data.draw(layered_topologies(q)))
+    fld, k, M = Field(q, l), 2, 2
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    seats = min(2, fld.order - 1)
+    params = SystemParams(fld, k, M, seats, net.n, sample_points(fld, seats, rng),
+                          allow_excess_messages=True)
+    skey, vkeys = keygen(params, rng.getrandbits(64))
+    messages = [fld.random_element(rng) for _ in range(net.n)]
+    flow = simulate(net, [tag(skey, s) for s in messages])
+    others = [v for v in net.nodes if v != net.source]
+    for coalition in (c for size in (1, 2) for c in itertools.combinations(others, size)):
+        mincut = max_flow(net, coalition)
+        assert mincut <= net.n
+        view = coalition_view(flow, coalition)
+        assert decode(view).rank <= min(net.n, mincut)
+        for K in (0, min(len(coalition), seats)):
+            res = analyze_recovery(build_recovery_system(params, view, vkeys[:K], messages))
+            assert res.r0 <= min(mincut, 1 + l, M + 1), (net.edges, coalition)
+            bound = count_lower_bound(q, l, k, M, K, mincut)
+            assert res.gauss >= bound and res.predicted >= bound
+            assert res.brute is None or res.brute >= bound
 
 
 def test_sweep_fan_rows_obey_max_flow_bounds():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, SourceKey, tag
+from ncauth import Field, tag
 from ncauth.cli import (
     ConfigError,
     SweepResult,
@@ -30,6 +30,7 @@ from ncauth.cli import (
     render_sweep,
     run_scenario,
 )
+from support import source_key
 
 
 def butterfly_doc(**attack):
@@ -629,7 +630,7 @@ def test_keygen_report_holds_the_key_the_scenario_tags_with():
     keys, report = keygen_report(doc), run_scenario(doc)
     field = Field(keys["params"]["q"], keys["params"]["l"])
     assert list(field.modulus) == keys["modulus"]
-    skey = SourceKey(tuple(tuple(map(field, poly)) for poly in keys["source_key"]))
+    skey = source_key([map(field, poly) for poly in keys["source_key"]])
     atk = report["attack"]
     assert list(tag(skey, field(atk["payload"])).flat) == atk["packet"]
 

@@ -40,7 +40,6 @@ from ncauth import (
     Field,
     ForgerySpec,
     Matrix,
-    SourceKey,
     SystemParams,
     VerifierKey,
     analyze_recovery,
@@ -58,7 +57,7 @@ from ncauth import (
     tag,
     verify,
 )
-from support import packet, sample_points, symbols, view_of
+from support import element, packet, sample_points, source_key, symbols, view_of
 
 VERDICT_FIELDS = [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]
 # GF(2^2) too, whose 3 nonzero points seat only three butterfly nodes; every
@@ -73,7 +72,7 @@ def sigma(x):
 
 
 def sigma_key(key):
-    return SourceKey(tuple(tuple(map(sigma, poly)) for poly in key.polys))
+    return source_key([[sigma(element(key.field, c)) for c in poly] for poly in key.polys])
 
 
 def sigma_vkey(vkey):

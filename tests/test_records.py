@@ -18,7 +18,6 @@ from ncauth import (
     RecoveryResult,
     RecoverySystem,
     Scenario,
-    SourceKey,
     SweepResult,
     SweepRow,
     SystemParams,
@@ -34,7 +33,7 @@ from ncauth import (
     simulate,
     tag,
 )
-from support import packet
+from support import element, packet, source_key
 
 F = Field(3, 2)
 POINTS = ((1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2))
@@ -50,7 +49,7 @@ VIEW = coalition_view(FLOW, ["m"])
 # record -> builder of one instance with fixed fields; each call builds a new one
 BUILDERS = {
     "SystemParams": lambda: SystemParams(F, 2, 2, 6, 2, POINTS),
-    "SourceKey": lambda: SourceKey(tuple(SKEY.polys)),
+    "SourceKey": lambda: source_key([[element(F, c) for c in poly] for poly in SKEY.polys]),
     "VerifierKey": lambda: VerifierKey(0, VKEYS[0].point, tuple(VKEYS[0].evals)),
     "TaggedPacket": lambda: packet(F, PACKETS[0].flat),
     "ForgerySpec": lambda: ForgerySpec(3, (2, 2)),

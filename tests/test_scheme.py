@@ -3,17 +3,18 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncauth.scheme
 from ncauth import (
     Fel,
     Field,
     ForgerySpec,
     Matrix,
-    SourceKey,
     SystemParams,
     TaggedPacket,
     accept_map,
@@ -27,9 +28,10 @@ from ncauth import (
     tag,
     verify,
 )
-from ncauth.field import packing
+from ncauth.field import _PolyField, _PrimeField, _TableField, packing
 from ncauth.scheme import mix
 from support import (
+    element,
     make_instance,
     matmul,
     packet,
@@ -39,6 +41,7 @@ from support import (
     reference_tag,
     rows_of,
     sample_points,
+    source_key,
     sum_one_coeffs,
     vandermonde,
 )
@@ -127,7 +130,7 @@ def test_keygen_draws_a_frozen_stream(case):
     points = (F([0, 1] + [0] * (l - 2)), F([1, 1] + [0] * (l - 2)))
     skey, vkeys = keygen(SystemParams(F, k, M, 2, 1, points), seed)
     polys, evals = KEY_STREAM[case]
-    assert [[c.code for c in poly] for poly in skey.polys] == polys
+    assert [list(poly) for poly in skey.polys] == polys
     assert [e.code for e in vkeys[1].evals] == evals
 
 
@@ -137,31 +140,33 @@ def test_keygen_evals_match_matrix_route():
     for q, l, k, M in [(2, 1, 2, 1), (3, 1, 3, 2), (2, 2, 2, 2), (5, 1, 4, 3)]:
         params, skey, vkeys, _, _ = make_instance(rng, q, l, k, M)
         vand = vandermonde(params.field, [vk.point for vk in vkeys], k)
-        expected = matmul(Matrix(params.field, skey.polys), vand)
+        fld = params.field
+        secret = [[element(fld, c) for c in poly] for poly in skey.polys]
+        expected = matmul(Matrix(fld, secret), vand)
         assert list(zip(*rows_of(expected))) == [vk.evals for vk in vkeys]
 
 
 def test_keygen_hand_example():
     # F_2, k=2, M=1, key rows P_0 = 1+x, P_1 = x; at point 1: P_0(1)=0, P_1(1)=1
     F = Field(2, 1)
-    key = SourceKey(rows_of(Matrix(F, [[1, 1], [0, 1]])))
+    key = source_key(rows_of(Matrix(F, [[1, 1], [0, 1]])))
     params = SystemParams(F, 2, 1, 1, 1, (F.one,))
     from ncauth.scheme import poly_eval
 
-    evals = tuple(poly_eval(F, [c.code for c in key.polys[t]], F.one.code) for t in range(2))
+    evals = tuple(poly_eval(F, key.polys[t], F.one.code) for t in range(2))
     assert evals == (F.zero.code, F.one.code)
 
 
 def test_tag_hand_examples():
     F = Field(2, 1)
-    key = SourceKey(rows_of(Matrix(F, [[1, 1], [0, 1]])))  # P_0 = 1+x, P_1 = x
+    key = source_key(rows_of(Matrix(F, [[1, 1], [0, 1]])))  # P_0 = 1+x, P_1 = x
     p = tag(key, F.one)  # T = P_0 + 1*P_1 = 1 + 2x = 1
     assert p.c == 1 and p.m == F.one
     assert p.tag == (F.one, F.zero)
     p0 = tag(key, F.zero)  # payload zero: tag is P_0 itself
     assert p0.tag == (F.one, F.one)
 
-    zero_key = SourceKey(rows_of(Matrix(F, [[0, 0], [0, 0]])))
+    zero_key = source_key(rows_of(Matrix(F, [[0, 0], [0, 0]])))
     assert all(t.is_zero() for t in tag(zero_key, F.one).tag)
 
 
@@ -265,9 +270,8 @@ def test_residual_is_linear_in_the_packet():
     a, b = rng.randrange(3), rng.randrange(3)
     mixed = combine(packets, [a, b])
     for vk in vkeys:
-        lhs = residual(vk, mixed)
-        rhs = F(a) * residual(vk, packets[0]) + F(b) * residual(vk, packets[1])
-        assert lhs == rhs
+        r0, r1 = (element(F, residual(vk, p)) for p in packets)
+        assert element(F, residual(vk, mixed)) == F(a) * r0 + F(b) * r1
 
 
 # (q, l, k, M, n), each small enough to enumerate every flat vector: at most 2^7
@@ -410,11 +414,12 @@ def test_tag_coefficients_affine_identity():
     params, skey, vkeys, messages, packets = make_instance(rng, 3, 2, 3, 2, n=2)
     F = params.field
     s, s2 = messages
-    assert tag(skey, F.zero).tag == skey.polys[0]  # payload zero: the tag is P_0
+    p0 = tuple(element(F, c) for c in skey.polys[0])
+    assert tag(skey, F.zero).tag == p0  # payload zero: the tag is P_0
     # L(s + s') - L(s) - L(s') == -P_0 coefficient (the affine part cancels once)
     both, one, two = tag(skey, s + s2).tag, tag(skey, s).tag, tag(skey, s2).tag
     for j in range(params.k):
-        assert both[j] - one[j] - two[j] == F.zero - skey.polys[0][j]
+        assert both[j] - one[j] - two[j] == F.zero - p0[j]
 
 
 def test_header_out_of_range_rejected():
@@ -461,7 +466,7 @@ def test_scheme_on_codes_matches_element_reference(case):
     for vk in vkeys:
         for p in (*packets, mixed, forged, noise, corrupt):
             want = reference_residual(vk, p)
-            assert residual(vk, p) == want
+            assert residual(vk, p) == want.code
             assert verify(vk, p) is want.is_zero()
         assert not verify(vk, corrupt)
 
@@ -487,3 +492,90 @@ def test_keys_tags_and_checks_make_no_element_arithmetic(q, l, monkeypatch):
     flow = simulate(net, packets)
     accepts = accept_map(flow, {node: vkeys[i] for node, i in net.verifiers.items()})
     assert accepts and all(all(edges.values()) for edges in accepts.values())
+
+
+@pytest.mark.parametrize("q,l", SCHEME_FIELDS)
+def test_secret_key_and_residual_are_codes(q, l):
+    # the key holds the reduced codes of the element route's draws, and a
+    # check's residual is an int: the reference residual's code
+    fld, k, M, seed = Field(q, l), 3, 2, 7
+    rng = random.Random(q * l)
+    params = SystemParams(fld, k, M, 1, 2, sample_points(fld, 1, rng))
+    skey, vkeys = keygen(params, seed)
+    assert skey.field is fld and (skey.k, skey.M) == (k, M)
+    draws = random.Random(seed)
+    route = tuple(tuple(fld.random_element(draws).code for _ in range(k)) for _ in range(M + 1))
+    assert skey.polys == route
+    for c in (c for poly in skey.polys for c in poly):
+        assert type(c) is int and 0 <= c and not c >> fld.l * fld.w
+        assert all(x < q for x in fld.coeffs(c))
+    packets = [tag(skey, fld.random_element(rng)) for _ in range(2)]
+    noise = packet(fld, [rng.randrange(q) for _ in range(1 + l * (1 + k))])
+    for p in (*packets, combine(packets, [1, 1]), noise):
+        got = residual(vkeys[0], p)
+        assert type(got) is int and got == reference_residual(vkeys[0], p).code
+
+
+@pytest.mark.parametrize("q,l", SCHEME_FIELDS)
+def test_only_verifier_values_become_elements(q, l, monkeypatch):
+    # keygen wraps the V (M+1) verifier values and nothing else; tag and
+    # verify build no element at all
+    built = []
+    wrap = ncauth.scheme._fel
+
+    def counted(field, code):
+        built.append(code)
+        return wrap(field, code)
+
+    monkeypatch.setattr(ncauth.scheme, "_fel", counted)
+    fld, k, M = Field(q, l), 3, 2
+    V = min(3, fld.order - 1)
+    rng = random.Random(q + l)
+    params = SystemParams(fld, k, M, V, 2, sample_points(fld, V, rng))
+    messages = [fld.random_element(rng) for _ in range(2)]
+    skey, vkeys = keygen(params, 5)
+    assert len(built) == V * (M + 1)
+    built.clear()
+    packets = [tag(skey, s) for s in messages]
+    assert all(verify(vk, p) for vk in vkeys for p in packets)
+    assert built == []
+
+
+def test_per_packet_work_counts(monkeypatch):
+    """One tag costs k M products and k (M-1) Frobenius maps; one check k+1+M and M-1.
+
+    Counted on the polynomial path, GF(257^2), where each term of Horner and
+    of the q-power sum is one field call: the exact form of the abstract's
+    remark that a large M "increases the cost of computation a lot".  The
+    table and prime paths weigh by q-powers of a log, or not at all, so
+    neither makes a Frobenius call.
+    """
+    calls = Counter()
+
+    def counting(real, name):
+        def counted(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return counted
+
+    for kind in (_PrimeField, _PolyField, _TableField):  # each defines both
+        for name in ("mul", "frob"):
+            monkeypatch.setattr(kind, name, counting(getattr(kind, name), name))
+    rng = random.Random(48)
+    for q, l in [(257, 2), (5, 1), (2, 8), (3, 5)]:
+        fld = Field(q, l)
+        for k, M in itertools.product((2, 3, 5), (1, 2, 4)):
+            params = SystemParams(fld, k, M, 2, 1, sample_points(fld, 2, rng))
+            skey, vkeys = keygen(params, rng.getrandbits(64))
+            calls.clear()
+            p = tag(skey, fld.random_element(rng))
+            tagged = (calls["mul"], calls["frob"])
+            calls.clear()
+            assert residual(vkeys[1], p) == 0
+            checked = (calls["mul"], calls["frob"])
+            if type(fld) is _PolyField:
+                assert tagged == (k * M, k * (M - 1))
+                assert checked == (k + 1 + M, M - 1)
+            else:
+                assert tagged[1] == checked[1] == 0
