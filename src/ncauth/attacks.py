@@ -9,13 +9,17 @@ Two ways to beat the tagged-packet code without touching the secrets:
 * recover: nodes that pool their observations and any keys they hold can
   write one linear system for the secret coefficient matrix.  Its solutions
   form an affine subspace whose exact size this module predicts, computes
-  by elimination, and (for small instances) confirms by enumeration.
+  by elimination, and (for small instances) confirms by enumeration.  The
+  enumeration meets in the middle and shares no code with elimination; its
+  levels of sums are lists over F_2 and lanes of one int over odd q.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import partial
 from itertools import repeat
+from operator import xor
 
 from .field import Field, GuardError, packing
 from .linalg import Matrix, rank_and_consistency, solve
@@ -171,8 +175,10 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     every candidate is counted.  The count meets in the middle
     (Horowitz-Sahni 1974): the F_{q^l} system is expanded into its F_q
     coordinates, the base unknowns are split into halves A and B, and each
-    half's per-equation sums are built as one list, a level per column.  A's
-    sums are tabulated; every sum of B adds the A-assignments completing it.
+    half's per-equation sums are built a level per column.  A's sums are
+    tabulated; every sum of B adds the A-assignments completing it.  Over
+    F_2 a level is a list, extended by one XOR per sum; over odd q it is one
+    int of lanes (``_lane_sums``), so a level step is a few big-int operations.
     """
     coeff = system.coeff
     fld = coeff.field
@@ -188,24 +194,54 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
         for p in pk.x_powers(pk.pack([row_pk.entry(v, j) for v in coeff.packed]))
     ]
     rhs = pk.pack(system.rhs.packed)  # one entry per row
-    add = pk.add
-
-    def sums(start, cols):
-        """start plus every F_q combination of `cols`, one level per column."""
-        level = [start]
-        for col in cols:
-            nxt, m = level[:], 0
-            for _ in range(fld.q - 1):  # the level plus each nonzero multiple of col
-                m = add(m, col)
-                nxt += map(add, level, repeat(m))
-            level = nxt
-        return level
-
+    sums = _xor_sums if fld.q == 2 else partial(_lane_sums, pk)
     half = len(columns) // 2
     table = Counter(sums(0, columns[:half]))
     # As b runs over every assignment of B so does -b, so the sums
     # rhs - f_B(b) that complete an A-assignment are the sums rhs + f_B(b).
     return sum(map(table.get, sums(rhs, columns[half:]), repeat(0)))
+
+
+def _xor_sums(start: int, cols) -> list[int]:
+    """start plus every F_2 combination of `cols`: each level is the last and the last XOR col."""
+    level = [start]
+    for col in cols:
+        level += list(map(xor, level, repeat(col)))
+    return level
+
+
+def _lane_sums(pk, start: int, cols):
+    """start plus every F_q combination of `cols`, odd q, as Counter keys.
+
+    A level is one int of lanes, one lane of 64-bit words per sum, packed
+    by ``pk``.  The level plus c col, for c = 1 .. q-1, is one add of col
+    repeated into every lane and ``Packing``'s reduction of every slot at
+    once (a slot never carries into the next, nor a lane into the next);
+    the next level joins the q blocks as bytes.  A finished level splits
+    into its words by one cast, a key per lane: the word itself, or the
+    tuple of a lane's words.  The cast reads the machine's byte order, and
+    both halves are read alike, so no count depends on it.
+    """
+    q, shift = pk.field.q, pk.w - 1
+    bits = pk.ew * pk.size
+    words = max(1, -(-bits // 64))
+    size = 8 * words  # bytes per lane
+    unit = ((1 << bits) - 1) // ((1 << pk.w) - 1)  # 1 in every slot of a lane
+    adj, high = ((1 << shift) - q) * unit, unit << shift
+    one = (1).to_bytes(size, "little")
+    data = start.to_bytes(size, "little")
+    for col in cols:
+        lanes = int.from_bytes(one * (len(data) // size), "little")  # 1 in every lane
+        step, a, h = col * lanes, adj * lanes, high * lanes
+        s = int.from_bytes(data, "little")
+        blocks = [data]
+        for _ in range(q - 1):
+            s += step
+            s -= ((s + a & h) >> shift) * q
+            blocks.append(s.to_bytes(len(data), "little"))
+        data = b"".join(blocks)
+    keys = memoryview(data).cast("Q").tolist()
+    return keys if words == 1 else zip(*[keys[i::words] for i in range(words)])
 
 
 RecoveryResult = namedtuple(

@@ -84,15 +84,36 @@ class SystemParams(
         return tuple.__new__(cls, (field, k, M, V, n, pts, allow_excess_messages))
 
 
-class SourceKey(namedtuple("SourceKey", "field polys")):
+class SourceKey(_Checked, namedtuple("SourceKey", "field polys")):
     """The secret: polys[t] holds the k coefficient codes of P_t, low degree first.
 
     Row by row this is the (M+1) x k secret coefficient matrix.  The key is
     only ever evaluated and combined, never reduced, so it is kept as the
     codes the field's evaluations read rather than as a packed ``Matrix``.
+    Every code must be reduced, since ``tag`` packs what it computes from
+    them unchecked; ``keygen`` builds its own draws without the check.
     """
 
     __slots__ = ()
+
+    def __new__(cls, field, polys):
+        if not isinstance(field, Field):
+            raise ValueError(f"field must be a Field, got {field!r}")
+        polys = tuple(map(tuple, polys))
+        if len(polys) < 2:
+            raise ValueError(f"M must be at least 1, got {len(polys) - 1}")
+        k = len(polys[0])
+        if any(len(poly) != k for poly in polys):
+            raise ValueError("every secret polynomial must have k coefficients")
+        if k < 2:
+            raise ValueError(f"k must be at least 2, got {k}")
+        q, bits = field.q, field.w * field.l
+        for t, poly in enumerate(polys):
+            for j, c in enumerate(poly):
+                # bool is excluded: its type is a subclass of int, not int
+                if type(c) is not int or c < 0 or c >> bits or max(field.coeffs(c)) >= q:
+                    raise ValueError(f"P_{t}[{j}] must be a reduced code of {field!r}, got {c!r}")
+        return tuple.__new__(cls, (field, polys))
 
     @property
     def k(self) -> int:
@@ -204,7 +225,7 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     for i, x in enumerate(params.public_points):
         evals = tuple([_fel(fld, poly_eval(fld, poly, x.code)) for poly in polys])
         vkeys.append(VerifierKey(i, x, evals))
-    return SourceKey(fld, polys), vkeys
+    return tuple.__new__(SourceKey, (fld, polys)), vkeys  # reduced draws, taken unchecked
 
 
 def tag(key: SourceKey, s: Fel) -> TaggedPacket:

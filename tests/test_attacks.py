@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncauth.attacks
+import ncauth.field
+import ncauth.linalg
 from ncauth import (
     Field,
     ForgerySpec,
@@ -516,22 +520,167 @@ def test_r0_matches_its_closed_form(case):
     assert system.meta.r0 == reference_r0(view, messages, params.M)
 
 
+def _system(fld, rows, rhs, cols=None):
+    """The system rows x = rhs; `cols` is needed only when there are no rows."""
+    cols = len(rows[0]) if rows else cols
+    return RecoverySystem(
+        Matrix(fld, rows, cols=cols), Matrix(fld, [[b] for b in rhs], cols=1), meta=None
+    )
+
+
 def test_brute_force_wide_prime_coordinates():
     # 2^16 candidates each: too many for the reference, small for elimination
     fld = Field(257, 1)
-
-    def system(rows, rhs, f=fld):
-        return RecoverySystem(
-            Matrix(f, rows, cols=len(rows[0])), Matrix(f, [[b] for b in rhs], cols=1), meta=None
-        )
-
-    assert brute_force_count(system([[1, 1]], [256])) == 257
-    assert brute_force_count(system([[256, 1]], [0])) == 257
-    assert brute_force_count(system([[256]], [1])) == 1
-    assert brute_force_count(system([[1, 0], [0, 1]], [256, 255])) == 1
-    assert brute_force_count(system([[1, 0], [1, 0]], [256, 0])) == 0
+    assert brute_force_count(_system(fld, [[1, 1]], [256])) == 257
+    assert brute_force_count(_system(fld, [[256, 1]], [0])) == 257
+    assert brute_force_count(_system(fld, [[256]], [1])) == 1
+    assert brute_force_count(_system(fld, [[1, 0], [0, 1]], [256, 255])) == 1
+    assert brute_force_count(_system(fld, [[1, 0], [1, 0]], [256, 0])) == 0
     ext = Field(257, 2)
-    assert brute_force_count(system([[ext((3, 200))]], [ext((256, 255))], ext)) == 1
+    assert brute_force_count(_system(ext, [[ext((3, 200))]], [ext((256, 255))])) == 1
+
+
+# Fields of both brute-force paths: F_2 levels as lists, odd q as lanes of
+# 64-bit words.  A row takes l w bits of a lane (w = 3 over GF(3) and
+# GF(9), 4 over GF(5) and GF(7)), so up to 33 rows span lanes of 1, 2 and
+# 3 words; unknowns are capped at 2^14 candidates.
+LANE_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]
+LANE_CANDIDATES = 1 << 14
+
+
+@st.composite
+def lane_systems(draw):
+    """A system of up to 33 rows spanned by one or two random rows, its rhs planted or random."""
+    q, l = draw(st.sampled_from(LANE_FIELDS))
+    fld = Field(q, l)
+    most = max(u for u in range(15) if fld.order**u <= LANE_CANDIDATES)
+    unknowns = draw(st.integers(0, most))
+    element = st.tuples(*[st.integers(0, q - 1)] * l).map(fld)
+    vector = st.lists(element, min_size=unknowns, max_size=unknowns)
+    basis = draw(st.lists(vector, min_size=1, max_size=2))  # rank <= 2: counts above 1 come up
+    rows = []
+    for _ in range(draw(st.integers(0, 33))):
+        ms = draw(st.lists(element, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum((m * b[j] for m, b in zip(ms, basis)), fld.zero) for j in range(unknowns)])
+    if draw(st.booleans()):
+        x = draw(vector)
+        rhs = [sum((a * v for a, v in zip(row, x)), fld.zero) for row in rows]
+    else:
+        rhs = draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+    return _system(fld, rows, rhs, unknowns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_systems())
+def test_brute_force_matches_elimination_across_lane_widths(system):
+    count = brute_force_count(system)
+    consistent, gcount, _ = gauss_count(system)
+    assert (consistent, gcount) == (count > 0, count)
+    candidates = system.coeff.field.order**system.coeff.cols
+    if candidates * max(1, system.coeff.rows) <= 4096:  # the reference checks row by row
+        assert count == reference_brute_force_count(system)
+
+
+@pytest.mark.parametrize(
+    "q,l,rows,words",
+    [(5, 1, 16, 1), (7, 1, 16, 1), (11, 1, 13, 2), (5, 1, 17, 2), (3, 2, 21, 2), (3, 2, 22, 3)],
+    ids=["64-bit", "64-bit-q7", "65-bit", "68-bit", "126-bit", "132-bit"],
+)
+def test_brute_force_at_lane_word_edges(q, l, rows, words):
+    # 64 bits fill one word, top slot included; one bit more takes a second
+    fld = Field(q, l)
+    assert -(-fld.w * l * rows // 64) == words
+    cols = 4 if fld.order < 11 else 3
+    for seed in range(4):
+        rng = random.Random(q * rows + seed)
+        base = rows_of(random_matrix(fld, 2, cols, rng))  # each row a multiple of one of two
+        scales = [fld.random_element(rng) for _ in range(rows)]
+        coeff = Matrix(fld, [[c * v for v in base[i % 2]] for i, c in enumerate(scales)], cols=cols)
+        planted = matmul(coeff, random_matrix(fld, cols, 1, rng))
+        for rhs in (planted, random_matrix(fld, rows, 1, rng)):
+            system = RecoverySystem(coeff, rhs, meta=None)
+            assert brute_force_count(system) == gauss_count(system)[1]
+        assert gauss_count(RecoverySystem(coeff, planted, None))[1] > 1
+
+
+def test_brute_force_degenerate_shapes():
+    for q, l in LANE_FIELDS:
+        fld = Field(q, l)
+        one, x = fld.one, fld.random_element(random.Random(q + l)) or fld.one
+        # no rows: every candidate solves the empty system
+        assert brute_force_count(_system(fld, [], [], cols=3)) == fld.order**3
+        # no unknowns: the one empty candidate solves a zero rhs only
+        assert brute_force_count(_system(fld, [[]] * 2, [fld.zero] * 2, cols=0)) == 1
+        assert brute_force_count(_system(fld, [[]] * 2, [fld.zero, one], cols=0)) == 0
+        # one unknown over F_q: the first half has no column, its table the one sum 0
+        assert brute_force_count(_system(fld, [[x], [x + x]], [x, x + x])) == 1
+        assert brute_force_count(_system(fld, [[x], [fld.zero]], [x, one])) == 0
+        assert brute_force_count(_system(fld, [[fld.zero]], [fld.zero])) == fld.order
+
+
+@pytest.mark.parametrize(
+    "q,rows,rhs,count",
+    [
+        (65521, [[3]], [5], 1),
+        (65521, [[0]], [0], 65521),
+        (65521, [[0]], [1], 0),
+        (251, [[1, 2, 3], [0, 1, 5]], [7, 9], 251),
+        (251, [[1, 1, 1]], [1], 251**2),
+        (251, [[0, 0, 0]], [0], 251**3),
+    ],
+)
+def test_brute_force_work_stays_linear_in_q(q, rows, rhs, count):
+    # one level of 65521 blocks, or 251^2 sums in one half: joining a
+    # level's q blocks one by one into a growing int costs time quadratic
+    # in q; each case takes 2-20 ms, and the bound leaves 50 times that
+    system = _system(Field(q, 1), rows, rhs)
+    start = time.perf_counter()
+    assert brute_force_count(system) == gauss_count(system)[1] == count
+    assert time.perf_counter() - start < 1.0
+
+
+INDEPENDENCE_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+def test_brute_force_calls_nothing_of_elimination(monkeypatch):
+    # every elimination entry point raises; brute force still counts as before
+    rng = random.Random(49)
+    systems = []
+    for q, l in INDEPENDENCE_FIELDS:
+        fld = Field(q, l)
+        for rows, cols in ((3, 2), (2, 3), (4, 4)):
+            if fld.order**cols > 1 << 16:
+                cols = 2
+            a = random_matrix(fld, rows, cols, rng)
+            a = Matrix(fld, [*rows_of(a), rows_of(a)[0]], cols=cols)  # a repeated row
+            planted = matmul(a, random_matrix(fld, cols, 1, rng))
+            for rhs in (planted, random_matrix(fld, rows + 1, 1, rng)):
+                systems.append(RecoverySystem(a, rhs, meta=None))
+    before = [brute_force_count(system) for system in systems]
+    assert before == [gauss_count(system)[1] for system in systems]
+    assert any(c == 0 for c in before) and any(c > 1 for c in before)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute force reached elimination")
+
+    for owner, name in [
+        (ncauth.linalg.Matrix, "_eliminate"),
+        (ncauth.linalg, "solve"),
+        (ncauth.linalg, "rank_and_consistency"),
+        (ncauth.attacks, "solve"),
+        (ncauth.attacks, "rank_and_consistency"),
+        (ncauth.field.Packing, "pivot_form"),
+        (ncauth.field.Packing, "add_mul"),
+        (ncauth.field._BytePacking, "pivot_form"),
+        (ncauth.field._BytePacking, "add_mul"),
+        (ncauth.field._TernaryPacking, "pivot_form"),
+        (ncauth.field._TernaryPacking, "add_mul"),
+        (ncauth.field, "_byte_tables"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(AssertionError, match="reached elimination"):
+        systems[0].coeff.rank()  # the patch takes
+    assert [brute_force_count(system) for system in systems] == before
 
 
 # The largest systems the default sweep enumerates: 18 base unknowns over

@@ -128,10 +128,11 @@ def test_packet_views_are_read_only():
     "record, change, message",
     [
         (PARAMS, {"k": 1}, "k must be at least 2"),
+        (SKEY, {"polys": ((1,), (1,))}, "k must be at least 2"),
         (PACKETS[0], {"size": 2}, "flat packet must have"),
         (ForgerySpec(3, (2, 2)), {"coeffs": (1, 1)}, "must sum to 1 mod q"),
     ],
-    ids=["SystemParams", "TaggedPacket", "ForgerySpec"],
+    ids=["SystemParams", "SourceKey", "TaggedPacket", "ForgerySpec"],
 )
 def test_replace_checks_what_the_constructor_checks(record, change, message):
     with pytest.raises(ValueError, match=message):

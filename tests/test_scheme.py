@@ -15,6 +15,7 @@ from ncauth import (
     Field,
     ForgerySpec,
     Matrix,
+    SourceKey,
     SystemParams,
     TaggedPacket,
     accept_map,
@@ -514,6 +515,60 @@ def test_secret_key_and_residual_are_codes(q, l):
     for p in (*packets, combine(packets, [1, 1]), noise):
         got = residual(vkeys[0], p)
         assert type(got) is int and got == reference_residual(vkeys[0], p).code
+
+
+@pytest.mark.parametrize("q,l", SCHEME_FIELDS)
+def test_source_key_takes_back_every_drawn_key(q, l):
+    # keygen builds its key unchecked; the checked constructor, and so
+    # _replace, accepts every key it draws and rebuilds an equal one
+    fld = Field(q, l)
+    rng = random.Random(q + l)
+    for k, M in ((2, 1), (3, 2), (4, 3)):
+        params = SystemParams(fld, k, M, 1, 1, sample_points(fld, 1, rng))
+        for seed in range(3):
+            skey, _ = keygen(params, seed)
+            assert SourceKey(*skey) == skey._replace(polys=list(skey.polys)) == skey
+            assert type(SourceKey(*skey).polys[0]) is tuple
+
+
+F3 = Field(3, 1)
+
+
+@pytest.mark.parametrize(
+    "field, polys, message",
+    [
+        ((3, 1), ((1, 1), (1, 1)), "field must be a Field"),
+        (F3, ((1, 1),), "M must be at least 1, got 0"),
+        (F3, ((1,), (1,)), "k must be at least 2, got 1"),
+        (F3, ((1, 1), (1, 1, 1)), "k coefficients"),
+        (F3, ((5, 1), (1, 1)), r"P_0\[0\] must be a reduced code"),  # 5 = 0b101 >= q = 3
+        (F3, ((1, 1), (1, 3)), r"P_1\[1\] must be a reduced code"),  # a coordinate of q
+        (F3, ((1, 1), (8, 1)), r"P_1\[0\] must be a reduced code"),  # a bit at l w = 3
+        (F3, ((1, True), (1, 1)), r"P_0\[1\] must be a reduced code"),
+        (F3, ((1, -1), (1, 1)), r"P_0\[1\] must be a reduced code"),
+        (F3, ((1, 1.0), (1, 1)), r"P_0\[1\] must be a reduced code"),
+        (Field(3, 2), ((1, 0o30), (1, 1)), r"P_0\[1\] must be a reduced code"),  # coordinate 1 is 3
+        (Field(2, 8), ((1, 256), (1, 1)), r"P_0\[1\] must be a reduced code"),
+    ],
+    ids=["no-field", "M0", "k1", "ragged", "above-q", "coordinate-q", "bit-at-lw", "bool",
+         "negative", "float", "gf9-coordinate", "gf256-bit"],
+)
+def test_source_key_refuses_what_tag_cannot_use(field, polys, message):
+    with pytest.raises(ValueError, match=message):
+        SourceKey(field, polys)
+    if isinstance(field, Field):  # _replace runs the same checks
+        good = SourceKey(field, ((1, 1), (1, 1)))
+        with pytest.raises(ValueError, match=message):
+            good._replace(polys=polys)
+
+
+def test_tag_never_sees_an_unreduced_hand_key():
+    # taken unchecked, the key (5, 1), (1, 1) would tag 1 as the packet
+    # (1, 1, 3, 2), a symbol equal to q, which the packet constructor refuses
+    with pytest.raises(ValueError, match="reduced code"):
+        tag(SourceKey(F3, ((5, 1), (1, 1))), F3(1))
+    p = tag(SourceKey(F3, ((2, 1), (1, 1))), F3(1))
+    assert TaggedPacket(F3, p.packed, p.size) == p and max(p.flat) < 3
 
 
 @pytest.mark.parametrize("q,l", SCHEME_FIELDS)
