@@ -25,7 +25,7 @@ from .attacks import (
     forge,
     solve_target_coeffs,
 )
-from .field import Field, Fel
+from .field import Field, Fel, _check_int
 from .netsim import (
     Edge,
     Intervention,
@@ -286,16 +286,7 @@ def load_scenario(doc: dict, seed: int | None = None) -> Scenario:
 
 def run_scenario(doc: dict, seed: int | None = None, guard: int = BRUTE_FORCE_GUARD) -> dict:
     """Execute one scenario end to end and return its report document."""
-    _check_guard(guard)
     return _run(load_scenario(doc, seed=seed), guard)
-
-
-def _check_guard(guard) -> None:
-    """Refuse what ``--guard`` refuses: a negative guard, or one that is not an int (a bool or float)."""
-    if type(guard) is not int:
-        raise ValueError(f"guard must be an int, got {guard!r}")
-    if guard < 0:
-        raise ValueError(f"guard must be nonnegative, got {guard}")
 
 
 def _keys(sc: Scenario):
@@ -323,6 +314,7 @@ def _plain(value):
 
 
 def _run(sc: Scenario, guard: int) -> dict:
+    _check_int("guard", guard, 0)
     params, net, kind = sc.params, sc.network, sc.attack_type
     skey, vkeys = _keys(sc)
     packets = [tag(skey, s) for s in sc.messages]
@@ -491,17 +483,11 @@ def lemma_sweep(
     if family not in ("fan", "line"):
         raise ValueError(f"unknown topology family {family!r}")
     # a bool or float is refused, not converted: True would sweep seed 1's rows
-    for name, values in (("q", qs), ("l", ls), ("k", ks), ("M", Ms), ("K", Ks),
-                         ("reps", [reps]), ("seed", [seed])):
+    for name, values, least in (("q", qs, None), ("l", ls, None), ("k", ks, 2), ("M", Ms, 1),
+                                ("K", Ks, 1), ("reps", [reps], 0), ("seed", [seed], None),
+                                ("guard", [guard], 0)):
         for v in values:
-            if type(v) is not int:
-                raise ValueError(f"{name} must be an int, got {v!r}")
-    _check_guard(guard)
-    for name, sizes, least in (("k", ks, 2), ("M", Ms, 1), ("K", Ks, 1)):
-        if sizes and min(sizes) < least:
-            raise ValueError(f"{name} must be at least {least}, got {min(sizes)}")
-    if reps < 0:
-        raise ValueError(f"reps must be nonnegative, got {reps}")
+            _check_int(name, v, least)
     fields = [Field(q, l) for q in qs for l in ls]  # refused here even if no row would use it
     rows = []
     idx = 0
@@ -616,15 +602,6 @@ def _build_parser() -> argparse.ArgumentParser:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
-    def guard(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = -1  # refused below, with the negative values
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
-        return value
-
     parser = argparse.ArgumentParser(
         prog="ncauth",
         description="Authentication-tagged network coding lab: simulate, attack, count keys.",
@@ -643,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = scenario_command(name, help_text)
         p.set_defaults(attack_type=kind)
         if kind == "recover":
-            p.add_argument("--guard", type=guard, default=BRUTE_FORCE_GUARD,
+            p.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD,
                            help="brute-force candidate budget")
 
     sweep = sub.add_parser("lemma-sweep", help="sweep instances and check key-count formulas")
@@ -654,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--K", type=int_list, default=(1, 2))
     sweep.add_argument("--reps", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--guard", type=guard, default=BRUTE_FORCE_GUARD)
+    sweep.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD)
     sweep.add_argument("--family", choices=("fan", "line"), default="fan")
     sweep.add_argument("--out", default=None)
     return parser

@@ -72,6 +72,14 @@ class GuardError(RuntimeError):
     """An operation would exceed a configured resource guard."""
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """The one int rule: refuse a `value` that is not an int (a bool or float too) or is below `least`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 

@@ -24,7 +24,7 @@ stop at the echelon form.
 
 from __future__ import annotations
 
-from .field import Field, _fel, packing
+from .field import Field, _check_int, _fel, packing
 
 
 class Matrix:
@@ -35,6 +35,8 @@ class Matrix:
     def __init__(self, field: Field, rows, cols: int | None = None):
         """Pack rows of ints (base-field scalars), elements of `field` or coordinate lists."""
         rows = [tuple(row) for row in rows]
+        if cols is not None:
+            _check_int("cols", cols, 0)
         if rows:
             width = len(rows[0])
             if cols is not None and cols != width:

@@ -38,7 +38,7 @@ from collections import namedtuple
 from graphlib import CycleError
 from types import MappingProxyType
 
-from .field import Field, packing
+from .field import Field, _check_int, packing
 from .linalg import Matrix, solve
 from .scheme import ForgerySpec, TaggedPacket, VerifierKey, _agree, mix, verify
 
@@ -119,8 +119,7 @@ class Network:
         for node, idx in verifiers.items():
             if node not in nodes:
                 raise ValueError(f"verifier seat on unknown node {node!r}")
-            if type(idx) is not int or idx < 0:
-                raise ValueError(f"verifier index of {node!r} must be a nonnegative int")
+            _check_int(f"verifier index of {node!r}", idx, 0)
         if len(set(verifiers.values())) != len(verifiers):
             raise ValueError("two nodes share one verifier index")
 
@@ -322,10 +321,7 @@ def line(q: int, hops: int = 2) -> Network:
 
     One shared, read-only network per (q, hops), built on first use.
     """
-    if type(hops) is not int:
-        raise ValueError(f"hops must be an int, got {hops!r}")
-    if hops < 1:
-        raise ValueError("line needs at least one hop")
+    _check_int("hops", hops, 1)
     return _line(q, hops)
 
 
@@ -389,8 +385,7 @@ def fan(q: int, n: int, edge_counts, rng: random.Random) -> Network:
     edge_counts[i] random combinations of the n messages.  Each call builds
     a new network: its kernels are drawn, so it is never shared.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _check_int("n", n)
     edge_counts = tuple(edge_counts)
     if not edge_counts or any(type(c) is not int or c < 0 for c in edge_counts):
         raise ValueError("edge_counts must be nonnegative integers and nonempty")

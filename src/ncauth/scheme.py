@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .field import Fel, Field, Packing, _fel, packing
+from .field import Fel, Field, Packing, _check_int, _fel, packing
 from .linalg import Matrix
 
 
@@ -61,17 +61,8 @@ class SystemParams(
     __slots__ = ()
 
     def __new__(cls, field, k, M, V, n, public_points, allow_excess_messages=False):
-        for name, size in (("k", k), ("M", M), ("V", V), ("n", n)):
-            if type(size) is not int:  # bool and float are refused, not converted
-                raise ValueError(f"{name} must be an int, got {size!r}")
-        if k < 2:
-            raise ValueError(f"k must be at least 2, got {k}")
-        if M < 1:
-            raise ValueError(f"M must be at least 1, got {M}")
-        if V < 1:
-            raise ValueError(f"V must be at least 1, got {V}")
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
+        for name, size, least in (("k", k, 2), ("M", M, 1), ("V", V, 1), ("n", n, 1)):
+            _check_int(name, size, least)
         if n > M and not allow_excess_messages:
             raise ValueError(f"n={n} exceeds M={M}; pass allow_excess_messages to override")
         pts = tuple(field(p) for p in public_points)
@@ -100,13 +91,11 @@ class SourceKey(_Checked, namedtuple("SourceKey", "field polys")):
         if not isinstance(field, Field):
             raise ValueError(f"field must be a Field, got {field!r}")
         polys = tuple(map(tuple, polys))
-        if len(polys) < 2:
-            raise ValueError(f"M must be at least 1, got {len(polys) - 1}")
+        _check_int("M", len(polys) - 1, 1)
         k = len(polys[0])
         if any(len(poly) != k for poly in polys):
             raise ValueError("every secret polynomial must have k coefficients")
-        if k < 2:
-            raise ValueError(f"k must be at least 2, got {k}")
+        _check_int("k", k, 2)
         q, bits = field.q, field.w * field.l
         for t, poly in enumerate(polys):
             for j, c in enumerate(poly):
@@ -218,6 +207,7 @@ def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey
     The (M+1) k coefficients, row by row, are the ``Field.random_element``
     draws of ``random.Random(seed)``, read in blocks: nothing else reads it.
     """
+    _check_int("seed", seed)  # True or 1.0 would draw seed 1's key
     fld, k = params.field, params.k
     codes = fld._random_codes(random.Random(seed), (params.M + 1) * k)
     polys = tuple([tuple(codes[i : i + k]) for i in range(0, len(codes), k)])

@@ -674,22 +674,33 @@ def test_lemma_sweep_empty_ranges(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == empty
 
 
-@pytest.mark.parametrize("bad", [True, 2.0, "1", None])
-@pytest.mark.parametrize("arg", ["qs", "ls", "ks", "Ms", "Ks", "reps", "seed"])
+SWEEP_LEAST = {"ks": 2, "Ms": 1, "Ks": 1, "reps": 0}
+
+
+@pytest.mark.parametrize(
+    "arg, bad",
+    [(arg, bad) for bad in (True, 2.0, "1", None)
+     for arg in ("qs", "ls", "ks", "Ms", "Ks", "reps", "seed")]
+    + [pytest.param(arg, least - 1, id=f"{arg}-below-{least}") for arg, least in SWEEP_LEAST.items()],
+)
 def test_lemma_sweep_refuses_non_int_arguments(arg, bad):
     # seed=True used to sweep seed 1's rows, and Ms=[1.5] failed one way
     # under Python 3.11 and another under 3.12
     args = {"qs": (2,), "ls": (1,), "ks": (2,), "Ms": (1,), "Ks": (1,), "reps": 1, "seed": 0}
     args[arg] = bad if arg in ("reps", "seed") else (bad,)
     name = arg if arg in ("reps", "seed") else arg[0]
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+    if type(bad) is int:
+        message = f"{name} must be at least {SWEEP_LEAST[arg]}, got {bad}"
+    else:
+        message = f"{name} must be an int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lemma_sweep(**args)
 
 
-@pytest.mark.parametrize("bad", [True, 2.5, "9", None, -1])
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "9", "1", None, -1])
 def test_guard_refused_unless_a_nonnegative_int(bad):
     # True and 2.5 used to skip the one row as over budget, and "9" raised TypeError
-    message = "guard must be nonnegative, got -1" if bad == -1 else f"guard must be an int, got {bad!r}"
+    message = "guard must be at least 0, got -1" if bad == -1 else f"guard must be an int, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lemma_sweep((2,), (1,), (2,), (1,), (1,), reps=1, guard=bad)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -884,13 +895,19 @@ def test_main_guard_must_be_nonnegative(tmp_path, capsys, command):
         argv = ["recover", "--config", write_config(tmp_path, recover_doc())]
     else:
         argv = ["lemma-sweep", "--q", "2", "--l", "1", "--k", "2", "--M", "1", "--K", "1"]
-    for bad in ("-5", "-1", "x"):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--guard", bad])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"ncauth {command}: error: argument --guard: expected an integer of at least 0, got {bad!r}"
-        )
+    # a negative guard is refused by the rule run_scenario and lemma_sweep share
+    for bad in ("-5", "-1"):
+        assert main(argv + ["--guard", bad]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: guard must be at least 0, got {bad}"
+    if command == "lemma-sweep":
+        assert main(argv + ["--reps", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: reps must be at least 0, got -1"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--guard", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"ncauth {command}: error: argument --guard: invalid int value: 'x'"
+    )
     assert main(argv + ["--guard", "0"]) == 0
 
 

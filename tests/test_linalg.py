@@ -1,6 +1,7 @@
 """Exact elimination, rank, solving and the Vandermonde oracle."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -289,6 +290,32 @@ def test_matmul_identity_and_shapes():
         Matrix(F, [])
     with pytest.raises(ValueError, match="rhs shape"):
         solve(a, random_matrix(F, 2, 1, rng))
+
+
+MATRIX_COLS_REFUSALS = [
+    # 2.5 and "2" used to raise TypeError from a shift, and -1 "negative shift count"
+    ([], 2.5, "cols must be an int, got 2.5"),
+    ([], 2.0, "cols must be an int, got 2.0"),
+    ([], "2", "cols must be an int, got '2'"),
+    ([], "1", "cols must be an int, got '1'"),
+    ([], -1, "cols must be at least 0, got -1"),
+    ([[0, 1]], -1, "cols must be at least 0, got -1"),
+    # these used to build a matrix: one of True columns, and two that equal the rows' widths
+    ([], True, "cols must be an int, got True"),
+    ([[1]], True, "cols must be an int, got True"),
+    ([[0, 1]], 2.0, "cols must be an int, got 2.0"),
+    ([], None, "column count required for an empty matrix"),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    MATRIX_COLS_REFUSALS,
+    ids=[f"{len(rows)}rows-cols={cols!r}" for rows, cols, _ in MATRIX_COLS_REFUSALS],
+)
+def test_matrix_refuses_a_column_count_that_is_not_a_nonnegative_int(rows, cols, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Matrix(Field(3, 2), rows, cols=cols)
 
 
 def test_stacking():

@@ -70,7 +70,7 @@ def test_line_and_diamond_kernels():
     assert all(v == (1,) for v in gk.values())
     gk2 = honest_kernels(diamond(5))
     assert gk2["e3"] == (1, 0) and gk2["e4"] == (0, 1)
-    with pytest.raises(ValueError, match="line needs at least one hop"):
+    with pytest.raises(ValueError, match="^hops must be at least 1, got 0$"):
         line(3, hops=0)
 
 
@@ -200,7 +200,7 @@ def test_network_validation_errors():
         ("source must not have incoming",
          dict(nodes=("s", "t", "a"), edges=[*one_hop, ("e2", "a", "s")])),
         ("verifier seat on unknown node", dict(verifiers={"x": 0})),
-        ("nonnegative int", dict(verifiers={"t": -1})),
+        ("verifier index of 't' must be at least 0, got -1", dict(verifiers={"t": -1})),
         ("unknown sink", dict(sinks=("x",))),
         ("duplicate sink nodes", dict(sinks=("t", "t"))),
     ]
@@ -481,7 +481,7 @@ def test_fan_refuses_non_integer_edge_counts(edge_counts):
 @pytest.mark.parametrize("n", [True, 2.0, "1", None])
 def test_fan_refuses_a_non_int_message_count(n):
     # True used to build one message edge, and 2.0 failed with a TypeError
-    with pytest.raises(ValueError, match="n must be an int"):
+    with pytest.raises(ValueError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
         fan(2, n, (1, 1), random.Random(5))
 
 
@@ -504,6 +504,16 @@ NON_INT_SHAPES = {
     "line(2, True)": (line, (2, True), "hops must be an int, got True"),
     "line(2, 2.0)": (line, (2, 2.0), "hops must be an int, got 2.0"),
     "line(2, '2')": (line, (2, "2"), "hops must be an int, got '2'"),
+    "line(2, '1')": (line, (2, "1"), "hops must be an int, got '1'"),
+    "line(2, None)": (line, (2, None), "hops must be an int, got None"),
+}
+# a verifier seat is a shape too: diamond's sink seated at a value that is not an int
+NON_INT_SHAPES |= {
+    f"diamond(5) seat {bad!r}": (
+        lambda seat: diamond(5).with_verifiers({"t": seat}), (bad,),
+        f"verifier index of 't' must be an int, got {bad!r}",
+    )
+    for bad in (True, 2.0, "1", None)
 }
 
 
@@ -512,7 +522,7 @@ def test_builtin_networks_refuse_non_int_shapes(call):
     butterfly(2), diamond(5), line(2, 2), line(2, 1)  # fill the shared networks first
     # a float or bool hashes like the int it equals, yet never gets a shared network
     factory, args, match = NON_INT_SHAPES[call]
-    with pytest.raises(ValueError, match=re.escape(match)):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
         factory(*args)
 
 

@@ -57,11 +57,10 @@ def test_params_validation():
     F = Field(5, 1)
     pts = (F(1), F(2))
     SystemParams(F, 2, 2, 2, 2, pts)
-    with pytest.raises(ValueError):
-        SystemParams(F, 1, 2, 2, 2, pts)  # k too small
-    for M, V, n, name in ((0, 2, 1, "M"), (2, 0, 1, "V"), (2, 2, 0, "n")):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
-            SystemParams(F, 2, M, V, n, pts)
+    for name, least in (("k", 2), ("M", 1), ("V", 1), ("n", 1)):
+        sizes = {"k": 2, "M": 2, "V": 2, "n": 1, name: least - 1}
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+            SystemParams(F, sizes["k"], sizes["M"], sizes["V"], sizes["n"], pts)
     with pytest.raises(ValueError):
         SystemParams(F, 2, 2, 2, 3, pts)  # n > M
     SystemParams(F, 2, 2, 2, 3, pts, allow_excess_messages=True)
@@ -74,7 +73,7 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("name", ["k", "M", "V", "n"])
-@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", "1", None])
 def test_params_refuse_sizes_that_are_not_ints(name, bad):
     F = Field(5, 1)
     sizes = {"k": 2, "M": 2, "V": 2, "n": 2, name: bad}
@@ -91,6 +90,15 @@ def test_keygen_deterministic():
     k3, _ = keygen(params, 124)
     assert k1 == k2 and v1 == v2
     assert k1 != k3
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0, "1", None])
+def test_keygen_refuses_a_seed_that_is_not_an_int(bad):
+    # True and 1.0 used to draw seed 1's key, and random.Random takes a str
+    F = Field(3, 2)
+    params = SystemParams(F, 2, 1, 1, 1, (F(1),))
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(bad))}$"):
+        keygen(params, bad)
 
 
 # (q, l, k, M, seed) -> the secret codes, row by row, and verifier 1's eval
