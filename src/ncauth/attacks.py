@@ -101,7 +101,7 @@ def build_recovery_system(
         e.field is not fld for key in keys for e in (key.point, *key.evals)
     ):
         raise ValueError("element belongs to a different field")
-    tags = [p.tag for p in view.packets]
+    tags = [p._codes()[1:] for p in view.packets]  # each tag coefficient's code
     if any(len(t) != k for t in tags):
         raise ValueError("observed tag length disagrees with k")
     if any(len(key.evals) != M + 1 for key in keys):
@@ -120,7 +120,7 @@ def build_recovery_system(
     for j in range(k):
         for row, tag in zip(mixed_rows, tags):
             crows.append(row << (block * j))
-            crhs.append(tag[j].code)
+            crhs.append(tag[j])
     for key in keys:
         powers = [fld.one]
         for _ in range(k - 1):
@@ -215,19 +215,18 @@ def _lane_sums(pk, start: int, cols):
 
     A level is one int of lanes, one lane of 64-bit words per sum, packed
     by ``pk``.  The level plus c col, for c = 1 .. q-1, is one add of col
-    repeated into every lane and ``Packing``'s reduction of every slot at
-    once (a slot never carries into the next, nor a lane into the next);
-    the next level joins the q blocks as bytes.  A finished level splits
-    into its words by one cast, a key per lane: the word itself, or the
-    tuple of a lane's words.  The cast reads the machine's byte order, and
-    both halves are read alike, so no count depends on it.
+    repeated into every lane and ``pk``'s own reduction (``_reduce``) of
+    every slot at once (a slot never carries into the next, nor a lane
+    into the next); the next level joins the q blocks as bytes.  A
+    finished level splits into its words by one cast, a key per lane: the
+    word itself, or the tuple of a lane's words.  The cast reads the
+    machine's byte order, and both halves are read alike, so no count
+    depends on it.
     """
     q, shift = pk.field.q, pk.w - 1
-    bits = pk.ew * pk.size
-    words = max(1, -(-bits // 64))
+    words = max(1, -(-pk.ew * pk.size // 64))  # per lane
     size = 8 * words  # bytes per lane
-    unit = ((1 << bits) - 1) // ((1 << pk.w) - 1)  # 1 in every slot of a lane
-    adj, high = ((1 << shift) - q) * unit, unit << shift
+    adj, high, _ = pk._reduce  # a lane is a vector of pk
     one = (1).to_bytes(size, "little")
     data = start.to_bytes(size, "little")
     for col in cols:

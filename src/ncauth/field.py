@@ -33,12 +33,12 @@ sum_t c_t s^(q^t) at s, each from codes to a code.
   and the Frobenius map a^(q^i) exp[log a * q^i mod n].  Both evaluations
   run on logs: Horner reads log x once, and the weight s^(q^t) has log
   q^t log s mod n, an int product, so ``qpoly`` makes no Frobenius map.
-* larger orders: polynomial arithmetic on the coordinates modulo the
-  modulus.  An inverse is Fermat's a^(q^l - 2), one modular power, as
-  over the integers mod q.  The Frobenius map is linear on the
-  coordinates: each times the image of its power of x, images built once
-  per power.  The evaluations are ``Field``'s generic bodies: a product
-  per term, and a Frobenius map per weight after s.
+* larger orders: ``Field``'s own arithmetic, polynomials in the
+  coordinates modulo the modulus.  An inverse is Fermat's a^(q^l - 2),
+  one modular power, as over the integers mod q.  The Frobenius map is
+  linear on the coordinates: each times the image of its power of x,
+  images built once per power.  The evaluations take a product per term,
+  and a Frobenius map per weight after s.
 
 ``Packing`` is the one packed layout of vectors over F_{q^l}: a whole
 vector in one int, its entries' codes side by side, so that adding,
@@ -253,7 +253,7 @@ _FIELDS: dict[tuple[int, int], Field] = {}
 
 
 class Field:
-    """F_{q^l}: one object per (q, l), whose class is its arithmetic on codes."""
+    """F_{q^l}: one object per (q, l), whose class is its arithmetic on codes (by polynomials, if Field)."""
 
     __slots__ = ("q", "l", "order", "modulus", "w", "shifts", "zero", "one", "add", "sub")
 
@@ -274,7 +274,7 @@ class Field:
         elif q**l <= TABLE_ORDER:
             kind = _TableField
         else:
-            kind = _PolyField
+            kind = Field
         field = object.__new__(kind)
         field._setup(q, l)
         return _FIELDS.setdefault((q, l), field)
@@ -373,9 +373,29 @@ class Field:
         mask = (1 << self.w) - 1
         return tuple([code >> s & mask for s in self.shifts])
 
-    # The two evaluations of the scheme, on codes.  These generic bodies,
-    # one product per term, serve the polynomial path; the prime and table
-    # paths override both.
+    # The arithmetic on codes.  These bodies are the polynomial path, in x
+    # modulo the modulus, for every order above TABLE_ORDER; the prime and
+    # table paths override all five.  The inverse is a power, a^(q^l - 2)
+    # (Fermat, as ``_PrimeField.inv``), one ``_poly_powmod``.  The
+    # Frobenius map a -> a^(q^i) is F_q-linear: the sum of each coordinate
+    # c_t times the image of x^t (``_frobenius_images``), so the weights of
+    # ``qpoly`` cost no power each.  The two evaluations of the scheme take
+    # one product per term.
+
+    def mul(self, a: int, b: int) -> int:
+        q = self.q
+        return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
+
+    def inv(self, a: int) -> int:
+        return self.code(_poly_powmod(self.coeffs(a), self.order - 2, self.modulus, self.q))
+
+    def frob(self, a: int, i: int) -> int:
+        q, out = self.q, [0] * self.l
+        for c, image in zip(self.coeffs(a), _frobenius_images(self, i)):
+            if c:
+                for u, v in enumerate(image):
+                    out[u] += c * v
+        return self.code([v % q for v in out])
 
     def horner(self, coeffs, x: int) -> int:
         """sum_j c_j x^j: the polynomial with coefficients `coeffs`, low to high, at x."""
@@ -421,36 +441,7 @@ class _PrimeField(Field):
         return s * sum(coeffs) % self.q
 
 
-class _PolyField(Field):
-    """1 < l: polynomials in x modulo the field's modulus.
-
-    The polynomial product, inverse and Frobenius map, on the coordinates,
-    serve every order above TABLE_ORDER.  The inverse is a power,
-    a^(q^l - 2) (Fermat, as ``_PrimeField.inv``), one ``_poly_powmod``.
-    The Frobenius map a -> a^(q^i) is F_q-linear: the sum of each
-    coordinate c_t times the image of x^t (``_frobenius_images``), so the
-    weights of ``Field.qpoly`` cost no power each.
-    """
-
-    __slots__ = ()
-
-    def mul(self, a, b):
-        q = self.q
-        return self.code(_poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), q), self.modulus, q))
-
-    def inv(self, a):
-        return self.code(_poly_powmod(self.coeffs(a), self.order - 2, self.modulus, self.q))
-
-    def frob(self, a, i):
-        q, out = self.q, [0] * self.l
-        for c, image in zip(self.coeffs(a), _frobenius_images(self, i)):
-            if c:
-                for u, v in enumerate(image):
-                    out[u] += c * v
-        return self.code([v % q for v in out])
-
-
-class _TableField(_PolyField):
+class _TableField(Field):
     """1 < l, q^l <= TABLE_ORDER: log and antilog tables, built on first use."""
 
     __slots__ = ("n", "qpow", "exp", "log")
@@ -546,8 +537,7 @@ class Fel:
 
     def frob(self, i: int):
         """The i-fold q-power map a -> a^(q^i)."""
-        if i < 0:
-            raise ValueError("frobenius power must be nonnegative")
+        _check_int("frobenius power", i, 0)
         f = self.field
         return _fel(f, f.frob(self.code, i % f.l))  # the map has order l
 
@@ -601,7 +591,9 @@ class Packing:
     tile bytes a byte substitution (``_BytePacking``).
     """
 
-    __slots__ = ("field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_folds")
+    __slots__ = (
+        "field", "size", "w", "ew", "add", "sub", "_emask", "_low", "_unit0", "_fold", "_folds", "_reduce"
+    )
 
     def __new__(cls, field: Field, size: int):
         if field.q == 3:
@@ -614,6 +606,7 @@ class Packing:
         q, l, w = field.q, field.l, field.w
         ew = w * l  # bits per entry
         ones = (1 << (ew * size)) - 1
+        slot = (1 << w) - 1
         self.field = field
         self.size = size
         self.w = w
@@ -621,22 +614,26 @@ class Packing:
         self._emask = (1 << ew) - 1
         self._unit0 = ones // self._emask  # 1 in slot 0 of every entry
         top = w * (l - 1)  # where each entry's top coordinate, l-1, starts
-        self._low = ones ^ (((1 << w) - 1) << top) * self._unit0  # every other coordinate
+        self._low = ones ^ (slot << top) * self._unit0  # every other coordinate
+        fold = [(-c) % q for c in field.modulus[:l]]  # x^l
+        # the fold of a top coordinate t into t x^l: each entry's whole slot 0,
+        # the code of x^l, and where each top coordinate starts
+        self._fold = (slot * self._unit0, field.code(fold), top)
         # x_powers' fold terms: (top + b, the code of 2^b x^l) for each bit b
         # of q where that code, reduced modulo the modulus, is nonzero
-        fold = [(-c) % q for c in field.modulus[:l]]  # x^l
         folds = ((top + b, field.code([(c << b) % q for c in fold])) for b in range(q.bit_length()))
         self._folds = tuple(f for f in folds if f[1])
-        self.add, self.sub = self._adder(ones // ((1 << w) - 1))
+        # odd q: the reduction's adj and high, and q, each in every slot
+        unit, shift = ones // slot, w - 1
+        self._reduce = (((1 << shift) - q) * unit, unit << shift, q * unit)
+        self.add, self.sub = self._adder()
 
-    def _adder(self, unit: int):
-        """(add, sub): XORs over F_2, else closures; `unit` has 1 in every slot."""
+    def _adder(self):
+        """(add, sub): XORs over F_2, else closures over ``__init__``'s reduction (``_reduce``)."""
         q, shift = self.field.q, self.w - 1
         if q == 2:
             return operator.xor, operator.xor
-        adj = ((1 << shift) - q) * unit
-        high = (1 << shift) * unit
-        qs = q * unit
+        adj, high, qs = self._reduce
 
         def add(u, v):
             """u + v for reduced packed vectors u and v, or for any u + v with slots in [0, 2q)."""
@@ -756,19 +753,13 @@ class _TernaryPacking(Packing):
     reduction steps then bring every slot into [0, 3): over GF(3^4),
     x^4 = 2 + 2 x^2 + 2 x^3 and a slot reaches 6, which one step leaves at
     3.  A multiple adds each nonzero coordinate's power, v + p for 1 and
-    v + 3 - p for 2, and reduces once.  ``x_powers`` stays the chain of
-    every field, for brute force.
+    v + 3 - p for 2, and reduces once.  ``Packing`` derives the constants
+    of both, the reduction's (``_reduce``) and the fold's (``_fold``), as
+    for every field.  ``x_powers`` stays the chain of every field, for
+    brute force.
     """
 
-    __slots__ = ("_reduce", "_fold")
-
-    def __init__(self, field: Field, size: int):
-        super().__init__(field, size)
-        unit = ((1 << (self.ew * size)) - 1) // 7  # 1 in every slot
-        self._reduce = (unit, 4 * unit, 3 * unit)  # the reduction's adj and high; 3 in every slot
-        # each entry's whole slot 0, the code g of x^l, and where each top coordinate starts
-        g = field.code([-c % 3 for c in field.modulus[: field.l]])
-        self._fold = (7 * self._unit0, g, 3 * (field.l - 1))
+    __slots__ = ()
 
     def pivot_form(self, v: int) -> list[int]:
         adj, high, _ = self._reduce

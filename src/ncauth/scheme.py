@@ -104,14 +104,6 @@ class SourceKey(_Checked, namedtuple("SourceKey", "field polys")):
                     raise ValueError(f"P_{t}[{j}] must be a reduced code of {field!r}, got {c!r}")
         return tuple.__new__(cls, (field, polys))
 
-    @property
-    def k(self) -> int:
-        return len(self.polys[0])
-
-    @property
-    def M(self) -> int:
-        return len(self.polys) - 1
-
 
 VerifierKey = namedtuple("VerifierKey", "index point evals")
 VerifierKey.__doc__ = """Private key of verifier `index`: the secret polynomials at its point.

@@ -281,9 +281,9 @@ def reference_tag(key, s):
     """The source packet of payload s, each tag coefficient summed on elements."""
     fld = key.field
     s = fld(s)
-    weights = _element_weights(key.M, s)
+    weights = _element_weights(len(key.polys) - 1, s)
     flat = [1, *s.coeffs]
-    for j in range(key.k):
+    for j in range(len(key.polys[0])):
         acc = fld.zero
         for w, poly in zip(weights, key.polys):
             acc = acc + w * element(fld, poly[j])

@@ -162,8 +162,8 @@ def test_solve_target_steers_over_wide_fields(q, l):
 
 def _column_major_secret(skey):
     vec = []
-    for j in range(skey.k):
-        for t in range(skey.M + 1):
+    for j in range(len(skey.polys[0])):
+        for t in range(len(skey.polys)):
             vec.append(element(skey.field, skey.polys[t][j]))
     return vec
 

@@ -6,11 +6,13 @@ import operator
 from array import array
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncauth.field
 import support
 from ncauth import Fel, Field, GuardError, Matrix, SystemParams, keygen, tag
 from ncauth.field import (
@@ -20,7 +22,6 @@ from ncauth.field import (
     _byte_tables,
     _BytePacking,
     _is_irreducible,
-    _PolyField,
     _TableField,
     _TernaryPacking,
     is_prime,
@@ -425,7 +426,7 @@ def test_inverse_at_the_bounds_of_the_polynomial_path(q, l):
     # the largest degree, and there the largest prime: a^(q^l - 2) is one
     # power of a 256-bit exponent over GF(65521^16)
     F = Field(q, l)
-    assert type(F) is _PolyField
+    assert type(F) is Field
     rng = random.Random(q * l)
     x_poly = F([0, 1] + [0] * (l - 2))
     for x in [F.random_element(rng) for _ in range(6)] + [F.one, F.zero - F.one, x_poly]:
@@ -567,8 +568,16 @@ def test_degree_one_field_is_plain_prime_field():
     assert (a + b).coeffs == (1,)
     assert a.frob(4) == a
     assert a.inv() * a == F.one
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^frobenius power must be at least 0, got -1$"):
         a.frob(-1)
+
+
+@pytest.mark.parametrize("i", [True, 1.0, "1", None])
+def test_frobenius_power_must_be_an_int(i):
+    # True is not power 1, and a float, a string or None is refused alike, not a TypeError
+    a = Field(3, 2)([1, 2])
+    with pytest.raises(ValueError, match=f"^frobenius power must be an int, got {re.escape(repr(i))}$"):
+        a.frob(i)
 
 
 @pytest.mark.parametrize(
@@ -720,6 +729,23 @@ def test_ternary_packing_is_chosen_for_q3(l):
     assert type(packing(Field(5, l), 7)) is Packing
     own = vars(_TernaryPacking)
     assert "pivot_form" in own and "add_mul" in own and "x_powers" not in own
+
+
+def test_one_class_per_arithmetic_path():
+    """Packing subclasses override only elimination's two methods; Field itself is the polynomial path.
+
+    ``Packing.__init__`` derives every layout constant, the odd-q reduction
+    and the x^l fold, so no subclass has an ``__init__`` or slots of its own.
+    """
+    allowed = {"__module__", "__qualname__", "__doc__", "__slots__"}
+    allowed |= {"__firstlineno__", "__static_attributes__"}  # set by Python 3.13 on every class
+    for kind in (_TernaryPacking, _BytePacking):
+        own = vars(kind)
+        assert own["__slots__"] == ()
+        assert set(own) - allowed == {"pivot_form", "add_mul"}, kind
+    assert not hasattr(ncauth.field, "_PolyField")
+    assert type(Field(257, 2)) is Field
+    assert {"mul", "inv", "frob", "horner", "qpoly"} <= set(vars(Field))
 
 
 @pytest.mark.parametrize("l", [2, 4, 8])
