@@ -21,10 +21,10 @@ from functools import partial
 from itertools import repeat
 from operator import xor
 
-from .field import Field, GuardError, packing
+from .field import Field, GuardError, mix, packing
 from .linalg import Matrix, rank_and_consistency, solve
 from .netsim import CoalitionView
-from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, mix, moore_matrix
+from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, moore_matrix
 
 BRUTE_FORCE_GUARD = 1 << 24
 

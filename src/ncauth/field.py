@@ -45,15 +45,16 @@ vector in one int, its entries' codes side by side, so that adding,
 subtracting or scaling it is a few big-int operations whatever its length.
 Over F_2 a slot is one bit and a sum is an XOR; for odd q a slot has room
 for a carry-free sum, reduced in every slot at once.  ``Packing.add`` and
-``Packing.sub`` are the one packed sum and difference.  ``packing`` hands
-out one shared instance per (field, size), never evicted.  Packets and
-matrix rows are held in it, and row reduction, packet mixing, the
-recovery rows and the exhaustive key count work in it.  Mixing scales by
-base-field scalars only; row reduction alone multiplies a row by an
-element of F_{q^l} (``Packing.add_mul``), and two layouts do it their own
-way: over F_3 with the chain's and the multiples' reductions inline
-(``_TernaryPacking``), and over GF(2^2), GF(2^4) and GF(2^8), whose
-entries tile bytes, by byte substitution (``_BytePacking``).
+``Packing.sub`` are the one packed sum and difference, and ``mix`` the one
+F_q-linear combination of packed vectors.  ``packing`` hands out one
+shared instance per (field, size), never evicted.  Packets and matrix
+rows are held in it, and row reduction, packet mixing, the recovery rows
+and the exhaustive key count work in it.  Row reduction alone multiplies
+a row by an element of F_{q^l} (``Packing.add_mul``): in general one
+``mix`` of the pivot's x-power chain by the element's coordinates, and two
+layouts do it their own way: over F_3 with the chain's and the multiples'
+reductions inline (``_TernaryPacking``), and over GF(2^2), GF(2^4) and
+GF(2^8), whose entries tile bytes, by byte substitution (``_BytePacking``).
 """
 
 from __future__ import annotations
@@ -584,8 +585,8 @@ class Packing:
     c_t x^t u over the coordinates c_t of a.  ``x_powers`` builds the chain
     x^t u by one masked fold per power.  Elimination is the one caller of
     a row multiple: it takes each pivot row's ``pivot_form`` (the chain) and
-    ``add_mul`` adds a u from it by one packed add or subtract per nonzero
-    coordinate.  Two subclasses, which ``Packing`` hands out by field,
+    ``add_mul`` adds a u from it, one ``mix`` of the chain by the
+    coordinates of a.  Two subclasses, which ``Packing`` hands out by field,
     override just those two methods: over F_3 the same chain and sums with
     every reduction inline (``_TernaryPacking``), and where the entries
     tile bytes a byte substitution (``_BytePacking``).
@@ -697,25 +698,37 @@ class Packing:
     def add_mul(self, v: int, entry: int, powers) -> int:
         """v + a * u, for a given as its packed entry, where powers = x_powers(u).
 
-        Each nonzero coordinate c of a costs one packed add or subtract of
-        its power p: c = 1 adds p, c > q/2 subtracts (q - c) p (p itself
-        when c = q - 1), and any other c adds c p.  Over F_3 every
-        coordinate is 1 or q - 1, so nothing is scaled; over F_2 each is an XOR.
+        a u is sum_t c_t x^t u over the coordinates c_t of a, so this is one
+        ``mix`` of (v, u, x u, ...) by (1, c_0, c_1, ...).
         """
-        q, w, add, sub, scale = self.field.q, self.w, self.add, self.sub, self.scale
-        slot, half = (1 << w) - 1, q // 2
-        for p in powers:
-            c = entry & slot
-            if c:
-                if c > half:
-                    v = sub(v, p if c == q - 1 else scale(q - c, p))
-                else:
-                    v = add(v, p if c == 1 else scale(c, p))
-            entry >>= w
-        return v
+        return mix(self, (v, *powers), (1, *self.field.coeffs(entry)))
 
     # a pivot row of ``Matrix._eliminate``: its form, from which ``add_mul`` takes each multiple
     pivot_form = x_powers
+
+
+def mix(pk: Packing, vectors, coeffs) -> int:
+    """sum_i coeffs[i] * vectors[i] for packed vectors of `pk` and int coefficients mod q.
+
+    Every F_q-linear combination in the lab is this one: of packets, of packed
+    global kernels, of message powers by a view's kernel rows, and, in
+    ``Packing.add_mul``, of a pivot's x-power chain.  Each nonzero coefficient
+    a is one packed add or subtract: a = 1 adds v, a > q/2 subtracts
+    (q - a) v (v itself when a = q - 1), and any other a adds a v, so no
+    scale exceeds q/2, and over F_2 and F_3 none is made.
+    """
+    q, add, sub, scale = pk.field.q, pk.add, pk.sub, pk.scale
+    half = q // 2
+    acc = 0
+    for a, v in zip(coeffs, vectors):
+        a %= q
+        if a == 1:
+            acc = add(acc, v)
+        elif a > half:
+            acc = sub(acc, v if a == q - 1 else scale(q - a, v))
+        elif a:
+            acc = add(acc, scale(a, v))
+    return acc
 
 
 _from_bytes = int.from_bytes  # bound once: its lookup was a fifth of a byte-path multiple

@@ -92,8 +92,12 @@ class Matrix:
         form, add_mul, mul, sub = pk.pivot_form, pk.add_mul, fld.mul, fld.sub
         table: dict[int, tuple] = {}  # lead column -> (-1/p, form, row)
         for v in self.packed:
+            last = -1  # the row's last lead: a correct multiple clears it, so the next lies right
             while v:
                 c = ((v & -v).bit_length() - 1) // ew
+                if c <= last:
+                    raise ArithmeticError(f"a row multiple left column {c} uncleared")
+                last = c
                 f = v >> ew * c & emask
                 hit = table.get(c)
                 if hit is None:

@@ -38,9 +38,9 @@ from collections import namedtuple
 from graphlib import CycleError
 from types import MappingProxyType
 
-from .field import Field, _check_int, packing
+from .field import Field, _check_int, mix, packing
 from .linalg import Matrix, solve
-from .scheme import ForgerySpec, TaggedPacket, VerifierKey, _agree, mix, verify
+from .scheme import ForgerySpec, TaggedPacket, VerifierKey, _agree, verify
 
 
 Edge = namedtuple("Edge", "id tail head")

@@ -11,7 +11,7 @@ is checked by verifier i against T(x_i).  The q-power weights are
 F_q-linear in s and the header tracks the combination sum, so every
 F_q-linear mix of valid packets satisfies the same per-verifier equation;
 the attack tooling lives off exactly that.  A packet is its F_q vector
-packed into one int, and every such mix is one `mix` of packed vectors.
+packed into one int, and every such mix is a ``field.mix`` of packed vectors.
 
 Keys, tags and checks run on codes through the field's two evaluations:
 ``Field.horner``, a polynomial at a point (a key value P_t(x_i), and the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .field import Fel, Field, Packing, _check_int, _fel, packing
+from .field import Fel, Field, Packing, _check_int, _fel, mix, packing
 from .linalg import Matrix
 
 
@@ -171,28 +171,6 @@ class TaggedPacket(_Checked, namedtuple("TaggedPacket", "field packed size")):
         return not self.packed
 
 
-def mix(pk: Packing, vectors, coeffs) -> int:
-    """sum_i coeffs[i] * vectors[i] for packed vectors of `pk` and int coefficients mod q.
-
-    Every F_q-linear combination in the lab is this one: relay outputs,
-    substitutions and forgeries mix packets, the simulator mixes packed global
-    kernels, and the recovery system mixes message powers by a view's kernel rows.
-    Each nonzero coefficient a, a base-field scalar, is one packed add of v
-    (a = 1), subtract of v (a = q - 1) or add of `Packing.scale(a, v)`.
-    """
-    q, add, sub, scale = pk.field.q, pk.add, pk.sub, pk.scale
-    acc = 0
-    for a, v in zip(coeffs, vectors):
-        a %= q
-        if a == 1:
-            acc = add(acc, v)
-        elif a == q - 1:
-            acc = sub(acc, v)
-        elif a:
-            acc = add(acc, scale(a, v))
-    return acc
-
-
 def keygen(params: SystemParams, seed: int) -> tuple[SourceKey, list[VerifierKey]]:
     """Draw the secret coefficient matrix and derive every verifier's key.
 
@@ -279,6 +257,8 @@ class ForgerySpec(_Checked, namedtuple("ForgerySpec", "q coeffs")):
     __slots__ = ()
 
     def __new__(cls, q, coeffs):
+        Field(q, 1)  # refuses a q that is not a supported prime
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a sum-one combination needs at least one coefficient")
         if any(type(a) is not int for a in coeffs):  # bool and float are refused

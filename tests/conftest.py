@@ -1,10 +1,11 @@
 """A time limit on every test, fixtures included.
 
-A wrong row multiple never clears a row, so ``Matrix._eliminate``'s
-``while v:`` loop would spin forever and the suite hang instead of fail.
-Each test's setup, call and teardown run under a faulthandler alarm: past
-LIMIT seconds it dumps every thread's traceback to the terminal and exits
-the process with a nonzero status.  Module-scoped fixtures are set up
+A test that never returns would hang the suite instead of failing it.
+(A wrong row multiple no longer does: ``Matrix._eliminate`` raises when a
+multiple leaves a row's leading entry uncleared.)  Each test's setup,
+call and teardown run under a faulthandler alarm: past LIMIT seconds it
+dumps every thread's traceback to the terminal and exits the process
+with a nonzero status.  Module-scoped fixtures are set up
 inside the first test that uses them, so they are inside the limit too.
 LIMIT sits above the suite's own 120 s subprocess timeouts; the slowest
 test takes about a second.

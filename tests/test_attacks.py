@@ -676,6 +676,7 @@ def test_brute_force_calls_nothing_of_elimination(monkeypatch):
         (ncauth.field._TernaryPacking, "pivot_form"),
         (ncauth.field._TernaryPacking, "add_mul"),
         (ncauth.field, "_byte_tables"),
+        (ncauth.field, "mix"),
     ]:
         monkeypatch.setattr(owner, name, refuse)
     with pytest.raises(AssertionError, match="reached elimination"):

@@ -25,6 +25,7 @@ from ncauth.field import (
     _TableField,
     _TernaryPacking,
     is_prime,
+    mix,
     packing,
 )
 from support import ORACLE_FIELDS, element_strategy, elements
@@ -679,6 +680,30 @@ def test_add_mul_every_multiplier(q, l, monkeypatch):
     assert set(scaled) == set(range(2, q // 2 + 1))
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_mix_every_coefficient(q, monkeypatch):
+    """mix(v, u by 1, a) is v + a u entrywise for every a in range(2q), scaling by at most q/2."""
+    fld = Field(q, 1)
+    rng = random.Random(43 * q)
+    size = 6
+    pk = packing(fld, size)
+    scaled = []
+    scale = Packing.scale
+
+    def counted(self, c, v):
+        scaled.append(c)
+        return scale(self, c, v)
+
+    monkeypatch.setattr(Packing, "scale", counted)
+    for a in range(2 * q):
+        u = [rng.randrange(q) for _ in range(size)]
+        v = [rng.randrange(q) for _ in range(size)]
+        got = mix(pk, [pk.pack(v), pk.pack(u)], [1, a])
+        assert pk.entries(got) == [(t + a * s) % q for s, t in zip(u, v)]
+    # a = 1 and a = q - 1 add or subtract the vector itself; a > q/2 subtracts (q - a) v
+    assert set(scaled) == set(range(2, q // 2 + 1))
+
+
 @pytest.mark.parametrize("q,l", [(3, 4), (3, 5), (5, 2), (7, 2), (2, 8)])
 def test_x_powers_fold_every_top_coordinate(q, l):
     """x_powers(u)[t] is x^t u entrywise, where u's entries take every top coordinate below q.
@@ -744,6 +769,7 @@ def test_one_class_per_arithmetic_path():
         assert own["__slots__"] == ()
         assert set(own) - allowed == {"pivot_form", "add_mul"}, kind
     assert not hasattr(ncauth.field, "_PolyField")
+    assert mix.__module__ == "ncauth.field"  # the one F_q-linear combination, beside its layout
     assert type(Field(257, 2)) is Field
     assert {"mul", "inv", "frob", "horner", "qpoly"} <= set(vars(Field))
 

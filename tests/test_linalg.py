@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncauth import Field, Matrix, butterfly, combine, simulate, solve
-from ncauth.field import Packing, _BytePacking, _TernaryPacking, packing
+from ncauth.field import Packing, _BytePacking, _TernaryPacking, mix, packing
 from ncauth.linalg import rank_and_consistency
-from ncauth.scheme import mix
 from support import (
     ORACLE_FIELDS,
     element_strategy,
@@ -260,6 +259,18 @@ def test_elimination_x_power_chains(q, l, monkeypatch):
     assert not multiples
     full.rank()
     assert multiples
+
+
+@pytest.mark.parametrize(
+    "q, l, kind", [(2, 1, Packing), (3, 2, _TernaryPacking), (2, 2, _BytePacking)]
+)
+def test_a_multiple_that_leaves_its_lead_raises(q, l, kind, monkeypatch):
+    """A row multiple that does not clear the row's leading entry raises instead of looping."""
+    fld = Field(q, l)
+    assert type(packing(fld, 2)) is kind
+    monkeypatch.setattr(kind, "add_mul", lambda self, v, entry, form: v)
+    with pytest.raises(ArithmeticError, match="left column 0 uncleared"):
+        Matrix(fld, [[1, 1], [1, 0]]).rank()
 
 
 def test_rank_properties_randomized():

@@ -29,8 +29,7 @@ from ncauth import (
     tag,
 )
 from ncauth.cli import network_from_dict, run_scenario
-from ncauth.field import packing
-from ncauth.scheme import mix
+from ncauth.field import mix, packing
 from support import make_instance, matmul, packet, rows_of, symbols, view_of
 
 BUTTERFLY_KERNELS = {

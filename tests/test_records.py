@@ -131,8 +131,9 @@ def test_packet_views_are_read_only():
         (SKEY, {"polys": ((1,), (1,))}, "k must be at least 2"),
         (PACKETS[0], {"size": 2}, "flat packet must have"),
         (ForgerySpec(3, (2, 2)), {"coeffs": (1, 1)}, "must sum to 1 mod q"),
+        (ForgerySpec(3, (2, 2)), {"q": 4}, "q must be prime, got 4"),
     ],
-    ids=["SystemParams", "SourceKey", "TaggedPacket", "ForgerySpec"],
+    ids=["SystemParams", "SourceKey", "TaggedPacket", "ForgerySpec", "ForgerySpec-q"],
 )
 def test_replace_checks_what_the_constructor_checks(record, change, message):
     with pytest.raises(ValueError, match=message):
@@ -140,3 +141,25 @@ def test_replace_checks_what_the_constructor_checks(record, change, message):
     with pytest.raises(ValueError, match=message):
         type(record)._make({**record._asdict(), **change}.values())
     assert record._replace() == record
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (4, "q must be prime, got 4"),
+        (2.0, "q must be prime, got 2.0"),
+        (True, "q must be prime, got True"),
+        (65537, "q exceeds supported bound 2^16: 65537"),
+    ],
+)
+def test_forgery_spec_refuses_a_q_that_no_field_has(q, message):
+    with pytest.raises(ValueError) as info:
+        ForgerySpec(q, (1,))
+    assert str(info.value) == message
+
+
+def test_forgery_spec_holds_its_coefficients_as_a_tuple():
+    spec = ForgerySpec(3, [2, 2])
+    assert type(spec.coeffs) is tuple
+    assert spec == ForgerySpec(3, (2, 2))
+    assert hash(spec) == hash(ForgerySpec(3, (2, 2)))

@@ -29,8 +29,7 @@ from ncauth import (
     tag,
     verify,
 )
-from ncauth.field import _PrimeField, _TableField, packing
-from ncauth.scheme import mix
+from ncauth.field import _PrimeField, _TableField, mix, packing
 from support import (
     element,
     make_instance,
