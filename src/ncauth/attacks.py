@@ -21,7 +21,7 @@ from functools import partial
 from itertools import repeat
 from operator import xor
 
-from .field import Field, GuardError, mix, packing
+from .field import Field, GuardError, _check_int, mix, packing
 from .linalg import Matrix, rank_and_consistency, solve
 from .netsim import CoalitionView
 from .scheme import ForgerySpec, SystemParams, TaggedPacket, combine, moore_matrix
@@ -180,6 +180,7 @@ def brute_force_count(system: RecoverySystem, guard: int = BRUTE_FORCE_GUARD) ->
     F_2 a level is a list, extended by one XOR per sum; over odd q it is one
     int of lanes (``_lane_sums``), so a level step is a few big-int operations.
     """
+    _check_int("guard", guard, 0)
     coeff = system.coeff
     fld = coeff.field
     total = fld.order**coeff.cols

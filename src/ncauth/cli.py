@@ -374,7 +374,7 @@ def _run(sc: Scenario, guard: int) -> dict:
             )
         if sc.adversaries:
             view = coalition_view(flow, sc.adversaries)
-            out["coalition_can_decode"] = decode(view).rank >= net.n
+            out["coalition_can_decode"] = view.h.rank() >= net.n
     elif kind == "pollute":
         out.update(
             node=sc.attack.node,
@@ -462,6 +462,14 @@ def __getattr__(name):  # PEP 562: the module's SweepRow, built on first access
 SweepResult = namedtuple("SweepResult", "rows summary")
 
 
+# Each sweep family's builder of a row's K-seat network from its stream: a `fan`
+# draws n, then each seat's edge count, then the hub's kernels.
+_FAMILIES = {
+    "fan": lambda q, K, M, r: fan(q, r.randint(1, M), [r.randint(0, 3) for _ in range(K)], r),
+    "line": lambda q, K, M, r: line(q, hops=K),
+}
+
+
 def lemma_sweep(
     qs,
     ls,
@@ -475,12 +483,14 @@ def lemma_sweep(
 ) -> SweepResult:
     """Check predicted key counts against elimination and brute force.
 
-    Instances with more candidate keys than `guard` are marked skipped
-    rather than failing the sweep.  Every coalition size has a closed form,
-    since a k x K Vandermonde matrix has rank min(K, k); sizes beyond the
-    field's nonzero point count are not generated.
+    A row's coalition is its network's seated nodes, in seat order, and its
+    `edge_counts` their in-degrees.  Instances with more candidate keys than
+    `guard` are marked skipped rather than failing the sweep.  Every
+    coalition size has a closed form, since a k x K Vandermonde matrix has
+    rank min(K, k); sizes beyond the field's nonzero point count are not
+    generated.
     """
-    if family not in ("fan", "line"):
+    if type(family) is not str or family not in _FAMILIES:  # a list is unhashable
         raise ValueError(f"unknown topology family {family!r}")
     # a bool or float is refused, not converted: True would sweep seed 1's rows
     for name, values, least in (("q", qs, None), ("l", ls, None), ("k", ks, 2), ("M", Ms, 1),
@@ -489,21 +499,10 @@ def lemma_sweep(
         for v in values:
             _check_int(name, v, least)
     fields = [Field(q, l) for q in qs for l in ls]  # refused here even if no row would use it
-    rows = []
-    idx = 0
-    for field in fields:
-        for k in ks:
-            for m_count in Ms:
-                for coalition_size in Ks:
-                    if field.order - 1 < coalition_size:
-                        continue
-                    for _ in range(reps):
-                        rows.append(
-                            _sweep_instance(
-                                field, k, m_count, coalition_size, seed, idx, guard, family
-                            )
-                        )
-                        idx += 1
+    cells = [(field, k, m_count, size) for field in fields for k in ks for m_count in Ms
+             for size in Ks if size < field.order for _ in range(reps)]
+    rows = tuple(_sweep_instance(*cell, _FAMILIES[family], seed, idx, guard)
+                 for idx, cell in enumerate(cells))
     checked = [r for r in rows if not r.skipped]
     mismatches = sum(
         1 for r in checked if r.count_match is not True or not r.rank_match or not r.consistent
@@ -515,31 +514,22 @@ def lemma_sweep(
         "mismatches": mismatches,
         "h_exceeds_bound": sum(1 for r in checked if not r.condition_held),
     }
-    return SweepResult(tuple(rows), summary)
+    return SweepResult(rows, summary)
 
 
-def _sweep_instance(field, k, m_count, coalition_size, master_seed, idx, guard, family):
+def _sweep_instance(field, k, m_count, size, build, master_seed, idx, guard):
     rng = _substream(master_seed, f"sweep:{idx}")
-    q = field.q
-    if family == "line":
-        n = 1
-        edge_counts = (1,) * coalition_size
-        net = line(q, hops=coalition_size)
-        coalition = tuple(f"v{i}" for i in range(1, coalition_size + 1))
-    else:
-        n = rng.randint(1, m_count)
-        edge_counts = tuple(rng.randint(0, 3) for _ in range(coalition_size))
-        net = fan(q, n, edge_counts, rng)
-        coalition = tuple(f"r{i}" for i in range(coalition_size))
-    points = _sample_points(field, coalition_size, rng, "sweep")
-    params = SystemParams(field, k, m_count, coalition_size, n, points)
-    messages = [field.random_element(rng) for _ in range(n)]
-    if n >= 2 and rng.random() < 0.3:
+    net = build(field.q, size, m_count, rng)
+    coalition = tuple(net.verifiers)
+    points = _sample_points(field, size, rng, "sweep")
+    params = SystemParams(field, k, m_count, size, net.n, points)
+    messages = [field.random_element(rng) for _ in range(net.n)]
+    if net.n >= 2 and rng.random() < 0.3:
         messages[-1] = messages[0]  # exercise repeated payloads
     skey, vkeys = keygen(params, rng.getrandbits(64))
     flow = simulate(net, [tag(skey, s) for s in messages])
     res = _recover(params, flow, vkeys, coalition, messages, guard)
-    return _sweep_row()(*res, edge_counts, idx)
+    return _sweep_row()(*res, tuple(len(net.in_edges(a)) for a in coalition), idx)
 
 
 # Each sweep TSV column, in order: its header and the SweepRow field it shows.
@@ -562,11 +552,7 @@ def render_sweep(result: SweepResult) -> str:
     lines = ["\t".join(_SWEEP_COLUMNS)]
     for r in result.rows:
         lines.append("\t".join(_cell(getattr(r, name)) for name in _SWEEP_COLUMNS.values()))
-    s = result.summary
-    lines.append(
-        f"# rows={s['rows']} checked={s['checked']} skipped={s['skipped']} "
-        f"mismatches={s['mismatches']} h_exceeds_bound={s['h_exceeds_bound']}"
-    )
+    lines.append("# " + " ".join(f"{key}={value}" for key, value in result.summary.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -632,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--reps", type=int, default=2)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD)
-    sweep.add_argument("--family", choices=("fan", "line"), default="fan")
+    sweep.add_argument("--family", choices=tuple(_FAMILIES), default="fan")
     sweep.add_argument("--out", default=None)
     return parser
 

@@ -56,6 +56,7 @@ class SystemParams(
     V   -- number of verifiers, one public point each
     n   -- messages authenticated per generation
     public_points -- the V distinct nonzero points, coerced into the field
+    allow_excess_messages -- the bool that lets n exceed M
     """
 
     __slots__ = ()
@@ -63,6 +64,8 @@ class SystemParams(
     def __new__(cls, field, k, M, V, n, public_points, allow_excess_messages=False):
         for name, size, least in (("k", k, 2), ("M", M, 1), ("V", V, 1), ("n", n, 1)):
             _check_int(name, size, least)
+        if type(allow_excess_messages) is not bool:
+            raise ValueError(f"allow_excess_messages must be a bool, got {allow_excess_messages!r}")
         if n > M and not allow_excess_messages:
             raise ValueError(f"n={n} exceeds M={M}; pass allow_excess_messages to override")
         pts = tuple(field(p) for p in public_points)
@@ -276,6 +279,7 @@ def moore_matrix(field: Field, messages, M: int) -> Matrix:
     The one body that builds Moore rows; tags and checks weigh by ``Field.qpoly``.
     ``Fel.frob`` is read on each call, never bound earlier: a patch on the class counts its maps.
     """
+    _check_int("M", M, 1)
     rows = []
     for s in messages:
         row = [field.one, field(s)]

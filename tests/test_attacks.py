@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -410,6 +411,17 @@ def test_brute_force_guard():
     system = build_recovery_system(params, view, vkeys, messages)
     with pytest.raises(GuardError):
         brute_force_count(system, guard=8)  # 2^4 candidates > 8
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 1e9, "9", None, -1])
+def test_brute_force_guard_is_an_int_at_least_zero(bad):
+    # True and 1.5 were read as budgets and 1e9 let the count run; "9" raised TypeError
+    params, skey, vkeys, messages, packets, view = hand_instance()
+    system = build_recovery_system(params, view, vkeys, messages)
+    message = "guard must be at least 0, got -1" if bad == -1 else f"guard must be an int, got {bad!r}"
+    for count in (brute_force_count, analyze_recovery):  # no run is marked skipped instead
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count(system, bad)
 
 
 def test_analyze_recovery_compares_three_counts():

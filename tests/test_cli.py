@@ -1,5 +1,6 @@
 """Scenario loading, report generation, sweeps and the console entry point."""
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncauth import Field, tag
+import ncauth.cli
+from ncauth import Field, coalition_view, decode, keygen, simulate, tag
 from ncauth.cli import (
     ConfigError,
     SweepResult,
@@ -281,6 +283,26 @@ def test_forge_coalition_decode_flag():
     assert run_scenario(doc)["attack"]["coalition_can_decode"] is True
     doc["adversaries"] = ["u1"]  # one in-edge: rank 1 < n
     assert run_scenario(doc)["attack"]["coalition_can_decode"] is False
+
+
+def test_forge_coalition_flag_decodes_nothing(monkeypatch):
+    decoded = []
+    real = ncauth.cli.decode
+    monkeypatch.setattr(ncauth.cli, "decode", lambda view: decoded.append(view.nodes) or real(view))
+    run_scenario(json.loads((CONFIGS / "forge_target.json").read_text()))
+    assert decoded == [("t1",), ("t2",)]  # the sinks; the coalition's flag reads its view's rank
+
+
+def test_forge_coalition_flag_is_the_decoded_rank():
+    doc = butterfly_doc(type="forge", coeffs=[1, 0])
+    sc = load_scenario(doc)
+    skey, _ = keygen(sc.params, 1)
+    flow = simulate(sc.network, [tag(skey, s) for s in sc.messages])
+    nodes = sc.network.nodes
+    for coalition in [*itertools.combinations(nodes, 1), *itertools.combinations(nodes, 2)]:
+        doc["adversaries"] = list(coalition)
+        flag = run_scenario(doc)["attack"]["coalition_can_decode"]
+        assert flag is (decode(coalition_view(flow, coalition)).rank >= 2), coalition
 
 
 def recover_doc():
@@ -663,6 +685,13 @@ def test_sweep_columns_show_their_fields():
     assert shown(brute=None)["brute"] == "-"
 
 
+def test_render_sweep_prints_the_summary_in_its_own_order():
+    summary = {"skipped": 2, "rows": 5, "extra": "x", "checked": 3, "h_exceeds_bound": 1,
+               "mismatches": 0}
+    last = render_sweep(SweepResult((), summary)).splitlines()[-1]
+    assert last == "# skipped=2 rows=5 extra=x checked=3 h_exceeds_bound=1 mismatches=0"
+
+
 def test_lemma_sweep_empty_ranges(capsys):
     empty = "# rows=0 checked=0 skipped=0 mismatches=0 h_exceeds_bound=0"
     for result in (lemma_sweep((), (1,), (2,), (1,), (1,)),
@@ -732,6 +761,34 @@ def test_lemma_sweep_line_family():
     assert all(r.n == 1 for r in result.rows)
     with pytest.raises(ValueError):
         lemma_sweep((2,), (1,), (2,), (1,), (1,), family="ring")
+
+
+@pytest.mark.parametrize("family", ["fan", "line"])
+def test_sweep_rows_read_their_facts_from_their_network(monkeypatch, family):
+    networks = []
+    real = ncauth.cli.simulate
+    monkeypatch.setattr(ncauth.cli, "simulate",
+                        lambda net, pkts: networks.append(net) or real(net, pkts))
+    result = lemma_sweep((2, 3), (1, 2), (2,), (1, 2), (1, 2, 3), reps=2, seed=5, family=family)
+    assert len(networks) == len(result.rows) > 0
+    for row, net in zip(result.rows, networks):
+        seated = sorted(net.verifiers, key=net.verifiers.get)
+        assert (row.K, row.n) == (len(seated), net.n)
+        assert row.edge_counts == tuple(len(net.in_edges(a)) for a in seated)
+        assert sum(row.edge_counts) == row.h_total
+
+
+@pytest.mark.parametrize("family", [["fan"], None, "ring", "Fan"])
+def test_lemma_sweep_refuses_a_family_outside_the_table(family):
+    with pytest.raises(ValueError, match=f"^unknown topology family {re.escape(repr(family))}$"):
+        lemma_sweep((2,), (1,), (2,), (1,), (1,), family=family)
+
+
+def test_family_choices_are_the_family_table():
+    parser = ncauth.cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in commands.choices["lemma-sweep"]._actions if a.dest == "family")
+    assert option.choices == tuple(ncauth.cli._FAMILIES) == ("fan", "line")
 
 
 def write_config(tmp_path, doc, name="scenario.json"):

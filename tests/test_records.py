@@ -128,12 +128,14 @@ def test_packet_views_are_read_only():
     "record, change, message",
     [
         (PARAMS, {"k": 1}, "k must be at least 2"),
+        (PARAMS, {"allow_excess_messages": "no"}, "allow_excess_messages must be a bool, got 'no'"),
         (SKEY, {"polys": ((1,), (1,))}, "k must be at least 2"),
         (PACKETS[0], {"size": 2}, "flat packet must have"),
         (ForgerySpec(3, (2, 2)), {"coeffs": (1, 1)}, "must sum to 1 mod q"),
         (ForgerySpec(3, (2, 2)), {"q": 4}, "q must be prime, got 4"),
     ],
-    ids=["SystemParams", "SourceKey", "TaggedPacket", "ForgerySpec", "ForgerySpec-q"],
+    ids=["SystemParams", "SystemParams-excess", "SourceKey", "TaggedPacket", "ForgerySpec",
+         "ForgerySpec-q"],
 )
 def test_replace_checks_what_the_constructor_checks(record, change, message):
     with pytest.raises(ValueError, match=message):

@@ -80,6 +80,15 @@ def test_params_refuse_sizes_that_are_not_ints(name, bad):
         SystemParams(F, sizes["k"], sizes["M"], sizes["V"], sizes["n"], (F(1), F(2)))
 
 
+@pytest.mark.parametrize("bad", ["no", 1, None, 0.0])
+def test_params_refuse_an_excess_switch_that_is_not_a_bool(bad):
+    # n <= M: even a falsy non-bool is refused, not read as off
+    F = Field(5, 1)
+    message = f"allow_excess_messages must be a bool, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SystemParams(F, 2, 2, 2, 2, (F(1), F(2)), bad)
+
+
 def test_keygen_deterministic():
     rng = random.Random(0)
     F = Field(3, 2)
@@ -415,6 +424,15 @@ def test_moore_matrix_examples_and_rank():
         mm = moore_matrix(G, msgs, M)
         assert mm.rows == n and mm.cols == M + 1
         assert mm.rank() <= min(n, M + 1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "2", 0, -1])
+def test_moore_matrix_refuses_an_m_that_system_params_refuses(bad):
+    # True built the M = 1 matrix and -1 an n x 0 one
+    F = Field(3, 2)
+    message = f"M must be at least 1, got {bad}" if type(bad) is int else f"M must be an int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        moore_matrix(F, [F.one, F(2)], bad)
 
 
 def test_tag_coefficients_affine_identity():
